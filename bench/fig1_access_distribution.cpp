@@ -43,7 +43,6 @@ int run(const Flags&) {
       p.size_bytes = 1 * GiB;
       p.line_bytes = line;
       p.ways = 16;
-      p.policy = cache::PolicyKind::kLru;
       cache::Cache chbm(p);
 
       Histogram hist({5, 10, 15, 20});

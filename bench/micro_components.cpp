@@ -64,7 +64,6 @@ static void BM_CacheAccess(benchmark::State& state) {
   cache::CacheParams p;
   p.size_bytes = 8 * MiB;
   p.ways = 16;
-  p.policy = cache::PolicyKind::kDrrip;
   cache::Cache cache(p);
   Rng rng(5);
   for (auto _ : state) {

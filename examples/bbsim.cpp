@@ -14,10 +14,9 @@
 //   ./bbsim --designs=all --replay-trace=mcf.bbtrace --csv
 //
 // Three distinct trace flags: --event-trace (JSONL/Chrome *event* trace of
-// remap/swap/warmup events; --trace is its deprecated alias),
-// --capture-trace (record the run's binary miss stream), and
-// --replay-trace (drive designs from a recorded binary miss stream in
-// bounded memory).
+// remap/swap/warmup events), --capture-trace (record the run's binary miss
+// stream), and --replay-trace (drive designs from a recorded binary miss
+// stream in bounded memory).
 //
 // Design names follow the factory (README); "all" expands to
 // baselines::comparison_designs() — the Figure 8 set plus the
@@ -25,16 +24,16 @@
 // co-runs: each comma-separated entry is a preset name (--list-mixes) or
 // '+'-joined workload names, one per core.
 //
-// Exit codes: 0 success, 2 usage error (unknown name / bad flag value),
+// Exit codes: 0 success, 2 usage error (unknown flag or name / bad value),
 // 3 I/O error (unopenable output or journal file), 4 internal error,
 // 130 interrupted (SIGINT; the checkpoint journal, if any, is flushed).
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -83,11 +82,30 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+/// Every flag --help documents; any other --name is a usage error.
+constexpr const char* kKnownFlags[] = {
+    "designs", "workloads", "misses", "warmup", "cores", "seed", "csv",
+    "json", "profile", "jobs", "epoch-csv", "epoch-requests", "epoch-ticks",
+    "event-trace", "trace-format", "capture-trace", "capture-codec",
+    "chunk-records", "replay-trace", "replay-mode", "resume", "snapshot-dir",
+    "snapshot-interval", "restore", "cell-timeout", "cell-retries", "mix",
+    "instructions", "fault-profile", "fault-rate", "fault-seed",
+    "queue-depth", "write-watermarks", "list-workloads", "list-mixes",
+    "help",
+};
+
 int run(const Flags& flags) {
+  for (const std::string& name : flags.names()) {
+    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), name) ==
+        std::end(kKnownFlags)) {
+      std::cerr << "bbsim: unknown flag --" << name << "\n";
+      return kExitUsage;
+    }
+  }
   if (flags.has("help")) {
     std::cout <<
         "usage: bbsim [--designs=a,b,...] [--workloads=x,y,...]\n"
-        "              [--misses=N] [--warmup=PCT] [--cores=N]\n"
+        "              [--misses=N] [--warmup=PCT] [--cores=N] [--seed=N]\n"
         "              [--csv[=FILE]]  (results CSV; FILE written\n"
         "               atomically, default stdout)\n"
         "              [--json[=FILE]]  (full per-run results incl.\n"
@@ -102,8 +120,7 @@ int run(const Flags& flags) {
         "               default 5000 when --epoch-csv is given)\n"
         "              [--epoch-ticks=N]  (also close epochs every N ticks)\n"
         "              [--event-trace=FILE]  (structured event trace of\n"
-        "               remap/swap/warmup events; --trace is a deprecated\n"
-        "               alias for this flag)\n"
+        "               remap/swap/warmup events)\n"
         "              [--trace-format=jsonl|chrome]  (default jsonl)\n"
         "              [--capture-trace=FILE]  (record the run's binary\n"
         "               miss stream — exactly one design and one workload\n"
@@ -131,8 +148,10 @@ int run(const Flags& flags) {
         "               to an uninterrupted one. Requires --snapshot-dir)\n"
         "              [--cell-timeout=S]  (watchdog: soft per-cell deadline\n"
         "               in seconds; a cell past it is interrupted, retried\n"
-        "               from its snapshot --cell-retries times (default 1),\n"
-        "               then committed as a timed_out placeholder row)\n"
+        "               from its snapshot, then committed as a timed_out\n"
+        "               placeholder row)\n"
+        "              [--cell-retries=N]  (watchdog retries per cell;\n"
+        "               default 1)\n"
         "              [--mix=SPEC,...]  (multi-programmed co-runs: each\n"
         "               SPEC is a preset name or w1+w2+... per-core list)\n"
         "              [--instructions=N]  (fixed budget: per cell, or per\n"
@@ -146,8 +165,7 @@ int run(const Flags& flags) {
         "               devices, N entries per channel; 0 disables)\n"
         "              [--write-watermarks=HI:LO]  (write-drain hysteresis\n"
         "               thresholds, LO < HI <= depth; implies queues on)\n"
-        "               env BB_QUEUE=on|off overrides both flags\n"
-        "              [--list-workloads] [--list-mixes]\n"
+        "              [--list-workloads] [--list-mixes] [--help]\n"
         "exit codes: 0 ok, 2 usage, 3 I/O, 4 internal, 130 interrupted\n";
     std::cout << "designs:";
     for (const auto& name : baselines::all_design_names()) {
@@ -233,10 +251,7 @@ int run(const Flags& flags) {
     }
   }
 
-  // Request-queue layer (opt-in). --queue-depth=0 keeps it off; the
-  // BB_QUEUE environment variable is the last word either way — "off" is
-  // the hard kill switch that reproduces the unqueued legacy timing
-  // bit-for-bit, "on" enables the FR-FCFS preset even with no flags.
+  // Request-queue layer (opt-in). --queue-depth=0 keeps it off.
   mem::QueueConfig qcfg = mem::QueueConfig::fr_fcfs();
   bool queue_on = false;
   if (flags.has("queue-depth")) {
@@ -274,17 +289,6 @@ int run(const Flags& flags) {
     qcfg.write_low_watermark = lo;
     queue_on = true;
   }
-  if (const char* env = std::getenv("BB_QUEUE")) {
-    const std::string v = env;
-    if (v == "off" || v == "0") {
-      queue_on = false;
-    } else if (v == "on" || v == "1") {
-      queue_on = true;
-    } else if (!v.empty()) {
-      std::cerr << "bbsim: BB_QUEUE must be on or off, got: " << v << "\n";
-      return kExitUsage;
-    }
-  }
   if (queue_on) {
     cfg.hbm.queue = qcfg;
     cfg.dram.queue = qcfg;
@@ -292,15 +296,7 @@ int run(const Flags& flags) {
 
   // Observability (opt-in; off = zero overhead beyond a pointer test).
   const std::string epoch_csv = flags.get_string("epoch-csv", "");
-  // --trace was renamed --event-trace when the binary miss-stream flags
-  // (--capture-trace / --replay-trace) arrived; the old spelling remains
-  // a deprecated alias.
-  std::string trace_file = flags.get_string("event-trace", "");
-  if (trace_file.empty() && flags.has("trace")) {
-    trace_file = flags.get_string("trace", "");
-    std::cerr << "bbsim: warning: --trace is deprecated, use "
-                 "--event-trace\n";
-  }
+  const std::string trace_file = flags.get_string("event-trace", "");
   const std::string trace_format = flags.get_string("trace-format", "jsonl");
   if (trace_format != "jsonl" && trace_format != "chrome") {
     std::cerr << "bbsim: unknown --trace-format: " << trace_format << "\n";

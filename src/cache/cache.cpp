@@ -5,13 +5,20 @@
 namespace bb::cache {
 
 Cache::Cache(CacheParams params)
-    : params_(std::move(params)),
-      sets_(params_.num_sets()),
-      policy_(make_policy(params_.policy, params_.seed)) {
+    : params_(std::move(params)), sets_(params_.num_sets()) {
   assert(sets_ > 0 && "cache must have at least one set");
   assert(is_pow2(params_.line_bytes));
   lines_.resize(static_cast<std::size_t>(sets_) * params_.ways);
-  policy_->init(sets_, params_.ways);
+  stamp_.assign(lines_.size(), 0);
+}
+
+u32 Cache::lru_way(u32 set) const {
+  const std::size_t base = static_cast<std::size_t>(set) * params_.ways;
+  u32 best = 0;
+  for (u32 w = 1; w < params_.ways; ++w) {
+    if (stamp_[base + w] < stamp_[base + best]) best = w;
+  }
+  return best;
 }
 
 CacheAccessResult Cache::access(Addr addr, AccessType type) {
@@ -25,7 +32,7 @@ CacheAccessResult Cache::access(Addr addr, AccessType type) {
       ++stats_.hits;
       ++line.accesses;
       if (type == AccessType::kWrite) line.dirty = true;
-      policy_->on_hit(set, w);
+      touch(set, w);
       res.hit = true;
       return res;
     }
@@ -42,7 +49,7 @@ CacheAccessResult Cache::access(Addr addr, AccessType type) {
     }
   }
   if (way == params_.ways) {
-    way = policy_->victim(set);
+    way = lru_way(set);
     Line& victim = line_at(set, way);
     ++stats_.evictions;
     if (victim.dirty) ++stats_.writebacks;
@@ -59,7 +66,7 @@ CacheAccessResult Cache::access(Addr addr, AccessType type) {
   line.tag = tag;
   line.dirty = (type == AccessType::kWrite);
   line.accesses = 1;
-  policy_->on_fill(set, way);
+  touch(set, way);
   return res;
 }
 
@@ -115,7 +122,9 @@ void Cache::save(snap::Writer& w) const {
   w.put_u64(stats_.misses);
   w.put_u64(stats_.evictions);
   w.put_u64(stats_.writebacks);
-  policy_->save(w);
+  w.put_u64(clock_);
+  w.put_u64(stamp_.size());
+  for (u64 s : stamp_) w.put_u64(s);
 }
 
 void Cache::load(snap::Reader& r) {
@@ -132,7 +141,11 @@ void Cache::load(snap::Reader& r) {
   stats_.misses = r.get_u64();
   stats_.evictions = r.get_u64();
   stats_.writebacks = r.get_u64();
-  policy_->load(r);
+  clock_ = r.get_u64();
+  if (r.get_u64() != stamp_.size()) {
+    throw snap::SnapshotError("LRU stamp count mismatch");
+  }
+  for (u64& s : stamp_) s = r.get_u64();
 }
 
 }  // namespace bb::cache

@@ -1,19 +1,24 @@
-// Generic set-associative, write-back, write-allocate cache model.
+// Set-associative, write-back, write-allocate cache model with true-LRU
+// replacement (per-line recency stamps).
 //
-// Used for the SRAM hierarchy (L1/L2/L3 of Table I) and, at page/line
-// granularities up to 64 KB, for the Figure 1 cHBM access-count study.
-// Tracks per-line access counts and exposes an eviction hook so observers
-// can build "accesses before eviction" distributions.
+// Used for the SRAM metadata caches in front of HBM-resident metadata and,
+// at page/line granularities up to 64 KB, for the Figure 1 cHBM
+// access-count study. Tracks per-line access counts and exposes an
+// eviction hook so observers can build "accesses before eviction"
+// distributions.
 #pragma once
 
 #include <cassert>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cache/replacement.h"
 #include "common/types.h"
+
+namespace bb::snap {
+class Reader;
+class Writer;
+}  // namespace bb::snap
 
 namespace bb::cache {
 
@@ -22,9 +27,6 @@ struct CacheParams {
   u64 size_bytes = 64 * KiB;
   u32 ways = 4;
   u64 line_bytes = 64;
-  PolicyKind policy = PolicyKind::kLru;
-  Tick hit_latency = ns_to_ticks(1.0);
-  u64 seed = 1;
 
   u32 num_sets() const {
     assert(line_bytes > 0 && ways > 0);
@@ -90,7 +92,7 @@ class Cache {
   const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = CacheStats{}; }
 
-  /// Snapshot/restore of the line array, statistics, and replacement-policy
+  /// Snapshot/restore of the line array, statistics, and LRU recency
   /// state. Geometry is construction-time shape; load fails closed on a
   /// line-count mismatch.
   void save(snap::Writer& w) const;
@@ -103,6 +105,13 @@ class Cache {
     bool dirty = false;
     u64 accesses = 0;
   };
+
+  /// Marks (set, way) most recently used.
+  void touch(u32 set, u32 way) {
+    stamp_[static_cast<std::size_t>(set) * params_.ways + way] = ++clock_;
+  }
+  /// The least recently used way of a full set.
+  u32 lru_way(u32 set) const;
 
   u32 set_of(Addr addr) const {
     return static_cast<u32>((addr / params_.line_bytes) % sets_);
@@ -123,7 +132,10 @@ class Cache {
   CacheParams params_;
   u32 sets_;
   std::vector<Line> lines_;
-  std::unique_ptr<ReplacementPolicy> policy_;
+  // bb-analyze-ok(stats-reset): LRU recency clock, not a statistic;
+  // resetting it at warmup would reorder lines touched before the boundary.
+  u64 clock_ = 0;
+  std::vector<u64> stamp_;  ///< per-line last-use stamp (sets * ways)
   CacheStats stats_;
   std::function<void(const EvictionInfo&)> eviction_hook_;
 };

@@ -37,6 +37,13 @@ u64 Flags::get_u64(const std::string& name, u64 fallback) const {
   return end == it->second.c_str() ? fallback : static_cast<u64>(v);
 }
 
+std::vector<std::string> Flags::names() const {
+  std::vector<std::string> out;
+  out.reserve(values_.size());
+  for (const auto& [name, value] : values_) out.push_back(name);
+  return out;
+}
+
 double Flags::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end() || it->second.empty()) return fallback;

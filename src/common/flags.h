@@ -32,6 +32,10 @@ class Flags {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Every --name given, sorted, so a tool can reject names it does not
+  /// document.
+  std::vector<std::string> names() const;
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;

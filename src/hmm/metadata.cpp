@@ -15,7 +15,6 @@ MetadataModel::MetadataModel(const MetadataConfig& cfg, mem::DramDevice* hbm)
     p.size_bytes = cfg_.cache_bytes;
     p.ways = cfg_.cache_ways;
     p.line_bytes = cfg_.cache_line_bytes;
-    p.policy = cache::PolicyKind::kLru;
     sram_cache_ = std::make_unique<cache::Cache>(p);
   }
 }

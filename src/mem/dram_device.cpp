@@ -72,15 +72,10 @@ DramDevice::Decoded DramDevice::decode(Addr addr) const {
   const u64 row_index = chan_addr / params_.row_bytes;
   const u64 bank_hash = row_index ^ (row_index >> 3) ^ (row_index >> 7);
   const u32 bank = static_cast<u32>(bank_hash % params_.banks_per_channel);
-  // Open-row identity. The legacy divide could alias two distinct physical
-  // rows onto one id when their hashes collide into the same bank (their
-  // row_index values sharing a /banks quotient), registering phantom open-
-  // row hits. The fixed identity is the full row_index, which is unique
-  // per channel by construction.
-  const u32 row = params_.queue.timing_fixes
-                      ? static_cast<u32>(row_index)
-                      : static_cast<u32>(row_index /
-                                         params_.banks_per_channel);
+  // Open-row identity: the full row_index, unique per channel by
+  // construction (a row_index / banks quotient would alias two rows whose
+  // hashes land in the same bank and count phantom open-row hits).
+  const auto row = static_cast<u32>(row_index);
   return {channel, bank, row};
 }
 
@@ -99,15 +94,12 @@ DramDevice::RawTiming DramDevice::do_beat(const Decoded& d, AccessType type,
 
   Tick t = apply_refresh(d.channel, std::max(now, bank.ready_at));
   // Bus turnaround: a read command after a write burst on the same bank
-  // waits tWTR; a write after a read waits tRTW. Legacy bug (preserved
-  // when timing_fixes is off, for golden-hash compatibility): a freshly
-  // initialized bank has last_was_write == false, so the first-ever write
-  // to a bank charged tRTW for a read that never happened. The fix charges
-  // the read-to-write turnaround only after an actually issued command.
+  // waits tWTR; a write after an issued read waits tRTW. A cold bank has
+  // issued nothing, so its first write pays no turnaround.
   if (type == AccessType::kRead && bank.last_was_write) {
     t = std::max(t, bank.write_recovery_at);
   } else if (type == AccessType::kWrite && !bank.last_was_write &&
-             (!params_.queue.timing_fixes || bank.has_issued)) {
+             bank.has_issued) {
     t += params_.cycles_to_ticks(params_.tRTW);
   }
   const Tick cmd_issue = t;
@@ -202,6 +194,7 @@ AccessResult DramDevice::access(Addr addr, u64 bytes, AccessType type,
   const Addr last = (addr + bytes - 1) & ~(beat_bytes - 1);
 
   AccessResult res;
+  res.start = now;
   bool coalesced = false;
   if (scheduler_) {
     // Queued path: reads go through the MSHR/scheduler (coalesced reads
@@ -212,15 +205,10 @@ AccessResult DramDevice::access(Addr addr, u64 bytes, AccessType type,
         (type == AccessType::kRead)
             ? scheduler_->on_read(addr, bytes, now, *this)
             : scheduler_->on_write(addr, bytes, now, *this);
-    res.start = is.start;
     res.complete = is.complete;
     coalesced = is.coalesced;
   } else {
-    const RawTiming t = timed_beats(addr, bytes, type, now);
-    // Legacy reports the arrival tick as start; the fixed path reports
-    // the true command-issue tick so latency() excludes queueing delay.
-    res.start = params_.queue.timing_fixes ? t.start : now;
-    res.complete = t.complete;
+    res.complete = timed_beats(addr, bytes, type, now).complete;
   }
 
   ++stats_.accesses;
@@ -261,39 +249,6 @@ AccessResult DramDevice::access(Addr addr, u64 bytes, AccessType type,
     }
   }
   return res;
-}
-
-Tick DramDevice::refresh_adjusted(u32 channel, Tick t) const {
-  if (!params_.refresh_enabled) return t;
-  const Tick trefi = ns_to_ticks(params_.trefi_ns);
-  const Tick trfc = ns_to_ticks(params_.trfc_ns);
-  Tick next = next_refresh_[channel];
-  // Mirror apply_refresh's arithmetic without mutating state: refreshes
-  // that completed entirely before `t` cannot stall anything; a `t`
-  // landing inside a pending window is pushed to the window's end.
-  if (t > next + trfc) {
-    next += ((t - next - trfc) / trefi) * trefi;
-  }
-  while (t >= next) {
-    const Tick refresh_end = next + trfc;
-    next += trefi;
-    if (t < refresh_end) t = refresh_end;
-  }
-  return t;
-}
-
-Tick DramDevice::probe_ready(Addr addr, Tick now) const {
-  const Decoded d = decode(addr % params_.capacity_bytes);
-  const Bank& bank = banks_[static_cast<std::size_t>(d.channel) *
-                                params_.banks_per_channel +
-                            d.bank];
-  // Legacy bug (preserved when timing_fixes is off): the probe ignored
-  // pending refresh windows, underestimating readiness by up to tRFC for
-  // ticks inside a window. The fix consults the refresh schedule with the
-  // same const arithmetic apply_refresh uses.
-  Tick t = std::max(now, bank.ready_at);
-  if (params_.queue.timing_fixes) t = refresh_adjusted(d.channel, t);
-  return std::max(t, bus_ready_[d.channel]);
 }
 
 void DramDevice::reset_stats() {

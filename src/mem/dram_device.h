@@ -89,11 +89,9 @@ struct DramStats {
 
 /// Result of a single (possibly multi-beat) access.
 struct AccessResult {
-  /// When the first command could issue. In legacy mode (queue layer off,
-  /// no timing fixes) this is the arrival tick, preserving the historical
-  /// latency() the golden hash covers; with the queue layer or timing
-  /// fixes enabled it is the true issue tick, so `start - arrival` is the
-  /// first-class queueing delay.
+  /// The arrival tick (the `now` passed to access()), with or without the
+  /// queue layer, so latency() covers queue, refresh and bank wait as well
+  /// as the transfer itself. The queue wait alone is in QueueStats.
   Tick start = 0;
   Tick complete = 0;  ///< when the last data beat finishes
   /// SECDED verdict (kClean unless a fault model is attached). On
@@ -117,12 +115,6 @@ class DramDevice final : private QueueBackend {
   /// queues; otherwise this is the historical direct path.
   AccessResult access(Addr addr, u64 bytes, AccessType type, Tick now,
                       TrafficClass cls = TrafficClass::kDemand);
-
-  /// Earliest tick at which a new beat at `addr` could deliver data — a
-  /// contention probe that does not mutate any state. With timing fixes
-  /// enabled the probe is refresh-aware: a tick inside a pending refresh
-  /// window reports the window's end.
-  Tick probe_ready(Addr addr, Tick now) const;
 
   /// Flushes any posted writes still sitting in the request queues (end of
   /// simulation). No-op when the queue layer is off.
@@ -180,7 +172,7 @@ class DramDevice final : private QueueBackend {
     Tick act_allowed_at = 0;  ///< honors tRAS before the next precharge
     Tick write_recovery_at = 0;  ///< honors tWTR after the last write burst
     bool last_was_write = false;
-    bool has_issued = false;  ///< any command issued yet (turnaround fix)
+    bool has_issued = false;  ///< any command issued yet (tRTW needs one)
     static constexpr u32 kNoRow = ~u32{0};
   };
 
@@ -201,10 +193,6 @@ class DramDevice final : private QueueBackend {
 
   /// Applies any refresh windows that elapsed before `t` on the channel.
   Tick apply_refresh(u32 channel, Tick t);
-
-  /// Const mirror of apply_refresh: the earliest tick >= `t` not covered
-  /// by a pending refresh window, computed without mutating refresh state.
-  Tick refresh_adjusted(u32 channel, Tick t) const;
 
   // QueueBackend (the scheduler drives the raw timing path through these).
   u32 channel_of(Addr addr) const override;

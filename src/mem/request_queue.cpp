@@ -85,7 +85,7 @@ ChannelScheduler::SchedResult ChannelScheduler::on_read(Addr addr, u64 bytes,
         // A same-block fill is already in flight: piggyback on it. No new
         // device traffic; the data arrives with the original fill.
         ++stats_.reads_coalesced;
-        return {now, m.complete, /*coalesced=*/true};
+        return {m.complete, /*coalesced=*/true};
       }
     }
   }
@@ -106,7 +106,7 @@ ChannelScheduler::SchedResult ChannelScheduler::on_read(Addr addr, u64 bytes,
     }
     ch.mshrs.push_back({block, is.complete});
   }
-  return {is.start, is.complete, /*coalesced=*/false};
+  return {is.complete, /*coalesced=*/false};
 }
 
 ChannelScheduler::SchedResult ChannelScheduler::on_write(Addr addr,
@@ -135,7 +135,7 @@ ChannelScheduler::SchedResult ChannelScheduler::on_write(Addr addr,
   }
   // Posted write: accepted into the controller queue, completion from the
   // producer's point of view is the acceptance tick.
-  return {accepted, accepted, /*coalesced=*/false};
+  return {accepted, /*coalesced=*/false};
 }
 
 void ChannelScheduler::drain_all(Tick now, QueueBackend& dev) {

@@ -4,12 +4,12 @@
 //
 // The scheduler sits *inside* DramDevice, behind its synchronous access()
 // facade, so controllers and the core model keep their call shape. The
-// model stays event-free: reads issue immediately (demand priority) and
-// report their true command-issue tick, writes are posted into a bounded
-// per-channel queue and drained to the device in FR-FCFS order (open-row
-// hits first, then oldest) when the queue crosses the high watermark,
-// stopping at the low watermark. A full queue back-pressures the producer:
-// the write is accepted only once a drained slot frees.
+// model stays event-free: reads issue immediately (demand priority),
+// writes are posted into a bounded per-channel queue and drained to the
+// device in FR-FCFS order (open-row hits first, then oldest) when the
+// queue crosses the high watermark, stopping at the low watermark. A full
+// queue back-pressures the producer: the write is accepted only once a
+// drained slot frees.
 //
 // Everything is tick-keyed and container iteration is index-ordered, so
 // queued runs remain byte-identical across --jobs values (the same
@@ -28,17 +28,11 @@ class Writer;
 namespace bb::mem {
 
 /// Configuration of the request-queue layer, carried per device inside
-/// DramTimingParams. Default-constructed state is fully legacy: no queues,
-/// no timing fixes, bit-for-bit the pre-queue simulator (the BB_QUEUE=off
-/// preset, and what the pinned golden hash covers).
+/// DramTimingParams. Default-constructed state has no queues: accesses go
+/// straight to the banks (what the pinned golden hash covers).
 struct QueueConfig {
   /// Master switch for the queue/scheduler path.
   bool enabled = false;
-  /// The PR-6 DRAM-timing bugfixes (phantom cold-bank tRTW, row-ID
-  /// aliasing, refresh-blind probe_ready). Kept separately switchable so
-  /// the fixes are unit-testable without queues; off by default to
-  /// preserve the legacy golden hash.
-  bool timing_fixes = false;
 
   u32 queue_depth = 32;          ///< per-channel write-queue capacity
   u32 write_high_watermark = 24; ///< queue size that enters drain mode
@@ -46,14 +40,13 @@ struct QueueConfig {
   u32 mshr_entries = 16;         ///< per-channel in-flight fill trackers
   u64 mshr_block_bytes = 64;     ///< coalescing granularity (LLC block)
 
-  /// Legacy preset: everything off (the BB_QUEUE=off behavior).
+  /// Unqueued preset (the default; what --queue-depth=0 selects).
   static QueueConfig off() { return QueueConfig{}; }
 
-  /// Queued preset: FR-FCFS scheduling, MSHRs, and the timing fixes.
+  /// Queued preset: FR-FCFS scheduling and MSHRs.
   static QueueConfig fr_fcfs() {
     QueueConfig q;
     q.enabled = true;
-    q.timing_fixes = true;
     return q;
   }
 };
@@ -136,9 +129,9 @@ class ChannelScheduler {
 
   /// Outcome of a request through the scheduler. `coalesced` marks a read
   /// served by an in-flight MSHR fill: it moved no new device data, so the
-  /// facade skips byte accounting and ECC classification for it.
+  /// facade skips byte accounting and ECC classification for it. The queue
+  /// wait (issue - arrival) goes to QueueStats.
   struct SchedResult {
-    Tick start = 0;
     Tick complete = 0;
     bool coalesced = false;
   };
@@ -149,7 +142,7 @@ class ChannelScheduler {
   SchedResult on_read(Addr addr, u64 bytes, Tick now, QueueBackend& dev);
 
   /// A write request: posted into the channel's write queue. Returns the
-  /// acceptance tick as both start and complete (posted semantics); when
+  /// acceptance tick as the completion (posted semantics); when
   /// the queue is full the acceptance waits for a drained slot.
   SchedResult on_write(Addr addr, u64 bytes, Tick now, QueueBackend& dev);
 

@@ -21,9 +21,8 @@ namespace bb::mem {
 struct DramTimingParams {
   std::string name;
 
-  /// Request-queue layer (FR-FCFS write queues, MSHRs, timing fixes).
-  /// Default-off: the device behaves bit-for-bit like the pre-queue model
-  /// so the pinned golden hash stays valid (the BB_QUEUE=off preset).
+  /// Request-queue layer (FR-FCFS write queues, MSHRs). Default-off:
+  /// accesses go straight to the banks (--queue-depth=0).
   QueueConfig queue;
 
   // Geometry.

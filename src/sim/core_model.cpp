@@ -236,50 +236,4 @@ CoreResult CoreModel::run_sources(
   return res;
 }
 
-CoreResult CoreModel::run(trace::TraceGenerator& gen, u64 target_instructions,
-                          hmm::HybridMemoryController& hmmc) {
-  CoreResult res;
-  Tick now = 0;
-  u64 inst = 0;
-  std::deque<Outstanding> rob;
-
-  while (inst < target_instructions) {
-    const trace::TraceRecord rec = [&] {
-      prof::ScopedPhase phase(prof::Phase::kTraceGen);
-      return gen.next();
-    }();
-
-    u64 remaining = rec.inst_gap;
-    while (!rob.empty()) {
-      const u64 stall_inst = rob.front().inst + params_.rob_window;
-      if (inst + remaining <= stall_inst) break;
-      const u64 adv = stall_inst > inst ? stall_inst - inst : 0;
-      inst += adv;
-      remaining -= adv;
-      now += adv * cpi_ticks_num_ / cpi_ticks_den_;
-      now = std::max(now, rob.front().done);
-      rob.pop_front();
-    }
-    inst += remaining;
-    now += remaining * cpi_ticks_num_ / cpi_ticks_den_;
-
-    if (rob.size() >= params_.mlp) {
-      now = std::max(now, rob.front().done);
-      rob.pop_front();
-    }
-
-    const Tick issue = now + params_.hierarchy_latency;
-    const auto r = hmmc.access(rec.addr, rec.type, issue);
-    rob.push_back({inst, r.complete});
-    ++res.misses;
-  }
-
-  for (const auto& o : rob) now = std::max(now, o.done);
-  hmmc.drain(now);
-
-  res.instructions = inst;
-  res.elapsed = now;
-  return res;
-}
-
 }  // namespace bb::sim

@@ -175,18 +175,9 @@ class CoreModel {
   static std::vector<CoreLane> homogeneous_lanes(
       const trace::WorkloadProfile& profile, u64 seed, u32 cores);
 
-  /// Single-stream convenience (cores = 1 behaviour) used by unit tests.
-  CoreResult run(trace::TraceGenerator& gen, u64 target_instructions,
-                 hmm::HybridMemoryController& hmmc);
-
   const CoreParams& params() const { return params_; }
 
  private:
-  struct Outstanding {
-    u64 inst;   ///< instruction index at issue
-    Tick done;  ///< completion tick
-  };
-
   CoreParams params_;
   Tick cpi_ticks_num_;  ///< base CPI in ticks, as a rational (num/denom)
   Tick cpi_ticks_den_;

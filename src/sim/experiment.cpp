@@ -359,20 +359,6 @@ void ExperimentRunner::run_matrix(
       [&designs](std::size_t d) { return designs[d]; }, opts);
 }
 
-void ExperimentRunner::run_matrix(
-    const std::vector<std::string>& designs,
-    const std::vector<trace::WorkloadProfile>& workloads, u64 target_misses,
-    std::function<void(const RunResult&)> on_result, u64 min_instructions,
-    u64 max_instructions) {
-  RunMatrixOptions opts;
-  opts.jobs = 1;
-  opts.on_result = std::move(on_result);
-  opts.target_misses = target_misses;
-  opts.min_instructions = min_instructions;
-  opts.max_instructions = max_instructions;
-  run_matrix(designs, workloads, opts);
-}
-
 void ExperimentRunner::run_replay_matrix(
     const std::vector<std::string>& designs,
     const ReplayMatrixOptions& replay, const RunMatrixOptions& opts) {

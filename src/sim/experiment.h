@@ -48,9 +48,6 @@ class ResultJournal {
   LoadStats load_stats(std::istream& is,
                        std::vector<std::string>* well_formed = nullptr);
 
-  /// Back-compat wrapper around load_stats(); returns lines restored.
-  std::size_t load(std::istream& is) { return load_stats(is).restored; }
-
   const RunResult* find(const std::string& design,
                         const std::string& workload) const;
   /// Journaled alone-run baseline IPC, or nullptr when absent.
@@ -144,14 +141,6 @@ class ExperimentRunner {
   void run_matrix(const std::vector<std::string>& designs,
                   const std::vector<trace::WorkloadProfile>& workloads,
                   const RunMatrixOptions& opts);
-
-  /// Legacy serial overload (equivalent to opts.jobs = 1).
-  void run_matrix(const std::vector<std::string>& designs,
-                  const std::vector<trace::WorkloadProfile>& workloads,
-                  u64 target_misses,
-                  std::function<void(const RunResult&)> on_result = nullptr,
-                  u64 min_instructions = 50'000'000,
-                  u64 max_instructions = 400'000'000);
 
   /// Trace-replay matrix: every design replays the recorded binary trace
   /// at `replay.path` (see src/trace/stream.h). Results carry workload =

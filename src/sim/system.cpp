@@ -31,6 +31,14 @@ std::string sanitize_token(const std::string& s) {
   return out;
 }
 
+/// Appends a device's request-queue shape to a snapshot fingerprint: a
+/// restore under a different depth, watermark or MSHR setup fails closed.
+void put_queue_shape(std::ostream& fp, const mem::QueueConfig& q) {
+  fp << q.enabled << '|' << q.queue_depth << '|' << q.write_high_watermark
+     << '|' << q.write_low_watermark << '|' << q.mshr_entries << '|'
+     << q.mshr_block_bytes << '|';
+}
+
 }  // namespace
 
 System::System(SystemConfig cfg) : cfg_(std::move(cfg)) {}
@@ -176,11 +184,11 @@ RunResult System::run_lanes_current(const std::vector<CoreLane>& lanes,
        << cfg_.seed << '|' << total_instructions << '|' << lanes.size()
        << '|' << warmup << '|' << cfg_.core.cores << '|' << cfg_.core.mlp
        << '|' << cfg_.core.rob_window << '|' << cfg_.core.freq_ghz << '|'
-       << cfg_.hbm.capacity_bytes << '|' << cfg_.hbm.channels << '|'
-       << cfg_.hbm.queue.enabled << '|' << cfg_.hbm.queue.timing_fixes
-       << '|' << cfg_.dram.capacity_bytes << '|' << cfg_.dram.channels
-       << '|' << cfg_.dram.queue.enabled << '|'
-       << cfg_.dram.queue.timing_fixes << '|' << cfg_.paging.enabled << '|'
+       << cfg_.hbm.capacity_bytes << '|' << cfg_.hbm.channels << '|';
+    put_queue_shape(fp, cfg_.hbm.queue);
+    fp << cfg_.dram.capacity_bytes << '|' << cfg_.dram.channels << '|';
+    put_queue_shape(fp, cfg_.dram.queue);
+    fp << cfg_.paging.enabled << '|'
        << cfg_.paging.visible_bytes << '|' << cfg_.obs.epoch.every_requests
        << '|' << cfg_.obs.epoch.every_ticks << '|' << cfg_.obs.trace << '|'
        << cfg_.fault.enabled() << '|' << cfg_.fault.seed;

@@ -74,13 +74,16 @@ TEST(FaultDegradationTest, CleanChbmDuesRefetchFromOffChipCopy) {
   // because tick-keyed transients almost always clear on redraw — with the
   // default budget an unrecovered transient needs three consecutive DUE
   // draws (~(rate*due_fraction)^3), which this run would never see.
+  // Refetches are rare (a DUE must land on a clean cHBM block), so the run
+  // is long enough to expect several: 1.2M instructions drew at least two
+  // for every fault seed from 1 to 10.
   cfg.fault = fault::FaultConfig::profile("transient", 0.01, 3);
   cfg.fault.due_fraction = 0.5;
   cfg.fault.max_due_retries = 0;
 
   sim::System system(cfg);
   const sim::RunResult r = system.run(
-      "Bumblebee", trace::WorkloadProfile::by_name("mcf"), 300'000);
+      "Bumblebee", trace::WorkloadProfile::by_name("mcf"), 1'200'000);
 
   auto* bb = dynamic_cast<BumblebeeController*>(system.last_controller());
   ASSERT_NE(bb, nullptr);

@@ -12,8 +12,49 @@ CacheParams small_cache() {
   p.size_bytes = 4 * KiB;
   p.ways = 2;
   p.line_bytes = 64;
-  p.policy = PolicyKind::kLru;
   return p;
+}
+
+/// One set of `ways` lines, so line i maps to way i on the cold fills.
+Cache one_set(u32 ways) {
+  CacheParams p;
+  p.size_bytes = ways * 64;
+  p.ways = ways;
+  p.line_bytes = 64;
+  return Cache(p);
+}
+
+TEST(Lru, EvictsLeastRecentlyUsed) {
+  Cache c = one_set(4);
+  for (Addr l = 0; l < 4; ++l) c.access(l * 64, AccessType::kRead);
+  // Touch lines 0, 1, 3 -> the victim must be line 2.
+  c.access(0 * 64, AccessType::kRead);
+  c.access(1 * 64, AccessType::kRead);
+  c.access(3 * 64, AccessType::kRead);
+  EXPECT_EQ(c.access(4 * 64, AccessType::kRead).evicted_addr, 2u * 64);
+}
+
+TEST(Lru, FillCountsAsUse) {
+  Cache c = one_set(2);
+  c.access(0 * 64, AccessType::kRead);
+  c.access(1 * 64, AccessType::kRead);
+  EXPECT_EQ(c.access(2 * 64, AccessType::kRead).evicted_addr, 0u);
+}
+
+TEST(Lru, SetsAreIndependent) {
+  CacheParams p;
+  p.size_bytes = 4 * 64;  // 2 sets x 2 ways
+  p.ways = 2;
+  p.line_bytes = 64;
+  Cache c(p);
+  // Even lines map to set 0, odd lines to set 1; fill them in opposite
+  // orders so each set has a different LRU line.
+  c.access(0 * 64, AccessType::kRead);
+  c.access(3 * 64, AccessType::kRead);
+  c.access(2 * 64, AccessType::kRead);
+  c.access(1 * 64, AccessType::kRead);
+  EXPECT_EQ(c.access(4 * 64, AccessType::kRead).evicted_addr, 0u);
+  EXPECT_EQ(c.access(5 * 64, AccessType::kRead).evicted_addr, 3u * 64);
 }
 
 TEST(Cache, MissThenHit) {

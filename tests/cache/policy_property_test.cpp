@@ -1,7 +1,8 @@
-// Property-style sweeps over the replacement policies: structural
-// invariants for every (policy, geometry) pair and qualitative orderings
-// on characteristic access patterns.
+// Property-style sweeps over the LRU cache: structural invariants for
+// every (access pattern, size, ways) triple.
 #include <gtest/gtest.h>
+
+#include <tuple>
 
 #include "cache/cache.h"
 #include "common/rng.h"
@@ -9,23 +10,49 @@
 namespace bb::cache {
 namespace {
 
-using Geometry = std::tuple<PolicyKind, u64 /*size*/, u32 /*ways*/>;
+// The order in which a test walks its footprint. One byte, so the sweep's
+// case names read "1-byte object <NN>".
+enum class Pattern : u8 { kRandom, kSequential, kStrided, kHotCold, kWriteOnly };
+
+// Line index of the i-th access over a footprint of `lines` lines.
+u64 next_line(Pattern pattern, u64 i, u64 lines, Rng& rng) {
+  switch (pattern) {
+    case Pattern::kSequential:
+      return i % lines;
+    case Pattern::kStrided:
+      return (i * 17) % lines;
+    case Pattern::kHotCold:
+      return rng.next_bool(0.7) ? rng.next_below((lines + 3) / 4)
+                                : rng.next_below(lines);
+    case Pattern::kRandom:
+    case Pattern::kWriteOnly:
+      break;
+  }
+  return rng.next_below(lines);
+}
+
+AccessType next_type(Pattern pattern, Rng& rng) {
+  if (pattern == Pattern::kWriteOnly) return AccessType::kWrite;
+  return rng.next_bool(0.3) ? AccessType::kWrite : AccessType::kRead;
+}
+
+using Geometry = std::tuple<Pattern, u64 /*size*/, u32 /*ways*/>;
 
 class PolicyPropertyTest : public ::testing::TestWithParam<Geometry> {};
 
 TEST_P(PolicyPropertyTest, StatsAlwaysConsistent) {
-  const auto [policy, size, ways] = GetParam();
+  const auto [pattern, size, ways] = GetParam();
   CacheParams p;
   p.size_bytes = size;
   p.ways = ways;
-  p.policy = policy;
   Cache c(p);
   Rng rng(99);
   u64 evictions_seen = 0;
   c.set_eviction_hook([&](const EvictionInfo&) { ++evictions_seen; });
-  for (int i = 0; i < 20000; ++i) {
-    c.access(rng.next_below(4 * size) & ~Addr{63},
-             rng.next_bool(0.3) ? AccessType::kWrite : AccessType::kRead);
+  const u64 footprint_lines = 4 * size / p.line_bytes;
+  for (u64 i = 0; i < 20000; ++i) {
+    c.access(next_line(pattern, i, footprint_lines, rng) * p.line_bytes,
+             next_type(pattern, rng));
   }
   const auto& s = c.stats();
   EXPECT_EQ(s.hits + s.misses, 20000u);
@@ -36,93 +63,32 @@ TEST_P(PolicyPropertyTest, StatsAlwaysConsistent) {
 }
 
 TEST_P(PolicyPropertyTest, WorkingSetWithinCapacityConverges) {
-  const auto [policy, size, ways] = GetParam();
+  const auto [pattern, size, ways] = GetParam();
   CacheParams p;
   p.size_bytes = size;
   p.ways = ways;
-  p.policy = policy;
   Cache c(p);
-  // A working set of half the cache, accessed round-robin: after the cold
-  // pass, everything must hit (no policy should thrash a fitting set).
+  // A working set of half the cache: after the cold pass, every access
+  // must hit whatever the order (LRU never thrashes a fitting set).
   const u64 lines = size / p.line_bytes / 2;
   for (u64 i = 0; i < lines; ++i) c.access(i * 64, AccessType::kRead);
   c.reset_stats();
-  for (int round = 0; round < 4; ++round) {
-    for (u64 i = 0; i < lines; ++i) c.access(i * 64, AccessType::kRead);
+  Rng rng(7);
+  for (u64 i = 0; i < 4 * lines; ++i) {
+    c.access(next_line(pattern, i, lines, rng) * 64, next_type(pattern, rng));
   }
   EXPECT_DOUBLE_EQ(c.stats().hit_rate(), 1.0)
-      << to_string(policy) << " size " << size << " ways " << ways;
+      << "pattern " << static_cast<int>(pattern) << " size " << size
+      << " ways " << ways;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PolicyPropertyTest,
-    ::testing::Combine(::testing::Values(PolicyKind::kLru, PolicyKind::kSrrip,
-                                         PolicyKind::kBrrip,
-                                         PolicyKind::kDrrip,
-                                         PolicyKind::kRandom),
+    ::testing::Combine(::testing::Values(Pattern::kRandom, Pattern::kSequential,
+                                         Pattern::kStrided, Pattern::kHotCold,
+                                         Pattern::kWriteOnly),
                        ::testing::Values(u64{16 * KiB}, u64{256 * KiB}),
                        ::testing::Values(2u, 8u, 16u)));
-
-TEST(PolicyQuality, RripResistsScansBetterThanLru) {
-  // Classic RRIP result: a hot set plus a one-shot scan. SRRIP keeps more
-  // of the hot set resident than LRU.
-  auto run = [](PolicyKind kind) {
-    CacheParams p;
-    p.size_bytes = 64 * KiB;
-    p.ways = 16;
-    p.policy = kind;
-    Cache c(p);
-    Rng rng(5);
-    const u64 hot_lines = 512;  // half the cache
-    // Warm the hot set.
-    for (u64 i = 0; i < hot_lines; ++i) c.access(i * 64, AccessType::kRead);
-    u64 hot_hits = 0, hot_accesses = 0;
-    for (int round = 0; round < 50; ++round) {
-      // Interleave hot reuse with a long scan of cold lines.
-      for (int k = 0; k < 256; ++k) {
-        const Addr hot = rng.next_below(hot_lines) * 64;
-        hot_hits += c.access(hot, AccessType::kRead).hit;
-        ++hot_accesses;
-        const Addr cold =
-            (1 * MiB) + (static_cast<Addr>(round) * 256 + k) * 64;
-        c.access(cold, AccessType::kRead);
-      }
-    }
-    return static_cast<double>(hot_hits) /
-           static_cast<double>(hot_accesses);
-  };
-  const double lru = run(PolicyKind::kLru);
-  const double srrip = run(PolicyKind::kSrrip);
-  EXPECT_GT(srrip, lru);
-}
-
-TEST(PolicyQuality, DrripTracksTheBetterLeader) {
-  // DRRIP must not be much worse than SRRIP on the scan-resistance
-  // pattern (it should follow the SRRIP leader there).
-  auto run = [](PolicyKind kind) {
-    CacheParams p;
-    p.size_bytes = 256 * KiB;
-    p.ways = 16;
-    p.policy = kind;
-    Cache c(p);
-    Rng rng(7);
-    u64 hits = 0;
-    const u64 hot_lines = 2048;
-    for (int i = 0; i < 60000; ++i) {
-      if (rng.next_bool(0.7)) {
-        hits += c.access(rng.next_below(hot_lines) * 64,
-                         AccessType::kRead).hit;
-      } else {
-        c.access(4 * MiB + rng.next_below(1 << 20) * 64, AccessType::kRead);
-      }
-    }
-    return hits;
-  };
-  const u64 srrip = run(PolicyKind::kSrrip);
-  const u64 drrip = run(PolicyKind::kDrrip);
-  EXPECT_GT(static_cast<double>(drrip),
-            0.85 * static_cast<double>(srrip));
-}
 
 }  // namespace
 }  // namespace bb::cache

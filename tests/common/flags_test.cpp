@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace bb {
 namespace {
 
@@ -21,6 +24,11 @@ TEST(Flags, SpaceSyntax) {
   const auto f = make_flags({"--workload", "xz", "--scale", "2.5"});
   EXPECT_EQ(f.get_string("workload", ""), "xz");
   EXPECT_DOUBLE_EQ(f.get_double("scale", 0), 2.5);
+}
+
+TEST(Flags, NamesListsEveryFlagSorted) {
+  const auto f = make_flags({"--workload=mcf", "pos", "--csv", "--a", "1"});
+  EXPECT_EQ(f.names(), (std::vector<std::string>{"a", "csv", "workload"}));
 }
 
 TEST(Flags, BareSwitch) {

@@ -41,6 +41,46 @@ TEST(Metadata, HbmPlacementConsumesBandwidth) {
   EXPECT_GT(meta_bytes, 0u);
 }
 
+TEST(Metadata, HbmLookupBehindBusyBankIncludesTheWait) {
+  // Metadata wait is on the critical path: a lookup that queues behind a
+  // busy bank reports arrival to completion, not command issue to
+  // completion.
+  mem::DramTimingParams p = mem::DramTimingParams::hbm2_1gb();
+  p.queue = mem::QueueConfig::fr_fcfs();
+  mem::DramDevice hbm(p);
+  mem::DramDevice twin(p);  // same traffic, accessed directly
+  mem::DramDevice idle(p);
+  MetadataConfig cfg;
+  cfg.placement = MetadataPlacement::kHbm;  // key 0 lives at HBM address 0
+  MetadataModel m(cfg, &hbm);
+
+  // Another row of the same bank keeps that bank busy past `now`.
+  const auto home = hbm.decode_addr(0);
+  Addr other = 0;
+  for (Addr a = p.row_bytes; a < p.capacity_bytes && other == 0;
+       a += p.row_bytes) {
+    const auto d = hbm.decode_addr(a);
+    if (d.channel == home.channel && d.bank == home.bank &&
+        d.row != home.row) {
+      other = a;
+    }
+  }
+  ASSERT_NE(other, 0u);
+  const Tick now = 1000;
+  hbm.access(other, 2 * KiB, AccessType::kRead, now);
+  twin.access(other, 2 * KiB, AccessType::kRead, now);
+
+  const Tick got = m.lookup(0, now);
+  const Tick complete = twin.access(0, cfg.entry_bytes, AccessType::kRead,
+                                    now, mem::TrafficClass::kMetadata)
+                            .complete;
+  EXPECT_EQ(got, complete - now);
+  // The same lookup on an idle bank is cheaper: the wait was counted.
+  EXPECT_GT(got,
+            idle.access(0, cfg.entry_bytes, AccessType::kRead, now).complete -
+                now);
+}
+
 TEST(Metadata, HbmUpdateWritesToDevice) {
   mem::DramDevice hbm(mem::DramTimingParams::hbm2_1gb());
   MetadataConfig cfg;

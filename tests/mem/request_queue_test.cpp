@@ -1,10 +1,5 @@
-// Request-queue layer and PR-6 timing bugfixes.
-//
-// Covers the three gated DRAM-timing fixes (phantom cold-bank tRTW,
-// row-ID aliasing in decode(), refresh-blind probe_ready) and the
-// scheduler proper: FR-FCFS arbitration, write-drain hysteresis and MSHR
-// read coalescing. The fixes are exercised through QueueConfig::timing_fixes
-// without queues, proving the two switches are independent.
+// Request-queue layer: FR-FCFS arbitration, write-drain hysteresis and
+// MSHR read coalescing, alone and behind the DramDevice facade.
 #include "mem/request_queue.h"
 
 #include <gtest/gtest.h>
@@ -18,126 +13,6 @@ DramTimingParams hbm_with(QueueConfig q) {
   DramTimingParams p = DramTimingParams::hbm2_1gb();
   p.queue = q;
   return p;
-}
-
-QueueConfig fixes_only() {
-  QueueConfig q;  // queues off...
-  q.timing_fixes = true;  // ...fixes on
-  return q;
-}
-
-// --- Bugfix 1: phantom tRTW on a cold bank -------------------------------
-
-TEST(TimingFixes, ColdBankWriteSkipsPhantomTurnaround) {
-  // A freshly initialized bank has never issued a read, so the first write
-  // must not pay the read-to-write turnaround. Legacy charged it anyway.
-  DramDevice legacy(hbm_with(QueueConfig::off()));
-  DramDevice fixed(hbm_with(fixes_only()));
-  const auto p = legacy.params();
-
-  const auto rl = legacy.access(0, 64, AccessType::kWrite, 1000);
-  const auto rf = fixed.access(0, 64, AccessType::kWrite, 1000);
-  EXPECT_EQ(rl.complete - rf.complete, p.cycles_to_ticks(p.tRTW));
-  // The fixed cold write is exactly activate + CAS + burst.
-  EXPECT_EQ(rf.complete - 1000,
-            p.cycles_to_ticks(p.tRCD) + p.cycles_to_ticks(p.tCAS) +
-                p.burst_ticks());
-}
-
-TEST(TimingFixes, WriteAfterReadStillPaysTurnaround) {
-  // The fix only removes the phantom charge: a genuine read-to-write
-  // transition keeps its tRTW.
-  DramDevice dev(hbm_with(fixes_only()));
-  const auto p = dev.params();
-  const auto rd = dev.access(0, 64, AccessType::kRead, 1000);
-  // Same row, comfortably after the read so bank and bus are idle.
-  const Tick later = rd.complete + ns_to_ticks(50);
-  const auto wr = dev.access(64, 64, AccessType::kWrite, later);
-  EXPECT_EQ(wr.complete - later,
-            p.cycles_to_ticks(p.tRTW) + p.cycles_to_ticks(p.tCAS) +
-                p.burst_ticks());
-}
-
-// --- Bugfix 2: row-ID aliasing in decode() -------------------------------
-
-// With a non-power-of-two bank count the XOR bank hash can land two
-// distinct rows of one /banks quotient group in the same bank; the legacy
-// row identity (row_index / banks) is then equal for both, so the second
-// access registered a phantom open-row hit on a different physical row.
-TEST(TimingFixes, AliasedRowsNoLongerCountPhantomHits) {
-  DramTimingParams p = DramTimingParams::hbm2_1gb();
-  p.name = "alias-test";
-  p.channels = 1;
-  p.banks_per_channel = 6;  // non-pow2: the hash is not a bijection
-  p.interleave_bytes = 512;
-  p.row_bytes = 2 * KiB;
-  p.capacity_bytes = 1 * MiB;
-
-  DramDevice legacy([&] {
-    DramTimingParams q = p;
-    q.queue = QueueConfig::off();
-    return q;
-  }());
-  DramDevice fixed([&] {
-    DramTimingParams q = p;
-    q.queue = fixes_only();
-    return q;
-  }());
-
-  // Brute-force a colliding pair: two different rows, same legacy row id
-  // (same /banks quotient) and same hashed bank.
-  const u64 rows = p.capacity_bytes / p.row_bytes;
-  Addr a1 = 0, a2 = 0;
-  bool found = false;
-  for (u64 r1 = 0; r1 < rows && !found; ++r1) {
-    for (u64 r2 = r1 + 1; r2 < rows && !found; ++r2) {
-      if (r1 / p.banks_per_channel != r2 / p.banks_per_channel) continue;
-      const auto d1 = legacy.decode_addr(r1 * p.row_bytes);
-      const auto d2 = legacy.decode_addr(r2 * p.row_bytes);
-      if (d1.bank != d2.bank) continue;
-      a1 = r1 * p.row_bytes;
-      a2 = r2 * p.row_bytes;
-      found = true;
-    }
-  }
-  ASSERT_TRUE(found) << "no aliasing pair in this geometry";
-
-  // Same pair, legacy identity: equal rows (the bug). Fixed: distinct.
-  EXPECT_EQ(legacy.decode_addr(a1).row, legacy.decode_addr(a2).row);
-  EXPECT_NE(fixed.decode_addr(a1).row, fixed.decode_addr(a2).row);
-
-  const auto l1 = legacy.access(a1, 64, AccessType::kRead, 1000);
-  legacy.access(a2, 64, AccessType::kRead, l1.complete + ns_to_ticks(100));
-  EXPECT_EQ(legacy.stats().row_hits, 1u);  // phantom hit
-
-  const auto f1 = fixed.access(a1, 64, AccessType::kRead, 1000);
-  fixed.access(a2, 64, AccessType::kRead, f1.complete + ns_to_ticks(100));
-  EXPECT_EQ(fixed.stats().row_hits, 0u);
-  EXPECT_EQ(fixed.stats().row_misses, 1u);  // real conflict
-}
-
-// --- Bugfix 3: refresh-blind probe_ready ---------------------------------
-
-TEST(TimingFixes, ProbeReadyIsRefreshAware) {
-  DramDevice legacy(hbm_with(QueueConfig::off()));
-  DramDevice fixed(hbm_with(fixes_only()));
-  const auto p = legacy.params();
-  // A tick just inside the first refresh window [tREFI, tREFI + tRFC).
-  const Tick window_start = ns_to_ticks(p.trefi_ns);
-  const Tick window_end = window_start + ns_to_ticks(p.trfc_ns);
-  const Tick inside = window_start + 1;
-
-  EXPECT_EQ(legacy.probe_ready(0, inside), inside);      // the bug
-  EXPECT_EQ(fixed.probe_ready(0, inside), window_end);   // the fix
-
-  // The probe stays const: no access, beat or refresh was recorded, and
-  // probing twice returns the same answer.
-  EXPECT_EQ(fixed.stats().accesses, 0u);
-  EXPECT_EQ(fixed.stats().refreshes, 0u);
-  EXPECT_EQ(fixed.probe_ready(0, inside), window_end);
-
-  // Outside any window the fixed probe is unchanged.
-  EXPECT_EQ(fixed.probe_ready(0, 500), 500u);
 }
 
 // --- FR-FCFS arbitration -------------------------------------------------
@@ -187,8 +62,7 @@ TEST(ChannelSchedulerTest, WritesPostBelowHighWatermark) {
     const auto r = sched.on_write(static_cast<Addr>(i) * 64, 64,
                                   1000 + static_cast<Tick>(i), dev);
     // Posted semantics: accepted immediately, no device issue.
-    EXPECT_EQ(r.start, 1000 + static_cast<Tick>(i));
-    EXPECT_EQ(r.complete, r.start);
+    EXPECT_EQ(r.complete, 1000 + static_cast<Tick>(i));
   }
   EXPECT_TRUE(dev.issued.empty());
   EXPECT_EQ(sched.write_queue_len(0), 3u);

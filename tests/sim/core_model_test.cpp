@@ -32,6 +32,12 @@ class FixedLatencyController : public hmm::HybridMemoryController {
   Tick latency_;
 };
 
+/// One core replaying one generator, no warmup.
+CoreResult run_one(CoreModel& core, trace::TraceGenerator& gen,
+                   u64 instructions, hmm::HybridMemoryController& mem) {
+  return core.run_sources({&gen}, {0}, instructions, mem);
+}
+
 class CoreModelTest : public ::testing::Test {
  protected:
   CoreModelTest()
@@ -49,7 +55,7 @@ TEST_F(CoreModelTest, ZeroLatencyMemoryGivesBaseIpc) {
   CoreModel core(p);
   FixedLatencyController mem(hbm_, dram_, 0);
   trace::TraceGenerator gen(trace::WorkloadProfile::by_name("mcf"), 1);
-  const auto r = core.run(gen, 1'000'000, mem);
+  const auto r = run_one(core, gen, 1'000'000, mem);
   // IPC approaches 1/base_cpi = 4.
   EXPECT_NEAR(r.ipc(p.freq_ghz), 1.0 / p.base_cpi, 0.2);
 }
@@ -62,8 +68,8 @@ TEST_F(CoreModelTest, SlowerMemoryLowersIpc) {
   FixedLatencyController slow(hbm_, dram_, ns_to_ticks(200));
   trace::TraceGenerator g1(trace::WorkloadProfile::by_name("mcf"), 1);
   trace::TraceGenerator g2(trace::WorkloadProfile::by_name("mcf"), 1);
-  const auto rf = core.run(g1, 500'000, fast);
-  const auto rs = core.run(g2, 500'000, slow);
+  const auto rf = run_one(core, g1, 500'000, fast);
+  const auto rs = run_one(core, g2, 500'000, slow);
   EXPECT_GT(rf.ipc(p.freq_ghz), rs.ipc(p.freq_ghz) * 1.5);
 }
 
@@ -77,7 +83,7 @@ TEST_F(CoreModelTest, IsolatedMissExposesFullLatency) {
   const Tick lat = ns_to_ticks(1000);
   FixedLatencyController mem(hbm_, dram_, lat);
   trace::TraceGenerator gen(trace::WorkloadProfile::by_name("leela"), 1);
-  const auto r = core.run(gen, 2'000'000, mem);
+  const auto r = run_one(core, gen, 2'000'000, mem);
   // Elapsed >= compute time + misses * latency (almost no overlap).
   const Tick compute = static_cast<Tick>(2'000'000 * p.base_cpi /
                                          p.freq_ghz * 1000);
@@ -96,7 +102,7 @@ TEST_F(CoreModelTest, BurstyMissesOverlapUpToMlp) {
   const Tick lat = ns_to_ticks(800);
   FixedLatencyController mem(hbm_, dram_, lat);
   trace::TraceGenerator gen(trace::WorkloadProfile::by_name("roms"), 1);
-  const auto r = core.run(gen, 1'000'000, mem);
+  const auto r = run_one(core, gen, 1'000'000, mem);
   // With overlap, elapsed must be far below misses * latency.
   EXPECT_LT(r.elapsed, r.misses * lat / 4);
 }

@@ -130,11 +130,14 @@ TEST(Experiment, RunMatrixEndToEnd) {
   cfg.warmup_ratio = 0.0;
   ExperimentRunner ex(cfg);
   int callbacks = 0;
+  RunMatrixOptions opts;
+  opts.jobs = 1;
+  opts.target_misses = 500;
+  opts.min_instructions = 100'000;
+  opts.max_instructions = 200'000;
+  opts.on_result = [&](const RunResult&) { ++callbacks; };
   ex.run_matrix({"DRAM-only", "Bumblebee"},
-                {trace::WorkloadProfile::by_name("mcf")},
-                /*target_misses=*/500,
-                [&](const RunResult&) { ++callbacks; },
-                /*min_instructions=*/100'000, /*max_instructions=*/200'000);
+                {trace::WorkloadProfile::by_name("mcf")}, opts);
   EXPECT_EQ(callbacks, 2);
   EXPECT_EQ(ex.results().size(), 2u);
   const auto n = ex.normalized("Bumblebee", "DRAM-only", metric_ipc);

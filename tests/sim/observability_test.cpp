@@ -158,7 +158,7 @@ TEST(ResultJournal, RestoresFinishedCellsOnResume) {
 
   ResultJournal journal;
   std::istringstream journal_is(journal_os.str());
-  EXPECT_EQ(journal.load(journal_is), 4u);
+  EXPECT_EQ(journal.load_stats(journal_is).restored, 4u);
   EXPECT_EQ(journal.size(), 4u);
   EXPECT_NE(journal.find("Bumblebee", "mcf"), nullptr);
   EXPECT_EQ(journal.find("Bumblebee", "nonesuch"), nullptr);
@@ -198,7 +198,7 @@ TEST(ResultJournal, PartialJournalRerunsOnlyMissingCells) {
 
   ResultJournal journal;
   std::istringstream journal_is(journal_os.str());
-  EXPECT_EQ(journal.load(journal_is), 2u);
+  EXPECT_EQ(journal.load_stats(journal_is).restored, 2u);
 
   ExperimentRunner second(cfg);
   RunMatrixOptions resume_opts = small_opts(1);

@@ -4,9 +4,7 @@
 // --jobs values (CSV, JSON, epoch series and event trace), the queue stat
 // columns must appear in every output — and only then. A queued golden
 // hash pins the scheduler's behavior the same way golden_run_test.cpp pins
-// the legacy path; the legacy pin itself is untouched by this PR, which is
-// the machine-checked proof that BB_QUEUE=off reproduces the old timing
-// bit-for-bit.
+// the unqueued path.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -112,9 +110,9 @@ TEST(QueueDeterminismTest, QueueStatsAreLive) {
 }
 
 TEST(QueueDeterminismTest, QueuedGoldenHashIsPinned) {
-  // Same matrix shape as golden_run_test.cpp, with the queue layer (and
-  // its timing fixes) enabled on both devices. Pins the queued path so
-  // scheduler refactors are provably behavior-preserving.
+  // Same matrix shape as golden_run_test.cpp, with the queue layer
+  // enabled on both devices. Pins the queued path so scheduler refactors
+  // are provably behavior-preserving.
   SystemConfig cfg = queued_cfg();
   RunMatrixOptions opts;
   opts.jobs = 1;
@@ -129,8 +127,10 @@ TEST(QueueDeterminismTest, QueuedGoldenHashIsPinned) {
   ex.write_csv(csv);
   ex.write_json(json);
   const u64 hash = fnv1a(csv.str() + json.str());
-  // Pinned with the queue layer's introduction (PR 6): FR-FCFS preset on
-  // both devices, timing fixes on.
+  // Pinned with the queue layer's introduction: FR-FCFS preset on both
+  // devices. Unchanged when AccessResult::start became the arrival tick:
+  // none of these designs keeps metadata in HBM, so no reported latency
+  // depended on the issue tick.
   const u64 kQueuedGoldenHash = 0xcb8f2e5aac4d8f84ULL;
   EXPECT_EQ(hash, kQueuedGoldenHash)
       << "queued golden output changed; new hash: 0x" << std::hex << hash

@@ -149,6 +149,36 @@ TEST(SystemSnapshot, CorruptSnapshotFailsClosed) {
   std::remove(path.c_str());
 }
 
+TEST(SystemSnapshot, RestoreUnderDifferentQueueDepthFailsClosed) {
+  // The fingerprint covers each device's queue shape: a snapshot taken
+  // with 32-entry write queues must not resume a run with 8-entry ones.
+  const auto& w = trace::WorkloadProfile::by_name("mcf");
+  SystemConfig deep = snapshot_config("snap_queue_depth");
+  mem::QueueConfig q = mem::QueueConfig::fr_fcfs();
+  q.queue_depth = 32;
+  q.write_high_watermark = 24;
+  q.write_low_watermark = 8;
+  deep.hbm.queue = q;
+  deep.dram.queue = q;
+  System writer(deep);
+  int polls = 0;
+  writer.set_interrupt([&polls] { return ++polls >= 2; });
+  EXPECT_THROW(writer.run("DRAM-only", w, 400'000), RunInterrupted);
+  const std::string path = snap_path(deep, "DRAM-only", "mcf");
+  ASSERT_TRUE(snap::file_exists(path));
+
+  SystemConfig shallow = deep;
+  q.queue_depth = 8;
+  q.write_high_watermark = 6;
+  q.write_low_watermark = 2;
+  shallow.hbm.queue = q;
+  shallow.dram.queue = q;
+  System reader(shallow);
+  reader.allow_restore_once();
+  EXPECT_THROW(reader.run("DRAM-only", w, 400'000), snap::SnapshotError);
+  std::remove(path.c_str());
+}
+
 TEST(Watchdog, ExhaustedCellCommitsTimedOutPlaceholder) {
   ExperimentRunner runner(snapshot_config("snap_watchdog"));
   RunMatrixOptions opts;
@@ -197,7 +227,7 @@ TEST(Journal, TimedOutRowsAreRetriedOnResume) {
   r.timed_out = true;
   ResultJournal journal;
   std::stringstream stream(ResultJournal::line(r) + "\n");
-  EXPECT_EQ(journal.load(stream), 1u);
+  EXPECT_EQ(journal.load_stats(stream).restored, 1u);
   // A timed-out placeholder never satisfies a resume lookup: the resumed
   // sweep re-runs the cell instead of propagating the zero row.
   EXPECT_EQ(journal.find("Bumblebee", "mcf"), nullptr);
