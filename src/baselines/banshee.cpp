@@ -13,9 +13,9 @@ BansheeController::BansheeController(mem::DramDevice& hbm,
                              }()),
       cfg_(cfg),
       sets_(static_cast<u32>(hbm.capacity() / cfg.page_bytes / cfg.ways)) {
-  ways_.resize(static_cast<std::size_t>(sets_) * cfg_.ways);
-  const u32 blocks = static_cast<u32>(cfg_.page_bytes / 64);
-  for (auto& w : ways_) w.used.resize(blocks);
+  const std::size_t ways = static_cast<std::size_t>(sets_) * cfg_.ways;
+  ways_.resize(ways);
+  used_ = BitMatrix(ways, cfg_.page_bytes / 64);
 }
 
 u64 BansheeController::metadata_sram_bytes() const {
@@ -48,8 +48,9 @@ hmm::HmmResult BansheeController::service(Addr addr, AccessType type,
       res.phys_addr = pa;
       if (type == AccessType::kWrite) way.dirty = true;
       if (way.freq < 0xffff) ++way.freq;
-      if (!way.used.test(block)) {
-        way.used.set(block);
+      const std::size_t wi = way_index(set, w);
+      if (!used_.test(wi, block)) {
+        used_.set(wi, block);
         ++mutable_stats().fetched_blocks_used;
       }
       return res;
@@ -104,8 +105,9 @@ hmm::HmmResult BansheeController::service(Addr addr, AccessType type,
   way.page = page;
   way.freq = cand;
   way.dirty = (type == AccessType::kWrite);
-  way.used.clear_all();
-  way.used.set(block);
+  const std::size_t wi = way_index(set, victim);
+  used_.clear_row(wi);
+  used_.set(wi, block);
   ++mutable_stats().fetched_blocks_used;
   candidate_freq_.erase(page);
   return res;

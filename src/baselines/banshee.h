@@ -10,6 +10,7 @@
 // pages; writebacks are lazy (page-granularity dirty).
 #pragma once
 
+#include <cassert>
 #include <unordered_map>
 #include <vector>
 
@@ -45,12 +46,14 @@ class BansheeController final : public hmm::HybridMemoryController {
     u64 page = 0;
     u16 freq = 0;
     bool dirty = false;
-    BitVector used;  ///< demanded blocks, for over-fetch accounting
   };
 
-  Way& way_at(u32 set, u32 w) {
-    return ways_[static_cast<std::size_t>(set) * cfg_.ways + w];
+  /// Index of way `w` of `set` in ways_ and in used_.
+  std::size_t way_index(u32 set, u32 w) const {
+    assert(set < sets_ && w < cfg_.ways);
+    return static_cast<std::size_t>(set) * cfg_.ways + w;
   }
+  Way& way_at(u32 set, u32 w) { return ways_[way_index(set, w)]; }
   Addr frame_addr(u32 set, u32 w) const {
     return (static_cast<u64>(set) * cfg_.ways + w) * cfg_.page_bytes;
   }
@@ -58,6 +61,7 @@ class BansheeController final : public hmm::HybridMemoryController {
   BansheeConfig cfg_;
   u32 sets_;
   std::vector<Way> ways_;
+  BitMatrix used_;  ///< per way: demanded blocks, for over-fetch accounting
   // determinism-ok: keyed operator[]/erase only (never iterated), so the
   // implementation-defined bucket order cannot reach stats or output.
   std::unordered_map<u64, u16> candidate_freq_;  ///< sampled miss counters

@@ -18,11 +18,11 @@ ChameleonController::ChameleonController(mem::DramDevice& hbm,
       sets_(static_cast<u32>(hbm.capacity() / cfg.segment_bytes)),
       m_(static_cast<u32>(dram.capacity() / cfg.segment_bytes / sets_)) {
   assert(m_ + 1 <= 0xff && "u8 permutation entries");
-  entries_.resize(sets_);
-  for (auto& e : entries_) {
-    e.counter.assign(m_ + 1, 0);
-    e.seg_at_frame.resize(m_ + 1);
-    for (u32 f = 0; f <= m_; ++f) e.seg_at_frame[f] = static_cast<u8>(f);
+  const std::size_t entries = static_cast<std::size_t>(sets_) * (m_ + 1);
+  counter_.assign(entries, 0);
+  seg_at_frame_.resize(entries);
+  for (u32 set = 0; set < sets_; ++set) {
+    for (u32 f = 0; f <= m_; ++f) seg_at_frame(set, f) = static_cast<u8>(f);
   }
 
   hmm::MetadataConfig mc;
@@ -50,7 +50,6 @@ hmm::HmmResult ChameleonController::service(Addr addr, AccessType type,
   const u32 set = static_cast<u32>(seg_global / (m_ + 1));
   const u32 seg = static_cast<u32>(seg_global % (m_ + 1));  // in-set index
   const u64 off = a % cfg_.segment_bytes;
-  SetEntry& e = entries_[set];
 
   // Remap lookup through the SRAM metadata cache (misses go to HBM); the
   // table is per segment, so large footprints overflow the 512 KB cache.
@@ -59,14 +58,15 @@ hmm::HmmResult ChameleonController::service(Addr addr, AccessType type,
 
   // The access counter is metadata too: it is updated on every access and
   // written through the SRAM metadata cache (misses cost HBM traffic).
-  if (e.counter[seg] < 0xff) ++e.counter[seg];
+  u8& seg_count = counter(set, seg);
+  if (seg_count < 0xff) ++seg_count;
   meta_->update(seg_global, now);
 
   // Locate the segment's frame in the set's permutation. Frame m_ is the
   // set's single HBM slot; frames [0, m_) are off-chip.
   u32 frame = m_ + 1;
   for (u32 f = 0; f <= m_; ++f) {
-    if (e.seg_at_frame[f] == seg) {
+    if (seg_at_frame(set, f) == seg) {
       frame = f;
       break;
     }
@@ -95,14 +95,14 @@ hmm::HmmResult ChameleonController::service(Addr addr, AccessType type,
 
   // Swap decision: the challenger must beat the HBM occupant's counter by
   // the threshold; a full segment swap then moves data both ways.
-  const u32 occupant = e.seg_at_frame[m_];
-  if (e.counter[seg] >= static_cast<u32>(e.counter[occupant]) +
-                            cfg_.swap_threshold) {
+  const u32 occupant = seg_at_frame(set, m_);
+  if (seg_count >= static_cast<u32>(counter(set, occupant)) +
+                       cfg_.swap_threshold) {
     swap_data(hbm(), hbm_slot, dram(), dram_frame_addr(frame),
               cfg_.segment_bytes, r.complete, mem::TrafficClass::kMigration);
-    e.seg_at_frame[m_] = static_cast<u8>(seg);
-    e.seg_at_frame[frame] = static_cast<u8>(occupant);
-    e.counter[occupant] /= 2;  // age the displaced segment
+    seg_at_frame(set, m_) = static_cast<u8>(seg);
+    seg_at_frame(set, frame) = static_cast<u8>(occupant);
+    counter(set, occupant) /= 2;  // age the displaced segment
     ++mutable_stats().swaps;
     mutable_stats().blocks_fetched += cfg_.segment_bytes / 64;
     ++mutable_stats().fetched_blocks_used;

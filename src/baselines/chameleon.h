@@ -9,6 +9,7 @@
 // go through an SRAM metadata cache backed by HBM (real MAL).
 #pragma once
 
+#include <cassert>
 #include <vector>
 
 #include "hmm/controller.h"
@@ -44,18 +45,24 @@ class ChameleonController final : public hmm::HybridMemoryController {
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 
  private:
-  struct SetEntry {
-    /// Permutation of the set's m_+1 segments over its frames; frame m_ is
-    /// the single HBM slot, frames [0, m_) are off-chip. Initially the
-    /// identity (segment m_ is HBM-native).
-    std::vector<u8> seg_at_frame;
-    std::vector<u8> counter;  ///< per-segment saturating access counters
-  };
+  /// Per-set state lives in flat arrays of m_+1 entries per set.
+  std::size_t at(u32 set, u32 i) const {
+    assert(set < sets_ && i <= m_);
+    return static_cast<std::size_t>(set) * (m_ + 1) + i;
+  }
+  u8& seg_at_frame(u32 set, u32 frame) {
+    return seg_at_frame_[at(set, frame)];
+  }
+  u8& counter(u32 set, u32 seg) { return counter_[at(set, seg)]; }
 
   ChameleonConfig cfg_;
   u32 sets_;  ///< one HBM segment per set
   u32 m_;     ///< off-chip segments per set
-  std::vector<SetEntry> entries_;
+  /// Per set, the permutation of its m_+1 segments over its frames; frame
+  /// m_ is the single HBM slot, frames [0, m_) are off-chip. Initially the
+  /// identity (segment m_ is HBM-native).
+  std::vector<u8> seg_at_frame_;
+  std::vector<u8> counter_;  ///< per-segment saturating access counters
   std::unique_ptr<hmm::MetadataModel> meta_;
 };
 

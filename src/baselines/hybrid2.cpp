@@ -28,14 +28,16 @@ Hybrid2Controller::Hybrid2Controller(mem::DramDevice& hbm,
   m_ = static_cast<u32>(dram.capacity() / cfg_.page_bytes / sets_);
   assert(m_ + n_ <= 0xff && "u8 permutation entries");
 
-  remap_.resize(sets_);
-  for (auto& s : remap_) {
-    s.seg_at_frame.resize(m_ + n_);
-    for (u32 f = 0; f < m_ + n_; ++f) s.seg_at_frame[f] = static_cast<u8>(f);
-    s.counter.assign(m_ + n_, 0);
-    s.used_mask.assign(n_, 0);
-    s.swapped.assign(n_, false);
+  const std::size_t segs = static_cast<std::size_t>(sets_) * (m_ + n_);
+  seg_at_frame_.resize(segs);
+  for (u32 set = 0; set < sets_; ++set) {
+    for (u32 f = 0; f < m_ + n_; ++f) {
+      seg_at_frame(set, f) = static_cast<u8>(f);
+    }
   }
+  counter_.assign(segs, 0);
+  used_mask_.assign(static_cast<std::size_t>(sets_) * n_, 0);
+  swapped_.assign(static_cast<std::size_t>(sets_) * n_, 0);
 
   cache_sets_ =
       static_cast<u32>(cfg_.cache_bytes / cfg_.block_bytes / cfg_.cache_ways);
@@ -166,18 +168,18 @@ hmm::HmmResult Hybrid2Controller::service(Addr addr, AccessType type,
   const u32 set = static_cast<u32>(page % sets_);
   const u32 seg = static_cast<u32>(page / sets_);
   const u64 off = a % cfg_.page_bytes;
-  RemapSet& rs = remap_[set];
 
   // Metadata is per page (remap entry + counters): the SRAM metadata cache
   // only helps while the page working set fits in 512 KB.
   res.metadata_latency = meta_->lookup(page, now);
   Tick t = now + res.metadata_latency;
 
-  if (rs.counter[seg] < 0xff) ++rs.counter[seg];
+  u8& seg_count = counter(set, seg);
+  if (seg_count < 0xff) ++seg_count;
 
   u32 frame = m_ + n_;
   for (u32 f = 0; f < m_ + n_; ++f) {
-    if (rs.seg_at_frame[f] == seg) {
+    if (seg_at_frame(set, f) == seg) {
       frame = f;
       break;
     }
@@ -193,8 +195,8 @@ hmm::HmmResult Hybrid2Controller::service(Addr addr, AccessType type,
     const u8 bit = static_cast<u8>(1u << blk);
     // Over-fetch accounting applies only to data that was actually moved
     // into HBM; native-resident pages were never fetched.
-    if (rs.swapped[way] && !(rs.used_mask[way] & bit)) {
-      rs.used_mask[way] |= bit;
+    if (swapped(set, way) != 0 && !(used_mask(set, way) & bit)) {
+      used_mask(set, way) |= bit;
       ++mutable_stats().fetched_blocks_used;
     }
     res.complete = r.complete;
@@ -219,26 +221,25 @@ hmm::HmmResult Hybrid2Controller::service(Addr addr, AccessType type,
   u32 cold_way = 0;
   u8 cold_count = 0xff;
   for (u32 w = 0; w < n_; ++w) {
-    const u8 c = rs.counter[rs.seg_at_frame[m_ + w]];
+    const u8 c = counter(set, seg_at_frame(set, m_ + w));
     if (c < cold_count) {
       cold_count = c;
       cold_way = w;
     }
   }
-  if (rs.counter[seg] >=
-      static_cast<u32>(cold_count) + cfg_.promote_threshold) {
+  if (seg_count >= static_cast<u32>(cold_count) + cfg_.promote_threshold) {
     // Separate spaces: the page's cHBM blocks must be flushed first, then
     // the full pages swap (the mode-switch overhead Bumblebee avoids).
     flush_frame_blocks(fa, res.complete);
-    const u32 victim_seg = rs.seg_at_frame[m_ + cold_way];
+    const u32 victim_seg = seg_at_frame(set, m_ + cold_way);
     swap_data(hbm(), mhbm_frame_addr(set, cold_way), dram(), fa,
               cfg_.page_bytes, res.complete, mem::TrafficClass::kMigration);
-    rs.seg_at_frame[m_ + cold_way] = static_cast<u8>(seg);
-    rs.seg_at_frame[frame] = static_cast<u8>(victim_seg);
-    rs.counter[victim_seg] /= 2;
-    rs.swapped[cold_way] = true;
+    seg_at_frame(set, m_ + cold_way) = static_cast<u8>(seg);
+    seg_at_frame(set, frame) = static_cast<u8>(victim_seg);
+    counter(set, victim_seg) /= 2;
+    swapped(set, cold_way) = 1;
     const u32 blk = static_cast<u32>(off / cfg_.block_bytes);
-    rs.used_mask[cold_way] = static_cast<u8>(1u << blk);
+    used_mask(set, cold_way) = static_cast<u8>(1u << blk);
     mutable_stats().blocks_fetched +=
         cfg_.page_bytes / cfg_.block_bytes;
     ++mutable_stats().fetched_blocks_used;

@@ -11,6 +11,7 @@
 // lookups run through a 512 KB SRAM metadata cache backed by HBM.
 #pragma once
 
+#include <cassert>
 #include <vector>
 
 #include "hmm/controller.h"
@@ -51,12 +52,23 @@ class Hybrid2Controller final : public hmm::HybridMemoryController {
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 
  private:
-  struct RemapSet {
-    std::vector<u8> seg_at_frame;  ///< permutation over m_+n_ frames
-    std::vector<u8> counter;       ///< per-segment access counters
-    std::vector<u8> used_mask;     ///< per HBM frame: accessed 256 B blocks
-    std::vector<bool> swapped;     ///< frame content was fetched (not native)
-  };
+  // Remap state lives in flat arrays: m_+n_ entries per set for the frame
+  // permutation and the segment counters, n_ per set for the mHBM ways.
+  std::size_t seg_index(u32 set, u32 i) const {
+    assert(set < sets_ && i < m_ + n_);
+    return static_cast<std::size_t>(set) * (m_ + n_) + i;
+  }
+  std::size_t way_index(u32 set, u32 way) const {
+    assert(set < sets_ && way < n_);
+    return static_cast<std::size_t>(set) * n_ + way;
+  }
+  u8& seg_at_frame(u32 set, u32 frame) {
+    return seg_at_frame_[seg_index(set, frame)];
+  }
+  u8& counter(u32 set, u32 seg) { return counter_[seg_index(set, seg)]; }
+  u8& used_mask(u32 set, u32 way) { return used_mask_[way_index(set, way)]; }
+  u8& swapped(u32 set, u32 way) { return swapped_[way_index(set, way)]; }
+
   struct CacheLine {
     u32 tag = 0;
     bool valid = false;
@@ -83,7 +95,10 @@ class Hybrid2Controller final : public hmm::HybridMemoryController {
   u32 sets_;  ///< mHBM remapping sets
   u32 m_;     ///< off-chip pages per set
   u32 n_;     ///< mHBM pages per set
-  std::vector<RemapSet> remap_;
+  std::vector<u8> seg_at_frame_;  ///< per set: permutation over m_+n_ frames
+  std::vector<u8> counter_;       ///< per set: per-segment access counters
+  std::vector<u8> used_mask_;     ///< per mHBM frame: accessed 256 B blocks
+  std::vector<u8> swapped_;       ///< per mHBM frame: content was fetched
   u32 cache_sets_;
   std::vector<CacheLine> cache_;
   u64 lru_clock_ = 0;

@@ -15,12 +15,12 @@ UnisonCacheController::UnisonCacheController(mem::DramDevice& hbm,
   const u64 slot_bytes = cfg_.page_bytes + cfg_.tag_bytes_per_page;
   const u64 pages = hbm.capacity() / slot_bytes;
   sets_ = static_cast<u32>(pages / cfg_.ways);
-  ways_.resize(static_cast<std::size_t>(sets_) * cfg_.ways);
-  for (auto& w : ways_) {
-    w.present.resize(blocks_per_page());
-    w.dirty.resize(blocks_per_page());
-    w.used.resize(blocks_per_page());
-  }
+  const std::size_t ways = static_cast<std::size_t>(sets_) * cfg_.ways;
+  ways_.resize(ways);
+  present_ = BitMatrix(ways, blocks_per_page());
+  dirty_ = BitMatrix(ways, blocks_per_page());
+  used_ = BitMatrix(ways, blocks_per_page());
+  footprints_ = BitMatrix(cfg_.footprint_table_entries, blocks_per_page());
 }
 
 u64 UnisonCacheController::metadata_sram_bytes() const {
@@ -34,32 +34,25 @@ Addr UnisonCacheController::frame_addr(u32 set, u32 w) const {
   return (static_cast<u64>(set) * cfg_.ways + w) * slot_bytes;
 }
 
-BitVector UnisonCacheController::predicted_footprint(u64 page) const {
-  // The history table is direct-mapped by page id (aliasing pages share an
-  // entry, as a real bounded SRAM table would).
-  const auto it = footprints_.find(page % cfg_.footprint_table_entries);
-  if (it != footprints_.end()) return it->second;
-  return BitVector(blocks_per_page());
-}
-
 void UnisonCacheController::evict(u32 set, u32 w, Tick now) {
-  Way& way = way_at(set, w);
+  const std::size_t wi = way_index(set, w);
+  Way& way = ways_[wi];
   if (!way.valid) return;
   const Addr frame = frame_addr(set, w);
   const Addr home = (way.page * cfg_.page_bytes) % dram().capacity();
   for (u32 b = 0; b < blocks_per_page(); ++b) {
-    if (way.dirty.test(b)) {
+    if (dirty_.test(wi, b)) {
       move_data(hbm(), frame + b * cfg_.block_bytes, dram(),
                 home + b * cfg_.block_bytes, cfg_.block_bytes, now,
                 mem::TrafficClass::kWriteback);
     }
   }
   // Record the residency footprint for the next fill of this page.
-  footprints_[way.page % cfg_.footprint_table_entries] = way.used;
+  footprints_.copy_row(way.page % cfg_.footprint_table_entries, used_, wi);
   way.valid = false;
-  way.present.clear_all();
-  way.dirty.clear_all();
-  way.used.clear_all();
+  present_.clear_row(wi);
+  dirty_.clear_row(wi);
+  used_.clear_row(wi);
   ++mutable_stats().evictions;
 }
 
@@ -82,10 +75,11 @@ hmm::HmmResult UnisonCacheController::service(Addr addr, AccessType type,
   Tick t = tags.complete;
 
   for (u32 w = 0; w < cfg_.ways; ++w) {
-    Way& way = way_at(set, w);
+    const std::size_t wi = way_index(set, w);
+    Way& way = ways_[wi];
     if (way.valid && way.page == page) {
       way.lru_stamp = ++lru_clock_;
-      if (way.present.test(block)) {
+      if (present_.test(wi, block)) {
         const Addr pa = frame_addr(set, w) + block * cfg_.block_bytes +
                         in_block_off;
         const auto r =
@@ -93,9 +87,9 @@ hmm::HmmResult UnisonCacheController::service(Addr addr, AccessType type,
         res.complete = r.complete;
         res.served_by_hbm = true;
         res.phys_addr = pa;
-        if (type == AccessType::kWrite) way.dirty.set(block);
-        if (!way.used.test(block)) {
-          way.used.set(block);
+        if (type == AccessType::kWrite) dirty_.set(wi, block);
+        if (!used_.test(wi, block)) {
+          used_.set(wi, block);
           ++mutable_stats().fetched_blocks_used;
         }
         return res;
@@ -106,8 +100,8 @@ hmm::HmmResult UnisonCacheController::service(Addr addr, AccessType type,
       move_data(dram(), phys - in_block_off, hbm(),
                 frame_addr(set, w) + block * cfg_.block_bytes,
                 cfg_.block_bytes, r.complete, mem::TrafficClass::kFill);
-      way.present.set(block);
-      way.used.set(block);
+      present_.set(wi, block);
+      used_.set(wi, block);
       ++mutable_stats().blocks_fetched;
       ++mutable_stats().fetched_blocks_used;
       res.complete = r.complete;
@@ -127,7 +121,7 @@ hmm::HmmResult UnisonCacheController::service(Addr addr, AccessType type,
   u32 victim = 0;
   u64 oldest = ~u64{0};
   for (u32 w = 0; w < cfg_.ways; ++w) {
-    Way& way = way_at(set, w);
+    const Way& way = ways_[way_index(set, w)];
     if (!way.valid) {
       victim = w;
       oldest = 0;
@@ -140,26 +134,27 @@ hmm::HmmResult UnisonCacheController::service(Addr addr, AccessType type,
   }
   evict(set, victim, r.complete);
 
-  Way& way = way_at(set, victim);
+  const std::size_t wi = way_index(set, victim);
+  Way& way = ways_[wi];
   way.valid = true;
   way.page = page;
   way.lru_stamp = ++lru_clock_;
-  BitVector fp = predicted_footprint(page);
-  fp.set(block);  // always fetch the demanded block
+  // Fetch the predicted footprint, and always the demanded block.
+  const std::size_t fp = page % cfg_.footprint_table_entries;
   const Addr frame = frame_addr(set, victim);
   const Addr home = page * cfg_.page_bytes;
   for (u32 b = 0; b < blocks_per_page(); ++b) {
-    if (fp.test(b)) {
+    if (b == block || footprints_.test(fp, b)) {
       move_data(dram(), home + b * cfg_.block_bytes, hbm(),
                 frame + b * cfg_.block_bytes, cfg_.block_bytes, r.complete,
                 mem::TrafficClass::kFill);
-      way.present.set(b);
+      present_.set(wi, b);
       ++mutable_stats().blocks_fetched;
     }
   }
-  way.used.set(block);
+  used_.set(wi, block);
   ++mutable_stats().fetched_blocks_used;
-  if (type == AccessType::kWrite) way.dirty.set(block);
+  if (type == AccessType::kWrite) dirty_.set(wi, block);
   // Tag update rides with the fill.
   hbm().access(frame + cfg_.page_bytes, cfg_.tag_bytes_per_page,
                AccessType::kWrite, r.complete, mem::TrafficClass::kMetadata);

@@ -8,7 +8,7 @@
 // history table lives in SRAM.
 #pragma once
 
-#include <unordered_map>
+#include <cassert>
 #include <vector>
 
 #include "common/bitvector.h"
@@ -43,27 +43,31 @@ class UnisonCacheController final : public hmm::HybridMemoryController {
     bool valid = false;
     u64 page = 0;       ///< OS page index
     u64 lru_stamp = 0;
-    BitVector present;  ///< fetched blocks
-    BitVector dirty;
-    BitVector used;     ///< demanded blocks (footprint + over-fetch)
   };
 
   u32 blocks_per_page() const {
     return static_cast<u32>(cfg_.page_bytes / cfg_.block_bytes);
   }
-  Way& way_at(u32 set, u32 w) { return ways_[static_cast<std::size_t>(set) * cfg_.ways + w]; }
+  /// Index of way `w` of `set` in ways_ and in the per-way bitmaps.
+  std::size_t way_index(u32 set, u32 w) const {
+    assert(set < sets_ && w < cfg_.ways);
+    return static_cast<std::size_t>(set) * cfg_.ways + w;
+  }
   Addr frame_addr(u32 set, u32 w) const;
   void evict(u32 set, u32 w, Tick now);
-  BitVector predicted_footprint(u64 page) const;
 
   UnisonConfig cfg_;
   u32 sets_;
   std::vector<Way> ways_;
+  // Per-way block bitmaps, one row per way (indexed by way_index).
+  BitMatrix present_;  ///< fetched blocks
+  BitMatrix dirty_;
+  BitMatrix used_;     ///< demanded blocks (footprint + over-fetch)
   u64 lru_clock_ = 0;
-  /// Footprint history: page -> block-usage of the last residency.
-  // determinism-ok: pure keyed lookup/insert (never iterated), so the
-  // implementation-defined bucket order cannot reach stats or output.
-  std::unordered_map<u64, BitVector> footprints_;
+  /// Footprint history, direct-mapped by page id (aliasing pages share an
+  /// entry, as a real bounded SRAM table would): block usage of the last
+  /// residency. A never-written entry predicts no blocks.
+  BitMatrix footprints_;
 };
 
 }  // namespace bb::baselines

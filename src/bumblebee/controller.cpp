@@ -725,12 +725,14 @@ bool BumblebeeController::retire_hbm_frame(SetState& st, u32 set, u32 k,
     // mHBM residents stay until their own frames fault. alloc/migrate/
     // cache paths all test `degraded`, so the set stops attracting data
     // and its remap ratio is frozen.
+    // chbm_disabled goes up before the flush: evict_frame's own
+    // verify_set already expects a degraded set to have caching off.
     st.degraded = true;
+    st.chbm_disabled = true;
     ++bstats_.sets_degraded;
     for (u32 i = 0; i < geo_.n; ++i) {
       if (st.ble[i].mode == Ble::Mode::kCache) evict_frame(st, set, i, now);
     }
-    st.chbm_disabled = true;
     if (tracing()) {
       trace()->emit(TraceEvent(now, "set_degraded", "fault")
                         .arg("set", set)

@@ -1,5 +1,7 @@
 // Compact dynamic bit vector used for the BLE valid/dirty vectors and for
-// cache-line presence tracking. Sized at construction; bounds-checked.
+// cache-line presence tracking, and a fixed-shape matrix of bit rows for
+// per-way block bitmaps. Sized at construction; bounds-checked in debug
+// builds.
 #pragma once
 
 #include <cassert>
@@ -85,6 +87,54 @@ class BitVector {
   }
 
   std::size_t nbits_ = 0;
+  std::vector<u64> words_;
+};
+
+/// `rows` bit vectors of `bits_per_row` bits each, packed into a single
+/// allocation: per-way block bitmaps without one heap object per way.
+class BitMatrix {
+ public:
+  BitMatrix() = default;
+  BitMatrix(std::size_t rows, std::size_t bits_per_row)
+      : rows_(rows),
+        bits_per_row_(bits_per_row),
+        words_per_row_((bits_per_row + 63) / 64),
+        words_(rows * words_per_row_, 0) {}
+
+  bool test(std::size_t row, std::size_t i) const {
+    return (words_[word(row, i)] >> (i & 63)) & 1;
+  }
+
+  void set(std::size_t row, std::size_t i) {
+    words_[word(row, i)] |= u64{1} << (i & 63);
+  }
+
+  void clear_row(std::size_t row) {
+    assert(row < rows_);
+    for (std::size_t k = 0; k < words_per_row_; ++k) {
+      words_[row * words_per_row_ + k] = 0;
+    }
+  }
+
+  /// Copies row `src_row` of `src` (same row width) into row `row`.
+  void copy_row(std::size_t row, const BitMatrix& src, std::size_t src_row) {
+    assert(row < rows_ && src_row < src.rows_);
+    assert(bits_per_row_ == src.bits_per_row_);
+    for (std::size_t k = 0; k < words_per_row_; ++k) {
+      words_[row * words_per_row_ + k] =
+          src.words_[src_row * words_per_row_ + k];
+    }
+  }
+
+ private:
+  std::size_t word(std::size_t row, std::size_t i) const {
+    assert(row < rows_ && i < bits_per_row_);
+    return row * words_per_row_ + (i >> 6);
+  }
+
+  std::size_t rows_ = 0;
+  std::size_t bits_per_row_ = 0;
+  std::size_t words_per_row_ = 0;
   std::vector<u64> words_;
 };
 

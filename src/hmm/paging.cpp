@@ -1,30 +1,81 @@
 #include "hmm/paging.h"
 
+#include <cassert>
+
 #include "common/snapshot.h"
 #include "common/trace_event.h"
 
 namespace bb::hmm {
 
+namespace {
+
+constexpr std::size_t kMinTableSize = 1024;
+
+}  // namespace
+
 PagingModel::PagingModel(const PagingConfig& cfg)
     : cfg_(cfg),
       capacity_pages_(cfg.enabled ? cfg.visible_bytes / cfg.os_page_bytes
-                                  : 0) {}
+                                  : 0) {
+  assert(capacity_pages_ < kEmptySlot && "u32 ring slots");
+  rebuild();
+}
+
+std::size_t PagingModel::find(u64 page) const {
+  const std::size_t mask = table_.size() - 1;
+  std::size_t i = home(page);
+  while (table_[i] != kEmptySlot && ring_[table_[i]] != page) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void PagingModel::erase(u64 page) {
+  const std::size_t mask = table_.size() - 1;
+  std::size_t hole = find(page);
+  assert(table_[hole] != kEmptySlot);
+  // Pull later members of the probe run back into the hole unless their
+  // home index lies cyclically in (hole, j], where they already are
+  // reachable.
+  for (std::size_t j = (hole + 1) & mask; table_[j] != kEmptySlot;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(ring_[table_[j]]);
+    const bool reachable =
+        (hole <= j) ? (hole < h && h <= j) : (hole < h || h <= j);
+    if (!reachable) {
+      table_[hole] = table_[j];
+      hole = j;
+    }
+  }
+  table_[hole] = kEmptySlot;
+}
+
+void PagingModel::rebuild() {
+  std::size_t size = kMinTableSize;
+  while (size < 2 * ring_.size()) size *= 2;
+  table_.assign(size, kEmptySlot);
+  table_shift_ = 64 - log2_floor(size);
+  for (std::size_t slot = 0; slot < ring_.size(); ++slot) {
+    table_[find(ring_[slot])] = static_cast<u32>(slot);
+  }
+}
 
 Tick PagingModel::touch(Addr addr, Tick now) {
   if (!cfg_.enabled) return 0;
   const u64 page = addr / cfg_.os_page_bytes;
 
-  const auto it = resident_.find(page);
-  if (it != resident_.end()) {
-    referenced_[it->second] = true;
+  const std::size_t at = find(page);
+  if (table_[at] != kEmptySlot) {
+    referenced_[table_[at]] = 1;
     return 0;
   }
 
   if (ring_.size() < capacity_pages_) {
     // Cold (first-touch) fault: page fits, OS just zero-fills it.
-    resident_.emplace(page, static_cast<u32>(ring_.size()));
+    table_[at] = static_cast<u32>(ring_.size());
     ring_.push_back(page);
-    referenced_.push_back(true);
+    referenced_.push_back(1);
+    if (2 * ring_.size() > table_.size()) rebuild();
     ++stats_.first_touches;
     return 0;
   }
@@ -32,18 +83,18 @@ Tick PagingModel::touch(Addr addr, Tick now) {
   // Capacity fault: run the clock hand until an unreferenced victim appears.
   for (;;) {
     if (hand_ >= ring_.size()) hand_ = 0;
-    if (referenced_[hand_]) {
-      referenced_[hand_] = false;
+    if (referenced_[hand_] != 0) {
+      referenced_[hand_] = 0;
       ++hand_;
       continue;
     }
     break;
   }
   const u64 victim = ring_[hand_];
-  resident_.erase(victim);
+  erase(victim);
   ring_[hand_] = page;
-  referenced_[hand_] = true;
-  resident_.emplace(page, static_cast<u32>(hand_));
+  referenced_[hand_] = 1;
+  table_[find(page)] = static_cast<u32>(hand_);
   ++hand_;
   ++stats_.faults;
   if (trace_) {
@@ -60,9 +111,7 @@ void PagingModel::save(snap::Writer& w) const {
   w.put_u64(stats_.first_touches);
   w.put_u64(ring_.size());
   for (u64 page : ring_) w.put_u64(page);
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    w.put_u8(referenced_[i] ? 1 : 0);
-  }
+  for (u8 ref : referenced_) w.put_u8(ref);
   w.put_u64(hand_);
 }
 
@@ -73,13 +122,10 @@ void PagingModel::load(snap::Reader& r) {
   for (u64& page : ring_) page = r.get_u64();
   referenced_.resize(ring_.size());
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    referenced_[i] = r.get_u8() != 0;
+    referenced_[i] = r.get_u8() != 0 ? 1 : 0;
   }
   hand_ = static_cast<std::size_t>(r.get_u64());
-  resident_.clear();
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    resident_.emplace(ring_[i], static_cast<u32>(i));
-  }
+  rebuild();
 }
 
 }  // namespace bb::hmm

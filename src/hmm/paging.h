@@ -9,7 +9,6 @@
 // (minor-fault / compressed-swap cost, not a disk swap).
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -59,20 +58,40 @@ class PagingModel {
   void reset_stats() { stats_ = PagingStats{}; }
 
   /// Snapshot/restore of the resident set (clock ring + reference bits +
-  /// hand) and fault counters; the page->slot map is rebuilt from the ring.
+  /// hand) and fault counters; the page->slot table is rebuilt from the
+  /// ring.
   void save(snap::Writer& w) const;
   void load(snap::Reader& r);
 
  private:
+  static constexpr u32 kEmptySlot = ~u32{0};
+
+  /// Home index of `page` in table_ (Fibonacci hashing: the top bits of
+  /// the product).
+  std::size_t home(u64 page) const {
+    return static_cast<std::size_t>((page * 0x9E3779B97F4A7C15ULL) >>
+                                    table_shift_);
+  }
+  /// Index in table_ holding `page`'s ring slot, or the empty entry where
+  /// it would be inserted.
+  std::size_t find(u64 page) const;
+  /// Removes resident `page` (backward-shift deletion, no tombstones).
+  void erase(u64 page);
+  /// Re-sizes table_ to hold the whole ring at most half full.
+  void rebuild();
+
   TraceSink* trace_ = nullptr;
   PagingConfig cfg_;
   u64 capacity_pages_;
   PagingStats stats_;
-  // determinism-ok: keyed find/emplace/erase only (never iterated); victim
-  // order comes from the clock ring below, not from bucket order.
-  std::unordered_map<u64, u32> resident_;  ///< page id -> slot in clock ring
+  /// page id -> slot in the clock ring: open addressing with linear
+  /// probing over a power-of-two table of ring slots. The key is read back
+  /// through ring_, so an entry is 4 B. Never iterated: victim order comes
+  /// from the clock ring, not from table order.
+  std::vector<u32> table_;
+  u32 table_shift_ = 64;                   ///< 64 - log2(table_.size())
   std::vector<u64> ring_;                  ///< clock ring of resident pages
-  std::vector<bool> referenced_;
+  std::vector<u8> referenced_;             ///< per ring slot: clock bit
   std::size_t hand_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 #include "common/metrics.h"
@@ -11,16 +12,50 @@
 
 namespace bb::mem {
 
+namespace {
+
+// Fails closed on geometry the shift/mask decode would silently mis-serve.
+DramTimingParams validated(DramTimingParams p) {
+  const auto reject = [&p](const char* why) {
+    throw std::invalid_argument("DramDevice '" + p.name + "': " + why);
+  };
+  if (!is_pow2(p.interleave_bytes)) {
+    reject("interleave_bytes must be a power of two");
+  }
+  if (!is_pow2(p.row_bytes)) reject("row_bytes must be a power of two");
+  if (p.channels == 0) reject("channels must be non-zero");
+  if (p.banks_per_channel == 0) reject("banks_per_channel must be non-zero");
+  const u64 granule = std::min(p.interleave_bytes, p.row_bytes);
+  if (p.capacity_bytes == 0 || p.capacity_bytes % granule != 0 ||
+      p.capacity_bytes < p.burst_bytes()) {
+    reject("capacity_bytes must be a non-zero multiple of "
+           "min(interleave_bytes, row_bytes) holding at least one burst");
+  }
+  return p;
+}
+
+}  // namespace
+
 DramDevice::DramDevice(DramTimingParams params)
-    : params_(std::move(params)), energy_(params_) {
-  assert(params_.channels > 0);
-  assert(params_.banks_per_channel > 0);
-  assert(is_pow2(params_.interleave_bytes));
-  assert(is_pow2(params_.row_bytes));
+    : params_(validated(std::move(params))),
+      interleave_shift_(log2_floor(params_.interleave_bytes)),
+      row_shift_(log2_floor(params_.row_bytes)),
+      granule_shift_(std::min(interleave_shift_, row_shift_)),
+      beat_bytes_(params_.burst_bytes()),
+      t_{params_.cycles_to_ticks(params_.tCAS),
+         params_.cycles_to_ticks(params_.tRCD),
+         params_.cycles_to_ticks(params_.tRP),
+         params_.cycles_to_ticks(params_.tRAS),
+         params_.cycles_to_ticks(params_.tRTW),
+         params_.cycles_to_ticks(params_.tWTR),
+         params_.burst_ticks(),
+         ns_to_ticks(params_.trefi_ns),
+         ns_to_ticks(params_.trfc_ns)},
+      energy_(params_) {
   banks_.resize(static_cast<std::size_t>(params_.channels) *
                 params_.banks_per_channel);
   bus_ready_.resize(params_.channels, 0);
-  next_refresh_.resize(params_.channels, ns_to_ticks(params_.trefi_ns));
+  next_refresh_.resize(params_.channels, t_.refi);
   if (params_.queue.enabled) {
     scheduler_ =
         std::make_unique<ChannelScheduler>(params_.queue, params_.channels);
@@ -29,8 +64,8 @@ DramDevice::DramDevice(DramTimingParams params)
 
 Tick DramDevice::apply_refresh(u32 channel, Tick t) {
   if (!params_.refresh_enabled) return t;
-  const Tick trefi = ns_to_ticks(params_.trefi_ns);
-  const Tick trfc = ns_to_ticks(params_.trfc_ns);
+  const Tick trefi = t_.refi;
+  const Tick trfc = t_.rfc;
   Tick& next = next_refresh_[channel];
   // Fast-forward long idle stretches: refreshes that completed entirely
   // during idle time cannot stall anything.
@@ -58,8 +93,7 @@ Tick DramDevice::apply_refresh(u32 channel, Tick t) {
 }
 
 DramDevice::Decoded DramDevice::decode(Addr addr) const {
-  const u64 il = params_.interleave_bytes;
-  const u64 chunk = addr / il;
+  const u64 chunk = addr >> interleave_shift_;
   // XOR-fold higher address bits into the channel and bank indexes
   // (standard controller address hashing, cf. gem5's xor_high_bits and
   // commercial bank-group hashing). Without it, page-aligned strides —
@@ -68,8 +102,9 @@ DramDevice::Decoded DramDevice::decode(Addr addr) const {
   const u64 ch_hash = chunk ^ (chunk >> 4) ^ (chunk >> 9) ^ (chunk >> 15);
   const u32 channel = static_cast<u32>(ch_hash % params_.channels);
   // Address within the channel, with interleaving folded out.
-  const u64 chan_addr = (chunk / params_.channels) * il + (addr % il);
-  const u64 row_index = chan_addr / params_.row_bytes;
+  const u64 chan_addr = ((chunk / params_.channels) << interleave_shift_) +
+                        (addr & (params_.interleave_bytes - 1));
+  const u64 row_index = chan_addr >> row_shift_;
   const u64 bank_hash = row_index ^ (row_index >> 3) ^ (row_index >> 7);
   const u32 bank = static_cast<u32>(bank_hash % params_.banks_per_channel);
   // Open-row identity: the full row_index, unique per channel by
@@ -86,11 +121,11 @@ DramDevice::RawTiming DramDevice::do_beat(const Decoded& d, AccessType type,
                       d.bank];
   Tick& bus = bus_ready_[d.channel];
 
-  const Tick tCAS = params_.cycles_to_ticks(params_.tCAS);
-  const Tick tRCD = params_.cycles_to_ticks(params_.tRCD);
-  const Tick tRP = params_.cycles_to_ticks(params_.tRP);
-  const Tick tRAS = params_.cycles_to_ticks(params_.tRAS);
-  const Tick tBURST = params_.burst_ticks();
+  const Tick tCAS = t_.cas;
+  const Tick tRCD = t_.rcd;
+  const Tick tRP = t_.rp;
+  const Tick tRAS = t_.ras;
+  const Tick tBURST = t_.burst;
 
   Tick t = apply_refresh(d.channel, std::max(now, bank.ready_at));
   // Bus turnaround: a read command after a write burst on the same bank
@@ -100,7 +135,7 @@ DramDevice::RawTiming DramDevice::do_beat(const Decoded& d, AccessType type,
     t = std::max(t, bank.write_recovery_at);
   } else if (type == AccessType::kWrite && !bank.last_was_write &&
              bank.has_issued) {
-    t += params_.cycles_to_ticks(params_.tRTW);
+    t += t_.rtw;
   }
   const Tick cmd_issue = t;
   if (bank.open_row == d.row) {
@@ -133,8 +168,7 @@ DramDevice::RawTiming DramDevice::do_beat(const Decoded& d, AccessType type,
   } else {
     energy_.on_write_burst();
     bank.last_was_write = true;
-    bank.write_recovery_at =
-        data_start + tBURST + params_.cycles_to_ticks(params_.tWTR);
+    bank.write_recovery_at = data_start + tBURST + t_.wtr;
   }
   bank.has_issued = true;
   ++stats_.beats;
@@ -143,22 +177,26 @@ DramDevice::RawTiming DramDevice::do_beat(const Decoded& d, AccessType type,
 
 DramDevice::RawTiming DramDevice::timed_beats(Addr addr, u64 bytes,
                                               AccessType type, Tick now) {
-  const u64 beat_bytes = params_.burst_bytes();
-  const Addr first = addr & ~(beat_bytes - 1);
-  const Addr last = (addr + bytes - 1) & ~(beat_bytes - 1);
+  const Addr first = addr & ~(beat_bytes_ - 1);
+  const Addr last = (addr + bytes - 1) & ~(beat_bytes_ - 1);
+  const u64 beats = (last - first) / beat_bytes_ + 1;
+  const u64 capacity = params_.capacity_bytes;
 
-  RawTiming res;
-  res.complete = now;
-  bool first_beat = true;
-  for (Addr a = first;; a += beat_bytes) {
-    const RawTiming beat =
-        do_beat(decode(a % params_.capacity_bytes), type, now);
-    if (first_beat) {
-      res.start = beat.start;
-      first_beat = false;
+  // Reduce once, then step with a conditional subtract at the capacity
+  // wrap; decode only when a beat enters a new granule (channel, bank and
+  // row are constant inside one).
+  Addr a = first % capacity;
+  u64 granule = a >> granule_shift_;
+  Decoded d = decode(a);
+  RawTiming res = do_beat(d, type, now);
+  for (u64 i = 1; i < beats; ++i) {
+    a += beat_bytes_;
+    if (a >= capacity) a -= capacity;
+    if ((a >> granule_shift_) != granule) {
+      granule = a >> granule_shift_;
+      d = decode(a);
     }
-    res.complete = std::max(res.complete, beat.complete);
-    if (a == last) break;
+    res.complete = std::max(res.complete, do_beat(d, type, now).complete);
   }
   return res;
 }
@@ -189,9 +227,8 @@ AccessResult DramDevice::access(Addr addr, u64 bytes, AccessType type,
                                 Tick now, TrafficClass cls) {
   prof::ScopedPhase prof_phase(prof::Phase::kDeviceTiming);
   assert(bytes > 0);
-  const u64 beat_bytes = params_.burst_bytes();
-  const Addr first = addr & ~(beat_bytes - 1);
-  const Addr last = (addr + bytes - 1) & ~(beat_bytes - 1);
+  const Addr first = addr & ~(beat_bytes_ - 1);
+  const Addr last = (addr + bytes - 1) & ~(beat_bytes_ - 1);
 
   AccessResult res;
   res.start = now;
@@ -213,7 +250,7 @@ AccessResult DramDevice::access(Addr addr, u64 bytes, AccessType type,
 
   ++stats_.accesses;
   if (!coalesced) {
-    const u64 moved = (last - first) + beat_bytes;
+    const u64 moved = (last - first) + beat_bytes_;
     auto& by_class = (type == AccessType::kRead) ? stats_.read_bytes
                                                  : stats_.write_bytes;
     by_class[static_cast<std::size_t>(cls)] += moved;

@@ -103,6 +103,11 @@ struct AccessResult {
 
 class DramDevice final : private QueueBackend {
  public:
+  /// Throws std::invalid_argument on a geometry the shift/mask decode
+  /// cannot serve: interleave_bytes or row_bytes not a power of two, zero
+  /// channels or banks, or a capacity that is not a non-zero multiple of
+  /// the decode granule min(interleave_bytes, row_bytes) holding at least
+  /// one burst.
   explicit DramDevice(DramTimingParams params);
 
   DramDevice(const DramDevice&) = delete;
@@ -201,6 +206,16 @@ class DramDevice final : private QueueBackend {
                             Tick now) override;
 
   DramTimingParams params_;
+  // Decode shifts and timing constants, derived once from params_.
+  u32 interleave_shift_;
+  u32 row_shift_;
+  /// log2(min(interleave_bytes, row_bytes)): channel, bank and row are
+  /// constant over each aligned granule of this size.
+  u32 granule_shift_;
+  u64 beat_bytes_;
+  struct Ticks {
+    Tick cas, rcd, rp, ras, rtw, wtr, burst, refi, rfc;
+  } t_;
   std::vector<Bank> banks_;          // channels * banks_per_channel
   std::vector<Tick> bus_ready_;      // per channel
   std::vector<Tick> next_refresh_;   // per channel

@@ -89,5 +89,38 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BitVectorSizeTest,
                          ::testing::Values(1, 2, 31, 32, 33, 48, 63, 64, 65,
                                            96, 127, 128, 1000));
 
+TEST(BitMatrix, RowsAreIndependentAcrossWordBoundaries) {
+  // 100-bit rows span two words each, so row r's high bits sit next to
+  // row r+1's low bits in the packed storage.
+  BitMatrix m(3, 100);
+  m.set(0, 99);
+  m.set(1, 0);
+  m.set(1, 64);
+  EXPECT_TRUE(m.test(0, 99));
+  EXPECT_FALSE(m.test(0, 0));
+  EXPECT_TRUE(m.test(1, 0));
+  EXPECT_TRUE(m.test(1, 64));
+  EXPECT_FALSE(m.test(1, 99));
+  EXPECT_FALSE(m.test(2, 0));
+
+  m.clear_row(1);
+  EXPECT_FALSE(m.test(1, 0));
+  EXPECT_FALSE(m.test(1, 64));
+  EXPECT_TRUE(m.test(0, 99));
+}
+
+TEST(BitMatrix, CopyRowReplacesTheWholeRow) {
+  BitMatrix src(2, 100);
+  src.set(1, 5);
+  src.set(1, 70);
+  BitMatrix dst(4, 100);
+  dst.set(3, 6);
+  dst.copy_row(3, src, 1);
+  EXPECT_TRUE(dst.test(3, 5));
+  EXPECT_TRUE(dst.test(3, 70));
+  EXPECT_FALSE(dst.test(3, 6));
+  EXPECT_FALSE(dst.test(2, 5));
+}
+
 }  // namespace
 }  // namespace bb

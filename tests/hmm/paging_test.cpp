@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/snapshot.h"
+#include "common/trace_event.h"
+
 namespace bb::hmm {
 namespace {
 
@@ -115,6 +123,109 @@ TEST(Paging, ResetStatsClearsCountersKeepsResidency) {
   EXPECT_EQ(p.touch(2 * 4 * KiB), 0u);
   EXPECT_EQ(p.stats().faults, 0u);
   EXPECT_EQ(p.stats().first_touches, 0u);
+}
+
+/// The textbook clock algorithm over a plain vector (linear search for
+/// residency): the reference the hashed resident table must reproduce.
+class ReferenceClock {
+ public:
+  explicit ReferenceClock(u64 capacity_pages) : capacity_(capacity_pages) {}
+
+  /// Touches `page`; returns the evicted page, or kNone.
+  u64 touch(u64 page) {
+    const auto it = std::find(ring_.begin(), ring_.end(), page);
+    if (it != ring_.end()) {
+      referenced_[static_cast<std::size_t>(it - ring_.begin())] = true;
+      return kNone;
+    }
+    if (ring_.size() < capacity_) {
+      ring_.push_back(page);
+      referenced_.push_back(true);
+      return kNone;
+    }
+    for (;;) {
+      if (hand_ >= ring_.size()) hand_ = 0;
+      if (!referenced_[hand_]) break;
+      referenced_[hand_] = false;
+      ++hand_;
+    }
+    const u64 victim = ring_[hand_];
+    ring_[hand_] = page;
+    referenced_[hand_] = true;
+    ++hand_;
+    return victim;
+  }
+
+  static constexpr u64 kNone = ~u64{0};
+
+ private:
+  u64 capacity_;
+  std::vector<u64> ring_;
+  std::vector<bool> referenced_;
+  std::size_t hand_ = 0;
+};
+
+/// Replays `touches` pages from `rng` through the model and the reference,
+/// requiring the same penalty and the same victim on every touch.
+void expect_matches_reference(PagingModel& model, ReferenceClock& ref,
+                              MemoryTraceSink& sink, Rng& rng, u64 universe,
+                              int touches) {
+  for (int i = 0; i < touches; ++i) {
+    // A hot quarter of the universe takes half the touches, so reference
+    // bits matter and the victim order is not plain FIFO.
+    const u64 page = rng.next_below(2) == 0 ? rng.next_below(universe / 4)
+                                            : rng.next_below(universe);
+    const std::size_t events_before = sink.events().size();
+    const Tick penalty = model.touch(page * 4 * KiB);
+    const u64 victim = ref.touch(page);
+    if (victim == ReferenceClock::kNone) {
+      ASSERT_EQ(penalty, 0u) << "touch " << i;
+      ASSERT_EQ(sink.events().size(), events_before) << "touch " << i;
+    } else {
+      ASSERT_EQ(penalty, model.config().fault_penalty) << "touch " << i;
+      ASSERT_EQ(sink.events().size(), events_before + 1) << "touch " << i;
+      const auto& args = sink.events().back().args;
+      const auto it =
+          std::find_if(args.begin(), args.end(),
+                       [](const TraceEvent::Arg& a) {
+                         return a.key == "victim_page";
+                       });
+      ASSERT_NE(it, args.end());
+      ASSERT_EQ(it->u, victim) << "touch " << i;
+    }
+  }
+}
+
+TEST(Paging, VictimOrderAndRestoreMatchReferenceClockAcrossTableGrowth) {
+  // 3000 resident pages grow the page->slot table several times over its
+  // initial size before capacity faults start.
+  constexpr u64 kCapacity = 3000;
+  constexpr u64 kUniverse = 5000;
+  PagingModel model(tiny(kCapacity));
+  MemoryTraceSink sink;
+  model.set_trace_sink(&sink);
+  ReferenceClock ref(kCapacity);
+  Rng rng(7);
+  expect_matches_reference(model, ref, sink, rng, kUniverse, 40000);
+  ASSERT_GT(model.stats().faults, 1000u);
+  ASSERT_EQ(model.stats().first_touches, kCapacity);
+
+  // Save, restore into a fresh model (its table is rebuilt from the ring)
+  // and continue: the restored model stays in step with the reference.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/paging_clock.bbsnap";
+  snap::Writer w;
+  model.save(w);
+  w.commit(path);
+  PagingModel restored(tiny(kCapacity));
+  snap::Reader r(path);
+  restored.load(r);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(restored.stats().faults, model.stats().faults);
+  MemoryTraceSink restored_sink;
+  restored.set_trace_sink(&restored_sink);
+  expect_matches_reference(restored, ref, restored_sink, rng, kUniverse,
+                           40000);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace bb::mem {
 namespace {
 
@@ -228,6 +230,44 @@ TEST(DramDevice, EnergyFormulaValues) {
   EXPECT_NEAR(e.act_pre_pj(), expected, 1e-9);
   // Read burst: VDD * (IDD4R - IDD3N) * 2 ns.
   EXPECT_NEAR(e.read_burst_pj(), 1.2 * (390 - 55) * 2.0, 1e-9);
+}
+
+// Geometry the shift/mask decode cannot serve fails closed in every build
+// type, not just under assert().
+
+TEST(DramDevice, RejectsNonPowerOfTwoInterleave) {
+  DramTimingParams p = DramTimingParams::hbm2_1gb();
+  p.interleave_bytes = 384;
+  EXPECT_THROW({ DramDevice dev(p); }, std::invalid_argument);
+}
+
+TEST(DramDevice, RejectsNonPowerOfTwoRow) {
+  DramTimingParams p = DramTimingParams::ddr4_3200_10gb();
+  p.row_bytes = 6 * KiB;
+  EXPECT_THROW({ DramDevice dev(p); }, std::invalid_argument);
+}
+
+TEST(DramDevice, RejectsZeroChannels) {
+  DramTimingParams p = DramTimingParams::hbm2_1gb();
+  p.channels = 0;
+  EXPECT_THROW({ DramDevice dev(p); }, std::invalid_argument);
+}
+
+TEST(DramDevice, RejectsZeroBanks) {
+  DramTimingParams p = DramTimingParams::hbm2_1gb();
+  p.banks_per_channel = 0;
+  EXPECT_THROW({ DramDevice dev(p); }, std::invalid_argument);
+}
+
+TEST(DramDevice, RejectsCapacityNotAMultipleOfTheDecodeGranule) {
+  // HBM2's granule is min(512 B interleave, 2 KiB row) = 512 B.
+  DramTimingParams p = DramTimingParams::hbm2_1gb();
+  p.capacity_bytes = 1 * GiB + 256;
+  EXPECT_THROW({ DramDevice dev(p); }, std::invalid_argument);
+  p.capacity_bytes = 0;
+  EXPECT_THROW({ DramDevice dev(p); }, std::invalid_argument);
+  p.capacity_bytes = 1 * GiB + 512;
+  EXPECT_NO_THROW({ DramDevice dev(p); });
 }
 
 }  // namespace
