@@ -1,5 +1,6 @@
 #include "common/snapshot.h"
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -47,8 +48,9 @@ u64 env_count(const char* name) {
 // SIGKILL right after the Nth successful commit; BB_TEST_KILL_MID_WRITE=N
 // raises it during the Nth commit with only part of the temp file written,
 // leaving a torn `.tmp` that a restore must ignore. Counters are
-// process-wide so "the Nth snapshot" is seeded and reproducible.
-u64 g_commits = 0;
+// process-wide so "the Nth snapshot" is seeded and reproducible; atomic
+// because the workers of a parallel matrix commit concurrently.
+std::atomic<u64> g_commits{0};
 
 void kill_self() {
   std::raise(SIGKILL);

@@ -1,13 +1,20 @@
 #include "sim/experiment.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdio>
+#include <functional>
 #include <istream>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "common/json.h"
 #include "common/prof.h"
@@ -21,182 +28,438 @@ namespace bb::sim {
 
 namespace {
 
-void append_class_object(std::string& out,
-                         const std::array<u64, mem::kTrafficClassCount>&
-                             bytes) {
-  out += '{';
-  for (std::size_t c = 0; c < mem::kTrafficClassCount; ++c) {
-    if (c) out += ',';
-    out += '"';
-    out += mem::to_string(static_cast<mem::TrafficClass>(c));
-    out += "\":";
-    out += std::to_string(bytes[c]);
+// Every scalar of the result artifacts is described once, in the field
+// tables below. The CSV and JSON writers, the journal lines and the journal
+// parser all walk them, so they cannot drift apart and a new field is a
+// one-line edit.
+
+/// Column group of a field. Base fields are always written; the others
+/// only when their subsystem is configured (a sweep's CSV/JSON) or when any
+/// field of the group is non-zero (a journal line), so outputs without
+/// faults, queues or watchdog placeholders keep their historical shape.
+enum Group : unsigned { kBase = 0, kFault = 1, kQueue = 2, kTimeout = 4 };
+
+/// One scalar of a result schema: JSON/CSV key, column group, location
+/// (a member of the row or, for a mix core row, of the CorePerf it embeds)
+/// and CSV decimals (doubles only).
+template <class... Owners>
+struct Field {
+  const char* key;
+  unsigned group;
+  std::variant<std::string Owners::*..., u64 Owners::*..., u32 Owners::*...,
+               double Owners::*..., bool Owners::*...>
+      member;
+  int precision = 0;
+};
+
+// Keys that several schemas share, each spelled once.
+constexpr const char* kDesign = "design";
+constexpr const char* kWorkload = "workload";
+constexpr const char* kInstructions = "instructions";
+constexpr const char* kMisses = "misses";
+constexpr const char* kIpc = "ipc";
+constexpr const char* kHbmBytes = "hbm_bytes";
+constexpr const char* kDramBytes = "dram_bytes";
+constexpr const char* kHbmServeRate = "hbm_serve_rate";
+constexpr const char* kMeanLatency = "mean_latency_ns";
+constexpr const char* kLatencyP50 = "latency_p50_ns";
+constexpr const char* kLatencyP99 = "latency_p99_ns";
+constexpr const char* kAggregate = "aggregate";
+constexpr const char* kCores = "cores";
+
+/// RunResult, in output order.
+constexpr Field<RunResult> kRunFields[] = {
+    {kDesign, kBase, &RunResult::design},
+    {kWorkload, kBase, &RunResult::workload},
+    {kInstructions, kBase, &RunResult::instructions},
+    {kMisses, kBase, &RunResult::misses},
+    {kIpc, kBase, &RunResult::ipc, 4},
+    {kHbmBytes, kBase, &RunResult::hbm_bytes},
+    {kDramBytes, kBase, &RunResult::dram_bytes},
+    {"energy_mj", kBase, &RunResult::energy_mj, 4},
+    {kHbmServeRate, kBase, &RunResult::hbm_serve_rate, 4},
+    {kMeanLatency, kBase, &RunResult::mean_latency_ns, 2},
+    {kLatencyP50, kBase, &RunResult::latency_p50_ns, 2},
+    {"latency_p90_ns", kBase, &RunResult::latency_p90_ns, 2},
+    {kLatencyP99, kBase, &RunResult::latency_p99_ns, 2},
+    {"latency_p999_ns", kBase, &RunResult::latency_p999_ns, 2},
+    {"mal_fraction", kBase, &RunResult::mal_fraction, 4},
+    {"overfetch", kBase, &RunResult::overfetch, 4},
+    {"page_faults", kBase, &RunResult::page_faults},
+    {"metadata_sram_bytes", kBase, &RunResult::metadata_sram_bytes},
+    {"ce_count", kFault, &RunResult::ce_count},
+    {"ue_count", kFault, &RunResult::ue_count},
+    {"due_retries", kFault, &RunResult::due_retries},
+    {"due_unrecovered", kFault, &RunResult::due_unrecovered},
+    {"due_data_loss", kFault, &RunResult::due_data_loss},
+    {"retired_rows", kFault, &RunResult::retired_rows},
+    {"retired_frames", kFault, &RunResult::retired_frames},
+    {"degraded_sets", kFault, &RunResult::degraded_sets},
+    {"queueing_latency_avg", kQueue, &RunResult::queueing_latency_avg, 2},
+    {"read_queue_latency_avg", kQueue, &RunResult::read_queue_latency_avg, 2},
+    {"req_queue_length_avg", kQueue, &RunResult::req_queue_length_avg, 4},
+    {"write_drain_count", kQueue, &RunResult::write_drain_count},
+    {"timed_out", kTimeout, &RunResult::timed_out},
+};
+
+/// The per-traffic-class byte objects that close every JSON run object
+/// (the CSV flattens them into the hbm_bytes / dram_bytes totals).
+using ClassBytes = std::array<u64, mem::kTrafficClassCount>;
+constexpr std::pair<const char*, ClassBytes RunResult::*> kClassFields[] = {
+    {"hbm_class_bytes", &RunResult::hbm_class_bytes},
+    {"dram_class_bytes", &RunResult::dram_class_bytes},
+};
+
+/// One core of a mix cell, in output order.
+constexpr Field<MixCoreResult, CorePerf> kCoreFields[] = {
+    {"core", kBase, &CorePerf::core},
+    {kWorkload, kBase, &CorePerf::workload},
+    {kInstructions, kBase, &CorePerf::instructions},
+    {kMisses, kBase, &CorePerf::misses},
+    {kIpc, kBase, &CorePerf::ipc, 4},
+    {"alone_ipc", kBase, &MixCoreResult::alone_ipc, 4},
+    {"speedup", kBase, &MixCoreResult::speedup, 4},
+    {kHbmServeRate, kBase, &CorePerf::hbm_serve_rate, 4},
+    {kMeanLatency, kBase, &CorePerf::mean_latency_ns, 2},
+    {kLatencyP50, kBase, &CorePerf::latency_p50_ns, 2},
+    {kLatencyP99, kBase, &CorePerf::latency_p99_ns, 2},
+    {kHbmBytes, kBase, &CorePerf::hbm_bytes},
+    {kDramBytes, kBase, &CorePerf::dram_bytes},
+};
+
+/// A mix cell's identity and its mix-level scores (the CSV repeats the
+/// scores on every per-core row).
+constexpr Field<MixResult> kMixKeys[] = {
+    {kDesign, kBase, &MixResult::design},
+    {"mix", kBase, &MixResult::mix},
+};
+constexpr Field<MixResult> kMixScores[] = {
+    {"weighted_speedup", kBase, &MixResult::weighted_speedup, 4},
+    {"hmean_speedup", kBase, &MixResult::hmean_speedup, 4},
+    {"max_slowdown", kBase, &MixResult::max_slowdown, 4},
+};
+
+/// The value a member pointer names in `row` (a CorePerf member of a mix
+/// core row resolves through its `perf`).
+template <class Row, class Owner, class V>
+auto& at(Row& row, V Owner::*m) {
+  if constexpr (std::is_same_v<std::remove_const_t<Row>, Owner>) {
+    return row.*m;
+  } else {
+    return row.perf.*m;
   }
-  out += '}';
 }
 
-/// True when any reliability counter of the run is nonzero (only possible
-/// with fault injection enabled).
-bool has_fault_fields(const RunResult& r) {
-  return r.ce_count || r.ue_count || r.due_retries || r.due_unrecovered ||
-         r.due_data_loss || r.retired_rows || r.retired_frames ||
-         r.degraded_sets;
+/// Calls fn(field, value) for each field of `table` in `groups`, with
+/// `value` a reference to the field in `row`.
+template <class Row, class Table, class F>
+void for_each_field(Row& row, const Table& table, unsigned groups, F&& fn) {
+  for (const auto& f : table) {
+    if ((f.group & groups) != f.group) continue;
+    std::visit([&](auto m) { fn(f, at(row, m)); }, f.member);
+  }
 }
 
-/// True when any request-queue stat of the run is nonzero (only possible
-/// with the queue layer enabled).
-bool has_queue_fields(const RunResult& r) {
-  return r.queueing_latency_avg != 0 || r.read_queue_latency_avg != 0 ||
-         r.req_queue_length_avg != 0 || r.write_drain_count != 0;
+/// A field value as JSON or, given its CSV decimals, as a CSV cell.
+template <class V>
+std::string format_value(const V& v, std::optional<int> csv_precision = {}) {
+  if constexpr (std::is_same_v<V, std::string>) {
+    return csv_precision ? v : '"' + json_escape(v) + '"';
+  } else if constexpr (std::is_same_v<V, double>) {
+    return csv_precision ? fmt_double(v, *csv_precision) : json_double(v);
+  } else {
+    return std::to_string(v);
+  }
 }
 
-/// True when any row of the sweep is a watchdog placeholder — gates the
-/// timed_out column so deadline-free outputs keep their historical shape.
-bool any_timed_out(const std::vector<RunResult>& results) {
-  return std::any_of(results.begin(), results.end(),
-                     [](const RunResult& r) { return r.timed_out; });
+/// Appends `"key":value,` — callers close the object over the comma.
+void append_member(std::string& out, const char* key,
+                   const std::string& value) {
+  out += '"' + std::string(key) + "\":" + value + ',';
 }
 
-/// One result as a single-line JSON object — the element format of
-/// write_json and the line format of the checkpoint journal. The
-/// reliability and request-queue fields are emitted only on request so
-/// legacy outputs stay byte-identical to their earlier forms.
-std::string result_to_json(const RunResult& r, bool include_fault,
-                           bool include_queue, bool include_timeout) {
+template <class Row, class Table>
+void append_json(std::string& out, const Row& row, const Table& table,
+                 unsigned groups) {
+  for_each_field(row, table, groups, [&](const auto& f, const auto& v) {
+    append_member(out, f.key, format_value(v));
+  });
+}
+
+template <class Table>
+void append_keys(std::vector<std::string>& out, const Table& table,
+                 unsigned groups) {
+  for (const auto& f : table) {
+    if ((f.group & groups) == f.group) out.emplace_back(f.key);
+  }
+}
+
+template <class Row, class Table>
+void append_cells(std::vector<std::string>& out, const Row& row,
+                  const Table& table, unsigned groups) {
+  for_each_field(row, table, groups, [&](const auto& f, const auto& v) {
+    out.push_back(format_value(v, f.precision));
+  });
+}
+
+/// Reads every field of `table` from a JSON object; absent keys read as
+/// zero / empty.
+template <class Row, class Table>
+void parse_fields(const JsonValue& obj, Row& row, const Table& table) {
+  for_each_field(row, table, ~0u, [&](const auto& f, auto& v) {
+    using V = std::decay_t<decltype(v)>;
+    if constexpr (std::is_same_v<V, std::string>) {
+      v = obj.get_string(f.key);
+    } else {
+      v = static_cast<V>(obj.get_number(f.key));
+    }
+  });
+}
+
+/// The optional groups holding at least one non-zero field of `r` — what
+/// a journal line must carry to round-trip the row.
+unsigned nonzero_groups(const RunResult& r) {
+  unsigned groups = kBase;
+  for_each_field(r, kRunFields, ~0u, [&](const auto& f, const auto& v) {
+    if constexpr (!std::is_same_v<std::decay_t<decltype(v)>, std::string>) {
+      if (v != 0) groups |= f.group;
+    }
+  });
+  return groups;
+}
+
+/// The optional column groups of a sweep's CSV and JSON: fault and queue
+/// columns when that subsystem is configured, timed_out when some row is a
+/// watchdog placeholder.
+unsigned column_groups(const SystemConfig& cfg,
+                       const std::vector<RunResult>& results) {
+  unsigned groups = kBase;
+  if (cfg.fault.enabled()) groups |= kFault;
+  if (cfg.hbm.queue.enabled || cfg.dram.queue.enabled) groups |= kQueue;
+  for (const RunResult& r : results) groups |= r.timed_out ? kTimeout : kBase;
+  return groups;
+}
+
+/// One result as a single-line JSON object: the element format of
+/// write_json and the line format of the checkpoint journal.
+std::string to_json(const RunResult& r, unsigned groups) {
   std::string out = "{";
-  out += "\"design\":\"" + json_escape(r.design) + "\",";
-  out += "\"workload\":\"" + json_escape(r.workload) + "\",";
-  out += "\"instructions\":" + std::to_string(r.instructions) + ',';
-  out += "\"misses\":" + std::to_string(r.misses) + ',';
-  out += "\"ipc\":" + json_double(r.ipc) + ',';
-  out += "\"hbm_bytes\":" + std::to_string(r.hbm_bytes) + ',';
-  out += "\"dram_bytes\":" + std::to_string(r.dram_bytes) + ',';
-  out += "\"energy_mj\":" + json_double(r.energy_mj) + ',';
-  out += "\"hbm_serve_rate\":" + json_double(r.hbm_serve_rate) + ',';
-  out += "\"mean_latency_ns\":" + json_double(r.mean_latency_ns) + ',';
-  out += "\"latency_p50_ns\":" + json_double(r.latency_p50_ns) + ',';
-  out += "\"latency_p90_ns\":" + json_double(r.latency_p90_ns) + ',';
-  out += "\"latency_p99_ns\":" + json_double(r.latency_p99_ns) + ',';
-  out += "\"latency_p999_ns\":" + json_double(r.latency_p999_ns) + ',';
-  out += "\"mal_fraction\":" + json_double(r.mal_fraction) + ',';
-  out += "\"overfetch\":" + json_double(r.overfetch) + ',';
-  out += "\"page_faults\":" + std::to_string(r.page_faults) + ',';
-  out += "\"metadata_sram_bytes\":" + std::to_string(r.metadata_sram_bytes) +
-         ',';
-  if (include_fault) {
-    out += "\"ce_count\":" + std::to_string(r.ce_count) + ',';
-    out += "\"ue_count\":" + std::to_string(r.ue_count) + ',';
-    out += "\"due_retries\":" + std::to_string(r.due_retries) + ',';
-    out += "\"due_unrecovered\":" + std::to_string(r.due_unrecovered) + ',';
-    out += "\"due_data_loss\":" + std::to_string(r.due_data_loss) + ',';
-    out += "\"retired_rows\":" + std::to_string(r.retired_rows) + ',';
-    out += "\"retired_frames\":" + std::to_string(r.retired_frames) + ',';
-    out += "\"degraded_sets\":" + std::to_string(r.degraded_sets) + ',';
+  append_json(out, r, kRunFields, groups);
+  for (const auto& [key, member] : kClassFields) {
+    std::string obj = "{";
+    for (std::size_t c = 0; c < mem::kTrafficClassCount; ++c) {
+      append_member(obj, mem::to_string(static_cast<mem::TrafficClass>(c)),
+                    std::to_string((r.*member)[c]));
+    }
+    obj.back() = '}';
+    append_member(out, key, obj);
   }
-  if (include_queue) {
-    out += "\"queueing_latency_avg\":" + json_double(r.queueing_latency_avg) +
-           ',';
-    out += "\"read_queue_latency_avg\":" +
-           json_double(r.read_queue_latency_avg) + ',';
-    out += "\"req_queue_length_avg\":" + json_double(r.req_queue_length_avg) +
-           ',';
-    out += "\"write_drain_count\":" + std::to_string(r.write_drain_count) +
-           ',';
-  }
-  if (include_timeout) {
-    out += "\"timed_out\":" + std::to_string(r.timed_out ? 1 : 0) + ',';
-  }
-  out += "\"hbm_class_bytes\":";
-  append_class_object(out, r.hbm_class_bytes);
-  out += ",\"dram_class_bytes\":";
-  append_class_object(out, r.dram_class_bytes);
-  out += '}';
+  out.back() = '}';
   return out;
 }
 
 /// Parses a RunResult object (journal "run" line or a mix line's
 /// "aggregate"). Returns false when the identifying keys are missing.
-bool parse_run_result(const JsonValue& v, RunResult& r) {
-  r.design = v.get_string("design");
-  r.workload = v.get_string("workload");
+bool parse_run(const JsonValue& v, RunResult& r) {
+  parse_fields(v, r, kRunFields);
   if (r.design.empty() || r.workload.empty()) return false;
-  r.instructions = static_cast<u64>(v.get_number("instructions"));
-  r.misses = static_cast<u64>(v.get_number("misses"));
-  r.ipc = v.get_number("ipc");
-  r.hbm_bytes = static_cast<u64>(v.get_number("hbm_bytes"));
-  r.dram_bytes = static_cast<u64>(v.get_number("dram_bytes"));
-  r.energy_mj = v.get_number("energy_mj");
-  r.hbm_serve_rate = v.get_number("hbm_serve_rate");
-  r.mean_latency_ns = v.get_number("mean_latency_ns");
-  r.latency_p50_ns = v.get_number("latency_p50_ns");
-  r.latency_p90_ns = v.get_number("latency_p90_ns");
-  r.latency_p99_ns = v.get_number("latency_p99_ns");
-  r.latency_p999_ns = v.get_number("latency_p999_ns");
-  r.mal_fraction = v.get_number("mal_fraction");
-  r.overfetch = v.get_number("overfetch");
-  r.page_faults = static_cast<u64>(v.get_number("page_faults"));
-  r.metadata_sram_bytes =
-      static_cast<u64>(v.get_number("metadata_sram_bytes"));
-  r.ce_count = static_cast<u64>(v.get_number("ce_count"));
-  r.ue_count = static_cast<u64>(v.get_number("ue_count"));
-  r.due_retries = static_cast<u64>(v.get_number("due_retries"));
-  r.due_unrecovered = static_cast<u64>(v.get_number("due_unrecovered"));
-  r.due_data_loss = static_cast<u64>(v.get_number("due_data_loss"));
-  r.retired_rows = static_cast<u64>(v.get_number("retired_rows"));
-  r.retired_frames = static_cast<u64>(v.get_number("retired_frames"));
-  r.degraded_sets = static_cast<u64>(v.get_number("degraded_sets"));
-  r.queueing_latency_avg = v.get_number("queueing_latency_avg");
-  r.read_queue_latency_avg = v.get_number("read_queue_latency_avg");
-  r.req_queue_length_avg = v.get_number("req_queue_length_avg");
-  r.write_drain_count = static_cast<u64>(v.get_number("write_drain_count"));
-  r.timed_out = v.get_number("timed_out") != 0;
-  const auto load_classes =
-      [&v](const char* key, std::array<u64, mem::kTrafficClassCount>& out) {
-        const JsonValue* obj = v.find(key);
-        if (!obj || !obj->is_object()) return;
-        for (std::size_t c = 0; c < mem::kTrafficClassCount; ++c) {
-          out[c] = static_cast<u64>(obj->get_number(
-              mem::to_string(static_cast<mem::TrafficClass>(c))));
-        }
-      };
-  load_classes("hbm_class_bytes", r.hbm_class_bytes);
-  load_classes("dram_class_bytes", r.dram_class_bytes);
+  for (const auto& [key, member] : kClassFields) {
+    const JsonValue* obj = v.find(key);
+    if (!obj || !obj->is_object()) continue;
+    for (std::size_t c = 0; c < mem::kTrafficClassCount; ++c) {
+      (r.*member)[c] = static_cast<u64>(obj->get_number(
+          mem::to_string(static_cast<mem::TrafficClass>(c))));
+    }
+  }
   return true;
 }
 
-/// One MixResult as a single-line JSON object — the element format of
+/// One MixResult as a single-line JSON object: the element format of
 /// write_mix_json and the "mix" journal line (minus the kind key).
-std::string mix_result_to_json(const MixResult& r, bool include_fault,
-                               bool include_queue, bool include_timeout) {
-  std::string out = "{\"design\":\"" + json_escape(r.design) +
-                    "\",\"mix\":\"" + json_escape(r.mix) +
-                    "\",\"weighted_speedup\":" +
-                    json_double(r.weighted_speedup) +
-                    ",\"hmean_speedup\":" + json_double(r.hmean_speedup) +
-                    ",\"max_slowdown\":" + json_double(r.max_slowdown) +
-                    ",\"aggregate\":" +
-                    result_to_json(r.aggregate, include_fault,
-                                   include_queue, include_timeout) +
-                    ",\"cores\":[";
-  for (std::size_t c = 0; c < r.cores.size(); ++c) {
-    const MixCoreResult& core = r.cores[c];
-    if (c) out += ',';
-    out += "{\"core\":" + std::to_string(core.perf.core) +
-           ",\"workload\":\"" + json_escape(core.perf.workload) +
-           "\",\"instructions\":" + std::to_string(core.perf.instructions) +
-           ",\"misses\":" + std::to_string(core.perf.misses) +
-           ",\"ipc\":" + json_double(core.perf.ipc) +
-           ",\"alone_ipc\":" + json_double(core.alone_ipc) +
-           ",\"speedup\":" + json_double(core.speedup) +
-           ",\"hbm_serve_rate\":" + json_double(core.perf.hbm_serve_rate) +
-           ",\"mean_latency_ns\":" + json_double(core.perf.mean_latency_ns) +
-           ",\"latency_p50_ns\":" + json_double(core.perf.latency_p50_ns) +
-           ",\"latency_p99_ns\":" + json_double(core.perf.latency_p99_ns) +
-           ",\"hbm_bytes\":" + std::to_string(core.perf.hbm_bytes) +
-           ",\"dram_bytes\":" + std::to_string(core.perf.dram_bytes) + '}';
+std::string to_json(const MixResult& r, unsigned groups) {
+  std::string out = "{";
+  append_json(out, r, kMixKeys, kBase);
+  append_json(out, r, kMixScores, kBase);
+  append_member(out, kAggregate, to_json(r.aggregate, groups));
+  std::string cores = "[";
+  for (const MixCoreResult& core : r.cores) {
+    if (cores.size() > 1) cores += ',';
+    cores += '{';
+    append_json(cores, core, kCoreFields, kBase);
+    cores.back() = '}';
   }
-  out += "]}";
+  append_member(out, kCores, cores + ']');
+  out.back() = '}';
   return out;
+}
+
+/// Parses a "mix" journal line. Returns false when the identifying keys or
+/// the aggregate are missing.
+bool parse_mix(const JsonValue& v, MixResult& m) {
+  parse_fields(v, m, kMixKeys);
+  const JsonValue* agg = v.find(kAggregate);
+  if (m.design.empty() || m.mix.empty() || !agg || !agg->is_object() ||
+      !parse_run(*agg, m.aggregate)) {
+    return false;
+  }
+  parse_fields(v, m, kMixScores);
+  if (const JsonValue* cores = v.find(kCores);
+      cores && cores->type == JsonValue::Type::kArray) {
+    for (const JsonValue& cv : cores->array) {
+      if (cv.is_object()) parse_fields(cv, m.cores.emplace_back(), kCoreFields);
+    }
+  }
+  return true;
+}
+
+/// The last row matching `pred`, or nullptr: a journal that records a cell
+/// twice (a rerun after a partial resume) restores the later line.
+template <class Row, class Pred>
+const Row* find_last(const std::vector<Row>& rows, Pred pred) {
+  const auto it = std::find_if(rows.rbegin(), rows.rend(), pred);
+  return it == rows.rend() ? nullptr : &*it;
+}
+
+/// Writes `rows` as a JSON array, one object per line.
+template <class Row>
+void write_json_array(std::ostream& os, const std::vector<Row>& rows,
+                      unsigned groups) {
+  os << "[\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    os << "  " << to_json(rows[i], groups)
+       << (i + 1 < rows.size() ? "," : "") << '\n';
+  }
+  os << "]\n";
+}
+
+/// Installs a watchdog hook on a System for one scope and clears it on
+/// every exit path (return, RunInterrupted or any other throw).
+class ScopedInterrupt {
+ public:
+  ScopedInterrupt(System& system, std::function<bool()> hook)
+      : system_(system), hook_(std::move(hook)) {
+    swap();
+  }
+  ~ScopedInterrupt() { swap(); }
+  ScopedInterrupt(const ScopedInterrupt&) = delete;
+  ScopedInterrupt& operator=(const ScopedInterrupt&) = delete;
+
+ private:
+  // Installs hook_ and leaves it empty, so the second call clears.
+  void swap() { system_.set_interrupt(std::exchange(hook_, nullptr)); }
+
+  System& system_;
+  std::function<bool()> hook_;
+};
+
+/// Runs one cell under the per-attempt soft deadline. Each retry re-arms
+/// the clock and, when snapshots are configured, resumes from the snapshot
+/// the interrupted attempt committed last. Exhausted retries return
+/// `placeholder()`, so the sweep degrades gracefully instead of hanging.
+template <class Run, class Placeholder>
+auto with_watchdog(System& system, const RunMatrixOptions& opts, Run run,
+                   Placeholder placeholder) {
+  if (opts.cell_timeout_s <= 0) return run();
+  prof::Stopwatch clock;
+  const ScopedInterrupt armed(system, [&clock, limit = opts.cell_timeout_s] {
+    return clock.seconds() > limit;
+  });
+  const u32 attempts = 1 + opts.cell_retries;
+  for (u32 a = 0; a < attempts; ++a) {
+    clock.restart();
+    try {
+      return run();
+    } catch (const RunInterrupted&) {
+      if (a + 1 < attempts) system.allow_restore_once();
+    }
+  }
+  return placeholder();
+}
+
+/// The one ordered matrix driver behind run_cells and both mix phases.
+/// Each of the `n` cells, in matrix order, is skipped once `opts.cancel`
+/// has returned true; otherwise it is restored when `restore(journal, i)`
+/// finds it in `opts.resume`, or simulated as `run(system, i)` under the
+/// watchdog on a System private to the worker (built from `cfg` on first
+/// use). Finished cells reach `commit(i, cell, restored)` strictly in index
+/// order under one lock, and the first skipped cell ends the commits, so
+/// the committed cells are always a matrix-order prefix (cells already
+/// running when the cancel lands still finish and commit). One job runs
+/// the same steps inline on the calling thread.
+template <class Cell, class Restore, class Run, class Placeholder,
+          class Commit>
+void run_ordered(std::size_t n, const SystemConfig& cfg,
+                 const RunMatrixOptions& opts, const char* unit,
+                 Restore restore, Run run, Placeholder placeholder,
+                 Commit commit) {
+  if (n == 0) return;
+  const unsigned jobs = static_cast<unsigned>(std::min<std::size_t>(
+      opts.jobs ? opts.jobs : ThreadPool::default_concurrency(), n));
+
+  struct Slot {
+    std::optional<Cell> cell;  ///< empty: skipped after a cancel
+    bool restored = false;
+    bool finished = false;
+  };
+  std::vector<Slot> slots(n);
+  std::vector<std::unique_ptr<System>> systems(jobs);
+  std::atomic<bool> cancelled{false};
+  std::mutex mu;
+  std::size_t next = 0;
+  std::size_t done = 0;
+  // Progress/ETA on the host clock via bb::prof (the single sanctioned
+  // wall-clock site), rate-limited to >=1s between prints so tiny cells
+  // don't flood stderr; the final (done == n) line always prints.
+  const prof::Stopwatch stopwatch;
+  double last_report_s = -1.0;
+
+  const auto step = [&](std::size_t i, unsigned worker) {
+    Slot slot;
+    if (cancelled || (opts.cancel && opts.cancel())) {
+      cancelled = true;
+    } else if (const Cell* prior =
+                   opts.resume ? restore(*opts.resume, i) : nullptr) {
+      slot.cell = *prior;
+      slot.restored = true;
+    } else {
+      std::unique_ptr<System>& system = systems[worker];
+      if (!system) system = std::make_unique<System>(cfg);
+      slot.cell = with_watchdog(
+          *system, opts, [&] { return run(*system, i); },
+          [&] { return placeholder(i); });
+    }
+    slot.finished = true;
+
+    std::lock_guard<std::mutex> lk(mu);
+    slots[i] = std::move(slot);
+    if (slots[i].cell && opts.progress) {
+      const double elapsed = stopwatch.seconds();
+      if (++done == n || last_report_s < 0.0 ||
+          elapsed - last_report_s >= 1.0) {
+        last_report_s = elapsed;
+        std::fprintf(stderr,
+                     "[matrix] %zu/%zu %s, %.1fs elapsed, ETA %.1fs\n", done,
+                     n, unit, elapsed,
+                     elapsed / static_cast<double>(done) *
+                         static_cast<double>(n - done));
+      }
+    }
+    while (next < n && slots[next].finished) {
+      if (!slots[next].cell) {
+        next = n;  // the first skipped cell ends the prefix
+        break;
+      }
+      commit(next, std::move(*slots[next].cell), slots[next].restored);
+      slots[next++].cell.reset();
+    }
+  };
+
+  if (jobs == 1) {
+    for (std::size_t i = 0; i < n; ++i) step(i, 0);
+    return;
+  }
+  ThreadPool pool(jobs);
+  pool.parallel_for(n, step);
 }
 
 }  // namespace
@@ -208,69 +471,20 @@ ResultJournal::LoadStats ResultJournal::load_stats(
   while (std::getline(is, line_text)) {
     if (line_text.empty()) continue;
     JsonValue v;
-    if (!json_parse(line_text, v) || !v.is_object()) {
-      ++st.malformed;
-      continue;
-    }
-    const std::string kind = v.get_string("kind", "run");
+    const bool parsed = json_parse(line_text, v) && v.is_object();
+    const std::string kind = parsed ? v.get_string("kind", "run") : "";
+    bool ok = false;
     if (kind == "run") {
       RunResult r;
-      if (!parse_run_result(v, r)) {
-        ++st.malformed;
-        continue;
-      }
-      rows_.push_back(std::move(r));
+      if ((ok = parse_run(v, r))) rows_.push_back(std::move(r));
     } else if (kind == "alone") {
-      AloneRow a;
-      a.design = v.get_string("design");
-      a.workload = v.get_string("workload");
-      a.ipc = v.get_number("ipc");
-      if (a.design.empty() || a.workload.empty()) {
-        ++st.malformed;
-        continue;
-      }
-      alone_rows_.push_back(std::move(a));
+      RunResult a;  // design, workload and ipc only
+      if ((ok = parse_run(v, a))) alone_rows_.push_back(std::move(a));
     } else if (kind == "mix") {
       MixResult m;
-      m.design = v.get_string("design");
-      m.mix = v.get_string("mix");
-      if (m.design.empty() || m.mix.empty()) {
-        ++st.malformed;
-        continue;
-      }
-      m.weighted_speedup = v.get_number("weighted_speedup");
-      m.hmean_speedup = v.get_number("hmean_speedup");
-      m.max_slowdown = v.get_number("max_slowdown");
-      const JsonValue* agg = v.find("aggregate");
-      if (!agg || !agg->is_object() || !parse_run_result(*agg, m.aggregate)) {
-        ++st.malformed;
-        continue;
-      }
-      if (const JsonValue* cores = v.find("cores");
-          cores && cores->type == JsonValue::Type::kArray) {
-        for (const JsonValue& cv : cores->array) {
-          if (!cv.is_object()) continue;
-          MixCoreResult core;
-          core.perf.core = static_cast<u32>(cv.get_number("core"));
-          core.perf.workload = cv.get_string("workload");
-          core.perf.instructions =
-              static_cast<u64>(cv.get_number("instructions"));
-          core.perf.misses = static_cast<u64>(cv.get_number("misses"));
-          core.perf.ipc = cv.get_number("ipc");
-          core.alone_ipc = cv.get_number("alone_ipc");
-          core.speedup = cv.get_number("speedup");
-          core.perf.hbm_serve_rate = cv.get_number("hbm_serve_rate");
-          core.perf.mean_latency_ns = cv.get_number("mean_latency_ns");
-          core.perf.latency_p50_ns = cv.get_number("latency_p50_ns");
-          core.perf.latency_p99_ns = cv.get_number("latency_p99_ns");
-          core.perf.hbm_bytes = static_cast<u64>(cv.get_number("hbm_bytes"));
-          core.perf.dram_bytes =
-              static_cast<u64>(cv.get_number("dram_bytes"));
-          m.cores.push_back(std::move(core));
-        }
-      }
-      mix_rows_.push_back(std::move(m));
-    } else {
+      if ((ok = parse_mix(v, m))) mix_rows_.push_back(std::move(m));
+    }
+    if (!ok) {
       ++st.malformed;
       continue;
     }
@@ -282,58 +496,47 @@ ResultJournal::LoadStats ResultJournal::load_stats(
 
 const RunResult* ResultJournal::find(const std::string& design,
                                      const std::string& workload) const {
-  // Last line wins, in case an interrupted run journaled a cell twice.
   // Watchdog placeholders are never restored: a resumed sweep (typically
   // with a longer deadline or a snapshot to pick up from) retries them.
-  for (auto it = rows_.rbegin(); it != rows_.rend(); ++it) {
-    if (it->design == design && it->workload == workload) {
-      if (it->timed_out) continue;
-      return &*it;
-    }
-  }
-  return nullptr;
+  return find_last(rows_, [&](const RunResult& r) {
+    return r.design == design && r.workload == workload && !r.timed_out;
+  });
 }
 
 const double* ResultJournal::find_alone(const std::string& design,
                                         const std::string& workload) const {
-  for (auto it = alone_rows_.rbegin(); it != alone_rows_.rend(); ++it) {
-    if (it->design == design && it->workload == workload) return &it->ipc;
-  }
-  return nullptr;
+  const RunResult* row = find_last(alone_rows_, [&](const RunResult& a) {
+    return a.design == design && a.workload == workload;
+  });
+  return row ? &row->ipc : nullptr;
 }
 
 const MixResult* ResultJournal::find_mix(const std::string& design,
                                          const std::string& mix) const {
-  for (auto it = mix_rows_.rbegin(); it != mix_rows_.rend(); ++it) {
-    if (it->design == design && it->mix == mix) {
-      if (it->aggregate.timed_out) continue;
-      return &*it;
-    }
-  }
-  return nullptr;
+  return find_last(mix_rows_, [&](const MixResult& m) {
+    return m.design == design && m.mix == mix && !m.aggregate.timed_out;
+  });
 }
 
 std::string ResultJournal::line(const RunResult& r) {
-  return result_to_json(r, has_fault_fields(r), has_queue_fields(r),
-                        r.timed_out);
+  return to_json(r, nonzero_groups(r));
 }
 
 std::string ResultJournal::alone_line(const std::string& design,
                                       const std::string& workload,
                                       double ipc) {
-  return "{\"kind\":\"alone\",\"design\":\"" + json_escape(design) +
-         "\",\"workload\":\"" + json_escape(workload) +
-         "\",\"ipc\":" + json_double(ipc) + '}';
+  std::string out = "{\"kind\":\"alone\",";
+  append_member(out, kDesign, format_value(design));
+  append_member(out, kWorkload, format_value(workload));
+  append_member(out, kIpc, format_value(ipc));
+  out.back() = '}';
+  return out;
 }
 
 std::string ResultJournal::mix_line(const MixResult& r) {
-  std::string out = "{\"kind\":\"mix\",";
   // Splice the kind key into the shared mix-object serialization.
-  out += mix_result_to_json(r, has_fault_fields(r.aggregate),
-                            has_queue_fields(r.aggregate),
-                            r.aggregate.timed_out)
-             .substr(1);
-  return out;
+  return "{\"kind\":\"mix\"," +
+         to_json(r, nonzero_groups(r.aggregate)).substr(1);
 }
 
 std::string quarantine_name(const std::string& path) {
@@ -350,13 +553,12 @@ void ExperimentRunner::run_matrix(
     const std::vector<std::string>& designs,
     const std::vector<trace::WorkloadProfile>& workloads,
     const RunMatrixOptions& opts) {
-  run_cells(
-      designs.size(), workloads,
-      [&designs](System& system, std::size_t d,
-                 const trace::WorkloadProfile& w, u64 instr) {
-        return system.run(designs[d], w, instr);
-      },
-      [&designs](std::size_t d) { return designs[d]; }, opts);
+  run_cells(designs, workloads,
+            [&designs](System& system, std::size_t d,
+                       const trace::WorkloadProfile& w, u64 instr) {
+              return system.run(designs[d], w, instr);
+            },
+            opts);
 }
 
 void ExperimentRunner::run_replay_matrix(
@@ -376,33 +578,26 @@ void ExperimentRunner::run_replay_matrix(
   // are never consulted because opts.instructions is mandatory.
   trace::WorkloadProfile label;
   label.name = replay.label.empty() ? replay.path : replay.label;
-  const std::vector<trace::WorkloadProfile> workloads{label};
 
-  if (replay.streaming) {
-    run_cells(
-        designs.size(), workloads,
-        [&designs, &replay, &reader_opts](System& system, std::size_t d,
-                                          const trace::WorkloadProfile& w,
-                                          u64 instr) {
-          // Each cell opens its own reader: workers never share file
-          // offsets, and every replay starts from record zero.
-          trace::StreamingTraceReader reader(replay.path, reader_opts);
-          return system.run_replay(designs[d], reader, w.name, instr);
-        },
-        [&designs](std::size_t d) { return designs[d]; }, opts);
-    return;
+  // Memory mode loads the records once and replays them per cell from a
+  // private cursor; streaming mode opens a reader per cell, so workers
+  // never share file offsets and every replay starts from record zero.
+  std::shared_ptr<const std::vector<trace::TraceRecord>> records;
+  if (!replay.streaming) {
+    records = std::make_shared<const std::vector<trace::TraceRecord>>(
+        trace::read_trace(replay.path));
   }
-  // Memory mode: load once, replay per cell from a private cursor.
-  const auto records = std::make_shared<const std::vector<trace::TraceRecord>>(
-      trace::read_trace(replay.path));
-  run_cells(
-      designs.size(), workloads,
-      [&designs, records](System& system, std::size_t d,
-                          const trace::WorkloadProfile& w, u64 instr) {
-        trace::TraceReplayer replayer(*records);
-        return system.run_replay(designs[d], replayer, w.name, instr);
-      },
-      [&designs](std::size_t d) { return designs[d]; }, opts);
+  run_cells(designs, {label},
+            [&](System& system, std::size_t d,
+                const trace::WorkloadProfile& w, u64 instr) {
+              if (records) {
+                trace::TraceReplayer replayer(*records);
+                return system.run_replay(designs[d], replayer, w.name, instr);
+              }
+              trace::StreamingTraceReader reader(replay.path, reader_opts);
+              return system.run_replay(designs[d], reader, w.name, instr);
+            },
+            opts);
 }
 
 void ExperimentRunner::run_bumblebee_matrix(
@@ -410,169 +605,51 @@ void ExperimentRunner::run_bumblebee_matrix(
         configs,
     const std::vector<trace::WorkloadProfile>& workloads,
     const RunMatrixOptions& opts) {
-  run_cells(
-      configs.size(), workloads,
-      [&configs](System& system, std::size_t d,
-                 const trace::WorkloadProfile& w, u64 instr) {
-        RunResult r = system.run_bumblebee(configs[d].second, w, instr);
-        r.design = configs[d].first;
-        return r;
-      },
-      [&configs](std::size_t d) { return configs[d].first; }, opts);
+  std::vector<std::string> labels;
+  for (const auto& [label, cfg] : configs) labels.push_back(label);
+  run_cells(labels, workloads,
+            [&configs](System& system, std::size_t d,
+                       const trace::WorkloadProfile& w, u64 instr) {
+              RunResult r = system.run_bumblebee(configs[d].second, w, instr);
+              r.design = configs[d].first;
+              return r;
+            },
+            opts);
 }
 
 void ExperimentRunner::run_cells(
-    std::size_t n_designs, const std::vector<trace::WorkloadProfile>& workloads,
-    const CellFn& cell, const DesignNameFn& design_name,
+    const std::vector<std::string>& designs,
+    const std::vector<trace::WorkloadProfile>& workloads, const CellFn& cell,
     const RunMatrixOptions& opts) {
-  const std::size_t total = n_designs * workloads.size();
-  if (total == 0) return;
-
-  // Resume: cells present in the journal are restored, not re-simulated.
-  // on_result is skipped for them (they are already journaled).
-  auto restored_cell = [&](std::size_t d,
-                           std::size_t w) -> const RunResult* {
-    if (!opts.resume) return nullptr;
-    return opts.resume->find(design_name(d), workloads[w].name);
-  };
-
-  std::vector<u64> instr(workloads.size());
-  for (std::size_t i = 0; i < workloads.size(); ++i) {
-    instr[i] = opts.instructions
-                   ? opts.instructions
-                   : default_instructions_for(workloads[i], opts.target_misses,
-                                              opts.min_instructions,
-                                              opts.max_instructions);
-  }
-
-  // Progress/ETA on the host clock via bb::prof (the single sanctioned
-  // wall-clock site), rate-limited to >=1s between prints so tiny cells
-  // don't flood stderr; the final (done == total) line always prints.
-  const prof::Stopwatch stopwatch;
-  double last_report_s = -1.0;
-  auto report = [&](std::size_t done) {
-    const double elapsed = stopwatch.seconds();
-    if (done < total && last_report_s >= 0.0 &&
-        elapsed - last_report_s < 1.0) {
-      return;
-    }
-    last_report_s = elapsed;
-    const double eta =
-        done ? elapsed / static_cast<double>(done) *
-                   static_cast<double>(total - done)
-             : 0.0;
-    std::fprintf(stderr, "[matrix] %zu/%zu cells, %.1fs elapsed, ETA %.1fs\n",
-                 done, total, elapsed, eta);
-  };
-
-  // Watchdog: runs one cell under the per-attempt soft deadline. Each
-  // retry re-arms the clock and (when snapshots are configured) resumes
-  // from the snapshot the interrupted attempt committed last; exhausted
-  // retries commit a timed_out placeholder row so the sweep degrades
-  // gracefully instead of hanging.
-  auto guarded_cell = [&](System& system, std::size_t d,
-                          const trace::WorkloadProfile& w,
-                          u64 instructions) -> RunResult {
-    if (opts.cell_timeout_s <= 0) return cell(system, d, w, instructions);
-    const u32 attempts = 1 + opts.cell_retries;
-    for (u32 a = 0; a < attempts; ++a) {
-      const prof::Stopwatch watchdog;
-      system.set_interrupt([&watchdog, limit = opts.cell_timeout_s] {
-        return watchdog.seconds() > limit;
-      });
-      try {
-        RunResult r = cell(system, d, w, instructions);
-        system.set_interrupt(nullptr);
+  // Cells run workload-major, design-minor. Journaled cells are restored
+  // without re-simulation and without re-firing on_result.
+  const std::size_t n_designs = designs.size();
+  run_ordered<RunResult>(
+      n_designs * workloads.size(), cfg_, opts, "cells",
+      [&](const ResultJournal& journal, std::size_t i) {
+        return journal.find(designs[i % n_designs],
+                             workloads[i / n_designs].name);
+      },
+      [&](System& system, std::size_t i) {
+        const trace::WorkloadProfile& w = workloads[i / n_designs];
+        return cell(system, i % n_designs, w,
+                    opts.instructions
+                        ? opts.instructions
+                        : default_instructions_for(w, opts.target_misses,
+                                                   opts.min_instructions,
+                                                   opts.max_instructions));
+      },
+      [&](std::size_t i) {
+        RunResult r;
+        r.design = designs[i % n_designs];
+        r.workload = workloads[i / n_designs].name;
+        r.timed_out = true;
         return r;
-      } catch (const RunInterrupted&) {
-        system.set_interrupt(nullptr);
-        if (a + 1 < attempts) system.allow_restore_once();
-      }
-    }
-    RunResult r;
-    r.design = design_name(d);
-    r.workload = w.name;
-    r.timed_out = true;
-    return r;
-  };
-
-  unsigned jobs = opts.jobs ? opts.jobs : ThreadPool::default_concurrency();
-  jobs = static_cast<unsigned>(
-      std::min<std::size_t>(jobs, total));
-
-  if (jobs <= 1) {
-    System system(cfg_);
-    std::size_t done = 0;
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-      for (std::size_t d = 0; d < n_designs; ++d) {
-        if (opts.cancel && opts.cancel()) return;
-        if (const RunResult* prior = restored_cell(d, w)) {
-          if (opts.progress) report(++done);
-          results_.push_back(*prior);
-          continue;
-        }
-        RunResult r = guarded_cell(system, d, workloads[w], instr[w]);
-        if (opts.progress) report(++done);
-        if (opts.on_result) opts.on_result(r);
+      },
+      [&](std::size_t, RunResult&& r, bool restored) {
+        if (!restored && opts.on_result) opts.on_result(r);
         results_.push_back(std::move(r));
-      }
-    }
-    return;
-  }
-
-  // Parallel path: workers claim cells dynamically but commit them through
-  // indexed slots in matrix order, so results_ (and therefore write_csv)
-  // are byte-identical to a serial run. on_result also fires in matrix
-  // order, under the commit lock.
-  std::vector<std::unique_ptr<System>> systems;
-  systems.reserve(jobs);
-  for (unsigned j = 0; j < jobs; ++j) {
-    systems.push_back(std::make_unique<System>(cfg_));
-  }
-
-  std::vector<RunResult> slots(total);
-  std::vector<char> ready(total, 0);
-  std::vector<char> restored(total, 0);
-  std::vector<char> skipped(total, 0);
-  std::mutex mu;
-  std::size_t committed = 0;
-  std::size_t completed = 0;
-
-  ThreadPool pool(jobs);
-  pool.parallel_for(total, [&](std::size_t i, unsigned worker) {
-    const std::size_t w = i / n_designs;
-    const std::size_t d = i % n_designs;
-    RunResult r;
-    bool from_journal = false;
-    bool skip = false;
-    if (const RunResult* prior = restored_cell(d, w)) {
-      r = *prior;
-      from_journal = true;
-    } else if (opts.cancel && opts.cancel()) {
-      // Cancelled before this cell started: commit an empty marker so the
-      // in-order drain below still advances past it (cells that were
-      // already running finish and journal normally).
-      skip = true;
-    } else {
-      r = guarded_cell(*systems[worker], d, workloads[w], instr[w]);
-    }
-
-    std::lock_guard<std::mutex> lk(mu);
-    slots[i] = std::move(r);
-    ready[i] = 1;
-    restored[i] = from_journal ? 1 : 0;
-    skipped[i] = skip ? 1 : 0;
-    if (opts.progress) report(++completed);
-    while (committed < total && ready[committed]) {
-      if (!skipped[committed]) {
-        if (opts.on_result && !restored[committed]) {
-          opts.on_result(slots[committed]);
-        }
-        results_.push_back(std::move(slots[committed]));
-      }
-      ++committed;
-    }
-  });
+      });
 }
 
 void ExperimentRunner::run_mix_matrix(const std::vector<std::string>& designs,
@@ -580,42 +657,29 @@ void ExperimentRunner::run_mix_matrix(const std::vector<std::string>& designs,
                                       const RunMatrixOptions& opts) {
   if (designs.empty() || mixes.empty()) return;
 
-  // Every workload named by any mix, in first-seen order.
+  // Every workload named by any mix, in first-seen order, and one shared
+  // per-core budget for the alone and co-run phases, so every speedup
+  // compares equal-length slices of the same instruction stream.
   std::vector<std::string> uniq;
+  u64 budget = opts.instructions;
   for (const auto& m : mixes) {
     for (const auto& w : m.workloads) {
-      if (std::find(uniq.begin(), uniq.end(), w) == uniq.end()) {
-        uniq.push_back(w);
-      }
-    }
-  }
-
-  // One shared per-core budget for the alone and co-run phases, so every
-  // speedup compares equal-length slices of the same instruction stream.
-  u64 budget = opts.instructions;
-  if (!budget) {
-    for (const auto& w : uniq) {
-      budget = std::max(
-          budget, default_instructions_for(
-                      trace::WorkloadProfile::by_name(w), opts.target_misses,
-                      opts.min_instructions, opts.max_instructions));
+      if (std::find(uniq.begin(), uniq.end(), w) != uniq.end()) continue;
+      uniq.push_back(w);
+      if (opts.instructions) continue;
+      budget = std::max(budget, default_instructions_for(
+                                    trace::WorkloadProfile::by_name(w),
+                                    opts.target_misses, opts.min_instructions,
+                                    opts.max_instructions));
     }
   }
 
   // Phase 1: alone baselines — one core, observability off (baselines feed
   // only the speedup denominators; their artifacts are never exported).
-  // Journaled "alone" lines from a resumed run are restored up front.
   std::vector<std::pair<std::string, std::string>> pairs;
   for (const auto& d : designs) {
     for (const auto& w : uniq) {
-      if (alone_ipc_.count({d, w})) continue;
-      if (opts.resume) {
-        if (const double* prior = opts.resume->find_alone(d, w)) {
-          alone_ipc_[{d, w}] = *prior;
-          continue;
-        }
-      }
-      pairs.emplace_back(d, w);
+      if (!alone_ipc_.count({d, w})) pairs.emplace_back(d, w);
     }
   }
   SystemConfig alone_cfg = cfg_;
@@ -624,228 +688,72 @@ void ExperimentRunner::run_mix_matrix(const std::vector<std::string>& designs,
   // A --capture-trace sink records the *co-run* miss stream only; letting
   // the alone baselines append too would interleave three runs' records.
   alone_cfg.capture = nullptr;
-
-  // Watchdog wrapper for one alone baseline. An exhausted deadline
-  // commits ipc 0, which the speedup scoring already treats as "no
-  // baseline" (the core is skipped), so the mix scores stay well-defined.
-  auto guarded_alone = [&](System& system, std::size_t i) -> double {
-    const auto run_once = [&] {
-      return system
-          .run(pairs[i].first,
-               trace::WorkloadProfile::by_name(pairs[i].second), budget)
-          .ipc;
-    };
-    if (opts.cell_timeout_s <= 0) return run_once();
-    const u32 attempts = 1 + opts.cell_retries;
-    for (u32 a = 0; a < attempts; ++a) {
-      const prof::Stopwatch watchdog;
-      system.set_interrupt([&watchdog, limit = opts.cell_timeout_s] {
-        return watchdog.seconds() > limit;
+  // A timed-out baseline commits ipc 0, which the speedup scoring already
+  // treats as "no baseline" (the core is skipped), so the mix scores stay
+  // well-defined. on_alone checkpoints only freshly simulated baselines.
+  run_ordered<double>(
+      pairs.size(), alone_cfg, opts, "mix alone baselines",
+      [&](const ResultJournal& journal, std::size_t i) {
+        return journal.find_alone(pairs[i].first, pairs[i].second);
+      },
+      [&](System& system, std::size_t i) {
+        return system
+            .run(pairs[i].first,
+                 trace::WorkloadProfile::by_name(pairs[i].second), budget)
+            .ipc;
+      },
+      [](std::size_t) { return 0.0; },
+      [&](std::size_t i, double ipc, bool restored) {
+        alone_ipc_[pairs[i]] = ipc;
+        if (!restored && opts.on_alone) {
+          opts.on_alone(pairs[i].first, pairs[i].second, ipc);
+        }
       });
-      try {
-        const double ipc = run_once();
-        system.set_interrupt(nullptr);
-        return ipc;
-      } catch (const RunInterrupted&) {
-        system.set_interrupt(nullptr);
-        if (a + 1 < attempts) system.allow_restore_once();
-      }
-    }
-    return 0.0;
-  };
 
-  // Commits one finished baseline: the cache feeds phase 2, on_alone
-  // checkpoints it. Cancelled pairs are never committed (and never
-  // journaled), so a resumed run re-simulates exactly those.
-  auto commit_alone = [&](std::size_t i, double ipc) {
-    alone_ipc_[pairs[i]] = ipc;
-    if (opts.on_alone) opts.on_alone(pairs[i].first, pairs[i].second, ipc);
-  };
-
-  unsigned jobs = opts.jobs ? opts.jobs : ThreadPool::default_concurrency();
-  const unsigned alone_jobs = static_cast<unsigned>(
-      std::min<std::size_t>(jobs, pairs.size()));
-  if (alone_jobs <= 1) {
-    System system(alone_cfg);
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      if (opts.cancel && opts.cancel()) break;
-      commit_alone(i, guarded_alone(system, i));
-      if (opts.progress) {
-        std::fprintf(stderr, "[mix] alone %zu/%zu baselines\n", i + 1,
-                     pairs.size());
-      }
-    }
-  } else if (!pairs.empty()) {
-    std::vector<std::unique_ptr<System>> systems;
-    for (unsigned j = 0; j < alone_jobs; ++j) {
-      systems.push_back(std::make_unique<System>(alone_cfg));
-    }
-    std::vector<double> alone(pairs.size(), 0);
-    std::vector<char> ready(pairs.size(), 0);
-    std::vector<char> skipped(pairs.size(), 0);
-    std::mutex mu;
-    std::size_t committed = 0;
-    std::size_t done = 0;
-    ThreadPool pool(alone_jobs);
-    pool.parallel_for(pairs.size(), [&](std::size_t i, unsigned worker) {
-      double ipc = 0;
-      bool skip = true;
-      if (!(opts.cancel && opts.cancel())) {
-        ipc = guarded_alone(*systems[worker], i);
-        skip = false;
-      }
-      std::lock_guard<std::mutex> lk(mu);
-      alone[i] = ipc;
-      ready[i] = 1;
-      skipped[i] = skip ? 1 : 0;
-      if (opts.progress) {
-        std::fprintf(stderr, "[mix] alone %zu/%zu baselines\n", ++done,
-                     pairs.size());
-      }
-      while (committed < pairs.size() && ready[committed]) {
-        if (!skipped[committed]) commit_alone(committed, alone[committed]);
-        ++committed;
-      }
-    });
-  }
-
-  // Phase 2: co-runs — mix-major, design-minor cells committed through
-  // indexed slots in matrix order (same discipline as run_cells), so
-  // mix_results_ / results_ and every writer are --jobs independent.
-  // Journaled "mix" cells are restored without re-simulation (and without
-  // re-firing the checkpoint callbacks).
-  const std::size_t total = mixes.size() * designs.size();
-  const unsigned mix_jobs = static_cast<unsigned>(
-      std::min<std::size_t>(jobs, total));
-  auto restored_mix = [&](std::size_t d, std::size_t m) -> const MixResult* {
-    if (!opts.resume) return nullptr;
-    return opts.resume->find_mix(designs[d], mixes[m].name);
-  };
-  // Watchdog wrapper for one co-run cell (same contract as run_cells'
-  // guarded_cell: retry from snapshot, then a timed_out placeholder).
-  auto guarded_mix_cell = [&](System& system, std::size_t d,
-                              std::size_t m) -> MixResult {
-    if (opts.cell_timeout_s <= 0) {
-      return run_mix_cell(system, designs[d], mixes[m], budget, alone_ipc_);
-    }
-    const u32 attempts = 1 + opts.cell_retries;
-    for (u32 a = 0; a < attempts; ++a) {
-      const prof::Stopwatch watchdog;
-      system.set_interrupt([&watchdog, limit = opts.cell_timeout_s] {
-        return watchdog.seconds() > limit;
-      });
-      try {
-        MixResult r =
-            run_mix_cell(system, designs[d], mixes[m], budget, alone_ipc_);
-        system.set_interrupt(nullptr);
+  // Phase 2: co-runs — mix-major, design-minor. Each committed cell's
+  // aggregate also lands in results_, so every writer covers mix runs.
+  const std::size_t n_designs = designs.size();
+  run_ordered<MixResult>(
+      mixes.size() * n_designs, cfg_, opts, "mix co-runs",
+      [&](const ResultJournal& journal, std::size_t i) {
+        return journal.find_mix(designs[i % n_designs],
+                                mixes[i / n_designs].name);
+      },
+      [&](System& system, std::size_t i) {
+        return run_mix_cell(system, designs[i % n_designs],
+                            mixes[i / n_designs], budget, alone_ipc_);
+      },
+      [&](std::size_t i) {
+        MixResult r;
+        r.design = r.aggregate.design = designs[i % n_designs];
+        r.mix = r.aggregate.workload = mixes[i / n_designs].name;
+        r.aggregate.timed_out = true;
         return r;
-      } catch (const RunInterrupted&) {
-        system.set_interrupt(nullptr);
-        if (a + 1 < attempts) system.allow_restore_once();
-      }
-    }
-    MixResult r;
-    r.design = designs[d];
-    r.mix = mixes[m].name;
-    r.aggregate.design = designs[d];
-    r.aggregate.workload = mixes[m].name;
-    r.aggregate.timed_out = true;
-    return r;
-  };
-
-  auto commit = [&](MixResult&& r, bool from_journal) {
-    if (!from_journal) {
-      if (opts.on_result) opts.on_result(r.aggregate);
-      if (opts.on_mix_result) opts.on_mix_result(r);
-    }
-    results_.push_back(r.aggregate);
-    mix_results_.push_back(std::move(r));
-  };
-
-  if (mix_jobs <= 1) {
-    System system(cfg_);
-    for (std::size_t m = 0; m < mixes.size(); ++m) {
-      for (std::size_t d = 0; d < designs.size(); ++d) {
-        if (const MixResult* prior = restored_mix(d, m)) {
-          commit(MixResult(*prior), /*from_journal=*/true);
-        } else {
-          if (opts.cancel && opts.cancel()) return;
-          commit(guarded_mix_cell(system, d, m), /*from_journal=*/false);
+      },
+      [&](std::size_t, MixResult&& r, bool restored) {
+        if (!restored) {
+          if (opts.on_result) opts.on_result(r.aggregate);
+          if (opts.on_mix_result) opts.on_mix_result(r);
         }
-        if (opts.progress) {
-          std::fprintf(stderr, "[mix] %zu/%zu co-runs\n",
-                       m * designs.size() + d + 1, total);
-        }
-      }
-    }
-    return;
-  }
-
-  std::vector<std::unique_ptr<System>> systems;
-  for (unsigned j = 0; j < mix_jobs; ++j) {
-    systems.push_back(std::make_unique<System>(cfg_));
-  }
-  std::vector<MixResult> slots(total);
-  std::vector<char> ready(total, 0);
-  std::vector<char> restored(total, 0);
-  std::vector<char> skipped(total, 0);
-  std::mutex mu;
-  std::size_t committed = 0;
-  std::size_t completed = 0;
-  ThreadPool pool(mix_jobs);
-  pool.parallel_for(total, [&](std::size_t i, unsigned worker) {
-    const std::size_t m = i / designs.size();
-    const std::size_t d = i % designs.size();
-    MixResult r;
-    bool from_journal = false;
-    bool skip = false;
-    if (const MixResult* prior = restored_mix(d, m)) {
-      r = *prior;
-      from_journal = true;
-    } else if (opts.cancel && opts.cancel()) {
-      skip = true;
-    } else {
-      r = guarded_mix_cell(*systems[worker], d, m);
-    }
-    std::lock_guard<std::mutex> lk(mu);
-    slots[i] = std::move(r);
-    ready[i] = 1;
-    restored[i] = from_journal ? 1 : 0;
-    skipped[i] = skip ? 1 : 0;
-    if (opts.progress) {
-      std::fprintf(stderr, "[mix] %zu/%zu co-runs\n", ++completed, total);
-    }
-    while (committed < total && ready[committed]) {
-      if (!skipped[committed]) {
-        commit(std::move(slots[committed]), restored[committed] != 0);
-      }
-      ++committed;
-    }
-  });
+        results_.push_back(r.aggregate);
+        mix_results_.push_back(std::move(r));
+      });
 }
 
 void ExperimentRunner::write_mix_csv(std::ostream& os) const {
   prof::ScopedPhase prof_phase(prof::Phase::kIo);
-  TextTable t({"design", "mix", "core", "workload", "instructions", "misses",
-               "ipc", "alone_ipc", "speedup", "hbm_serve_rate",
-               "mean_latency_ns", "latency_p50_ns", "latency_p99_ns",
-               "hbm_bytes", "dram_bytes", "weighted_speedup",
-               "hmean_speedup", "max_slowdown"});
+  std::vector<std::string> header;
+  append_keys(header, kMixKeys, kBase);
+  append_keys(header, kCoreFields, kBase);
+  append_keys(header, kMixScores, kBase);
+  TextTable t(std::move(header));
   for (const auto& r : mix_results_) {
     for (const auto& c : r.cores) {
-      t.add_row({r.design, r.mix, std::to_string(c.perf.core),
-                 c.perf.workload, std::to_string(c.perf.instructions),
-                 std::to_string(c.perf.misses), fmt_double(c.perf.ipc, 4),
-                 fmt_double(c.alone_ipc, 4), fmt_double(c.speedup, 4),
-                 fmt_double(c.perf.hbm_serve_rate, 4),
-                 fmt_double(c.perf.mean_latency_ns, 2),
-                 fmt_double(c.perf.latency_p50_ns, 2),
-                 fmt_double(c.perf.latency_p99_ns, 2),
-                 std::to_string(c.perf.hbm_bytes),
-                 std::to_string(c.perf.dram_bytes),
-                 fmt_double(r.weighted_speedup, 4),
-                 fmt_double(r.hmean_speedup, 4),
-                 fmt_double(r.max_slowdown, 4)});
+      std::vector<std::string> row;
+      append_cells(row, r, kMixKeys, kBase);
+      append_cells(row, c, kCoreFields, kBase);
+      append_cells(row, r, kMixScores, kBase);
+      t.add_row(std::move(row));
     }
   }
   t.print_csv(os);
@@ -853,15 +761,7 @@ void ExperimentRunner::write_mix_csv(std::ostream& os) const {
 
 void ExperimentRunner::write_mix_json(std::ostream& os) const {
   prof::ScopedPhase prof_phase(prof::Phase::kIo);
-  const bool fault = cfg_.fault.enabled();
-  const bool queue = queue_configured();
-  const bool timeout = any_timed_out(results_);
-  os << "[\n";
-  for (std::size_t i = 0; i < mix_results_.size(); ++i) {
-    os << "  " << mix_result_to_json(mix_results_[i], fault, queue, timeout)
-       << (i + 1 < mix_results_.size() ? "," : "") << '\n';
-  }
-  os << "]\n";
+  write_json_array(os, mix_results_, column_groups(cfg_, results_));
 }
 
 std::vector<RunResult> ExperimentRunner::for_design(
@@ -892,88 +792,22 @@ std::vector<std::pair<std::string, double>> ExperimentRunner::normalized(
 
 void ExperimentRunner::write_csv(std::ostream& os) const {
   prof::ScopedPhase prof_phase(prof::Phase::kIo);
-  // The reliability / queue / timeout columns appear only when the
-  // matching subsystem is configured (or a watchdog placeholder exists),
-  // so legacy CSVs keep their historical column set byte-for-byte.
-  const bool fault = cfg_.fault.enabled();
-  const bool queue = queue_configured();
-  const bool timeout = any_timed_out(results_);
-  std::vector<std::string> header = {
-      "design", "workload", "instructions", "misses", "ipc",
-      "hbm_bytes", "dram_bytes", "energy_mj", "hbm_serve_rate",
-      "mean_latency_ns", "latency_p50_ns", "latency_p90_ns",
-      "latency_p99_ns", "latency_p999_ns", "mal_fraction",
-      "overfetch", "page_faults", "metadata_sram_bytes"};
-  if (fault) {
-    header.insert(header.end(),
-                  {"ce_count", "ue_count", "due_retries", "due_unrecovered",
-                   "due_data_loss", "retired_rows", "retired_frames",
-                   "degraded_sets"});
-  }
-  if (queue) {
-    header.insert(header.end(),
-                  {"queueing_latency_avg", "read_queue_latency_avg",
-                   "req_queue_length_avg", "write_drain_count"});
-  }
-  if (timeout) {
-    header.insert(header.end(), {"timed_out"});
-  }
-  TextTable t(header);
+  const unsigned groups = column_groups(cfg_, results_);
+  std::vector<std::string> header;
+  append_keys(header, kRunFields, groups);
+  TextTable t(std::move(header));
   for (const auto& r : results_) {
-    std::vector<std::string> row = {
-        r.design, r.workload, std::to_string(r.instructions),
-        std::to_string(r.misses), fmt_double(r.ipc, 4),
-        std::to_string(r.hbm_bytes), std::to_string(r.dram_bytes),
-        fmt_double(r.energy_mj, 4), fmt_double(r.hbm_serve_rate, 4),
-        fmt_double(r.mean_latency_ns, 2),
-        fmt_double(r.latency_p50_ns, 2),
-        fmt_double(r.latency_p90_ns, 2),
-        fmt_double(r.latency_p99_ns, 2),
-        fmt_double(r.latency_p999_ns, 2),
-        fmt_double(r.mal_fraction, 4), fmt_double(r.overfetch, 4),
-        std::to_string(r.page_faults),
-        std::to_string(r.metadata_sram_bytes)};
-    if (fault) {
-      row.insert(row.end(),
-                 {std::to_string(r.ce_count), std::to_string(r.ue_count),
-                  std::to_string(r.due_retries),
-                  std::to_string(r.due_unrecovered),
-                  std::to_string(r.due_data_loss),
-                  std::to_string(r.retired_rows),
-                  std::to_string(r.retired_frames),
-                  std::to_string(r.degraded_sets)});
-    }
-    if (queue) {
-      row.insert(row.end(),
-                 {fmt_double(r.queueing_latency_avg, 2),
-                  fmt_double(r.read_queue_latency_avg, 2),
-                  fmt_double(r.req_queue_length_avg, 4),
-                  std::to_string(r.write_drain_count)});
-    }
-    if (timeout) {
-      row.insert(row.end(), {std::to_string(r.timed_out ? 1 : 0)});
-    }
-    t.add_row(row);
+    std::vector<std::string> row;
+    append_cells(row, r, kRunFields, groups);
+    t.add_row(std::move(row));
   }
   t.print_csv(os);
 }
 
 void ExperimentRunner::write_json(std::ostream& os) const {
   prof::ScopedPhase prof_phase(prof::Phase::kIo);
-  const bool fault = cfg_.fault.enabled();
-  const bool queue = queue_configured();
-  const bool timeout = any_timed_out(results_);
-  os << "[\n";
-  for (std::size_t i = 0; i < results_.size(); ++i) {
-    os << "  " << result_to_json(results_[i], fault, queue, timeout)
-       << (i + 1 < results_.size() ? "," : "") << '\n';
-  }
-  os << "]\n";
+  write_json_array(os, results_, column_groups(cfg_, results_));
 }
-
-// The profiled overloads stay below the plain writers: tools/bb_analyze's
-// result-schema rule inspects the first definition of each writer, which
-// must remain the canonical (golden-hashed) one.
 
 void ExperimentRunner::write_json(std::ostream& os,
                                   const prof::HostReport& host) const {
@@ -1003,7 +837,7 @@ void ExperimentRunner::write_epoch_csv(std::ostream& os) const {
       }
     }
   }
-  write_epoch_csv_header(os, {"design", "workload"}, columns);
+  write_epoch_csv_header(os, {kDesign, kWorkload}, columns);
   for (const auto& r : results_) {
     if (!r.artifacts) continue;
     write_epoch_csv_rows(os, {r.design, r.workload},
@@ -1018,9 +852,9 @@ void ExperimentRunner::write_trace(std::ostream& os,
   if (format == TraceFormat::kJsonl) {
     for (const auto& r : results_) {
       if (!r.artifacts) continue;
-      const std::string extra = "\"design\":\"" + json_escape(r.design) +
-                                "\",\"workload\":\"" +
-                                json_escape(r.workload) + "\",";
+      std::string extra;
+      append_member(extra, kDesign, format_value(r.design));
+      append_member(extra, kWorkload, format_value(r.workload));
       write_trace_jsonl(r.artifacts->events, os, extra);
     }
     return;

@@ -6,8 +6,9 @@
 // Matrices can run on a worker pool (RunMatrixOptions::jobs): every worker
 // owns a private System (System::run leaks no state between runs), and
 // finished cells commit back in matrix order — workload-major, design-minor
-// — through indexed slots, so serial and parallel executions of the same
-// matrix produce byte-identical results() and write_csv() output.
+// — through one ordered driver shared by every matrix phase, so serial and
+// parallel executions of the same matrix produce byte-identical results()
+// and writer output.
 #pragma once
 
 #include <functional>
@@ -61,8 +62,9 @@ class ResultJournal {
   }
 
   /// Serializes one result as a single journal line (no newline). The line
-  /// is the JSON object write_json emits for the run; the reliability
-  /// fields are included only when any is nonzero.
+  /// is the JSON object write_json emits for the run; each optional field
+  /// group (reliability, queue, timed_out) is included only when any of
+  /// its fields is nonzero.
   static std::string line(const RunResult& r);
   /// One alone-baseline journal line (kind "alone").
   static std::string alone_line(const std::string& design,
@@ -72,13 +74,8 @@ class ResultJournal {
   static std::string mix_line(const MixResult& r);
 
  private:
-  struct AloneRow {
-    std::string design;
-    std::string workload;
-    double ipc = 0;
-  };
   std::vector<RunResult> rows_;
-  std::vector<AloneRow> alone_rows_;
+  std::vector<RunResult> alone_rows_;  ///< design, workload and ipc only
   std::vector<MixResult> mix_rows_;
 };
 
@@ -104,9 +101,10 @@ struct RunMatrixOptions {
   /// Checkpoint journal from an earlier (interrupted) run of the same
   /// matrix: cells found in it are restored, not re-simulated.
   const ResultJournal* resume = nullptr;
-  /// Cooperative cancellation, polled between cells (e.g. a SIGINT flag).
-  /// Once it returns true no new cell starts; parallel cells already
-  /// running finish and still commit, keeping the journal well-formed.
+  /// Cooperative cancellation, polled before each cell (e.g. a SIGINT
+  /// flag). Once it returns true no further cell commits, journal-restored
+  /// or not; cells already running finish and still commit, so results()
+  /// (and the journal) always hold a matrix-order prefix of the matrix.
   std::function<bool()> cancel;
   /// Mix matrices only: called per freshly simulated alone baseline
   /// (design, workload, ipc) in pair order — wire to
@@ -256,19 +254,12 @@ class ExperimentRunner {
   /// `w` for `instr` instructions on the given (worker-private) System.
   using CellFn = std::function<RunResult(
       System&, std::size_t d, const trace::WorkloadProfile& w, u64 instr)>;
-  /// Maps a design index to the name resume-journal rows are keyed by.
-  using DesignNameFn = std::function<std::string(std::size_t)>;
 
-  void run_cells(std::size_t n_designs,
+  /// Runs every (design, workload) cell through the ordered matrix driver;
+  /// `designs` are the names result rows and resume lookups are keyed by.
+  void run_cells(const std::vector<std::string>& designs,
                  const std::vector<trace::WorkloadProfile>& workloads,
-                 const CellFn& cell, const DesignNameFn& design_name,
-                 const RunMatrixOptions& opts);
-
-  /// True when either device runs the request-queue layer — gates the
-  /// queue stat columns so queue-off outputs keep their historical shape.
-  bool queue_configured() const {
-    return cfg_.hbm.queue.enabled || cfg_.dram.queue.enabled;
-  }
+                 const CellFn& cell, const RunMatrixOptions& opts);
 
   SystemConfig cfg_;
   std::vector<RunResult> results_;

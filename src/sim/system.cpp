@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -37,6 +38,19 @@ void put_queue_shape(std::ostream& fp, const mem::QueueConfig& q) {
   fp << q.enabled << '|' << q.queue_depth << '|' << q.write_high_watermark
      << '|' << q.write_low_watermark << '|' << q.mshr_entries << '|'
      << q.mshr_block_bytes << '|';
+}
+
+/// Appends the fault model's per-device rates and recovery knobs to a
+/// snapshot fingerprint: a restore under a different fault rate, ECC
+/// latency or retry policy fails closed.
+void put_fault_model(std::ostream& fp, const fault::FaultConfig& f) {
+  for (const fault::DeviceFaultRates& d : {f.hbm, f.dram}) {
+    fp << d.transient_per_access << '|' << d.stuck_row_fraction << '|'
+       << d.dead_bank_fraction << '|' << d.dead_channel_fraction << '|';
+  }
+  fp << f.seed << '|' << f.due_fraction << '|' << f.ce_latency << '|'
+     << f.retire_row_after_ces << '|' << f.max_due_retries << '|'
+     << f.due_retry_backoff << '|';
 }
 
 }  // namespace
@@ -180,6 +194,7 @@ RunResult System::run_lanes_current(const std::vector<CoreLane>& lanes,
     // The fingerprint pins every configuration axis that shapes the run;
     // restoring under a different configuration fails closed.
     std::ostringstream fp;
+    fp.precision(std::numeric_limits<double>::max_digits10);
     fp << kind << '|' << hmmc_->name() << '|' << workload_name << '|'
        << cfg_.seed << '|' << total_instructions << '|' << lanes.size()
        << '|' << warmup << '|' << cfg_.core.cores << '|' << cfg_.core.mlp
@@ -188,10 +203,11 @@ RunResult System::run_lanes_current(const std::vector<CoreLane>& lanes,
     put_queue_shape(fp, cfg_.hbm.queue);
     fp << cfg_.dram.capacity_bytes << '|' << cfg_.dram.channels << '|';
     put_queue_shape(fp, cfg_.dram.queue);
-    fp << cfg_.paging.enabled << '|'
-       << cfg_.paging.visible_bytes << '|' << cfg_.obs.epoch.every_requests
-       << '|' << cfg_.obs.epoch.every_ticks << '|' << cfg_.obs.trace << '|'
-       << cfg_.fault.enabled() << '|' << cfg_.fault.seed;
+    fp << cfg_.paging.enabled << '|' << cfg_.paging.visible_bytes << '|'
+       << cfg_.paging.os_page_bytes << '|' << cfg_.paging.fault_penalty << '|'
+       << cfg_.obs.epoch.every_requests << '|' << cfg_.obs.epoch.every_ticks
+       << '|' << cfg_.obs.trace << '|';
+    put_fault_model(fp, cfg_.fault);
     fingerprint = fp.str();
   }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace bb::sim {
 namespace {
@@ -231,6 +234,122 @@ TEST(Experiment, ParallelOnResultFiresInMatrixOrder) {
   const std::vector<std::string> expected = {
       "DRAM-only/mcf", "Bumblebee/mcf", "DRAM-only/lbm", "Bumblebee/lbm"};
   EXPECT_EQ(seen, expected);
+}
+
+// Once cancel() returns true no further cell commits, restored or not;
+// cells already running still finish and commit. So results() and the
+// on_result sequence are always a matrix-order prefix of the uncancelled
+// run, at every --jobs. Rows compare as journal lines (every field).
+TEST(Experiment, CancelCommitsAMatrixOrderPrefix) {
+  struct Outcome {
+    std::vector<std::string> rows;
+    std::vector<std::string> callbacks;
+  };
+  const auto expect_prefix = [](const Outcome& cut, const Outcome& full) {
+    ASSERT_LE(cut.rows.size(), full.rows.size());
+    ASSERT_LE(cut.callbacks.size(), full.callbacks.size());
+    for (std::size_t i = 0; i < cut.rows.size(); ++i) {
+      EXPECT_EQ(cut.rows[i], full.rows[i]) << "row " << i;
+    }
+    for (std::size_t i = 0; i < cut.callbacks.size(); ++i) {
+      EXPECT_EQ(cut.callbacks[i], full.callbacks[i]) << "callback " << i;
+    }
+  };
+  // Runs `matrix` with on_result recording every commit and, when
+  // `cancel_after` > 0, cancel() turning true after that many commits.
+  const auto run = [](unsigned jobs, std::size_t cancel_after,
+                      const auto& matrix) {
+    Outcome out;
+    std::atomic<std::size_t> commits{0};
+    RunMatrixOptions opts;
+    opts.jobs = jobs;
+    opts.instructions = 100'000;
+    opts.on_result = [&](const RunResult& r) {
+      out.callbacks.push_back(ResultJournal::line(r));
+      ++commits;
+    };
+    if (cancel_after > 0) {
+      opts.cancel = [&] { return commits >= cancel_after; };
+    }
+    ExperimentRunner ex(small_config());
+    matrix(ex, opts);
+    for (const RunResult& r : ex.results()) {
+      out.rows.push_back(ResultJournal::line(r));
+    }
+    return out;
+  };
+
+  // run_matrix resuming from a partial journal that holds the first and
+  // the last cell: the last one must not commit once the sweep is
+  // cancelled, although it needs no simulation.
+  const std::vector<std::string> designs = {"DRAM-only", "Bumblebee"};
+  const std::vector<trace::WorkloadProfile> workloads = {
+      trace::WorkloadProfile::by_name("mcf"),
+      trace::WorkloadProfile::by_name("lbm"),
+      trace::WorkloadProfile::by_name("xz")};
+  const Outcome reference = run(1, 0, [&](ExperimentRunner& ex,
+                                          const RunMatrixOptions& opts) {
+    ex.run_matrix(designs, workloads, opts);
+  });
+  ASSERT_EQ(reference.rows.size(), 6u);
+  ResultJournal journal;
+  std::istringstream journal_is(reference.rows.front() + "\n" +
+                                reference.rows.back() + "\n");
+  ASSERT_EQ(journal.load_stats(journal_is).restored, 2u);
+  const auto resumed_matrix = [&](ExperimentRunner& ex,
+                                  RunMatrixOptions opts) {
+    opts.resume = &journal;
+    ex.run_matrix(designs, workloads, opts);
+  };
+  const Outcome full = run(1, 0, resumed_matrix);
+  EXPECT_EQ(full.rows, reference.rows);
+  ASSERT_EQ(full.callbacks.size(), 4u);  // the two journaled cells are quiet
+  for (const unsigned jobs : {1u, 4u}) {
+    for (const std::size_t k : {1u, 2u, 3u}) {
+      SCOPED_TRACE("run_matrix jobs=" + std::to_string(jobs) +
+                   " cancel after " + std::to_string(k));
+      const Outcome cut = run(jobs, k, resumed_matrix);
+      expect_prefix(cut, full);
+      EXPECT_GE(cut.callbacks.size(), k);
+      if (jobs == 1) {
+        // Restored cell 0, then k fresh cells, then nothing.
+        EXPECT_EQ(cut.rows.size(), k + 1);
+        EXPECT_EQ(cut.callbacks.size(), k);
+      }
+    }
+  }
+
+  // run_mix_matrix: on_result fires per committed co-run aggregate. The
+  // journal holds the second co-run cell, which must not commit once the
+  // sweep is cancelled after the first.
+  const std::vector<MixSpec> mixes = {MixSpec::parse("cachecap2"),
+                                      MixSpec::parse("mcf+xz")};
+  ResultJournal mix_journal;
+  {
+    ExperimentRunner ex(small_config());
+    RunMatrixOptions opts;
+    opts.jobs = 1;
+    opts.instructions = 100'000;
+    ex.run_mix_matrix(designs, mixes, opts);
+    std::istringstream is(ResultJournal::mix_line(ex.mix_results()[1]) + "\n");
+    ASSERT_EQ(mix_journal.load_stats(is).restored, 1u);
+  }
+  const auto mix_matrix = [&](ExperimentRunner& ex, RunMatrixOptions opts) {
+    opts.resume = &mix_journal;
+    ex.run_mix_matrix(designs, mixes, opts);
+  };
+  const Outcome mix_full = run(1, 0, mix_matrix);
+  ASSERT_EQ(mix_full.rows.size(), 4u);
+  ASSERT_EQ(mix_full.callbacks.size(), 3u);
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE("run_mix_matrix jobs=" + std::to_string(jobs));
+    const Outcome cut = run(jobs, 1, mix_matrix);
+    expect_prefix(cut, mix_full);
+    EXPECT_GE(cut.rows.size(), 1u);
+    if (jobs == 1) {
+      EXPECT_EQ(cut.rows.size(), 1u);
+    }
+  }
 }
 
 // A mix matrix journaled through on_alone / on_mix_result must restore

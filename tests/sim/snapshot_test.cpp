@@ -13,8 +13,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/snapshot.h"
+#include "fault/fault.h"
 #include "sim/core_model.h"
 #include "sim/experiment.h"
 #include "sim/system.h"
@@ -179,6 +182,53 @@ TEST(SystemSnapshot, RestoreUnderDifferentQueueDepthFailsClosed) {
   std::remove(path.c_str());
 }
 
+TEST(SystemSnapshot, RestoreUnderDifferentFaultRateFailsClosed) {
+  // The fingerprint covers both devices' fault rates, the ECC and DUE
+  // recovery knobs and the OS paging cost: a snapshot taken under one of
+  // them must not resume a run under another.
+  const auto& w = trace::WorkloadProfile::by_name("mcf");
+  SystemConfig base = snapshot_config("snap_fault_rate");
+  base.fault = fault::FaultConfig::profile("mixed", 1e-3);
+  System writer(base);
+  int polls = 0;
+  writer.set_interrupt([&polls] { return ++polls >= 2; });
+  EXPECT_THROW(writer.run("DRAM-only", w, 400'000), RunInterrupted);
+  const std::string path = snap_path(base, "DRAM-only", "mcf");
+  ASSERT_TRUE(snap::file_exists(path));
+
+  const std::vector<std::pair<const char*, void (*)(SystemConfig&)>> edits = {
+      {"fault rate", [](SystemConfig& c) {
+         c.fault = fault::FaultConfig::profile("mixed", 5e-3);
+       }},
+      {"dram-only rate", [](SystemConfig& c) {
+         c.fault.dram.transient_per_access *= 2;
+       }},
+      {"due_fraction", [](SystemConfig& c) { c.fault.due_fraction = 0.5; }},
+      {"ce_latency", [](SystemConfig& c) { c.fault.ce_latency *= 2; }},
+      {"retire_row_after_ces",
+       [](SystemConfig& c) { c.fault.retire_row_after_ces = 9; }},
+      {"max_due_retries", [](SystemConfig& c) { c.fault.max_due_retries = 7; }},
+      {"due_retry_backoff",
+       [](SystemConfig& c) { c.fault.due_retry_backoff *= 2; }},
+      {"os_page_bytes",
+       [](SystemConfig& c) { c.paging.os_page_bytes = 2 * MiB; }},
+      {"fault_penalty", [](SystemConfig& c) { c.paging.fault_penalty *= 2; }},
+  };
+  for (const auto& [what, edit] : edits) {
+    SCOPED_TRACE(what);
+    SystemConfig changed = base;
+    edit(changed);
+    System reader(changed);
+    reader.allow_restore_once();
+    EXPECT_THROW(reader.run("DRAM-only", w, 400'000), snap::SnapshotError);
+  }
+  // The unchanged configuration still restores the same snapshot.
+  System reader(base);
+  reader.allow_restore_once();
+  EXPECT_NO_THROW(reader.run("DRAM-only", w, 400'000));
+  std::remove(path.c_str());
+}
+
 TEST(Watchdog, ExhaustedCellCommitsTimedOutPlaceholder) {
   ExperimentRunner runner(snapshot_config("snap_watchdog"));
   RunMatrixOptions opts;
@@ -220,6 +270,41 @@ TEST(Watchdog, GenerousDeadlineLeavesResultsUntouched) {
   EXPECT_EQ(csv.str().find("timed_out"), std::string::npos);
 }
 
+TEST(Watchdog, MixMatrixCommitsTimedOutPlaceholders) {
+  // Both mix phases share the matrix watchdog: exhausted alone baselines
+  // commit IPC 0 and exhausted co-runs commit timed_out aggregates, with
+  // the same bytes at every --jobs.
+  std::string mix_json[2];
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    ExperimentRunner runner(snapshot_config(
+        jobs == 1 ? "snap_mix_watchdog_j1" : "snap_mix_watchdog_j4"));
+    RunMatrixOptions opts;
+    opts.jobs = jobs;
+    opts.instructions = 200'000;
+    opts.cell_timeout_s = 1e-9;  // trips at the first record-boundary poll
+    opts.cell_retries = 1;
+    runner.run_mix_matrix({"DRAM-only", "Bumblebee"},
+                          {MixSpec::parse("cachecap2")}, opts);
+    ASSERT_EQ(runner.alone_ipc().size(), 4u);  // 2 designs x 2 workloads
+    for (const auto& [pair, ipc] : runner.alone_ipc()) {
+      EXPECT_DOUBLE_EQ(ipc, 0.0) << pair.first << "/" << pair.second;
+    }
+    ASSERT_EQ(runner.mix_results().size(), 2u);
+    ASSERT_EQ(runner.results().size(), 2u);
+    for (const MixResult& m : runner.mix_results()) {
+      EXPECT_TRUE(m.aggregate.timed_out);
+      EXPECT_EQ(m.aggregate.workload, "cachecap2");
+    }
+    for (const RunResult& r : runner.results()) EXPECT_TRUE(r.timed_out);
+    std::ostringstream os;
+    runner.write_mix_json(os);
+    mix_json[jobs == 1 ? 0 : 1] = os.str();
+  }
+  EXPECT_EQ(mix_json[0], mix_json[1]);
+  EXPECT_NE(mix_json[0].find("\"timed_out\":1"), std::string::npos);
+}
+
 TEST(Journal, TimedOutRowsAreRetriedOnResume) {
   RunResult r;
   r.design = "Bumblebee";
@@ -253,6 +338,108 @@ TEST(Journal, LoadStatsCollectsWellFormedLines) {
   ASSERT_EQ(kept.size(), 2u);
   EXPECT_EQ(kept[0], la);
   EXPECT_EQ(kept[1], lb);
+}
+
+// Every key a journal line writes is read back: line -> load_stats ->
+// line reproduces the bytes, for a run row with every optional group
+// populated and for a two-core mix cell.
+TEST(Journal, LinesRoundTripEveryField) {
+  RunResult r;
+  r.design = "Bumblebee \"v2\"";
+  r.workload = "mcf";
+  r.instructions = 123'456'789;
+  r.misses = 4'321;
+  r.ipc = 1.2345678901234567;
+  r.hbm_bytes = 1'000'001;
+  r.dram_bytes = 2'000'002;
+  r.energy_mj = 0.125;
+  r.hbm_serve_rate = 0.75;
+  r.mean_latency_ns = 81.5;
+  r.latency_p50_ns = 60.25;
+  r.latency_p90_ns = 140.5;
+  r.latency_p99_ns = 420.75;
+  r.latency_p999_ns = 499.0625;
+  r.mal_fraction = 0.0625;
+  r.overfetch = 0.3;
+  r.page_faults = 17;
+  r.metadata_sram_bytes = 4096;
+  r.ce_count = 1;
+  r.ue_count = 2;
+  r.due_retries = 3;
+  r.due_unrecovered = 4;
+  r.due_data_loss = 5;
+  r.retired_rows = 6;
+  r.retired_frames = 7;
+  r.degraded_sets = 8;
+  r.queueing_latency_avg = 12.5;
+  r.read_queue_latency_avg = 10.25;
+  r.req_queue_length_avg = 3.75;
+  r.write_drain_count = 9;
+  for (std::size_t c = 0; c < mem::kTrafficClassCount; ++c) {
+    r.hbm_class_bytes[c] = 100 + c;
+    r.dram_class_bytes[c] = 200 + c;
+  }
+
+  const std::string run_line = ResultJournal::line(r);
+  {
+    ResultJournal journal;
+    std::istringstream is(run_line + "\n");
+    ASSERT_EQ(journal.load_stats(is).restored, 1u);
+    const RunResult* back = journal.find(r.design, r.workload);
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(ResultJournal::line(*back), run_line);
+  }
+
+  // A watchdog placeholder is never restored, so its timed_out flag reads
+  // back through find() skipping the row; the flag is the line's only
+  // difference from the completed row.
+  r.timed_out = true;
+  const std::string timed_out_line = ResultJournal::line(r);
+  std::string expected = run_line;
+  expected.insert(expected.find("\"hbm_class_bytes\""), "\"timed_out\":1,");
+  EXPECT_EQ(timed_out_line, expected);
+  {
+    ResultJournal journal;
+    std::istringstream is(timed_out_line + "\n");
+    ASSERT_EQ(journal.load_stats(is).restored, 1u);
+    EXPECT_EQ(journal.find(r.design, r.workload), nullptr);
+  }
+  r.timed_out = false;
+
+  MixResult m;
+  m.design = "Bumblebee";
+  m.mix = "mcf+lbm";
+  m.aggregate = r;
+  m.aggregate.design = m.design;
+  m.aggregate.workload = m.mix;
+  m.weighted_speedup = 1.5;
+  m.hmean_speedup = 0.75;
+  m.max_slowdown = 1.625;
+  for (u32 c = 0; c < 2; ++c) {
+    MixCoreResult core;
+    core.perf.core = c;
+    core.perf.workload = c == 0 ? "mcf" : "lbm";
+    core.perf.instructions = 1'000 + c;
+    core.perf.misses = 10 + c;
+    core.perf.ipc = 0.5 + c;
+    core.perf.hbm_serve_rate = 0.25 + c;
+    core.perf.mean_latency_ns = 70.5 + c;
+    core.perf.latency_p50_ns = 50.5 + c;
+    core.perf.latency_p99_ns = 300.5 + c;
+    core.perf.hbm_bytes = 64 + c;
+    core.perf.dram_bytes = 128 + c;
+    core.alone_ipc = 0.875 + c;
+    core.speedup = 0.625 + c;
+    m.cores.push_back(core);
+  }
+  const std::string mix_line = ResultJournal::mix_line(m);
+  ResultJournal journal;
+  std::istringstream is(mix_line + "\n");
+  ASSERT_EQ(journal.load_stats(is).restored, 1u);
+  const MixResult* back = journal.find_mix(m.design, m.mix);
+  ASSERT_NE(back, nullptr);
+  ASSERT_EQ(back->cores.size(), 2u);
+  EXPECT_EQ(ResultJournal::mix_line(*back), mix_line);
 }
 
 TEST(Quarantine, NamesNeverCollide) {

@@ -1,43 +1,12 @@
-// analyze-expect: schema=3
+// analyze-expect: schema=2
 //
-// Positive fixture for the schema rule, shaped like src/sim/experiment.cpp:
-// (1) result_to_json emits a key write_csv's header lacks, (2) the 'fault'
-// column gate is computed differently in write_csv and write_json, and
-// (3) parse_run_result never reads the extra key, so journal resume would
-// silently zero it. Never compiled.
+// Positive fixture for the schema rule: one register_metrics body with a
+// probe name that is not snake_case and a probe name registered twice
+// (the epoch CSV would carry an ambiguous column). Never compiled.
 #include <string>
 
-std::string result_to_json(const RunResult& r, bool include_fault,
-                           bool include_queue) {
-  std::string out = "{";
-  out += "\"design\":\"" + json_escape(r.design) + "\",";
-  out += "\"ipc\":" + json_double(r.ipc) + ',';
-  out += "\"bonus_metric\":" + json_double(r.bonus) + ',';  // CSV lacks this
-  if (include_fault) {
-    out += "\"ce_count\":" + std::to_string(r.ce_count) + ',';
-  }
-  out += '}';
-  return out;
-}
-
-bool parse_run_result(const JsonValue& v, RunResult& r) {
-  r.design = v.get_string("design");
-  r.ipc = v.get_number("ipc");
-  r.ce_count = v.get_number("ce_count");
-  return true;  // never reads bonus_metric
-}
-
-void ExperimentRunner::write_csv(std::ostream& os) const {
-  const bool fault = cfg_.fault.enabled();
-  std::vector<std::string> header = {"design", "ipc"};
-  if (fault) {
-    header.insert(header.end(), {"ce_count"});
-  }
-  TextTable t(header);
-  t.print_csv(os);
-}
-
-void ExperimentRunner::write_json(std::ostream& os) const {
-  const bool fault = cfg_.fault.enabled() || legacy_mode_;  // gate drift
-  os << result_to_json(results_[0], fault, false);
+void Device::register_metrics(MetricRegistry& reg) const {
+  reg.add_counter("row_hits", [this] { return hits_; });
+  reg.add_gauge("QueueDepth", [this] { return depth_; });  // not snake_case
+  reg.add_counter("row_hits", [this] { return misses_; });  // duplicate
 }

@@ -1,59 +1,20 @@
 // analyze-expect: schema=0
 //
-// Negative fixture for the schema rule: JSON keys, CSV columns, gates, and
-// the journal parser all agree; probe names are snake_case and unique
-// (runtime-prefixed names are distinct from bare literals). Never compiled.
+// Negative fixture for the schema rule: probe names are snake_case and
+// unique per register_metrics (runtime-prefixed names are distinct from
+// bare literals, and separate register_metrics bodies may reuse a name).
+// Never compiled.
 #include <string>
-
-std::string result_to_json(const RunResult& r, bool include_fault,
-                           bool include_queue) {
-  std::string out = "{";
-  out += "\"design\":\"" + json_escape(r.design) + "\",";
-  out += "\"ipc\":" + json_double(r.ipc) + ',';
-  if (include_fault) {
-    out += "\"ce_count\":" + std::to_string(r.ce_count) + ',';
-  }
-  if (include_queue) {
-    out += "\"write_drain_count\":" + std::to_string(r.drains) + ',';
-  }
-  out += "\"hbm_class_bytes\":";
-  append_class_object(out, r.hbm_class_bytes);  // nested: exempt from CSV
-  out += '}';
-  return out;
-}
-
-bool parse_run_result(const JsonValue& v, RunResult& r) {
-  r.design = v.get_string("design");
-  r.ipc = v.get_number("ipc");
-  r.ce_count = v.get_number("ce_count");
-  r.drains = v.get_number("write_drain_count");
-  load_classes(v, "hbm_class_bytes", r.hbm_class_bytes);
-  return true;
-}
-
-void ExperimentRunner::write_csv(std::ostream& os) const {
-  const bool fault = cfg_.fault.enabled();
-  const bool queue = queue_configured();
-  std::vector<std::string> header = {"design", "ipc"};
-  if (fault) {
-    header.insert(header.end(), {"ce_count"});
-  }
-  if (queue) {
-    header.insert(header.end(), {"write_drain_count"});
-  }
-  TextTable t(header);
-  t.print_csv(os);
-}
-
-void ExperimentRunner::write_json(std::ostream& os) const {
-  const bool fault = cfg_.fault.enabled();
-  const bool queue = queue_configured();
-  os << result_to_json(results_[0], fault, queue);
-}
 
 void Device::register_metrics(MetricRegistry& reg, std::string prefix) const {
   reg.add_counter("row_hits", [this] { return hits_; });
   // A runtime prefix makes this distinct from the bare literal above.
   reg.add_counter(prefix + "row_hits", [this] { return hits_; });
   reg.add_gauge("occupancy", [this] { return occ_; });
+}
+
+void Controller::register_metrics(MetricRegistry& reg) const {
+  reg.add_counter("row_hits", [this] { return hits_; });
+  reg.add_ratio("hbm_serve_rate", [this] { return served_; },
+                [this] { return requests_; });
 }
