@@ -50,7 +50,8 @@ static void BM_TraceGenerator(benchmark::State& state) {
 BENCHMARK(BM_TraceGenerator);
 
 static void BM_HotTableTouch(benchmark::State& state) {
-  bumblebee::HotTable hot(8, 8, 4095);
+  bumblebee::HotTables tables(1, 8, 8, 4095);
+  bumblebee::HotTable hot = tables[0];
   Rng rng(4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(hot.touch_dram(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <vector>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -44,18 +45,14 @@ BumblebeeController::BumblebeeController(const BumblebeeConfig& cfg,
                       paging)),
       cfg_(cfg),
       geo_(Geometry::make(cfg, hbm.capacity(), dram.capacity())),
-      counter_max_((u64{1} << cfg.counter_bits) - 1) {
+      counter_max_((u64{1} << cfg.counter_bits) - 1),
+      sets_(geo_, cfg_.dram_queue_depth, counter_max_) {
   hmm::MetadataConfig mc;
   mc.placement = cfg_.metadata_in_hbm ? hmm::MetadataPlacement::kHbm
                                       : hmm::MetadataPlacement::kSram;
   mc.sram_latency = cfg_.sram_latency;
   mc.entry_bytes = 32;  // one packed record covers a set's lookup state
   meta_ = std::make_unique<hmm::MetadataModel>(mc, &hbm);
-
-  sets_.reserve(geo_.sets);
-  for (u32 s = 0; s < geo_.sets; ++s) {
-    sets_.emplace_back(geo_, cfg_.dram_queue_depth, counter_max_);
-  }
 
   if (cfg_.fixed_chbm_fraction >= 0.0) {
     fixed_partition_ = true;
@@ -71,8 +68,8 @@ u64 BumblebeeController::metadata_sram_bytes() const {
 
 BumblebeeController::RatioSample BumblebeeController::ratio() const {
   RatioSample r;
-  for (const auto& st : sets_) {
-    const RatioSample s = set_ratio(st);
+  for (u32 set = 0; set < sets_.size(); ++set) {
+    const RatioSample s = set_ratio(sets_[set]);
     r.chbm_frames += s.chbm_frames;
     r.mhbm_frames += s.mhbm_frames;
     r.free_frames += s.free_frames;
@@ -134,8 +131,8 @@ void BumblebeeController::register_metrics(MetricRegistry& reg) const {
     double sum = 0.0;
     double mn = 1.0;
     double mx = 0.0;
-    for (const auto& st : sets_) {
-      const RatioSample s = set_ratio(st);
+    for (u32 set = 0; set < sets_.size(); ++set) {
+      const RatioSample s = set_ratio(sets_[set]);
       const double f =
           static_cast<double>(s.chbm_frames) / static_cast<double>(geo_.n);
       sum += f;
@@ -147,14 +144,17 @@ void BumblebeeController::register_metrics(MetricRegistry& reg) const {
       case Fold::kMax: return mx;
       case Fold::kMean: break;
     }
-    return sets_.empty() ? 0.0 : sum / static_cast<double>(sets_.size());
+    return sets_.size() == 0 ? 0.0
+                             : sum / static_cast<double>(sets_.size());
   };
   reg.add_gauge("chbm_share_mean", [share] { return share(Fold::kMean); });
   reg.add_gauge("chbm_share_min", [share] { return share(Fold::kMin); });
   reg.add_gauge("chbm_share_max", [share] { return share(Fold::kMax); });
   reg.add_gauge("sets_chbm_disabled", [this] {
     u64 n = 0;
-    for (const auto& st : sets_) n += st.chbm_disabled ? 1 : 0;
+    for (u32 set = 0; set < sets_.size(); ++set) {
+      if (sets_[set].vars.chbm_disabled) ++n;
+    }
     return static_cast<double>(n);
   });
   // Hot-table movement counters (per-epoch deltas).
@@ -245,17 +245,16 @@ void BumblebeeController::allocate(SetState& st, u32 set, u32 page,
   ++bstats_.prt_misses;
 
   auto alloc_hbm = [&]() -> bool {
-    if (st.degraded) return false;  // degraded sets allocate off-chip only
+    if (st.vars.degraded) return false;  // degraded sets allocate off-chip only
     for (u32 k = 0; k < geo_.n; ++k) {
       if (st.ble[k].mode == Ble::Mode::kFree && !st.ble[k].retired &&
           frame_may_mem(k)) {
         const RatioSample before = tracing() ? set_ratio(st) : RatioSample{};
         st.new_ple[page] = static_cast<std::int32_t>(geo_.m + k);
-        st.occup[geo_.m + k] = true;
-        Ble& b = st.ble[k];
-        b.reset(geo_.blocks_per_page);
-        b.mode = Ble::Mode::kMem;
-        b.ple = page;
+        st.occup.set(geo_.m + k);
+        st.reset_ble(k);
+        st.ble[k].mode = Ble::Mode::kMem;
+        st.ble[k].ple = page;
         st.hot.move_dram_to_hbm(page);
         emit_ratio_transition(st, set, now, "allocate_hbm", before);
         return true;
@@ -267,7 +266,7 @@ void BumblebeeController::allocate(SetState& st, u32 set, u32 page,
     const u32 fd = st.free_dram_frame(geo_.m, page < geo_.m ? page : kNoPage);
     if (fd == kNoPage) return false;
     st.new_ple[page] = static_cast<std::int32_t>(fd);
-    st.occup[fd] = true;
+    st.occup.set(fd);
     return true;
   };
 
@@ -280,10 +279,10 @@ void BumblebeeController::allocate(SetState& st, u32 set, u32 page,
       // allocating access itself bumps the counter once, so a page that
       // was never touched again breaks the chain).
       const bool prev_hot_in_hbm =
-          st.last_alloc_page >= 0 &&
+          st.vars.last_alloc_page >= 0 &&
           [&] {
             for (const auto& e : st.hot.hbm_entries()) {
-              if (e.page == static_cast<u32>(st.last_alloc_page)) {
+              if (e.page == static_cast<u32>(st.vars.last_alloc_page)) {
                 return e.counter >= 2;
               }
             }
@@ -301,7 +300,7 @@ void BumblebeeController::allocate(SetState& st, u32 set, u32 page,
       break;
   }
 
-  if (!placed && cfg_.high_footprint_actions && !st.chbm_disabled) {
+  if (!placed && cfg_.high_footprint_actions && !st.vars.chbm_disabled) {
     // Trigger 5 (per-set): free HBM space by flushing the set's cHBM so the
     // allocation does not wait on an eviction.
     flush_set_chbm(st, set, now);
@@ -331,9 +330,7 @@ void BumblebeeController::allocate(SetState& st, u32 set, u32 page,
     }
     assert(victim != kNoPage);
     const u32 vf = static_cast<u32>(st.new_ple[victim]);
-    if (vf >= geo_.m) {
-      st.ble[vf - geo_.m].reset(geo_.blocks_per_page);
-    }
+    if (vf >= geo_.m) st.reset_ble(vf - geo_.m);
     const u32 vc = st.cache_frame_of(victim);
     if (vc != kNoPage) {
       // Tear the cache copy down through the eviction path: its dirty
@@ -343,15 +340,14 @@ void BumblebeeController::allocate(SetState& st, u32 set, u32 page,
     }
     st.hot.remove(victim);
     st.new_ple[victim] = kUnallocated;
-    st.occup[vf] = false;
+    st.occup.set(vf, false);
     ++bstats_.os_swap_outs;
     st.new_ple[page] = static_cast<std::int32_t>(vf);
-    st.occup[vf] = true;
+    st.occup.set(vf);
     if (vf >= geo_.m) {
-      Ble& b = st.ble[vf - geo_.m];
-      b.reset(geo_.blocks_per_page);
-      b.mode = Ble::Mode::kMem;
-      b.ple = page;
+      st.reset_ble(vf - geo_.m);
+      st.ble[vf - geo_.m].mode = Ble::Mode::kMem;
+      st.ble[vf - geo_.m].ple = page;
       st.hot.move_dram_to_hbm(page);
     }
     if (tracing()) {
@@ -362,7 +358,7 @@ void BumblebeeController::allocate(SetState& st, u32 set, u32 page,
       emit_ratio_transition(st, set, now, "os_swap_out", before);
     }
   }
-  st.last_alloc_page = static_cast<std::int32_t>(page);
+  st.vars.last_alloc_page = static_cast<std::int32_t>(page);
   verify_set(st, set, "allocate");
 }
 
@@ -370,7 +366,7 @@ void BumblebeeController::allocate(SetState& st, u32 set, u32 page,
 
 bool BumblebeeController::evict_frame(SetState& st, u32 set, u32 k,
                                       Tick now) {
-  Ble& b = st.ble[k];
+  const Ble b = st.ble[k];
   assert(b.mode != Ble::Mode::kFree);
   const u32 page = b.ple;
   const Addr hbm_page_addr = frame_addr(set, geo_.m + k);
@@ -381,14 +377,15 @@ bool BumblebeeController::evict_frame(SetState& st, u32 set, u32 k,
     const u32 home = static_cast<u32>(st.new_ple[page]);
     assert(home < geo_.m);
     const Addr dram_page_addr = frame_addr(set, home);
+    const BitRow dirty = st.dirty(k);
     for (u32 blk = 0; blk < geo_.blocks_per_page; ++blk) {
-      if (b.dirty.test(blk)) {
+      if (dirty.test(blk)) {
         move_data(hbm(), hbm_page_addr + blk * geo_.block_bytes, dram(),
                   dram_page_addr + blk * geo_.block_bytes, geo_.block_bytes,
                   now, mem::TrafficClass::kWriteback);
       }
     }
-    b.reset(geo_.blocks_per_page);
+    st.reset_ble(k);
     st.hot.move_hbm_to_dram(page);
     ++bstats_.chbm_evictions;
     ++mutable_stats().evictions;
@@ -403,9 +400,9 @@ bool BumblebeeController::evict_frame(SetState& st, u32 set, u32 k,
   move_data(hbm(), hbm_page_addr, dram(), frame_addr(set, fd),
             geo_.page_bytes, now, mem::TrafficClass::kWriteback);
   st.new_ple[page] = static_cast<std::int32_t>(fd);
-  st.occup[fd] = true;
-  st.occup[geo_.m + k] = false;
-  b.reset(geo_.blocks_per_page);
+  st.occup.set(fd);
+  st.occup.set(geo_.m + k, false);
+  st.reset_ble(k);
   st.hot.move_hbm_to_dram(page);
   ++bstats_.mhbm_evictions;
   ++mutable_stats().evictions;
@@ -465,17 +462,16 @@ u32 BumblebeeController::reclaim_hbm_frame(SetState& st, u32 set, Tick now,
     const u32 fd = st.free_dram_frame(geo_.m, page < geo_.m ? page : kNoPage);
     const bool can_buffer = cfg_.high_footprint_actions &&
                             cfg_.multiplexed_space && !fixed_partition_ &&
-                            cfg_.enable_caching && !st.chbm_disabled &&
+                            cfg_.enable_caching && !st.vars.chbm_disabled &&
                             !buffered_once && fd != kNoPage;
     if (can_buffer) {
       const RatioSample before = tracing() ? set_ratio(st) : RatioSample{};
-      Ble& b = st.ble[k];
       st.new_ple[page] = static_cast<std::int32_t>(fd);
-      st.occup[fd] = true;
-      st.occup[geo_.m + k] = false;
-      b.mode = Ble::Mode::kCache;
-      b.valid.set_all();
-      b.dirty.set_all();  // off-chip frame holds no data yet
+      st.occup.set(fd);
+      st.occup.set(geo_.m + k, false);
+      st.ble[k].mode = Ble::Mode::kCache;
+      st.valid(k).set_all();
+      st.dirty(k).set_all();  // off-chip frame holds no data yet
       st.hot.requeue_hbm_mru(page);
       ++bstats_.mem_to_cache_buffers;
       ++mutable_stats().mode_switches;
@@ -497,8 +493,7 @@ u32 BumblebeeController::reclaim_hbm_frame(SetState& st, u32 set, Tick now,
 void BumblebeeController::migrate_page(SetState& st, u32 set, u32 page,
                                        u32 target_ble, u32 block, Tick now) {
   const RatioSample before = tracing() ? set_ratio(st) : RatioSample{};
-  Ble& b = st.ble[target_ble];
-  assert(b.mode == Ble::Mode::kFree);
+  assert(st.ble[target_ble].mode == Ble::Mode::kFree);
   const u32 src = static_cast<u32>(st.new_ple[page]);
   assert(src < geo_.m);
 
@@ -507,14 +502,15 @@ void BumblebeeController::migrate_page(SetState& st, u32 set, u32 page,
             mem::TrafficClass::kMigration);
 
   st.new_ple[page] = static_cast<std::int32_t>(geo_.m + target_ble);
-  st.occup[src] = false;
-  st.occup[geo_.m + target_ble] = true;
-  b.reset(geo_.blocks_per_page);
-  b.mode = Ble::Mode::kMem;
-  b.ple = page;
-  b.valid.set(block);  // spatial tracking: the demanded block was accessed
-  b.fetched.set_all();
-  b.used.set(block);
+  st.occup.set(src, false);
+  st.occup.set(geo_.m + target_ble);
+  st.reset_ble(target_ble);
+  st.ble[target_ble].mode = Ble::Mode::kMem;
+  st.ble[target_ble].ple = page;
+  // Spatial tracking: the demanded block was accessed.
+  st.valid(target_ble).set(block);
+  st.fetched(target_ble).set_all();
+  st.used(target_ble).set(block);
   mutable_stats().blocks_fetched += geo_.blocks_per_page;
   ++mutable_stats().fetched_blocks_used;
   st.hot.move_dram_to_hbm(page);
@@ -537,22 +533,20 @@ void BumblebeeController::cache_block(SetState& st, u32 set, u32 page,
       }
     }
     assert(k != kNoPage && "caller must guarantee a free cache frame");
-    Ble& nb = st.ble[k];
-    nb.reset(geo_.blocks_per_page);
-    nb.mode = Ble::Mode::kCache;
-    nb.ple = page;
+    st.reset_ble(k);
+    st.ble[k].mode = Ble::Mode::kCache;
+    st.ble[k].ple = page;
     st.hot.move_dram_to_hbm(page);
     emit_ratio_transition(st, set, now, "cache_block_new_frame", before);
   }
-  Ble& b = st.ble[k];
   const u32 home = static_cast<u32>(st.new_ple[page]);
   move_data(dram(), frame_addr(set, home) + block * geo_.block_bytes, hbm(),
             frame_addr(set, geo_.m + k) + block * geo_.block_bytes,
             geo_.block_bytes, now, mem::TrafficClass::kFill);
-  b.valid.set(block);
-  if (mark_dirty) b.dirty.set(block);
-  b.fetched.set(block);
-  b.used.set(block);  // the demanded block is used by definition
+  st.valid(k).set(block);
+  if (mark_dirty) st.dirty(k).set(block);
+  st.fetched(k).set(block);
+  st.used(k).set(block);  // the demanded block is used by definition
   ++mutable_stats().blocks_fetched;
   ++mutable_stats().fetched_blocks_used;
   ++bstats_.block_fetches;
@@ -577,9 +571,11 @@ void BumblebeeController::maybe_promote_cached(SetState& st, u32 set, u32 ck,
 
 void BumblebeeController::switch_cache_to_mem(SetState& st, u32 set, u32 k,
                                               Tick now) {
-  Ble& b = st.ble[k];
-  assert(b.mode == Ble::Mode::kCache);
-  const u32 page = b.ple;
+  assert(st.ble[k].mode == Ble::Mode::kCache);
+  const u32 page = st.ble[k].ple;
+  const BitRow valid = st.valid(k);
+  BitRow dirty = st.dirty(k);
+  BitRow fetched = st.fetched(k);
   const u32 home = static_cast<u32>(st.new_ple[page]);
   const Addr hbm_page_addr = frame_addr(set, geo_.m + k);
   const Addr dram_page_addr = frame_addr(set, home);
@@ -587,11 +583,11 @@ void BumblebeeController::switch_cache_to_mem(SetState& st, u32 set, u32 k,
   if (cfg_.multiplexed_space) {
     // Multiplexed space: fetch only the blocks not already cached.
     for (u32 blk = 0; blk < geo_.blocks_per_page; ++blk) {
-      if (!b.valid.test(blk)) {
+      if (!valid.test(blk)) {
         move_data(dram(), dram_page_addr + blk * geo_.block_bytes, hbm(),
                   hbm_page_addr + blk * geo_.block_bytes, geo_.block_bytes,
                   now, mem::TrafficClass::kMigration);
-        b.fetched.set(blk);
+        fetched.set(blk);
         ++mutable_stats().blocks_fetched;
       }
     }
@@ -600,7 +596,7 @@ void BumblebeeController::switch_cache_to_mem(SetState& st, u32 set, u32 k,
     // cached copy back, (b) swap out a victim mHBM page, and (c) move the
     // whole page into the mHBM region — the paper's motivating overhead.
     for (u32 blk = 0; blk < geo_.blocks_per_page; ++blk) {
-      if (b.dirty.test(blk)) {
+      if (dirty.test(blk)) {
         move_data(hbm(), hbm_page_addr + blk * geo_.block_bytes, dram(),
                   dram_page_addr + blk * geo_.block_bytes, geo_.block_bytes,
                   now, mem::TrafficClass::kWriteback);
@@ -621,10 +617,10 @@ void BumblebeeController::switch_cache_to_mem(SetState& st, u32 set, u32 k,
     if (victim_k != kNoPage) {
       evict_frame(st, set, victim_k, now);
     }
-    b.dirty.clear_all();
+    dirty.clear_all();
     move_data(dram(), dram_page_addr, hbm(), hbm_page_addr, geo_.page_bytes,
               now, mem::TrafficClass::kMigration);
-    b.fetched.set_all();
+    fetched.set_all();
     // The whole page crosses the bus, already-cached blocks included — the
     // re-fetch of valid blocks is exactly the No-Multi overhead the
     // ablation measures, so charge every block.
@@ -633,10 +629,10 @@ void BumblebeeController::switch_cache_to_mem(SetState& st, u32 set, u32 k,
 
   const RatioSample before = tracing() ? set_ratio(st) : RatioSample{};
   st.new_ple[page] = static_cast<std::int32_t>(geo_.m + k);
-  st.occup[home] = false;
-  st.occup[geo_.m + k] = true;
-  b.mode = Ble::Mode::kMem;
-  // b.valid now tracks accessed blocks — the cached blocks were accessed.
+  st.occup.set(home, false);
+  st.occup.set(geo_.m + k);
+  st.ble[k].mode = Ble::Mode::kMem;
+  // valid now tracks accessed blocks — the cached blocks were accessed.
   ++bstats_.cache_to_mem_switches;
   ++mutable_stats().mode_switches;
   emit_ratio_transition(st, set, now, "cache_to_mem_switch", before);
@@ -680,11 +676,10 @@ void BumblebeeController::swap_with_coldest(SetState& st, u32 set, u32 page,
 
   st.new_ple[cold_page] = static_cast<std::int32_t>(my_frame);
   st.new_ple[page] = cold_slot;
-  Ble& b = st.ble[k];
-  b.reset(geo_.blocks_per_page);
-  b.mode = Ble::Mode::kMem;
-  b.ple = page;
-  b.fetched.set_all();
+  st.reset_ble(k);
+  st.ble[k].mode = Ble::Mode::kMem;
+  st.ble[k].ple = page;
+  st.fetched(k).set_all();
   mutable_stats().blocks_fetched += geo_.blocks_per_page;
   st.hot.move_hbm_to_dram(cold_page);
   st.hot.move_dram_to_hbm(page);
@@ -702,23 +697,23 @@ void BumblebeeController::swap_with_coldest(SetState& st, u32 set, u32 page,
 
 bool BumblebeeController::retire_hbm_frame(SetState& st, u32 set, u32 k,
                                            Tick now) {
-  Ble& b = st.ble[k];
-  if (b.retired) return false;
-  if (b.mode != Ble::Mode::kFree && !evict_frame(st, set, k, now)) {
+  if (st.ble[k].retired) return false;
+  if (st.ble[k].mode != Ble::Mode::kFree && !evict_frame(st, set, k, now)) {
     // No free off-chip frame to vacate into right now; the frame stays in
     // service and the next UE retries the retirement.
     return false;
   }
-  b.retired = true;
-  ++st.retired_frames;
+  st.ble[k].retired = true;
+  SetScalars& v = st.vars;
+  ++v.retired_frames;
   ++bstats_.frame_retirements;
   if (tracing()) {
     trace()->emit(TraceEvent(now, "frame_retired", "fault")
                       .arg("set", set)
                       .arg("frame", k)
-                      .arg("set_retired_frames", st.retired_frames));
+                      .arg("set_retired_frames", v.retired_frames));
   }
-  if (!st.degraded && st.retired_frames >= cfg_.degrade_after_retired_frames) {
+  if (!v.degraded && v.retired_frames >= cfg_.degrade_after_retired_frames) {
     // Too much of this set's HBM is gone: degrade it. Existing cache
     // copies are flushed and caching disabled (trigger 5's machinery, but
     // counted separately — this is damage control, not footprint control);
@@ -727,8 +722,8 @@ bool BumblebeeController::retire_hbm_frame(SetState& st, u32 set, u32 k,
     // and its remap ratio is frozen.
     // chbm_disabled goes up before the flush: evict_frame's own
     // verify_set already expects a degraded set to have caching off.
-    st.degraded = true;
-    st.chbm_disabled = true;
+    v.degraded = true;
+    v.chbm_disabled = true;
     ++bstats_.sets_degraded;
     for (u32 i = 0; i < geo_.n; ++i) {
       if (st.ble[i].mode == Ble::Mode::kCache) evict_frame(st, set, i, now);
@@ -736,7 +731,7 @@ bool BumblebeeController::retire_hbm_frame(SetState& st, u32 set, u32 k,
     if (tracing()) {
       trace()->emit(TraceEvent(now, "set_degraded", "fault")
                         .arg("set", set)
-                        .arg("retired_frames", st.retired_frames));
+                        .arg("retired_frames", v.retired_frames));
     }
   }
   verify_set(st, set, "retire_hbm_frame");
@@ -748,9 +743,10 @@ hmm::FaultPosture BumblebeeController::fault_posture() const {
   // structural (retired frames stay retired across a warmup stat reset),
   // while bstats_ counts events in the measured phase only.
   hmm::FaultPosture p;
-  for (const SetState& st : sets_) {
-    p.retired_frames += st.retired_frames;
-    if (st.degraded) ++p.degraded_sets;
+  for (u32 set = 0; set < sets_.size(); ++set) {
+    const SetScalars& v = sets_[set].vars;
+    p.retired_frames += v.retired_frames;
+    if (v.degraded) ++p.degraded_sets;
   }
   return p;
 }
@@ -767,7 +763,7 @@ void BumblebeeController::flush_set_chbm(SetState& st, u32 set, Tick now) {
       evict_frame(st, set, k, now);
     }
   }
-  st.chbm_disabled = true;
+  st.vars.chbm_disabled = true;
   ++bstats_.batch_flushes;
   if (tracing()) {
     trace()->emit(TraceEvent(now, "set_chbm_flush", "bumblebee")
@@ -779,24 +775,25 @@ void BumblebeeController::flush_set_chbm(SetState& st, u32 set, Tick now) {
 void BumblebeeController::maybe_batch_flush(Tick now) {
   if (!high_footprint_mode_ || !cfg_.high_footprint_actions) return;
   if (flush_cursor_ > 0) return;  // one proactive batch on mode entry
-  const u32 batch =
-      std::min(cfg_.flush_batch_sets, static_cast<u32>(sets_.size()));
+  const u32 batch = std::min(cfg_.flush_batch_sets, sets_.size());
   while (flush_cursor_ < batch) {
-    flush_set_chbm(sets_[flush_cursor_], flush_cursor_, now);
+    SetState st = sets_[flush_cursor_];
+    flush_set_chbm(st, flush_cursor_, now);
     ++flush_cursor_;
   }
 }
 
 void BumblebeeController::run_zombie_check(SetState& st, u32 set, Tick now) {
+  SetScalars& v = st.vars;
   if (!cfg_.high_footprint_actions || !st.rh_high()) {
-    st.zombie_page = kNoPage;
-    st.zombie_age = 0;
+    v.zombie_page = kNoPage;
+    v.zombie_age = 0;
     return;
   }
   const auto head = st.hot.lru_hbm();
   if (!head) return;
-  if (head->page == st.zombie_page && head->counter == st.zombie_counter) {
-    if (++st.zombie_age >= cfg_.zombie_window) {
+  if (head->page == v.zombie_page && head->counter == v.zombie_counter) {
+    if (++v.zombie_age >= cfg_.zombie_window) {
       // Nothing can push this page out; evict it directly.
       u32 k = st.cache_frame_of(head->page);
       if (k == kNoPage) {
@@ -808,13 +805,13 @@ void BumblebeeController::run_zombie_check(SetState& st, u32 set, Tick now) {
       if (k != kNoPage && evict_frame(st, set, k, now)) {
         ++bstats_.zombie_evictions;
       }
-      st.zombie_page = kNoPage;
-      st.zombie_age = 0;
+      v.zombie_page = kNoPage;
+      v.zombie_age = 0;
     }
   } else {
-    st.zombie_page = head->page;
-    st.zombie_counter = head->counter;
-    st.zombie_age = 0;
+    v.zombie_page = head->page;
+    v.zombie_counter = head->counter;
+    v.zombie_age = 0;
   }
 }
 
@@ -823,8 +820,8 @@ void BumblebeeController::run_zombie_check(SetState& st, u32 set, Tick now) {
 hmm::HmmResult BumblebeeController::service(Addr addr, AccessType type,
                                             Tick now) {
   const Decoded d = decode(addr);
-  SetState& st = sets_[d.set];
-  ++st.accesses;
+  SetState st = sets_[d.set];
+  ++st.vars.accesses;
 
   hmm::HmmResult res;
   Tick t = now + meta_lookup(d.set, now, res);
@@ -848,17 +845,17 @@ hmm::HmmResult BumblebeeController::service(Addr addr, AccessType type,
 
   if (slot_in_hbm(loc)) {
     // (3) The page lives in mHBM: serve from HBM; no data movement.
-    Ble& b = st.ble[loc - geo_.m];
-    assert(b.mode == Ble::Mode::kMem && b.ple == d.page);
+    const u32 k = loc - geo_.m;
+    assert(st.ble[k].mode == Ble::Mode::kMem && st.ble[k].ple == d.page);
     const auto rr =
         ecc_demand(hbm(), frame_addr(d.set, loc) + d.offset, 64, type, t);
     res.complete = rr.access.complete;
     res.served_by_hbm = true;
     res.phys_addr = frame_addr(d.set, loc) + d.offset;
-    b.valid.set(d.block);
-    if (type == AccessType::kWrite) b.dirty.set(d.block);
-    if (b.fetched.test(d.block) && !b.used.test(d.block)) {
-      b.used.set(d.block);
+    st.valid(k).set(d.block);
+    if (type == AccessType::kWrite) st.dirty(k).set(d.block);
+    if (st.fetched(k).test(d.block) && !st.used(k).test(d.block)) {
+      st.used(k).set(d.block);
       ++mutable_stats().fetched_blocks_used;
     }
     st.hot.touch_hbm(d.page);
@@ -868,7 +865,7 @@ hmm::HmmResult BumblebeeController::service(Addr addr, AccessType type,
       // Either way, retire the frame — the eviction inside moves the page
       // to a clean off-chip frame so the set keeps running degraded.
       if (type == AccessType::kRead) ++mutable_stats().due_data_loss;
-      retire_hbm_frame(st, d.set, loc - geo_.m, res.complete);
+      retire_hbm_frame(st, d.set, k, res.complete);
     }
     run_zombie_check(st, d.set, t);
     // Counter/LRU updates are write-combined in the controller's buffers;
@@ -882,18 +879,17 @@ hmm::HmmResult BumblebeeController::service(Addr addr, AccessType type,
   // second lookup is charged even for HBM-resident metadata).
   const u32 ck = st.cache_frame_of(d.page);
 
-  if (ck != kNoPage && st.ble[ck].valid.test(d.block)) {
+  if (ck != kNoPage && st.valid(ck).test(d.block)) {
     // (7) Block cached: serve from cHBM.
-    Ble& b = st.ble[ck];
     const Addr pa = frame_addr(d.set, geo_.m + ck) + d.offset;
-    const bool was_dirty = b.dirty.test(d.block);
+    const bool was_dirty = st.dirty(ck).test(d.block);
     const auto rr = ecc_demand(hbm(), pa, 64, type, t);
     res.complete = rr.access.complete;
     res.served_by_hbm = true;
     res.phys_addr = pa;
-    if (type == AccessType::kWrite) b.dirty.set(d.block);
-    if (b.fetched.test(d.block) && !b.used.test(d.block)) {
-      b.used.set(d.block);
+    if (type == AccessType::kWrite) st.dirty(ck).set(d.block);
+    if (st.fetched(ck).test(d.block) && !st.used(ck).test(d.block)) {
+      st.used(ck).set(d.block);
       ++mutable_stats().fetched_blocks_used;
     }
     const u64 h = st.hot.touch_hbm(d.page);
@@ -948,8 +944,7 @@ hmm::HmmResult BumblebeeController::service(Addr addr, AccessType type,
     if (fetch_ok) {
       cache_block(st, d.set, d.page, d.block, r.complete,
                   /*mark_dirty=*/false);
-      Ble& b = st.ble[ck];
-      const double frac = static_cast<double>(b.valid.popcount()) /
+      const double frac = static_cast<double>(st.valid(ck).popcount()) /
                           static_cast<double>(geo_.blocks_per_page);
       const bool may_switch = cfg_.enable_migration && !fixed_partition_ &&
                               frame_may_mem(ck);
@@ -962,15 +957,8 @@ hmm::HmmResult BumblebeeController::service(Addr addr, AccessType type,
     const u64 h = st.hot.touch_dram(d.page);
     const u64 threshold = st.hot.min_hbm_counter();
 
-    const bool all_occupied = [&] {
-      for (u32 j = 0; j < geo_.slots(); ++j) {
-        if (!st.occup[j]) return false;
-      }
-      return true;
-    }();
-
-    if (all_occupied && cfg_.high_footprint_actions &&
-        cfg_.enable_migration && h > threshold && !st.degraded) {
+    if (st.occup.all() && cfg_.high_footprint_actions &&
+        cfg_.enable_migration && h > threshold && !st.vars.degraded) {
       // (4) Set fully OS-occupied: swap with the coldest HBM page.
       swap_with_coldest(st, d.set, d.page, r.complete);
     } else {
@@ -993,7 +981,8 @@ hmm::HmmResult BumblebeeController::service(Addr addr, AccessType type,
         do_migrate = sl > 0 || no_evidence;
       }
 
-      if (do_migrate && cfg_.enable_migration && h >= 2 && !st.degraded) {
+      if (do_migrate && cfg_.enable_migration && h >= 2 &&
+          !st.vars.degraded) {
         // Migration needs evidence of reuse (a re-access) even when HBM
         // frames are free: only data with potential for future reuse is
         // worth a page-granularity move (Section I's POM rationale).
@@ -1015,7 +1004,7 @@ hmm::HmmResult BumblebeeController::service(Addr addr, AccessType type,
             migrate_page(st, d.set, d.page, freed, d.block, r.complete);
           }
         }
-      } else if (cfg_.enable_caching && !st.chbm_disabled) {
+      } else if (cfg_.enable_caching && !st.vars.chbm_disabled) {
         u32 f = kNoPage;
         for (u32 i = 0; i < geo_.n; ++i) {
           if (st.ble[i].mode == Ble::Mode::kFree && !st.ble[i].retired &&
@@ -1049,7 +1038,7 @@ hmm::HmmResult BumblebeeController::service(Addr addr, AccessType type,
 
 BumblebeeController::Location BumblebeeController::locate(Addr addr) const {
   const Decoded d = decode(addr);
-  const SetState& st = sets_[d.set];
+  const SetState st = sets_[d.set];
   Location out;
   if (st.new_ple[d.page] == kUnallocated) return out;
   out.allocated = true;
@@ -1060,7 +1049,7 @@ BumblebeeController::Location BumblebeeController::locate(Addr addr) const {
     return out;
   }
   const u32 ck = st.cache_frame_of(d.page);
-  if (ck != kNoPage && st.ble[ck].valid.test(d.block)) {
+  if (ck != kNoPage && st.valid(ck).test(d.block)) {
     out.in_hbm = true;
     out.phys = frame_addr(d.set, geo_.m + ck) + d.offset;
     return out;
@@ -1083,7 +1072,7 @@ bool BumblebeeController::check_set_invariants(const SetState& st,
     frame_owner[static_cast<u32>(f)] = static_cast<int>(p);
   }
   for (u32 f = 0; f < geo_.slots(); ++f) {
-    if (st.occup[f] != (frame_owner[f] != -1)) return false;
+    if (st.occup.test(f) != (frame_owner[f] != -1)) return false;
   }
   // BLE: every HBM frame's entry agrees with the PRT slot it mirrors.
   std::vector<bool> cached(geo_.slots(), false);
@@ -1101,7 +1090,7 @@ bool BumblebeeController::check_set_invariants(const SetState& st,
     }
     switch (b.mode) {
       case Ble::Mode::kFree:
-        if (st.occup[geo_.m + k]) return false;
+        if (st.occup.test(geo_.m + k)) return false;
         ++free_frames;
         break;
       case Ble::Mode::kMem:
@@ -1119,7 +1108,7 @@ bool BumblebeeController::check_set_invariants(const SetState& st,
             home >= static_cast<std::int32_t>(geo_.m)) {
           return false;  // cached page must live off-chip
         }
-        if (st.occup[geo_.m + k]) return false;  // cache frame not occup
+        if (st.occup.test(geo_.m + k)) return false;  // cache frame not occup
         hbm_resident[b.ple] = true;
         ++chbm;
         break;
@@ -1131,10 +1120,10 @@ bool BumblebeeController::check_set_invariants(const SetState& st,
   if (chbm + mhbm + free_frames != geo_.n) return false;
   // Fault retirement bookkeeping: the sticky BLE flags agree with the
   // set's counter, and a degraded set has stopped caching.
-  if (retired != st.retired_frames) return false;
-  if (st.degraded &&
-      (!st.chbm_disabled ||
-       st.retired_frames < cfg_.degrade_after_retired_frames)) {
+  const SetScalars& v = st.vars;
+  if (retired != v.retired_frames) return false;
+  if (v.degraded && (!v.chbm_disabled ||
+                     v.retired_frames < cfg_.degrade_after_retired_frames)) {
     return false;
   }
   // Hot table: the HBM queue holds exactly the HBM-resident pages (each
@@ -1173,29 +1162,33 @@ bool BumblebeeController::check_invariants() const {
 void BumblebeeController::save_state(snap::Writer& w) const {
   save_base_state(w);
   w.put_u64(sets_.size());
-  for (const SetState& st : sets_) {
+  for (u32 set = 0; set < sets_.size(); ++set) {
+    const SetState st = sets_[set];
     w.put_u64(st.new_ple.size());
     for (std::int32_t v : st.new_ple) w.put_i64(v);
-    for (bool o : st.occup) w.put_u8(o ? 1 : 0);
+    for (u32 j = 0; j < st.occup.size(); ++j) {
+      w.put_u8(st.occup.test(j) ? 1 : 0);
+    }
     w.put_u64(st.ble.size());
-    for (const Ble& b : st.ble) {
-      w.put_u8(static_cast<u8>(b.mode));
-      w.put_u32(b.ple);
-      w.put_u8(b.retired ? 1 : 0);
-      b.valid.save(w);
-      b.dirty.save(w);
-      b.fetched.save(w);
-      b.used.save(w);
+    for (u32 k = 0; k < st.ble.size(); ++k) {
+      w.put_u8(static_cast<u8>(st.ble[k].mode));
+      w.put_u32(st.ble[k].ple);
+      w.put_u8(st.ble[k].retired ? 1 : 0);
+      st.valid(k).save(w);
+      st.dirty(k).save(w);
+      st.fetched(k).save(w);
+      st.used(k).save(w);
     }
     st.hot.save(w);
-    w.put_u32(st.zombie_page);
-    w.put_u64(st.zombie_counter);
-    w.put_u32(st.zombie_age);
-    w.put_u64(st.accesses);
-    w.put_u8(st.chbm_disabled ? 1 : 0);
-    w.put_i64(st.last_alloc_page);
-    w.put_u32(st.retired_frames);
-    w.put_u8(st.degraded ? 1 : 0);
+    const SetScalars& v = st.vars;
+    w.put_u32(v.zombie_page);
+    w.put_u64(v.zombie_counter);
+    w.put_u32(v.zombie_age);
+    w.put_u64(v.accesses);
+    w.put_u8(v.chbm_disabled ? 1 : 0);
+    w.put_i64(v.last_alloc_page);
+    w.put_u32(v.retired_frames);
+    w.put_u8(v.degraded ? 1 : 0);
   }
   w.put_u64(bstats_.prt_misses);
   w.put_u64(bstats_.block_fetches);
@@ -1222,37 +1215,38 @@ void BumblebeeController::load_state(snap::Reader& r) {
     throw snap::SnapshotError("remapping set count mismatch");
   }
   for (u32 set = 0; set < sets_.size(); ++set) {
-    SetState& st = sets_[set];
+    SetState st = sets_[set];
     if (r.get_u64() != st.new_ple.size()) {
       throw snap::SnapshotError("set slot count mismatch");
     }
     for (std::int32_t& v : st.new_ple) {
       v = static_cast<std::int32_t>(r.get_i64());
     }
-    for (std::size_t j = 0; j < st.occup.size(); ++j) {
-      st.occup[j] = r.get_u8() != 0;
+    for (u32 j = 0; j < st.occup.size(); ++j) {
+      st.occup.set(j, r.get_u8() != 0);
     }
     if (r.get_u64() != st.ble.size()) {
       throw snap::SnapshotError("set frame count mismatch");
     }
-    for (Ble& b : st.ble) {
-      b.mode = static_cast<Ble::Mode>(r.get_u8());
-      b.ple = r.get_u32();
-      b.retired = r.get_u8() != 0;
-      b.valid.load(r);
-      b.dirty.load(r);
-      b.fetched.load(r);
-      b.used.load(r);
+    for (u32 k = 0; k < st.ble.size(); ++k) {
+      st.ble[k].mode = static_cast<Ble::Mode>(r.get_u8());
+      st.ble[k].ple = r.get_u32();
+      st.ble[k].retired = r.get_u8() != 0;
+      st.valid(k).load(r);
+      st.dirty(k).load(r);
+      st.fetched(k).load(r);
+      st.used(k).load(r);
     }
     st.hot.load(r);
-    st.zombie_page = r.get_u32();
-    st.zombie_counter = r.get_u64();
-    st.zombie_age = r.get_u32();
-    st.accesses = r.get_u64();
-    st.chbm_disabled = r.get_u8() != 0;
-    st.last_alloc_page = static_cast<std::int32_t>(r.get_i64());
-    st.retired_frames = r.get_u32();
-    st.degraded = r.get_u8() != 0;
+    SetScalars& v = st.vars;
+    v.zombie_page = r.get_u32();
+    v.zombie_counter = r.get_u64();
+    v.zombie_age = r.get_u32();
+    v.accesses = r.get_u64();
+    v.chbm_disabled = r.get_u8() != 0;
+    v.last_alloc_page = static_cast<std::int32_t>(r.get_i64());
+    v.retired_frames = r.get_u32();
+    v.degraded = r.get_u8() != 0;
     verify_set(st, set, "load_state");
   }
   bstats_.prt_misses = r.get_u64();

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "bumblebee/config.h"
 #include "bumblebee/set_state.h"
@@ -203,9 +202,9 @@ class BumblebeeController final : public hmm::HybridMemoryController {
   BumblebeeConfig cfg_;
   Geometry geo_;
   std::unique_ptr<hmm::MetadataModel> meta_;
-  std::vector<SetState> sets_;
-  BumblebeeStats bstats_;
   u64 counter_max_;
+  SetTable sets_;
+  BumblebeeStats bstats_;
   u32 chbm_reserved_ = 0;  ///< fixed partition: BLEs [0, chbm_reserved_) cache
   bool fixed_partition_ = false;
   bool high_footprint_mode_ = false;

@@ -3,84 +3,104 @@
 #include "common/snapshot.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace bb::bumblebee {
 
-HotTable::HotTable(u32 hbm_capacity, u32 dram_capacity, u64 counter_max)
-    : hbm_capacity_(hbm_capacity),
-      dram_capacity_(dram_capacity),
-      counter_max_(counter_max) {
-  hbm_.reserve(hbm_capacity_);
-  dram_.reserve(dram_capacity_ + 1);
+namespace {
+
+using Entry = HotTable::Entry;
+
+/// Index of `page` in q[0, len), or len if absent.
+u32 find(const Entry* q, u32 len, u32 page) {
+  u32 i = 0;
+  while (i < len && q[i].page != page) ++i;
+  return i;
 }
 
-std::optional<std::size_t> HotTable::find(const std::vector<Entry>& q,
-                                          u32 page) {
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    if (q[i].page == page) return i;
-  }
-  return std::nullopt;
+/// Removes q[i] and returns it, shifting the younger entries down.
+Entry take(Entry* q, u32& len, u32 i) {
+  const Entry e = q[i];
+  std::copy(q + i + 1, q + len, q + i);
+  --len;
+  return e;
 }
+
+/// Appends `e` at the MRU end, dropping the LRU entry of a full queue.
+void push_dropping_lru(Entry* q, u32& len, u32 capacity, const Entry& e) {
+  if (capacity == 0) return;
+  if (len == capacity) take(q, len, 0);
+  q[len++] = e;
+}
+
+/// Appends `e` at the MRU end of the HBM queue. The queue tracks at most
+/// one entry per HBM frame, so a full queue means corrupt remap state;
+/// fail in every build rather than write into the next set's slice.
+void push_hbm(Entry* q, u32& len, u32 capacity, const Entry& e) {
+  if (len == capacity) {
+    throw std::logic_error(
+        "hot table: HBM queue full (it tracks at most n resident pages)");
+  }
+  q[len++] = e;
+}
+
+/// A queue length read from a snapshot, checked against the slice.
+u32 checked_length(u64 n, u32 capacity) {
+  if (n > capacity) throw snap::SnapshotError("hot-table queue overflow");
+  return static_cast<u32>(n);
+}
+
+}  // namespace
+
+HotTables::HotTables(u32 sets, u32 hbm_capacity, u32 dram_capacity,
+                     u64 counter_max)
+    : shape_{hbm_capacity, dram_capacity, counter_max},
+      hbm_(std::size_t{sets} * hbm_capacity),
+      dram_(std::size_t{sets} * dram_capacity),
+      len_(sets) {}
 
 u64 HotTable::touch_hbm(u32 page) {
-  const auto idx = find(hbm_, page);
-  Entry e;
-  if (idx) {
-    e = hbm_[*idx];
-    hbm_.erase(hbm_.begin() + static_cast<std::ptrdiff_t>(*idx));
-  } else {
-    assert(hbm_.size() < hbm_capacity_ &&
-           "HBM queue must have room: it tracks at most n resident pages");
-  }
-  e.page = page;
-  e.counter = std::min(e.counter + 1, counter_max_);
-  hbm_.push_back(e);
+  const u32 i = find(hbm_, len_->hbm, page);
+  Entry e{page, 0};
+  if (i < len_->hbm) e = take(hbm_, len_->hbm, i);
+  e.counter = std::min(e.counter + 1, shape_->counter_max);
+  push_hbm(hbm_, len_->hbm, shape_->hbm_capacity, e);
   return e.counter;
 }
 
 u64 HotTable::touch_dram(u32 page) {
-  const auto idx = find(dram_, page);
-  Entry e;
-  if (idx) {
-    e = dram_[*idx];
-    dram_.erase(dram_.begin() + static_cast<std::ptrdiff_t>(*idx));
-  }
-  e.page = page;
-  e.counter = std::min(e.counter + 1, counter_max_);
-  dram_.push_back(e);
-  if (dram_.size() > dram_capacity_) {
-    dram_.erase(dram_.begin());  // drop the LRU off-chip entry
-  }
+  const u32 i = find(dram_, len_->dram, page);
+  Entry e{page, 0};
+  if (i < len_->dram) e = take(dram_, len_->dram, i);
+  e.counter = std::min(e.counter + 1, shape_->counter_max);
+  push_dropping_lru(dram_, len_->dram, shape_->dram_capacity, e);
   return e.counter;
 }
 
 u64 HotTable::hotness(u32 page) const {
-  if (const auto i = find(hbm_, page)) return hbm_[*i].counter;
-  if (const auto i = find(dram_, page)) return dram_[*i].counter;
+  const u32 h = find(hbm_, len_->hbm, page);
+  if (h < len_->hbm) return hbm_[h].counter;
+  const u32 d = find(dram_, len_->dram, page);
+  if (d < len_->dram) return dram_[d].counter;
   return 0;
 }
 
 u64 HotTable::min_hbm_counter() const {
   u64 t = 0;
-  bool first = true;
-  for (const Entry& e : hbm_) {
-    if (first || e.counter < t) {
-      t = e.counter;
-      first = false;
-    }
+  for (u32 i = 0; i < len_->hbm; ++i) {
+    if (i == 0 || hbm_[i].counter < t) t = hbm_[i].counter;
   }
   return t;
 }
 
 std::optional<HotTable::Entry> HotTable::lru_hbm() const {
-  if (hbm_.empty()) return std::nullopt;
-  return hbm_.front();
+  if (len_->hbm == 0) return std::nullopt;
+  return hbm_[0];
 }
 
 std::optional<HotTable::Entry> HotTable::coldest_hbm(u32 exclude) const {
-  std::optional<std::size_t> best;
-  for (std::size_t i = 0; i < hbm_.size(); ++i) {
+  std::optional<u32> best;
+  for (u32 i = 0; i < len_->hbm; ++i) {
     if (hbm_[i].page == exclude) continue;
     if (!best || hbm_[i].counter < hbm_[*best].counter) best = i;
   }
@@ -89,75 +109,66 @@ std::optional<HotTable::Entry> HotTable::coldest_hbm(u32 exclude) const {
 }
 
 void HotTable::move_hbm_to_dram(u32 page) {
-  const auto idx = find(hbm_, page);
-  if (!idx) return;
-  Entry e = hbm_[*idx];
-  hbm_.erase(hbm_.begin() + static_cast<std::ptrdiff_t>(*idx));
+  const u32 i = find(hbm_, len_->hbm, page);
+  if (i == len_->hbm) return;
+  const Entry e = take(hbm_, len_->hbm, i);
   // Remove any stale entry, then push at MRU keeping the counter.
-  if (const auto d = find(dram_, page)) {
-    dram_.erase(dram_.begin() + static_cast<std::ptrdiff_t>(*d));
-  }
-  dram_.push_back(e);
-  if (dram_.size() > dram_capacity_) {
-    dram_.erase(dram_.begin());
-  }
+  const u32 d = find(dram_, len_->dram, page);
+  if (d < len_->dram) take(dram_, len_->dram, d);
+  push_dropping_lru(dram_, len_->dram, shape_->dram_capacity, e);
 }
 
 void HotTable::move_dram_to_hbm(u32 page) {
   Entry e{page, 0};
-  if (const auto d = find(dram_, page)) {
-    e = dram_[*d];
-    dram_.erase(dram_.begin() + static_cast<std::ptrdiff_t>(*d));
-  }
-  if (const auto h = find(hbm_, page)) {
+  const u32 d = find(dram_, len_->dram, page);
+  if (d < len_->dram) e = take(dram_, len_->dram, d);
+  const u32 h = find(hbm_, len_->hbm, page);
+  if (h < len_->hbm) {
     // Already tracked (defensive); merge counters.
-    hbm_[*h].counter = std::min(hbm_[*h].counter + e.counter, counter_max_);
+    hbm_[h].counter =
+        std::min(hbm_[h].counter + e.counter, shape_->counter_max);
     return;
   }
-  assert(hbm_.size() < hbm_capacity_);
-  hbm_.push_back(e);
+  push_hbm(hbm_, len_->hbm, shape_->hbm_capacity, e);
 }
 
 void HotTable::requeue_hbm_mru(u32 page) {
-  const auto idx = find(hbm_, page);
-  if (!idx) return;
-  const Entry e = hbm_[*idx];
-  hbm_.erase(hbm_.begin() + static_cast<std::ptrdiff_t>(*idx));
-  hbm_.push_back(e);
+  const u32 i = find(hbm_, len_->hbm, page);
+  if (i == len_->hbm) return;
+  const Entry e = take(hbm_, len_->hbm, i);
+  hbm_[len_->hbm++] = e;
 }
 
 void HotTable::remove(u32 page) {
-  if (const auto h = find(hbm_, page)) {
-    hbm_.erase(hbm_.begin() + static_cast<std::ptrdiff_t>(*h));
-  }
-  if (const auto d = find(dram_, page)) {
-    dram_.erase(dram_.begin() + static_cast<std::ptrdiff_t>(*d));
-  }
+  const u32 h = find(hbm_, len_->hbm, page);
+  if (h < len_->hbm) take(hbm_, len_->hbm, h);
+  const u32 d = find(dram_, len_->dram, page);
+  if (d < len_->dram) take(dram_, len_->dram, d);
 }
 
 void HotTable::save(snap::Writer& w) const {
-  w.put_u64(hbm_.size());
-  for (const Entry& e : hbm_) {
+  w.put_u64(len_->hbm);
+  for (const Entry& e : hbm_entries()) {
     w.put_u32(e.page);
     w.put_u64(e.counter);
   }
-  w.put_u64(dram_.size());
-  for (const Entry& e : dram_) {
+  w.put_u64(len_->dram);
+  for (const Entry& e : dram_entries()) {
     w.put_u32(e.page);
     w.put_u64(e.counter);
   }
 }
 
 void HotTable::load(snap::Reader& r) {
-  hbm_.resize(static_cast<std::size_t>(r.get_u64()));
-  for (Entry& e : hbm_) {
-    e.page = r.get_u32();
-    e.counter = r.get_u64();
+  len_->hbm = checked_length(r.get_u64(), shape_->hbm_capacity);
+  for (u32 i = 0; i < len_->hbm; ++i) {
+    hbm_[i].page = r.get_u32();
+    hbm_[i].counter = r.get_u64();
   }
-  dram_.resize(static_cast<std::size_t>(r.get_u64()));
-  for (Entry& e : dram_) {
-    e.page = r.get_u32();
-    e.counter = r.get_u64();
+  len_->dram = checked_length(r.get_u64(), shape_->dram_capacity);
+  for (u32 i = 0; i < len_->dram; ++i) {
+    dram_[i].page = r.get_u32();
+    dram_[i].counter = r.get_u64();
   }
 }
 

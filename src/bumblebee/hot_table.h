@@ -11,11 +11,14 @@
 // pushed back into the DRAM queue (the page is being evicted from HBM);
 // entries popped from the DRAM queue are dropped.
 //
-// Queues are tiny (8 + 8 entries), so linear vectors beat pointer-chasing
-// structures; the MRU end is the back of the vector.
+// Queues are tiny (8 + 8 entries), so linear arrays beat pointer-chasing
+// structures; the MRU end is the back of the array. HotTables owns the
+// queues of every set as fixed-capacity slices of two flat entry arrays;
+// a HotTable is a view of one set's two slices and their lengths.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -34,7 +37,23 @@ class HotTable {
     u64 counter = 0;
   };
 
-  HotTable(u32 hbm_capacity, u32 dram_capacity, u64 counter_max);
+  /// Current lengths of one set's two queues.
+  struct Lengths {
+    u32 hbm = 0;
+    u32 dram = 0;
+  };
+
+  /// Capacities and saturation shared by every set's table.
+  struct Shape {
+    u32 hbm_capacity = 0;
+    u32 dram_capacity = 0;
+    u64 counter_max = 0;
+  };
+
+  /// A view of one set's queues: `hbm` and `dram` are slices of
+  /// shape.hbm_capacity and shape.dram_capacity entries.
+  HotTable(Entry* hbm, Entry* dram, Lengths& len, const Shape& shape)
+      : hbm_(hbm), dram_(dram), len_(&len), shape_(&shape) {}
 
   /// Records an access to a page resident in HBM: moves it to the MRU end
   /// (inserting if absent) and bumps its counter. Returns the new counter.
@@ -77,24 +96,39 @@ class HotTable {
   /// Forgets a page entirely (OS swap-out fallback).
   void remove(u32 page);
 
-  std::size_t hbm_size() const { return hbm_.size(); }
-  std::size_t dram_size() const { return dram_.size(); }
-  const std::vector<Entry>& hbm_entries() const { return hbm_; }
-  const std::vector<Entry>& dram_entries() const { return dram_; }
+  std::size_t hbm_size() const { return len_->hbm; }
+  std::size_t dram_size() const { return len_->dram; }
+  std::span<const Entry> hbm_entries() const { return {hbm_, len_->hbm}; }
+  std::span<const Entry> dram_entries() const { return {dram_, len_->dram}; }
 
-  /// Snapshot/restore of both queues (capacities are construction-time).
+  /// Snapshot/restore of both queues (capacities are construction-time;
+  /// load fails closed on a queue longer than its capacity).
   void save(snap::Writer& w) const;
   void load(snap::Reader& r);
 
  private:
-  static std::optional<std::size_t> find(const std::vector<Entry>& q,
-                                         u32 page);
+  Entry* hbm_;   ///< index 0 = LRU, back = MRU
+  Entry* dram_;
+  Lengths* len_;
+  const Shape* shape_;
+};
 
-  u32 hbm_capacity_;
-  u32 dram_capacity_;
-  u64 counter_max_;
-  std::vector<Entry> hbm_;   ///< index 0 = LRU, back = MRU
-  std::vector<Entry> dram_;
+/// The hot tables of every remapping set in three flat arrays.
+class HotTables {
+ public:
+  HotTables(u32 sets, u32 hbm_capacity, u32 dram_capacity, u64 counter_max);
+
+  HotTable operator[](u32 set) {
+    return {&hbm_[std::size_t{set} * shape_.hbm_capacity],
+            &dram_[std::size_t{set} * shape_.dram_capacity], len_[set],
+            shape_};
+  }
+
+ private:
+  HotTable::Shape shape_;
+  std::vector<HotTable::Entry> hbm_;   ///< sets x hbm_capacity
+  std::vector<HotTable::Entry> dram_;  ///< sets x dram_capacity
+  std::vector<HotTable::Lengths> len_;
 };
 
 }  // namespace bb::bumblebee

@@ -1,7 +1,7 @@
-// Compact dynamic bit vector used for the BLE valid/dirty vectors and for
-// cache-line presence tracking, and a fixed-shape matrix of bit rows for
-// per-way block bitmaps. Sized at construction; bounds-checked in debug
-// builds.
+// Compact dynamic bit vector used for cache-line presence tracking, a
+// fixed-shape matrix of bit rows for per-way and per-frame block bitmaps,
+// and the bit operations both share, as a view of one row of words. Sized
+// at construction; bounds-checked in debug builds.
 #pragma once
 
 #include <cassert>
@@ -12,15 +12,13 @@
 
 namespace bb {
 
-class BitVector {
+/// Bit operations over `nbits` bits in words someone else owns: a
+/// BitVector's own words or one row of a BitMatrix. A const BitRow is
+/// read-only. save() writes `nbits` then the words; load() fails closed
+/// on a stream of a different width.
+class BitRow {
  public:
-  BitVector() = default;
-  explicit BitVector(std::size_t nbits) { resize(nbits); }
-
-  void resize(std::size_t nbits) {
-    nbits_ = nbits;
-    words_.assign((nbits + 63) / 64, 0);
-  }
+  BitRow(u64* words, std::size_t nbits) : words_(words), nbits_(nbits) {}
 
   std::size_t size() const { return nbits_; }
 
@@ -39,30 +37,71 @@ class BitVector {
   }
 
   void clear_all() {
-    for (auto& w : words_) w = 0;
+    for (std::size_t k = 0; k < words(); ++k) words_[k] = 0;
   }
 
   void set_all() {
-    for (auto& w : words_) w = ~u64{0};
-    trim();
+    for (std::size_t k = 0; k < words(); ++k) words_[k] = ~u64{0};
+    const std::size_t rem = nbits_ & 63;
+    if (rem != 0) words_[words() - 1] &= (u64{1} << rem) - 1;
   }
 
   /// Number of set bits.
   std::size_t popcount() const {
     std::size_t n = 0;
-    for (u64 w : words_) n += static_cast<std::size_t>(__builtin_popcountll(w));
+    for (std::size_t k = 0; k < words(); ++k) {
+      n += static_cast<std::size_t>(__builtin_popcountll(words_[k]));
+    }
     return n;
   }
 
   bool any() const {
-    for (u64 w : words_)
-      if (w) return true;
+    for (std::size_t k = 0; k < words(); ++k) {
+      if (words_[k]) return true;
+    }
     return false;
   }
 
-  bool none() const { return !any(); }
-
   bool all() const { return popcount() == nbits_; }
+
+  void save(snap::Writer& w) const {
+    w.put_u64(nbits_);
+    for (std::size_t k = 0; k < words(); ++k) w.put_u64(words_[k]);
+  }
+
+  void load(snap::Reader& r) {
+    if (r.get_u64() != nbits_) {
+      throw snap::SnapshotError("bitmap width mismatch");
+    }
+    for (std::size_t k = 0; k < words(); ++k) words_[k] = r.get_u64();
+  }
+
+ private:
+  std::size_t words() const { return (nbits_ + 63) / 64; }
+
+  u64* words_;
+  std::size_t nbits_;
+};
+
+class BitVector {
+ public:
+  BitVector() = default;
+  explicit BitVector(std::size_t nbits) { resize(nbits); }
+
+  void resize(std::size_t nbits) {
+    nbits_ = nbits;
+    words_.assign((nbits + 63) / 64, 0);
+  }
+
+  std::size_t size() const { return nbits_; }
+  bool test(std::size_t i) const { return bits().test(i); }
+  void set(std::size_t i, bool v = true) { bits().set(i, v); }
+  void clear_all() { bits().clear_all(); }
+  void set_all() { bits().set_all(); }
+  std::size_t popcount() const { return bits().popcount(); }
+  bool any() const { return bits().any(); }
+  bool none() const { return !any(); }
+  bool all() const { return bits().all(); }
 
   bool operator==(const BitVector& other) const {
     return nbits_ == other.nbits_ && words_ == other.words_;
@@ -79,12 +118,8 @@ class BitVector {
   }
 
  private:
-  void trim() {
-    const std::size_t rem = nbits_ & 63;
-    if (rem != 0 && !words_.empty()) {
-      words_.back() &= (u64{1} << rem) - 1;
-    }
-  }
+  BitRow bits() { return {words_.data(), nbits_}; }
+  const BitRow bits() const { return const_cast<BitVector*>(this)->bits(); }
 
   std::size_t nbits_ = 0;
   std::vector<u64> words_;
@@ -101,20 +136,17 @@ class BitMatrix {
         words_per_row_((bits_per_row + 63) / 64),
         words_(rows * words_per_row_, 0) {}
 
-  bool test(std::size_t row, std::size_t i) const {
-    return (words_[word(row, i)] >> (i & 63)) & 1;
+  BitRow row(std::size_t r) {
+    assert(r < rows_);
+    return {words_.data() + r * words_per_row_, bits_per_row_};
+  }
+  const BitRow row(std::size_t r) const {
+    return const_cast<BitMatrix*>(this)->row(r);
   }
 
-  void set(std::size_t row, std::size_t i) {
-    words_[word(row, i)] |= u64{1} << (i & 63);
-  }
-
-  void clear_row(std::size_t row) {
-    assert(row < rows_);
-    for (std::size_t k = 0; k < words_per_row_; ++k) {
-      words_[row * words_per_row_ + k] = 0;
-    }
-  }
+  bool test(std::size_t r, std::size_t i) const { return row(r).test(i); }
+  void set(std::size_t r, std::size_t i) { row(r).set(i); }
+  void clear_row(std::size_t r) { row(r).clear_all(); }
 
   /// Copies row `src_row` of `src` (same row width) into row `row`.
   void copy_row(std::size_t row, const BitMatrix& src, std::size_t src_row) {
@@ -127,11 +159,6 @@ class BitMatrix {
   }
 
  private:
-  std::size_t word(std::size_t row, std::size_t i) const {
-    assert(row < rows_ && i < bits_per_row_);
-    return row * words_per_row_ + (i >> 6);
-  }
-
   std::size_t rows_ = 0;
   std::size_t bits_per_row_ = 0;
   std::size_t words_per_row_ = 0;

@@ -26,10 +26,15 @@ DramTimingParams validated(DramTimingParams p) {
   if (p.channels == 0) reject("channels must be non-zero");
   if (p.banks_per_channel == 0) reject("banks_per_channel must be non-zero");
   const u64 granule = std::min(p.interleave_bytes, p.row_bytes);
-  if (p.capacity_bytes == 0 || p.capacity_bytes % granule != 0 ||
-      p.capacity_bytes < p.burst_bytes()) {
+  // A beat must sit inside one granule: a smaller granule would split a
+  // burst across channels while timing it on the first only.
+  if (!is_pow2(p.burst_bytes()) || granule < p.burst_bytes()) {
+    reject("burst_bytes must be a power of two no larger than "
+           "min(interleave_bytes, row_bytes)");
+  }
+  if (p.capacity_bytes == 0 || p.capacity_bytes % granule != 0) {
     reject("capacity_bytes must be a non-zero multiple of "
-           "min(interleave_bytes, row_bytes) holding at least one burst");
+           "min(interleave_bytes, row_bytes)");
   }
   return p;
 }
@@ -175,28 +180,68 @@ DramDevice::RawTiming DramDevice::do_beat(const Decoded& d, AccessType type,
   return {cmd_issue, data_start + tBURST};
 }
 
+Tick DramDevice::row_hit_run(const Decoded& d, AccessType type, Tick now,
+                             u64 n) {
+  Bank& bank = banks_[static_cast<std::size_t>(d.channel) *
+                          params_.banks_per_channel +
+                      d.bank];
+  // The beats issue at bank.ready_at, one burst apart. A refresh due by
+  // the last of them closes the row mid-run: time those beats one by one.
+  const Tick last_cmd = bank.ready_at + (n - 1) * t_.burst;
+  if (params_.refresh_enabled && last_cmd >= next_refresh_[d.channel]) {
+    Tick complete = 0;
+    for (u64 i = 0; i < n; ++i) {
+      complete = std::max(complete, do_beat(d, type, now).complete);
+    }
+    return complete;
+  }
+  // Otherwise each beat is a same-type row hit (no turnaround), and the bus
+  // is already at least tCAS ahead of the bank, so every beat adds exactly
+  // one burst to both.
+  Tick& bus = bus_ready_[d.channel];
+  bus += n * t_.burst;
+  bank.ready_at += n * t_.burst;
+  if (type == AccessType::kRead) {
+    energy_.on_read_burst(n);
+  } else {
+    energy_.on_write_burst(n);
+    bank.write_recovery_at = bus + t_.wtr;
+  }
+  stats_.row_hits += n;
+  stats_.beats += n;
+  return bus;
+}
+
 DramDevice::RawTiming DramDevice::timed_beats(Addr addr, u64 bytes,
                                               AccessType type, Tick now) {
   const Addr first = addr & ~(beat_bytes_ - 1);
   const Addr last = (addr + bytes - 1) & ~(beat_bytes_ - 1);
-  const u64 beats = (last - first) / beat_bytes_ + 1;
+  u64 beats = (last - first) / beat_bytes_ + 1;
   const u64 capacity = params_.capacity_bytes;
 
-  // Reduce once, then step with a conditional subtract at the capacity
-  // wrap; decode only when a beat enters a new granule (channel, bank and
-  // row are constant inside one).
   Addr a = first % capacity;
-  u64 granule = a >> granule_shift_;
-  Decoded d = decode(a);
-  RawTiming res = do_beat(d, type, now);
-  for (u64 i = 1; i < beats; ++i) {
-    a += beat_bytes_;
-    if (a >= capacity) a -= capacity;
-    if ((a >> granule_shift_) != granule) {
-      granule = a >> granule_shift_;
-      d = decode(a);
+  if (beats == 1) return do_beat(decode(a), type, now);
+
+  // Walk the span one decode granule at a time (channel, bank and row are
+  // constant inside one, and the capacity wrap falls on a granule
+  // boundary): the first beat of each granule is timed in full, the rest
+  // as one row-hit run.
+  const u64 granule_bytes = u64{1} << granule_shift_;
+  RawTiming res;
+  for (bool first_granule = true; beats > 0; first_granule = false) {
+    const u64 run = std::min(
+        beats, (granule_bytes - (a & (granule_bytes - 1))) / beat_bytes_);
+    const Decoded d = decode(a);
+    const RawTiming head = do_beat(d, type, now);
+    if (first_granule) res.start = head.start;
+    res.complete = std::max(res.complete, head.complete);
+    if (run > 1) {
+      res.complete =
+          std::max(res.complete, row_hit_run(d, type, now, run - 1));
     }
-    res.complete = std::max(res.complete, do_beat(d, type, now).complete);
+    beats -= run;
+    a += run * beat_bytes_;
+    if (a >= capacity) a -= capacity;
   }
   return res;
 }

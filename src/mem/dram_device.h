@@ -105,9 +105,9 @@ class DramDevice final : private QueueBackend {
  public:
   /// Throws std::invalid_argument on a geometry the shift/mask decode
   /// cannot serve: interleave_bytes or row_bytes not a power of two, zero
-  /// channels or banks, or a capacity that is not a non-zero multiple of
-  /// the decode granule min(interleave_bytes, row_bytes) holding at least
-  /// one burst.
+  /// channels or banks, a burst that is not a power of two or is larger
+  /// than the decode granule min(interleave_bytes, row_bytes), or a
+  /// capacity that is not a non-zero multiple of the granule.
   explicit DramDevice(DramTimingParams params);
 
   DramDevice(const DramDevice&) = delete;
@@ -191,6 +191,11 @@ class DramDevice final : private QueueBackend {
 
   /// Times one beat through its bank and channel bus.
   RawTiming do_beat(const Decoded& d, AccessType type, Tick now);
+
+  /// Times `n` further beats to the row the previous beat of this access
+  /// opened on `d`'s bank, in closed form unless a refresh falls inside
+  /// the run. Returns the last beat's data completion.
+  Tick row_hit_run(const Decoded& d, AccessType type, Tick now, u64 n);
 
   /// Times a whole access (beat split + capacity wrap), no byte
   /// accounting. `start` is the first beat's command-issue tick.

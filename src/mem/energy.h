@@ -21,8 +21,8 @@ class EnergyModel {
   explicit EnergyModel(const DramTimingParams& p) : p_(&p) {}
 
   void on_act_pre() { ++acts_; }
-  void on_read_burst() { ++rd_bursts_; }
-  void on_write_burst() { ++wr_bursts_; }
+  void on_read_burst(u64 n = 1) { rd_bursts_ += n; }
+  void on_write_burst(u64 n = 1) { wr_bursts_ += n; }
 
   u64 act_count() const { return acts_; }
   u64 read_burst_count() const { return rd_bursts_; }

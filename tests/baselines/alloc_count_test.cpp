@@ -1,6 +1,7 @@
-// Construction cost of the set-associative baselines must not scale with
-// HBM capacity in heap allocations: per-set and per-way state lives in a
-// few flat arrays sized once, not in one small vector or bitmap per set.
+// Construction cost of the set-associative baselines and of the Bumblebee
+// family must not scale with HBM capacity in heap allocations: per-set and
+// per-way state lives in a few flat arrays sized once, not in one small
+// vector or bitmap per set.
 //
 // This binary replaces the global operator new/delete with counting
 // versions, so it is built on its own (tests/CMakeLists.txt).
@@ -63,7 +64,8 @@ TEST_P(ConstructionAllocations, DoNotScaleWithHbmCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(Designs, ConstructionAllocations,
                          ::testing::Values("Banshee", "UC", "Chameleon",
-                                           "Hybrid2"));
+                                           "Hybrid2", "Bumblebee", "No-Multi",
+                                           "25%-C"));
 
 }  // namespace
 }  // namespace bb::baselines

@@ -23,13 +23,14 @@ Geometry tiny_geometry() {
 
 TEST(SpatialSummary, CountsModes) {
   const Geometry g = tiny_geometry();
-  SetState st(g, 8, 4095);
+  SetTable table(g, 8, 4095);
+  SetState st = table[0];
   // Frame 0: cHBM. Frame 1: mHBM dense. Frame 2: mHBM sparse. Frame 3 free.
   st.ble[0].mode = Ble::Mode::kCache;
   st.ble[1].mode = Ble::Mode::kMem;
-  for (u32 b = 0; b < 20; ++b) st.ble[1].valid.set(b);  // 20/32 accessed
+  for (u32 b = 0; b < 20; ++b) st.valid(1).set(b);  // 20/32 accessed
   st.ble[2].mode = Ble::Mode::kMem;
-  st.ble[2].valid.set(0);  // 1/32 accessed
+  st.valid(2).set(0);  // 1/32 accessed
   const auto s = spatial_summary(st, g.blocks_per_page);
   EXPECT_EQ(s.nc, 1u);
   EXPECT_EQ(s.na, 1u);
@@ -39,9 +40,10 @@ TEST(SpatialSummary, CountsModes) {
 
 TEST(SpatialSummary, HalfAccessedCountsAsDense) {
   const Geometry g = tiny_geometry();
-  SetState st(g, 8, 4095);
+  SetTable table(g, 8, 4095);
+  SetState st = table[0];
   st.ble[0].mode = Ble::Mode::kMem;
-  for (u32 b = 0; b < 16; ++b) st.ble[0].valid.set(b);  // exactly half
+  for (u32 b = 0; b < 16; ++b) st.valid(0).set(b);  // exactly half
   const auto s = spatial_summary(st, g.blocks_per_page);
   EXPECT_EQ(s.na, 1u);
   EXPECT_EQ(s.nn, 0u);
@@ -49,7 +51,8 @@ TEST(SpatialSummary, HalfAccessedCountsAsDense) {
 
 TEST(SpatialSummary, EmptySetIsAllZero) {
   const Geometry g = tiny_geometry();
-  SetState st(g, 8, 4095);
+  SetTable table(g, 8, 4095);
+  SetState st = table[0];
   const auto s = spatial_summary(st, g.blocks_per_page);
   EXPECT_EQ(s.nc + s.na + s.nn, 0u);
   EXPECT_EQ(s.sl(), 0);
@@ -57,7 +60,8 @@ TEST(SpatialSummary, EmptySetIsAllZero) {
 
 TEST(SetState, FreeFrameSearch) {
   const Geometry g = tiny_geometry();
-  SetState st(g, 8, 4095);
+  SetTable table(g, 8, 4095);
+  SetState st = table[0];
   EXPECT_EQ(st.free_hbm_frame(), 0u);
   st.ble[0].mode = Ble::Mode::kCache;
   st.ble[1].mode = Ble::Mode::kMem;
@@ -73,7 +77,8 @@ TEST(SetState, FreeFrameSearch) {
 
 TEST(SetState, CacheFrameLookup) {
   const Geometry g = tiny_geometry();
-  SetState st(g, 8, 4095);
+  SetTable table(g, 8, 4095);
+  SetState st = table[0];
   st.ble[2].mode = Ble::Mode::kCache;
   st.ble[2].ple = 7;
   EXPECT_EQ(st.cache_frame_of(7), 2u);
@@ -86,11 +91,12 @@ TEST(SetState, CacheFrameLookup) {
 
 TEST(SetState, FreeDramFramePrefersOwnSlot) {
   const Geometry g = tiny_geometry();
-  SetState st(g, 8, 4095);
+  SetTable table(g, 8, 4095);
+  SetState st = table[0];
   EXPECT_EQ(st.free_dram_frame(g.m, 5), 5u);
-  st.occup[5] = true;
+  st.occup.set(5);
   EXPECT_EQ(st.free_dram_frame(g.m, 5), 0u);
-  for (u32 f = 0; f < g.m; ++f) st.occup[f] = true;
+  for (u32 f = 0; f < g.m; ++f) st.occup.set(f);
   EXPECT_EQ(st.free_dram_frame(g.m, 5), kNoPage);
 }
 

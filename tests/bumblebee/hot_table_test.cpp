@@ -6,7 +6,8 @@ namespace bb::bumblebee {
 namespace {
 
 TEST(HotTable, DramTouchInsertsAndCounts) {
-  HotTable hot(8, 8, 4095);
+  HotTables tables(1, 8, 8, 4095);
+  HotTable hot = tables[0];
   EXPECT_EQ(hot.touch_dram(5), 1u);
   EXPECT_EQ(hot.touch_dram(5), 2u);
   EXPECT_EQ(hot.hotness(5), 2u);
@@ -14,7 +15,8 @@ TEST(HotTable, DramTouchInsertsAndCounts) {
 }
 
 TEST(HotTable, DramQueueDropsLru) {
-  HotTable hot(8, 3, 4095);
+  HotTables tables(1, 8, 3, 4095);
+  HotTable hot = tables[0];
   hot.touch_dram(1);
   hot.touch_dram(2);
   hot.touch_dram(3);
@@ -25,7 +27,8 @@ TEST(HotTable, DramQueueDropsLru) {
 }
 
 TEST(HotTable, DramTouchRefreshesLruPosition) {
-  HotTable hot(8, 3, 4095);
+  HotTables tables(1, 8, 3, 4095);
+  HotTable hot = tables[0];
   hot.touch_dram(1);
   hot.touch_dram(2);
   hot.touch_dram(3);
@@ -36,7 +39,8 @@ TEST(HotTable, DramTouchRefreshesLruPosition) {
 }
 
 TEST(HotTable, CounterCarriedFromDramToHbm) {
-  HotTable hot(8, 8, 4095);
+  HotTables tables(1, 8, 8, 4095);
+  HotTable hot = tables[0];
   hot.touch_dram(7);
   hot.touch_dram(7);
   hot.move_dram_to_hbm(7);
@@ -47,7 +51,8 @@ TEST(HotTable, CounterCarriedFromDramToHbm) {
 }
 
 TEST(HotTable, EvictionPushesBackToDramQueue) {
-  HotTable hot(8, 8, 4095);
+  HotTables tables(1, 8, 8, 4095);
+  HotTable hot = tables[0];
   hot.touch_dram(9);
   hot.move_dram_to_hbm(9);
   hot.touch_hbm(9);
@@ -58,7 +63,8 @@ TEST(HotTable, EvictionPushesBackToDramQueue) {
 }
 
 TEST(HotTable, MinHbmCounterIsT) {
-  HotTable hot(8, 8, 4095);
+  HotTables tables(1, 8, 8, 4095);
+  HotTable hot = tables[0];
   EXPECT_EQ(hot.min_hbm_counter(), 0u);  // empty queue
   for (u32 p : {1, 2, 3}) {
     hot.touch_dram(p);
@@ -72,7 +78,8 @@ TEST(HotTable, MinHbmCounterIsT) {
 }
 
 TEST(HotTable, LruHbmIsOldestUntouched) {
-  HotTable hot(8, 8, 4095);
+  HotTables tables(1, 8, 8, 4095);
+  HotTable hot = tables[0];
   for (u32 p : {1, 2, 3}) {
     hot.touch_dram(p);
     hot.move_dram_to_hbm(p);
@@ -84,7 +91,8 @@ TEST(HotTable, LruHbmIsOldestUntouched) {
 }
 
 TEST(HotTable, ColdestPicksMinCounter) {
-  HotTable hot(8, 8, 4095);
+  HotTables tables(1, 8, 8, 4095);
+  HotTable hot = tables[0];
   for (u32 p : {1, 2, 3}) {
     hot.touch_dram(p);
     hot.move_dram_to_hbm(p);
@@ -103,13 +111,15 @@ TEST(HotTable, ColdestPicksMinCounter) {
 }
 
 TEST(HotTable, ColdestOnEmpty) {
-  HotTable hot(4, 4, 100);
+  HotTables tables(1, 4, 4, 100);
+  HotTable hot = tables[0];
   EXPECT_FALSE(hot.coldest_hbm().has_value());
   EXPECT_FALSE(hot.lru_hbm().has_value());
 }
 
 TEST(HotTable, RequeueMruKeepsCounter) {
-  HotTable hot(8, 8, 4095);
+  HotTables tables(1, 8, 8, 4095);
+  HotTable hot = tables[0];
   for (u32 p : {1, 2}) {
     hot.touch_dram(p);
     hot.move_dram_to_hbm(p);
@@ -121,7 +131,8 @@ TEST(HotTable, RequeueMruKeepsCounter) {
 }
 
 TEST(HotTable, RemoveForgetsEverywhere) {
-  HotTable hot(8, 8, 4095);
+  HotTables tables(1, 8, 8, 4095);
+  HotTable hot = tables[0];
   hot.touch_dram(4);
   hot.move_dram_to_hbm(4);
   hot.touch_dram(5);
@@ -134,7 +145,8 @@ TEST(HotTable, RemoveForgetsEverywhere) {
 }
 
 TEST(HotTable, CounterSaturates) {
-  HotTable hot(8, 8, 3);
+  HotTables tables(1, 8, 8, 3);
+  HotTable hot = tables[0];
   hot.touch_dram(1);
   hot.touch_dram(1);
   hot.touch_dram(1);
@@ -144,7 +156,8 @@ TEST(HotTable, CounterSaturates) {
 }
 
 TEST(HotTable, MoveDramToHbmWithoutHistoryStartsAtZero) {
-  HotTable hot(8, 8, 4095);
+  HotTables tables(1, 8, 8, 4095);
+  HotTable hot = tables[0];
   hot.move_dram_to_hbm(42);
   EXPECT_EQ(hot.hbm_size(), 1u);
   EXPECT_EQ(hot.hotness(42), 0u);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 namespace bb {
 namespace {
 
@@ -120,6 +123,52 @@ TEST(BitMatrix, CopyRowReplacesTheWholeRow) {
   EXPECT_TRUE(dst.test(3, 70));
   EXPECT_FALSE(dst.test(3, 6));
   EXPECT_FALSE(dst.test(2, 5));
+}
+
+TEST(BitMatrix, RowViewSetAllStaysInsideItsRow) {
+  // 100-bit rows: set_all must trim the second word, not spill into the
+  // next row.
+  BitMatrix m(3, 100);
+  m.row(1).set_all();
+  EXPECT_EQ(m.row(1).popcount(), 100u);
+  EXPECT_TRUE(m.row(1).all());
+  EXPECT_FALSE(m.row(0).any());
+  EXPECT_FALSE(m.row(2).any());
+  m.row(1).set(99, false);
+  EXPECT_FALSE(m.row(1).all());
+  m.row(1).clear_all();
+  EXPECT_FALSE(m.row(1).any());
+}
+
+TEST(BitMatrix, RowSnapshotMatchesBitVectorAndChecksWidth) {
+  // A row writes the same stream as a BitVector of its width, and a row
+  // of another width refuses to load it.
+  BitVector v(100);
+  v.set(3);
+  v.set(77);
+  BitMatrix m(2, 100);
+  m.set(1, 3);
+  m.set(1, 77);
+  snap::Writer from_vector;
+  v.save(from_vector);
+  snap::Writer from_row;
+  m.row(1).save(from_row);
+  EXPECT_EQ(from_vector.payload(), from_row.payload());
+
+  const std::string path =
+      std::string(::testing::TempDir()) + "/bitrow.bbsnap";
+  from_row.commit(path);
+  BitMatrix copy(2, 100);
+  snap::Reader r(path);
+  copy.row(0).load(r);
+  EXPECT_TRUE(copy.test(0, 3));
+  EXPECT_TRUE(copy.test(0, 77));
+  EXPECT_EQ(copy.row(0).popcount(), 2u);
+
+  BitMatrix narrow(1, 64);
+  snap::Reader again(path);
+  EXPECT_THROW(narrow.row(0).load(again), snap::SnapshotError);
+  std::remove(path.c_str());
 }
 
 }  // namespace

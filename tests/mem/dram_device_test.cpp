@@ -270,5 +270,19 @@ TEST(DramDevice, RejectsCapacityNotAMultipleOfTheDecodeGranule) {
   EXPECT_NO_THROW({ DramDevice dev(p); });
 }
 
+TEST(DramDevice, RejectsDecodeGranuleSmallerThanABurst) {
+  // A 64 B beat over a 32 B interleave would span two channels but be
+  // timed on the first only.
+  DramTimingParams p = DramTimingParams::hbm2_1gb();
+  ASSERT_EQ(p.burst_bytes(), 64u);
+  p.interleave_bytes = 32;
+  EXPECT_THROW({ DramDevice dev(p); }, std::invalid_argument);
+  p = DramTimingParams::ddr4_3200_10gb();
+  p.row_bytes = 32;
+  EXPECT_THROW({ DramDevice dev(p); }, std::invalid_argument);
+  p.row_bytes = 64;  // exactly one burst per granule is fine
+  EXPECT_NO_THROW({ DramDevice dev(p); });
+}
+
 }  // namespace
 }  // namespace bb::mem

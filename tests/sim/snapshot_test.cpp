@@ -101,6 +101,33 @@ TEST(SystemSnapshot, KillAndResumeBumblebeeIsExact) {
   kill_and_resume("Bumblebee", "snap_bumblebee");
 }
 
+/// FNV-1a 64 of a file's bytes.
+u64 file_fnv1a(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  u64 h = 0xcbf29ce484222325ULL;
+  for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
+    h ^= static_cast<unsigned char>(*it);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(SystemSnapshot, BumblebeeSnapshotBytesArePinned) {
+  // The snapshot a Bumblebee run commits at its third poll, byte for byte:
+  // a change to how the controller stores its per-set state (PRT, BLEs,
+  // block bitmaps, hot tables) must not change the stream it writes.
+  const auto& w = trace::WorkloadProfile::by_name("mcf");
+  SystemConfig cfg = snapshot_config("snap_pinned");
+  System sys(cfg);
+  int polls = 0;
+  sys.set_interrupt([&polls] { return ++polls >= 3; });
+  EXPECT_THROW(sys.run("Bumblebee", w, 400'000), RunInterrupted);
+  const std::string path = snap_path(cfg, "Bumblebee", "mcf");
+  ASSERT_TRUE(snap::file_exists(path));
+  EXPECT_EQ(file_fnv1a(path), 0x079318a2eaeda2f8ULL);
+  std::remove(path.c_str());
+}
+
 TEST(SystemSnapshot, UninterruptedRunWithSnapshotsMatchesPlainRun) {
   const auto& w = trace::WorkloadProfile::by_name("mcf");
   System plain(fast_config());

@@ -8,7 +8,7 @@
 void BumblebeeController::leaky_remap(SetState& st, u32 set, u32 page,
                                       u32 k) {
   st.new_ple[page] = static_cast<std::int32_t>(k);
-  st.occup[k] = true;
+  st.occup.set(k);
   st.ble[k].mode = Ble::Mode::kCache;
   st.hot.move_dram_to_hbm(page);
 }  // finding: no invariant check after the last mutation

@@ -7,15 +7,15 @@
 void BumblebeeController::clean_remap(SetState& st, u32 set, u32 page,
                                       u32 k) {
   st.new_ple[page] = static_cast<std::int32_t>(k);
-  st.occup[k] = true;
+  st.occup.set(k);
   st.hot.move_dram_to_hbm(page);
   verify_set(st, set, "clean_remap");
 }
 
 u32 BumblebeeController::read_only_scan(const SetState& st) const {
   u32 occupied = 0;
-  for (bool o : st.occup) {
-    if (o) ++occupied;
+  for (u32 j = 0; j < st.occup.size(); ++j) {
+    if (st.occup.test(j)) ++occupied;
   }
   return occupied;
 }
