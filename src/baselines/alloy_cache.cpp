@@ -13,7 +13,7 @@ AlloyCacheController::AlloyCacheController(mem::DramDevice& hbm,
                              }()),
       cfg_(cfg),
       lines_(hbm.capacity() / cfg.tad_bytes) {
-  tag_.assign(static_cast<std::size_t>(lines_), 0);
+  tag_ = ZeroArray<u8>(static_cast<std::size_t>(lines_));
   valid_.resize(static_cast<std::size_t>(lines_));
   dirty_.resize(static_cast<std::size_t>(lines_));
 }

@@ -8,9 +8,8 @@
 // analysis highlights.
 #pragma once
 
-#include <vector>
-
 #include "common/bitvector.h"
+#include "common/zero_array.h"
 #include "hmm/controller.h"
 
 namespace bb::baselines {
@@ -37,7 +36,7 @@ class AlloyCacheController final : public hmm::HybridMemoryController {
  private:
   AlloyConfig cfg_;
   u64 lines_;                ///< direct-mapped TAD slots
-  std::vector<u8> tag_;      ///< tag per slot (small: footprint/HBM ratio)
+  ZeroArray<u8> tag_;        ///< tag per slot (small: footprint/HBM ratio)
   BitVector valid_;
   BitVector dirty_;
 };

@@ -1,6 +1,9 @@
 #include "baselines/chameleon.h"
 
+#include <bitset>
 #include <cassert>
+
+#include "common/check.h"
 
 namespace bb::baselines {
 
@@ -19,17 +22,31 @@ ChameleonController::ChameleonController(mem::DramDevice& hbm,
       m_(static_cast<u32>(dram.capacity() / cfg.segment_bytes / sets_)) {
   assert(m_ + 1 <= 0xff && "u8 permutation entries");
   const std::size_t entries = static_cast<std::size_t>(sets_) * (m_ + 1);
-  counter_.assign(entries, 0);
-  seg_at_frame_.resize(entries);
-  for (u32 set = 0; set < sets_; ++set) {
-    for (u32 f = 0; f <= m_; ++f) seg_at_frame(set, f) = static_cast<u8>(f);
-  }
+  seg_xor_frame_ = ZeroArray<u8>(entries);
+  counter_ = ZeroArray<u8>(entries);
 
   hmm::MetadataConfig mc;
   mc.placement = hmm::MetadataPlacement::kSramCachedHbm;
   mc.cache_bytes = cfg_.metadata_cache_bytes;
   mc.entry_bytes = 8;
   meta_ = std::make_unique<hmm::MetadataModel>(mc, &hbm);
+}
+
+bool ChameleonController::set_is_permutation(u32 set) const {
+  std::bitset<256> seen;
+  for (u32 f = 0; f <= m_; ++f) {
+    const u32 seg = segment_at(set, f);
+    if (seg > m_ || seen.test(seg)) return false;
+    seen.set(seg);
+  }
+  return true;
+}
+
+bool ChameleonController::check_invariants() const {
+  for (u32 set = 0; set < sets_; ++set) {
+    if (!set_is_permutation(set)) return false;
+  }
+  return true;
 }
 
 u64 ChameleonController::metadata_sram_bytes() const {
@@ -66,7 +83,7 @@ hmm::HmmResult ChameleonController::service(Addr addr, AccessType type,
   // set's single HBM slot; frames [0, m_) are off-chip.
   u32 frame = m_ + 1;
   for (u32 f = 0; f <= m_; ++f) {
-    if (seg_at_frame(set, f) == seg) {
+    if (segment_at(set, f) == seg) {
       frame = f;
       break;
     }
@@ -95,13 +112,15 @@ hmm::HmmResult ChameleonController::service(Addr addr, AccessType type,
 
   // Swap decision: the challenger must beat the HBM occupant's counter by
   // the threshold; a full segment swap then moves data both ways.
-  const u32 occupant = seg_at_frame(set, m_);
+  const u32 occupant = segment_at(set, m_);
   if (seg_count >= static_cast<u32>(counter(set, occupant)) +
                        cfg_.swap_threshold) {
     swap_data(hbm(), hbm_slot, dram(), dram_frame_addr(frame),
               cfg_.segment_bytes, r.complete, mem::TrafficClass::kMigration);
-    seg_at_frame(set, m_) = static_cast<u8>(seg);
-    seg_at_frame(set, frame) = static_cast<u8>(occupant);
+    set_segment_at(set, m_, seg);
+    set_segment_at(set, frame, occupant);
+    BB_CHECK(set_is_permutation(set),
+             "Chameleon set permutation is not a bijection after a swap");
     counter(set, occupant) /= 2;  // age the displaced segment
     ++mutable_stats().swaps;
     mutable_stats().blocks_fetched += cfg_.segment_bytes / 64;

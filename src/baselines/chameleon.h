@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cassert>
-#include <vector>
 
+#include "common/zero_array.h"
 #include "hmm/controller.h"
 #include "hmm/metadata.h"
 
@@ -41,6 +41,17 @@ class ChameleonController final : public hmm::HybridMemoryController {
   u32 set_count() const { return sets_; }
   u32 segments_per_set() const { return m_ + 1; }
 
+  /// The in-set segment held by `frame` of `set` (frame m_ is the HBM
+  /// slot).
+  u32 segment_at(u32 set, u32 frame) const {
+    return static_cast<u32>(seg_xor_frame_[at(set, frame)] ^ frame);
+  }
+
+  /// True when the permutation of every set is a bijection over its
+  /// frames. Debug and BB_CHECKS builds check a set after every swap in
+  /// it.
+  bool check_invariants() const;
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 
@@ -50,19 +61,21 @@ class ChameleonController final : public hmm::HybridMemoryController {
     assert(set < sets_ && i <= m_);
     return static_cast<std::size_t>(set) * (m_ + 1) + i;
   }
-  u8& seg_at_frame(u32 set, u32 frame) {
-    return seg_at_frame_[at(set, frame)];
+  void set_segment_at(u32 set, u32 frame, u32 seg) {
+    seg_xor_frame_[at(set, frame)] = static_cast<u8>(seg ^ frame);
   }
   u8& counter(u32 set, u32 seg) { return counter_[at(set, seg)]; }
+  bool set_is_permutation(u32 set) const;
 
   ChameleonConfig cfg_;
   u32 sets_;  ///< one HBM segment per set
   u32 m_;     ///< off-chip segments per set
   /// Per set, the permutation of its m_+1 segments over its frames; frame
-  /// m_ is the single HBM slot, frames [0, m_) are off-chip. Initially the
+  /// m_ is the single HBM slot, frames [0, m_) are off-chip. Stored as
+  /// segment ^ frame, so the zero pages a fresh table reads are the
   /// identity (segment m_ is HBM-native).
-  std::vector<u8> seg_at_frame_;
-  std::vector<u8> counter_;  ///< per-segment saturating access counters
+  ZeroArray<u8> seg_xor_frame_;
+  ZeroArray<u8> counter_;  ///< per-segment saturating access counters
   std::unique_ptr<hmm::MetadataModel> meta_;
 };
 

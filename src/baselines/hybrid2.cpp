@@ -1,7 +1,9 @@
 #include "baselines/hybrid2.h"
 
+#include <bitset>
 #include <cassert>
 
+#include "common/check.h"
 #include "common/trace_event.h"
 
 namespace bb::baselines {
@@ -29,25 +31,39 @@ Hybrid2Controller::Hybrid2Controller(mem::DramDevice& hbm,
   assert(m_ + n_ <= 0xff && "u8 permutation entries");
 
   const std::size_t segs = static_cast<std::size_t>(sets_) * (m_ + n_);
-  seg_at_frame_.resize(segs);
-  for (u32 set = 0; set < sets_; ++set) {
-    for (u32 f = 0; f < m_ + n_; ++f) {
-      seg_at_frame(set, f) = static_cast<u8>(f);
-    }
-  }
-  counter_.assign(segs, 0);
-  used_mask_.assign(static_cast<std::size_t>(sets_) * n_, 0);
-  swapped_.assign(static_cast<std::size_t>(sets_) * n_, 0);
+  const std::size_t ways = static_cast<std::size_t>(sets_) * n_;
+  seg_xor_frame_ = ZeroArray<u8>(segs);
+  counter_ = ZeroArray<u8>(segs);
+  used_mask_ = ZeroArray<u8>(ways);
+  swapped_ = ZeroArray<u8>(ways);
 
   cache_sets_ =
       static_cast<u32>(cfg_.cache_bytes / cfg_.block_bytes / cfg_.cache_ways);
-  cache_.resize(static_cast<std::size_t>(cache_sets_) * cfg_.cache_ways);
+  cache_ = ZeroArray<CacheLine>(static_cast<std::size_t>(cache_sets_) *
+                                cfg_.cache_ways);
 
   hmm::MetadataConfig mc;
   mc.placement = hmm::MetadataPlacement::kSramCachedHbm;
   mc.cache_bytes = cfg_.metadata_cache_bytes;
   mc.entry_bytes = 8;
   meta_ = std::make_unique<hmm::MetadataModel>(mc, &hbm);
+}
+
+bool Hybrid2Controller::set_is_permutation(u32 set) const {
+  std::bitset<256> seen;
+  for (u32 f = 0; f < m_ + n_; ++f) {
+    const u32 seg = segment_at(set, f);
+    if (seg >= m_ + n_ || seen.test(seg)) return false;
+    seen.set(seg);
+  }
+  return true;
+}
+
+bool Hybrid2Controller::check_invariants() const {
+  for (u32 set = 0; set < sets_; ++set) {
+    if (!set_is_permutation(set)) return false;
+  }
+  return true;
 }
 
 u64 Hybrid2Controller::metadata_sram_bytes() const {
@@ -179,7 +195,7 @@ hmm::HmmResult Hybrid2Controller::service(Addr addr, AccessType type,
 
   u32 frame = m_ + n_;
   for (u32 f = 0; f < m_ + n_; ++f) {
-    if (seg_at_frame(set, f) == seg) {
+    if (segment_at(set, f) == seg) {
       frame = f;
       break;
     }
@@ -221,7 +237,7 @@ hmm::HmmResult Hybrid2Controller::service(Addr addr, AccessType type,
   u32 cold_way = 0;
   u8 cold_count = 0xff;
   for (u32 w = 0; w < n_; ++w) {
-    const u8 c = counter(set, seg_at_frame(set, m_ + w));
+    const u8 c = counter(set, segment_at(set, m_ + w));
     if (c < cold_count) {
       cold_count = c;
       cold_way = w;
@@ -231,11 +247,13 @@ hmm::HmmResult Hybrid2Controller::service(Addr addr, AccessType type,
     // Separate spaces: the page's cHBM blocks must be flushed first, then
     // the full pages swap (the mode-switch overhead Bumblebee avoids).
     flush_frame_blocks(fa, res.complete);
-    const u32 victim_seg = seg_at_frame(set, m_ + cold_way);
+    const u32 victim_seg = segment_at(set, m_ + cold_way);
     swap_data(hbm(), mhbm_frame_addr(set, cold_way), dram(), fa,
               cfg_.page_bytes, res.complete, mem::TrafficClass::kMigration);
-    seg_at_frame(set, m_ + cold_way) = static_cast<u8>(seg);
-    seg_at_frame(set, frame) = static_cast<u8>(victim_seg);
+    set_segment_at(set, m_ + cold_way, seg);
+    set_segment_at(set, frame, victim_seg);
+    BB_CHECK(set_is_permutation(set),
+             "Hybrid2 set permutation is not a bijection after a swap");
     counter(set, victim_seg) /= 2;
     swapped(set, cold_way) = 1;
     const u32 blk = static_cast<u32>(off / cfg_.block_bytes);

@@ -12,8 +12,8 @@
 #pragma once
 
 #include <cassert>
-#include <vector>
 
+#include "common/zero_array.h"
 #include "hmm/controller.h"
 #include "hmm/metadata.h"
 
@@ -48,6 +48,17 @@ class Hybrid2Controller final : public hmm::HybridMemoryController {
   u32 remap_sets() const { return sets_; }
   u32 dram_pages_per_set() const { return m_; }
 
+  /// The in-set page held by `frame` of `set` (frames [m_, m_+n_) are the
+  /// set's mHBM ways).
+  u32 segment_at(u32 set, u32 frame) const {
+    return static_cast<u32>(seg_xor_frame_[seg_index(set, frame)] ^ frame);
+  }
+
+  /// True when the permutation of every set is a bijection over its
+  /// frames. Debug and BB_CHECKS builds check a set after every swap in
+  /// it.
+  bool check_invariants() const;
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 
@@ -62,13 +73,16 @@ class Hybrid2Controller final : public hmm::HybridMemoryController {
     assert(set < sets_ && way < n_);
     return static_cast<std::size_t>(set) * n_ + way;
   }
-  u8& seg_at_frame(u32 set, u32 frame) {
-    return seg_at_frame_[seg_index(set, frame)];
+  void set_segment_at(u32 set, u32 frame, u32 seg) {
+    seg_xor_frame_[seg_index(set, frame)] = static_cast<u8>(seg ^ frame);
   }
   u8& counter(u32 set, u32 seg) { return counter_[seg_index(set, seg)]; }
   u8& used_mask(u32 set, u32 way) { return used_mask_[way_index(set, way)]; }
   u8& swapped(u32 set, u32 way) { return swapped_[way_index(set, way)]; }
+  bool set_is_permutation(u32 set) const;
 
+  /// All-zero is an invalid, clean line, so the tag array starts as zero
+  /// pages.
   struct CacheLine {
     u32 tag = 0;
     bool valid = false;
@@ -95,12 +109,14 @@ class Hybrid2Controller final : public hmm::HybridMemoryController {
   u32 sets_;  ///< mHBM remapping sets
   u32 m_;     ///< off-chip pages per set
   u32 n_;     ///< mHBM pages per set
-  std::vector<u8> seg_at_frame_;  ///< per set: permutation over m_+n_ frames
-  std::vector<u8> counter_;       ///< per set: per-segment access counters
-  std::vector<u8> used_mask_;     ///< per mHBM frame: accessed 256 B blocks
-  std::vector<u8> swapped_;       ///< per mHBM frame: content was fetched
+  /// Per set: the permutation over m_+n_ frames, stored as
+  /// segment ^ frame so that zero pages read as the identity.
+  ZeroArray<u8> seg_xor_frame_;
+  ZeroArray<u8> counter_;    ///< per set: per-segment access counters
+  ZeroArray<u8> used_mask_;  ///< per mHBM frame: accessed 256 B blocks
+  ZeroArray<u8> swapped_;    ///< per mHBM frame: content was fetched
   u32 cache_sets_;
-  std::vector<CacheLine> cache_;
+  ZeroArray<CacheLine> cache_;
   u64 lru_clock_ = 0;
   std::unique_ptr<hmm::MetadataModel> meta_;
 };

@@ -6,8 +6,10 @@
 // algorithms by Blackman & Vigna).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -77,11 +79,16 @@ class Rng {
   /// Geometric-ish positive gap with the given mean (>= 1).
   u64 next_gap(double mean) {
     if (mean <= 1.0) return 1;
+    return next_gap_log(std::log1p(-1.0 / mean));
+  }
+
+  /// next_gap(mean) for mean > 1 with `log1p_neg_p` = log1p(-1 / mean)
+  /// computed once by the caller; draws the identical gap.
+  u64 next_gap_log(double log1p_neg_p) {
     // Inverse-CDF sampling of a geometric distribution with the requested
     // mean; deterministic and cheap.
-    const double p = 1.0 / mean;
     const double u = next_double();
-    const double g = std::log1p(-u) / std::log1p(-p);
+    const double g = std::log1p(-u) / log1p_neg_p;
     u64 gap = static_cast<u64>(g) + 1;
     return gap == 0 ? 1 : gap;
   }
@@ -94,24 +101,51 @@ class Rng {
   std::array<u64, 4> state_{};
 };
 
+/// Immutable inverse-CDF table of one Zipf distribution, with a guide
+/// table (also called cutpoint or indexed search) over it.
+struct ZipfTable {
+  std::vector<double> cdf;  ///< cdf[i] = P(X <= i); cdf.back() == 1
+  /// guide[j] = lower_bound(cdf, j / m) for the m = guide.size() - 1 equal
+  /// cells of [0, 1); guide[m] = cdf.size() - 1.
+  std::vector<u32> guide;
+};
+
 /// Samples from a Zipf distribution over {0, 1, ..., n-1} with exponent s.
 ///
-/// Uses a precomputed inverse-CDF table (O(n) setup, O(log n) sampling),
-/// which is exact and deterministic — appropriate for hot-set sizes up to a
-/// few million pages.
+/// Inverse-CDF sampling: a uniform u maps to lower_bound(cdf, u), which is
+/// exact and deterministic. The guide table starts the search next to the
+/// answer, so a sample costs O(1) expected steps and returns exactly the
+/// index std::lower_bound would. Tables are immutable and built once per
+/// (n, s) per process: every sampler with the same (n, s) shares one
+/// (thread-safe), so constructing a sampler is cheap after the first.
 class ZipfSampler {
  public:
   ZipfSampler(u64 n, double s);
 
-  u64 sample(Rng& rng) const;
+  u64 sample(Rng& rng) const { return index_of(rng.next_double()); }
+
+  /// The sample for uniform draw u in [0, 1): the smallest i with
+  /// cdf[i] >= u.
+  u64 index_of(double u) const {
+    const std::vector<double>& cdf = table_->cdf;
+    const std::vector<u32>& guide = table_->guide;
+    const std::size_t m = guide.size() - 1;
+    std::size_t i = guide[std::min(static_cast<std::size_t>(u * scale_), m)];
+    // u * m may round across a cell edge; step to lower_bound's answer.
+    while (i > 0 && cdf[i - 1] >= u) --i;
+    while (cdf[i] < u) ++i;
+    return i;
+  }
 
   u64 n() const { return n_; }
   double s() const { return s_; }
+  const ZipfTable& table() const { return *table_; }
 
  private:
   u64 n_;
   double s_;
-  std::vector<double> cdf_;  // cdf_[i] = P(X <= i)
+  std::shared_ptr<const ZipfTable> table_;
+  double scale_;  ///< guide cells per unit of u
 };
 
 }  // namespace bb

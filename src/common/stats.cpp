@@ -1,19 +1,48 @@
 #include "common/stats.h"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "common/snapshot.h"
 
 namespace bb {
 
 Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1, 0) {}
+    : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1, 0) {
+  double prev = 0.0;
+  for (double b : bounds_) {
+    if (!std::isfinite(b) || !(b > prev)) {
+      throw std::invalid_argument(
+          "histogram bounds must be finite, > 0 and strictly increasing");
+    }
+    prev = b;
+  }
+  if (bounds_.empty()) return;
 
-void Histogram::sample(double v, u64 weight) {
-  // First bucket whose upper bound is > v; past-the-end means overflow.
-  const auto it = std::upper_bound(bounds_.begin(), bounds_.end(), v);
-  counts_[static_cast<std::size_t>(it - bounds_.begin())] += weight;
-  total_ += weight;
+  // Cells no wider than the narrowest bucket hold at most two bucket
+  // edges each; cap the table for bounds with a tiny gap.
+  double min_gap = bounds_[0];
+  for (std::size_t i = 1; i < bounds_.size(); ++i) {
+    min_gap = std::min(min_gap, bounds_[i] - bounds_[i - 1]);
+  }
+  const double cells = std::ceil(bounds_.back() / min_gap);
+  const std::size_t m =
+      cells >= static_cast<double>(kMaxGuideCells)
+          ? kMaxGuideCells
+          : std::max<std::size_t>(1, static_cast<std::size_t>(cells));
+  scale_ = static_cast<double>(m) / bounds_.back();
+  // Subnormal bounds overflow the scale: every sample then takes
+  // upper_bound.
+  if (!std::isfinite(scale_)) return;
+  limit_ = bounds_.back();
+  guide_.resize(m + 1);
+  std::size_t i = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    const double edge = static_cast<double>(j) / scale_;
+    while (i + 1 < bounds_.size() && bounds_[i] <= edge) ++i;
+    guide_[j] = static_cast<u32>(i);
+  }
+  guide_[m] = static_cast<u32>(bounds_.size() - 1);
 }
 
 double Histogram::fraction(std::size_t i) const {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "common/snapshot.h"
 
@@ -31,40 +32,45 @@ TraceGenerator::TraceGenerator(const WorkloadProfile& profile, u64 seed)
                                             static_cast<double>(footprint_)),
                            kMaxHotSetBytes) /
                  hot_region_bytes_)),
-      zipf_(std::min<u64>(hot_regions_, 1u << 20), profile.zipf_s) {
+      zipf_(std::min<u64>(hot_regions_, 1u << 20), profile.zipf_s),
+      region_blocks_(hot_region_bytes_ / kLineBytes),
+      // Hot regions scatter within a bounded arena (a few times the hot-set
+      // size), not across the whole footprint: programs keep hot structures
+      // in specific allocation ranges, so the number of distinct pages
+      // holding hot data stays bounded even for weak-spatial workloads.
+      // Collisions merely merge two hot regions. The arena is offset away
+      // from the scan's starting point.
+      arena_regions_(std::min(footprint_,
+                              8 * hot_regions_ * hot_region_bytes_) /
+                     hot_region_bytes_),
+      arena_base_region_((footprint_ / hot_region_bytes_) / 3),
+      total_regions_(footprint_ / hot_region_bytes_),
+      unit_gap_(profile.mean_inst_gap() <= 1.0),
+      gap_log1p_(std::log1p(-1.0 / profile.mean_inst_gap())),
+      hot_or_scan_(profile.w_hot + profile.w_scan) {
   hot_cursor_.assign(static_cast<std::size_t>(zipf_.n()), 0);
 }
 
 Addr TraceGenerator::region_base(u64 i) const {
-  // Hot regions scatter within a bounded arena (a few times the hot-set
-  // size), not across the whole footprint: programs keep hot structures in
-  // specific allocation ranges, so the number of distinct pages holding
-  // hot data stays bounded even for weak-spatial workloads. Collisions
-  // merely merge two hot regions.
-  const u64 arena_regions =
-      std::min(footprint_, 8 * hot_regions_ * hot_region_bytes_) /
-      hot_region_bytes_;
-  const u64 scattered = (i * 0x9e3779b97f4a7c15ULL) % arena_regions;
-  // Offset the arena away from the scan's starting point.
-  const u64 arena_base_region =
-      (footprint_ / hot_region_bytes_) / 3;
-  const u64 total_regions = footprint_ / hot_region_bytes_;
-  return ((arena_base_region + scattered) % total_regions) *
-         hot_region_bytes_;
+  const u64 scattered = (i * 0x9e3779b97f4a7c15ULL) % arena_regions_;
+  // arena_base_region_ + scattered < 4/3 of total_regions_: one subtract
+  // wraps it.
+  u64 region = arena_base_region_ + scattered;
+  if (region >= total_regions_) region -= total_regions_;
+  return region * hot_region_bytes_;
 }
 
 Addr TraceGenerator::hot_address() {
   const u64 region = zipf_.sample(rng_);
   const Addr base = region_base(region);
-  const u64 blocks = hot_region_bytes_ / kLineBytes;
   u64 block;
   if (rng_.next_bool(profile_.spatial)) {
     // Sequential walk within the region.
     u16& cur = hot_cursor_[static_cast<std::size_t>(region)];
     block = cur;
-    cur = static_cast<u16>((cur + 1) % blocks);
+    cur = static_cast<u16>(block + 1 == region_blocks_ ? 0 : block + 1);
   } else {
-    block = rng_.next_below(blocks);
+    block = rng_.next_below(region_blocks_);
   }
   return base + block * kLineBytes;
 }
@@ -82,11 +88,11 @@ Addr TraceGenerator::cold_address() {
 
 TraceRecord TraceGenerator::next() {
   TraceRecord rec;
-  rec.inst_gap = rng_.next_gap(profile_.mean_inst_gap());
+  rec.inst_gap = unit_gap_ ? 1 : rng_.next_gap_log(gap_log1p_);
   const double u = rng_.next_double();
   if (u < profile_.w_hot) {
     rec.addr = hot_address();
-  } else if (u < profile_.w_hot + profile_.w_scan) {
+  } else if (u < hot_or_scan_) {
     rec.addr = scan_address();
   } else {
     rec.addr = cold_address();
@@ -162,12 +168,26 @@ void TraceGenerator::save_cursor(snap::Writer& w) const {
 void TraceGenerator::load_cursor(snap::Reader& r) {
   std::array<u64, 4> st;
   for (u64& word : st) word = r.get_u64();
-  rng_.set_state(st);
-  scan_cursor_ = r.get_u64();
+  const Addr scan = r.get_u64();
+  if (scan >= footprint_ || scan % kLineBytes != 0) {
+    throw snap::SnapshotError("scan cursor outside the footprint or unaligned");
+  }
   if (r.get_u64() != hot_cursor_.size()) {
     throw snap::SnapshotError("hot-region cursor count mismatch");
   }
-  for (u16& c : hot_cursor_) c = static_cast<u16>(r.get_u32());
+  // Validate into a copy so a rejected stream leaves the generator as it
+  // was.
+  std::vector<u16> hot(hot_cursor_.size());
+  for (u16& c : hot) {
+    const u32 v = r.get_u32();
+    if (v >= region_blocks_) {
+      throw snap::SnapshotError("hot-region cursor past the region's blocks");
+    }
+    c = static_cast<u16>(v);
+  }
+  rng_.set_state(st);
+  scan_cursor_ = scan;
+  hot_cursor_ = std::move(hot);
 }
 
 }  // namespace bb::trace

@@ -80,7 +80,9 @@ class TraceGenerator : public TraceSource {
   u64 hot_region_count() const { return hot_regions_; }
 
   /// Snapshot/restore of the generator position (RNG state + scan and
-  /// per-region cursors); the Zipf table is rebuilt at construction.
+  /// per-region cursors); everything else follows from (profile, seed),
+  /// including the shared Zipf table. load_cursor fails closed on a cursor
+  /// the generator could not have reached.
   bool cursor_supported() const override { return true; }
   void save_cursor(snap::Writer& w) const override;
   void load_cursor(snap::Reader& r) override;
@@ -99,6 +101,14 @@ class TraceGenerator : public TraceSource {
   u64 hot_region_bytes_;
   u64 hot_regions_;
   ZipfSampler zipf_;
+  // Per-record constants, derived once from the profile.
+  u64 region_blocks_;       ///< 64 B blocks per hot region
+  u64 arena_regions_;       ///< regions of the arena hot regions scatter in
+  u64 arena_base_region_;   ///< first region of the arena
+  u64 total_regions_;       ///< regions in the footprint
+  bool unit_gap_;           ///< mean instruction gap <= 1: every gap is 1
+  double gap_log1p_;        ///< log1p(-1 / mean instruction gap)
+  double hot_or_scan_;      ///< w_hot + w_scan
   Addr scan_cursor_ = 0;
   std::vector<u16> hot_cursor_;  ///< per-region sequential block cursor
 };

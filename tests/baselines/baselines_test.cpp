@@ -198,7 +198,116 @@ TEST_F(BaselineFixture, ChameleonResetStatsClearsCountersKeepsPlacement) {
   EXPECT_TRUE(c.access(a, AccessType::kRead, 100000).served_by_hbm);
 }
 
+TEST_F(BaselineFixture, ChameleonFreshControllerMapsSegmentsToNativeFrames) {
+  ChameleonController c(hbm_, dram_);
+  for (u32 set = 0; set < c.set_count(); ++set) {
+    for (u32 f = 0; f < c.segments_per_set(); ++f) {
+      ASSERT_EQ(c.segment_at(set, f), f) << "set " << set;
+    }
+  }
+  EXPECT_TRUE(c.check_invariants());
+}
+
+/// The one set whose permutation is not the identity, or `sets` if none.
+template <class Controller>
+u32 moved_set(const Controller& c, u32 sets, u32 frames) {
+  for (u32 set = 0; set < sets; ++set) {
+    for (u32 f = 0; f < frames; ++f) {
+      if (c.segment_at(set, f) != f) return set;
+    }
+  }
+  return sets;
+}
+
+TEST_F(BaselineFixture, ChameleonSwapStoresATransposition) {
+  ChameleonController c(hbm_, dram_);
+  const u32 m = c.segments_per_set() - 1;
+  Tick now = 0;
+  while (c.stats().swaps == 0 && now < 100 * 100000) {
+    now += 100000;
+    c.access(0, AccessType::kRead, now);
+  }
+  ASSERT_EQ(c.stats().swaps, 1u);
+  const u32 set = moved_set(c, c.set_count(), m + 1);
+  ASSERT_LT(set, c.set_count());
+  // The hot segment now sits in the HBM frame and the HBM-native segment
+  // in the hot segment's old frame; every other frame is unchanged.
+  const u32 hot = c.segment_at(set, m);
+  ASSERT_LT(hot, m);
+  EXPECT_EQ(c.segment_at(set, hot), m);
+  for (u32 f = 0; f < m; ++f) {
+    if (f != hot) {
+      EXPECT_EQ(c.segment_at(set, f), f);
+    }
+  }
+  EXPECT_TRUE(c.check_invariants());
+}
+
+TEST_F(BaselineFixture, ChameleonRandomTrafficKeepsPermutations) {
+  ChameleonController c(hbm_, dram_);
+  Rng rng(21);
+  Tick now = 0;
+  for (int i = 0; i < 20000; ++i) {
+    now += 50000;
+    // A small hot footprint so segments swap back and forth.
+    c.access(rng.next_below(64) * 2 * KiB, AccessType::kRead, now);
+  }
+  EXPECT_GT(c.stats().swaps, 10u);
+  EXPECT_TRUE(c.check_invariants());
+}
+
 // ---------------------------------------------------------------- Hybrid2
+
+TEST_F(BaselineFixture, Hybrid2FreshControllerMapsPagesToNativeFrames) {
+  Hybrid2Controller c(hbm_, dram_);
+  const u32 frames = c.dram_pages_per_set() + Hybrid2Config{}.hbm_ways;
+  for (u32 set = 0; set < c.remap_sets(); ++set) {
+    for (u32 f = 0; f < frames; ++f) {
+      ASSERT_EQ(c.segment_at(set, f), f) << "set " << set;
+    }
+  }
+  EXPECT_TRUE(c.check_invariants());
+}
+
+TEST_F(BaselineFixture, Hybrid2PromotionStoresATransposition) {
+  Hybrid2Controller c(hbm_, dram_);
+  const u32 m = c.dram_pages_per_set();
+  const u32 frames = m + Hybrid2Config{}.hbm_ways;
+  Tick now = 0;
+  while (c.stats().swaps == 0 && now < 100 * 100000) {
+    now += 100000;
+    c.access(0, AccessType::kRead, now);
+  }
+  ASSERT_EQ(c.stats().swaps, 1u);
+  const u32 set = moved_set(c, c.remap_sets(), frames);
+  ASSERT_LT(set, c.remap_sets());
+  // Exactly one mHBM way now holds an off-chip page, which swapped with
+  // that way's native page.
+  u32 moved_way = frames;
+  for (u32 f = m; f < frames; ++f) {
+    if (c.segment_at(set, f) != f) {
+      EXPECT_EQ(moved_way, frames) << "two ways moved";
+      moved_way = f;
+    }
+  }
+  ASSERT_LT(moved_way, frames);
+  const u32 promoted = c.segment_at(set, moved_way);
+  ASSERT_LT(promoted, m);
+  EXPECT_EQ(c.segment_at(set, promoted), moved_way);
+  EXPECT_TRUE(c.check_invariants());
+}
+
+TEST_F(BaselineFixture, Hybrid2RandomTrafficKeepsPermutations) {
+  Hybrid2Controller c(hbm_, dram_);
+  Rng rng(22);
+  Tick now = 0;
+  for (int i = 0; i < 20000; ++i) {
+    now += 50000;
+    c.access(rng.next_below(4096) * 256, AccessType::kRead, now);
+  }
+  EXPECT_GT(c.stats().swaps, 10u);
+  EXPECT_TRUE(c.check_invariants());
+}
 
 TEST_F(BaselineFixture, Hybrid2CacheMissFillsBlock) {
   Hybrid2Controller c(hbm_, dram_);

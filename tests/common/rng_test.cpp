@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace bb {
@@ -123,6 +127,80 @@ TEST(Zipf, SingleElement) {
 TEST(Zipf, ZeroElementsClamped) {
   ZipfSampler zipf(0, 1.0);
   EXPECT_EQ(zipf.n(), 1u);
+}
+
+/// The index std::lower_bound finds in the sampler's own CDF.
+u64 reference_index(const ZipfSampler& zipf, double u) {
+  const std::vector<double>& cdf = zipf.table().cdf;
+  return static_cast<u64>(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                          cdf.begin());
+}
+
+TEST(Zipf, GuideTableMatchesLowerBound) {
+  const std::pair<u64, double> cases[] = {
+      {1, 1.0}, {10, 0.0}, {1000, 1.2}, {u64{1} << 20, 0.7}};
+  for (const auto& [n, s] : cases) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " s=" << s);
+    const ZipfSampler zipf(n, s);
+    ASSERT_EQ(zipf.table().cdf.size(), n);
+    Rng rng(13);
+    for (int i = 0; i < 1000000; ++i) {
+      const double u = rng.next_double();
+      ASSERT_EQ(zipf.index_of(u), reference_index(zipf, u)) << u;
+    }
+    // Every edge: each CDF value and each guide cell's left edge, with
+    // its neighbours one ulp either side, inside [0, 1).
+    std::vector<double> edges = zipf.table().cdf;
+    const std::size_t m = zipf.table().guide.size() - 1;
+    for (std::size_t j = 0; j < m; ++j) {
+      edges.push_back(static_cast<double>(j) / static_cast<double>(m));
+    }
+    for (double e : edges) {
+      for (double u : {std::nextafter(e, 0.0), e, std::nextafter(e, 2.0)}) {
+        if (u < 0.0 || u >= 1.0) continue;
+        ASSERT_EQ(zipf.index_of(u), reference_index(zipf, u)) << u;
+      }
+    }
+  }
+}
+
+TEST(ZipfSharedTable, EqualParametersShareOneTable) {
+  const ZipfSampler a(1000, 1.2);
+  const ZipfSampler b(1000, 1.2);
+  const ZipfSampler c(1000, 1.1);
+  const ZipfSampler d(999, 1.2);
+  EXPECT_EQ(&a.table(), &b.table());
+  EXPECT_NE(&a.table(), &c.table());
+  EXPECT_NE(&a.table(), &d.table());
+}
+
+TEST(ZipfSharedTable, ConcurrentConstructionSharesOneTable) {
+  // A (n, s) no other test uses, so the threads race to build it.
+  constexpr u64 kN = 77777;
+  constexpr double kS = 0.913;
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<const ZipfTable*> seen(kThreads, nullptr);
+  std::vector<u64> first_draws(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const ZipfSampler zipf(kN, kS);
+      seen[static_cast<std::size_t>(t)] = &zipf.table();
+      Rng rng(14);
+      u64 sum = 0;
+      for (int i = 0; i < 1000; ++i) sum += zipf.sample(rng);
+      first_draws[static_cast<std::size_t>(t)] = sum;
+    });
+  }
+  for (auto& th : threads) th.join();
+  const ZipfSampler later(kN, kS);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(t)], &later.table());
+    EXPECT_EQ(first_draws[static_cast<std::size_t>(t)], first_draws[0]);
+  }
 }
 
 class RngSeedTest : public ::testing::TestWithParam<u64> {};

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
+#include "common/rng.h"
+#include "hmm/controller.h"
 
 namespace bb {
 namespace {
@@ -129,6 +136,62 @@ TEST(Histogram, QuantileClampsQ) {
   h.sample(5.0, 10);
   EXPECT_DOUBLE_EQ(h.quantile(-0.5), 0.0);
   EXPECT_DOUBLE_EQ(h.quantile(1.5), 10.0);
+}
+
+/// upper_bound's bucket for `v`, the reference the guide table must match.
+std::size_t reference_bucket(const std::vector<double>& bounds, double v) {
+  return static_cast<std::size_t>(
+      std::upper_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+}
+
+TEST(Histogram, GuideTableMatchesUpperBound) {
+  const std::vector<std::vector<double>> bound_sets = {
+      hmm::HmmStats::latency_bounds_ns(),
+      {0.5, 0.75, 3.0, 3.1, 100.0, 1e4, 1e4 + 1e-3, 2e6},
+      {1e-3, 1e9},  // a gap too small for one cell per bucket
+      {std::numeric_limits<double>::denorm_min(), 1e-320},
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& bounds : bound_sets) {
+    SCOPED_TRACE(::testing::Message() << bounds.size() << " bounds, last "
+                                      << bounds.back());
+    const Histogram h(bounds);
+    std::vector<double> values = {0.0,  -0.0, -1.0, -1e-300, -inf,
+                                  inf,  nan,  2 * bounds.back(),
+                                  std::numeric_limits<double>::denorm_min()};
+    for (double b : bounds) {
+      values.push_back(std::nextafter(b, -inf));
+      values.push_back(b);
+      values.push_back(std::nextafter(b, inf));
+    }
+    Rng rng(15);
+    for (int i = 0; i < 100000; ++i) {
+      values.push_back(rng.next_double() * 1.1 * bounds.back());
+    }
+    for (double v : values) {
+      ASSERT_EQ(h.bucket_of(v), reference_bucket(bounds, v)) << v;
+    }
+  }
+}
+
+TEST(Histogram, RejectsNonFiniteBounds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Histogram({1.0, inf}), std::invalid_argument);
+  EXPECT_THROW(Histogram({nan}), std::invalid_argument);
+  EXPECT_THROW(Histogram({1.0, nan, 3.0}), std::invalid_argument);
+}
+
+TEST(Histogram, RejectsBoundsNotStrictlyIncreasing) {
+  EXPECT_THROW(Histogram({1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(Histogram({5.0, 10.0, 7.0}), std::invalid_argument);
+}
+
+TEST(Histogram, RejectsNonPositiveBounds) {
+  EXPECT_THROW(Histogram({0.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(Histogram({-0.0}), std::invalid_argument);
+  EXPECT_THROW(Histogram({-5.0, 1.0}), std::invalid_argument);
 }
 
 TEST(Geomean, Basics) {

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+#include <vector>
+
+#include "common/snapshot.h"
+
 namespace bb::trace {
 namespace {
 
@@ -52,6 +59,72 @@ TEST(Generator, HotSetCapped) {
   TraceGenerator roms(WorkloadProfile::by_name("roms"), 1);
   EXPECT_LE(roms.hot_region_count() * roms.hot_region_bytes(),
             kMaxHotSetBytes);
+}
+
+// ---------------------------------------------------------- cursor state
+
+std::string cursor_path(const char* name) {
+  return std::string(::testing::TempDir()) + "/" + name;
+}
+
+/// A cursor stream in TraceGenerator::save_cursor's layout.
+void write_cursor(const std::string& path, const std::array<u64, 4>& rng,
+                  u64 scan, const std::vector<u32>& hot) {
+  snap::Writer w;
+  for (u64 word : rng) w.put_u64(word);
+  w.put_u64(scan);
+  w.put_u64(hot.size());
+  for (u32 c : hot) w.put_u32(c);
+  w.commit(path);
+}
+
+TEST(GeneratorCursor, LoadRejectsEachCorruptField) {
+  const auto& w = WorkloadProfile::by_name("mcf");
+  TraceGenerator probe(w, 1);
+  const u64 footprint =
+      std::max<u64>(w.footprint_bytes() & ~(kLineBytes - 1), 64 * KiB);
+  const u64 blocks = probe.hot_region_bytes() / kLineBytes;
+  const std::size_t regions = static_cast<std::size_t>(
+      std::min<u64>(probe.hot_region_count(), u64{1} << 20));
+  const std::array<u64, 4> rng = {1, 2, 3, 4};
+  const std::vector<u32> hot(regions, static_cast<u32>(blocks - 1));
+
+  struct Case {
+    const char* what;
+    u64 scan;
+    std::vector<u32> hot;
+  };
+  std::vector<u32> hot_past = hot;
+  hot_past.back() = static_cast<u32>(blocks);
+  std::vector<u32> hot_wide = hot;
+  hot_wide.front() = 0x10000;  // would truncate to 0 as a u16
+  const Case cases[] = {
+      {"scan cursor at the footprint", footprint, hot},
+      {"scan cursor not 64 B-aligned", footprint - kLineBytes + 8, hot},
+      {"hot cursor at blocks-per-region", 0, hot_past},
+      {"hot cursor wider than u16", 0, hot_wide},
+      {"hot cursor count", 0, std::vector<u32>(regions + 1, 0)},
+  };
+
+  // The valid neighbour of every case loads.
+  const std::string ok_path = cursor_path("gen_cursor_ok.bbsnap");
+  write_cursor(ok_path, rng, footprint - kLineBytes, hot);
+  {
+    TraceGenerator g(w, 1);
+    snap::Reader r(ok_path);
+    EXPECT_NO_THROW(g.load_cursor(r));
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const std::string path = cursor_path("gen_cursor_bad.bbsnap");
+    write_cursor(path, rng, c.scan, c.hot);
+    TraceGenerator g(w, 1);
+    snap::Reader r(path);
+    EXPECT_THROW(g.load_cursor(r), snap::SnapshotError);
+    // A rejected load leaves the generator where it was.
+    TraceGenerator fresh(w, 1);
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(g.next().addr, fresh.next().addr);
+  }
 }
 
 class ProfileCalibrationTest
