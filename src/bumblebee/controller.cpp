@@ -1159,113 +1159,57 @@ bool BumblebeeController::check_invariants() const {
   return true;
 }
 
-void BumblebeeController::save_state(snap::Writer& w) const {
-  save_base_state(w);
-  w.put_u64(sets_.size());
-  for (u32 set = 0; set < sets_.size(); ++set) {
-    const SetState st = sets_[set];
-    w.put_u64(st.new_ple.size());
-    for (std::int32_t v : st.new_ple) w.put_i64(v);
-    for (u32 j = 0; j < st.occup.size(); ++j) {
-      w.put_u8(st.occup.test(j) ? 1 : 0);
-    }
-    w.put_u64(st.ble.size());
-    for (u32 k = 0; k < st.ble.size(); ++k) {
-      w.put_u8(static_cast<u8>(st.ble[k].mode));
-      w.put_u32(st.ble[k].ple);
-      w.put_u8(st.ble[k].retired ? 1 : 0);
-      st.valid(k).save(w);
-      st.dirty(k).save(w);
-      st.fetched(k).save(w);
-      st.used(k).save(w);
-    }
-    st.hot.save(w);
-    const SetScalars& v = st.vars;
-    w.put_u32(v.zombie_page);
-    w.put_u64(v.zombie_counter);
-    w.put_u32(v.zombie_age);
-    w.put_u64(v.accesses);
-    w.put_u8(v.chbm_disabled ? 1 : 0);
-    w.put_i64(v.last_alloc_page);
-    w.put_u32(v.retired_frames);
-    w.put_u8(v.degraded ? 1 : 0);
-  }
-  w.put_u64(bstats_.prt_misses);
-  w.put_u64(bstats_.block_fetches);
-  w.put_u64(bstats_.page_migrations);
-  w.put_u64(bstats_.cache_to_mem_switches);
-  w.put_u64(bstats_.mem_to_cache_buffers);
-  w.put_u64(bstats_.zombie_evictions);
-  w.put_u64(bstats_.set_swaps);
-  w.put_u64(bstats_.batch_flushes);
-  w.put_u64(bstats_.os_swap_outs);
-  w.put_u64(bstats_.chbm_evictions);
-  w.put_u64(bstats_.mhbm_evictions);
-  w.put_u64(bstats_.frame_retirements);
-  w.put_u64(bstats_.due_refetches);
-  w.put_u64(bstats_.sets_degraded);
-  w.put_u8(high_footprint_mode_ ? 1 : 0);
-  w.put_u32(flush_cursor_);
-  meta_->save(w);
-}
-
-void BumblebeeController::load_state(snap::Reader& r) {
-  load_base_state(r);
-  if (r.get_u64() != sets_.size()) {
-    throw snap::SnapshotError("remapping set count mismatch");
-  }
+void BumblebeeController::serialize(snap::Archive& ar) {
+  serialize_base(ar);
+  ar.expect(sets_.size(), "remapping set count");
   for (u32 set = 0; set < sets_.size(); ++set) {
     SetState st = sets_[set];
-    if (r.get_u64() != st.new_ple.size()) {
-      throw snap::SnapshotError("set slot count mismatch");
-    }
-    for (std::int32_t& v : st.new_ple) {
-      v = static_cast<std::int32_t>(r.get_i64());
-    }
+    ar.expect(st.new_ple.size(), "set slot count");
+    for (std::int32_t& v : st.new_ple) ar.i64(v);
     for (u32 j = 0; j < st.occup.size(); ++j) {
-      st.occup.set(j, r.get_u8() != 0);
+      bool occupied = st.occup.test(j);
+      ar.flag(occupied);
+      st.occup.set(j, occupied);
     }
-    if (r.get_u64() != st.ble.size()) {
-      throw snap::SnapshotError("set frame count mismatch");
-    }
+    ar.expect(st.ble.size(), "set frame count");
     for (u32 k = 0; k < st.ble.size(); ++k) {
-      st.ble[k].mode = static_cast<Ble::Mode>(r.get_u8());
-      st.ble[k].ple = r.get_u32();
-      st.ble[k].retired = r.get_u8() != 0;
-      st.valid(k).load(r);
-      st.dirty(k).load(r);
-      st.fetched(k).load(r);
-      st.used(k).load(r);
+      ar.enumeration(st.ble[k].mode, Ble::Mode::kMem);
+      ar.u32(st.ble[k].ple);
+      ar.flag(st.ble[k].retired);
+      st.valid(k).serialize(ar);
+      st.dirty(k).serialize(ar);
+      st.fetched(k).serialize(ar);
+      st.used(k).serialize(ar);
     }
-    st.hot.load(r);
+    st.hot.serialize(ar);
     SetScalars& v = st.vars;
-    v.zombie_page = r.get_u32();
-    v.zombie_counter = r.get_u64();
-    v.zombie_age = r.get_u32();
-    v.accesses = r.get_u64();
-    v.chbm_disabled = r.get_u8() != 0;
-    v.last_alloc_page = static_cast<std::int32_t>(r.get_i64());
-    v.retired_frames = r.get_u32();
-    v.degraded = r.get_u8() != 0;
-    verify_set(st, set, "load_state");
+    ar.u32(v.zombie_page);
+    ar.u64(v.zombie_counter);
+    ar.u32(v.zombie_age);
+    ar.u64(v.accesses);
+    ar.flag(v.chbm_disabled);
+    ar.i64(v.last_alloc_page);
+    ar.u32(v.retired_frames);
+    ar.flag(v.degraded);
+    if (ar.loading()) verify_set(st, set, "restore");
   }
-  bstats_.prt_misses = r.get_u64();
-  bstats_.block_fetches = r.get_u64();
-  bstats_.page_migrations = r.get_u64();
-  bstats_.cache_to_mem_switches = r.get_u64();
-  bstats_.mem_to_cache_buffers = r.get_u64();
-  bstats_.zombie_evictions = r.get_u64();
-  bstats_.set_swaps = r.get_u64();
-  bstats_.batch_flushes = r.get_u64();
-  bstats_.os_swap_outs = r.get_u64();
-  bstats_.chbm_evictions = r.get_u64();
-  bstats_.mhbm_evictions = r.get_u64();
-  bstats_.frame_retirements = r.get_u64();
-  bstats_.due_refetches = r.get_u64();
-  bstats_.sets_degraded = r.get_u64();
-  high_footprint_mode_ = r.get_u8() != 0;
-  flush_cursor_ = r.get_u32();
-  meta_->load(r);
+  ar.u64(bstats_.prt_misses);
+  ar.u64(bstats_.block_fetches);
+  ar.u64(bstats_.page_migrations);
+  ar.u64(bstats_.cache_to_mem_switches);
+  ar.u64(bstats_.mem_to_cache_buffers);
+  ar.u64(bstats_.zombie_evictions);
+  ar.u64(bstats_.set_swaps);
+  ar.u64(bstats_.batch_flushes);
+  ar.u64(bstats_.os_swap_outs);
+  ar.u64(bstats_.chbm_evictions);
+  ar.u64(bstats_.mhbm_evictions);
+  ar.u64(bstats_.frame_retirements);
+  ar.u64(bstats_.due_refetches);
+  ar.u64(bstats_.sets_degraded);
+  ar.flag(high_footprint_mode_);
+  ar.u32(flush_cursor_);
+  meta_->serialize(ar);
 }
 
 }  // namespace bb::bumblebee

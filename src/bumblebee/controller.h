@@ -106,11 +106,11 @@ class BumblebeeController final : public hmm::HybridMemoryController {
 
   /// Full-state snapshot: framework base state, every set's PRT/BLE/hot
   /// table, the Bumblebee counters, footprint posture, and the metadata
-  /// model. Geometry is construction-time shape; load fails closed on a
-  /// set- or frame-count mismatch.
+  /// model. Geometry is construction-time shape; a restore fails closed
+  /// on a set- or frame-count mismatch or a set that breaks its
+  /// invariants.
   bool snapshot_supported() const override { return true; }
-  void save_state(snap::Writer& w) const override;
-  void load_state(snap::Reader& r) override;
+  void serialize(snap::Archive& ar) override;
 
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;

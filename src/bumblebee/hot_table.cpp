@@ -44,10 +44,18 @@ void push_hbm(Entry* q, u32& len, u32 capacity, const Entry& e) {
   q[len++] = e;
 }
 
-/// A queue length read from a snapshot, checked against the slice.
-u32 checked_length(u64 n, u32 capacity) {
+/// One queue's length and entries; a restored length is checked against
+/// the slice before any entry is read.
+void serialize_queue(snap::Archive& ar, HotTable::Entry* q, u32& len,
+                     u32 capacity) {
+  u64 n = len;
+  ar.u64(n);
   if (n > capacity) throw snap::SnapshotError("hot-table queue overflow");
-  return static_cast<u32>(n);
+  len = static_cast<u32>(n);
+  for (u32 i = 0; i < len; ++i) {
+    ar.u32(q[i].page);
+    ar.u64(q[i].counter);
+  }
 }
 
 }  // namespace
@@ -146,30 +154,9 @@ void HotTable::remove(u32 page) {
   if (d < len_->dram) take(dram_, len_->dram, d);
 }
 
-void HotTable::save(snap::Writer& w) const {
-  w.put_u64(len_->hbm);
-  for (const Entry& e : hbm_entries()) {
-    w.put_u32(e.page);
-    w.put_u64(e.counter);
-  }
-  w.put_u64(len_->dram);
-  for (const Entry& e : dram_entries()) {
-    w.put_u32(e.page);
-    w.put_u64(e.counter);
-  }
-}
-
-void HotTable::load(snap::Reader& r) {
-  len_->hbm = checked_length(r.get_u64(), shape_->hbm_capacity);
-  for (u32 i = 0; i < len_->hbm; ++i) {
-    hbm_[i].page = r.get_u32();
-    hbm_[i].counter = r.get_u64();
-  }
-  len_->dram = checked_length(r.get_u64(), shape_->dram_capacity);
-  for (u32 i = 0; i < len_->dram; ++i) {
-    dram_[i].page = r.get_u32();
-    dram_[i].counter = r.get_u64();
-  }
+void HotTable::serialize(snap::Archive& ar) {
+  serialize_queue(ar, hbm_, len_->hbm, shape_->hbm_capacity);
+  serialize_queue(ar, dram_, len_->dram, shape_->dram_capacity);
 }
 
 }  // namespace bb::bumblebee

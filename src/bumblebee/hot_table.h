@@ -24,8 +24,7 @@
 #include "common/types.h"
 
 namespace bb::snap {
-class Reader;
-class Writer;
+class Archive;
 }  // namespace bb::snap
 
 namespace bb::bumblebee {
@@ -102,9 +101,8 @@ class HotTable {
   std::span<const Entry> dram_entries() const { return {dram_, len_->dram}; }
 
   /// Snapshot/restore of both queues (capacities are construction-time;
-  /// load fails closed on a queue longer than its capacity).
-  void save(snap::Writer& w) const;
-  void load(snap::Reader& r);
+  /// a restore fails closed on a queue longer than its capacity).
+  void serialize(snap::Archive& ar);
 
  private:
   Entry* hbm_;   ///< index 0 = LRU, back = MRU

@@ -110,42 +110,21 @@ void Cache::flush() {
   }
 }
 
-void Cache::save(snap::Writer& w) const {
-  w.put_u64(lines_.size());
-  for (const Line& ln : lines_) {
-    w.put_u64(ln.tag);
-    w.put_u8(ln.valid ? 1 : 0);
-    w.put_u8(ln.dirty ? 1 : 0);
-    w.put_u64(ln.accesses);
-  }
-  w.put_u64(stats_.hits);
-  w.put_u64(stats_.misses);
-  w.put_u64(stats_.evictions);
-  w.put_u64(stats_.writebacks);
-  w.put_u64(clock_);
-  w.put_u64(stamp_.size());
-  for (u64 s : stamp_) w.put_u64(s);
-}
-
-void Cache::load(snap::Reader& r) {
-  if (r.get_u64() != lines_.size()) {
-    throw snap::SnapshotError("cache line count mismatch");
-  }
+void Cache::serialize(snap::Archive& ar) {
+  ar.expect(lines_.size(), "cache line count");
   for (Line& ln : lines_) {
-    ln.tag = r.get_u64();
-    ln.valid = r.get_u8() != 0;
-    ln.dirty = r.get_u8() != 0;
-    ln.accesses = r.get_u64();
+    ar.u64(ln.tag);
+    ar.flag(ln.valid);
+    ar.flag(ln.dirty);
+    ar.u64(ln.accesses);
   }
-  stats_.hits = r.get_u64();
-  stats_.misses = r.get_u64();
-  stats_.evictions = r.get_u64();
-  stats_.writebacks = r.get_u64();
-  clock_ = r.get_u64();
-  if (r.get_u64() != stamp_.size()) {
-    throw snap::SnapshotError("LRU stamp count mismatch");
-  }
-  for (u64& s : stamp_) s = r.get_u64();
+  ar.u64(stats_.hits);
+  ar.u64(stats_.misses);
+  ar.u64(stats_.evictions);
+  ar.u64(stats_.writebacks);
+  ar.u64(clock_);
+  ar.expect(stamp_.size(), "LRU stamp count");
+  for (u64& s : stamp_) ar.u64(s);
 }
 
 }  // namespace bb::cache

@@ -16,8 +16,7 @@
 #include "common/types.h"
 
 namespace bb::snap {
-class Reader;
-class Writer;
+class Archive;
 }  // namespace bb::snap
 
 namespace bb::cache {
@@ -93,10 +92,9 @@ class Cache {
   void reset_stats() { stats_ = CacheStats{}; }
 
   /// Snapshot/restore of the line array, statistics, and LRU recency
-  /// state. Geometry is construction-time shape; load fails closed on a
-  /// line-count mismatch.
-  void save(snap::Writer& w) const;
-  void load(snap::Reader& r);
+  /// state. Geometry is construction-time shape; a restore fails closed on
+  /// a line-count mismatch.
+  void serialize(snap::Archive& ar);
 
  private:
   struct Line {

@@ -14,8 +14,8 @@ namespace bb {
 
 /// Bit operations over `nbits` bits in words someone else owns: a
 /// BitVector's own words or one row of a BitMatrix. A const BitRow is
-/// read-only. save() writes `nbits` then the words; load() fails closed
-/// on a stream of a different width.
+/// read-only. serialize() stores `nbits` then the words; a restore fails
+/// closed on a stream of a different width.
 class BitRow {
  public:
   BitRow(u64* words, std::size_t nbits) : words_(words), nbits_(nbits) {}
@@ -64,16 +64,9 @@ class BitRow {
 
   bool all() const { return popcount() == nbits_; }
 
-  void save(snap::Writer& w) const {
-    w.put_u64(nbits_);
-    for (std::size_t k = 0; k < words(); ++k) w.put_u64(words_[k]);
-  }
-
-  void load(snap::Reader& r) {
-    if (r.get_u64() != nbits_) {
-      throw snap::SnapshotError("bitmap width mismatch");
-    }
-    for (std::size_t k = 0; k < words(); ++k) words_[k] = r.get_u64();
+  void serialize(snap::Archive& ar) {
+    ar.expect(nbits_, "bitmap width");
+    for (std::size_t k = 0; k < words(); ++k) ar.u64(words_[k]);
   }
 
  private:
@@ -107,14 +100,10 @@ class BitVector {
     return nbits_ == other.nbits_ && words_ == other.words_;
   }
 
-  void save(snap::Writer& w) const {
-    w.put_u64(nbits_);
-    for (u64 word : words_) w.put_u64(word);
-  }
-
-  void load(snap::Reader& r) {
-    resize(static_cast<std::size_t>(r.get_u64()));
-    for (u64& word : words_) word = r.get_u64();
+  void serialize(snap::Archive& ar) {
+    const std::size_t n = ar.length(nbits_);
+    if (ar.loading()) resize(n);
+    for (u64& word : words_) ar.u64(word);
   }
 
  private:

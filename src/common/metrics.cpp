@@ -118,47 +118,24 @@ void EpochSampler::finish() {
   if (requests_in_epoch_ > 0) close_epoch(last_tick_);
 }
 
-void EpochSampler::save(snap::Writer& w) const {
-  w.put_u64(rows_.size());
-  for (const EpochRow& row : rows_) {
-    w.put_u64(row.epoch);
-    w.put_u64(row.start_tick);
-    w.put_u64(row.end_tick);
-    w.put_u64(row.requests);
-    w.put_u64(row.values.size());
-    for (double v : row.values) w.put_f64(v);
-  }
-  w.put_u64(baseline_.size());
-  for (double v : baseline_) w.put_f64(v);
-  w.put_u64(next_epoch_);
-  w.put_u64(epoch_start_tick_);
-  w.put_u64(last_tick_);
-  w.put_u64(requests_in_epoch_);
-  w.put_u64(measured_start_tick_);
-  w.put_u8(measured_start_known_ ? 1 : 0);
-}
-
-void EpochSampler::load(snap::Reader& r) {
-  rows_.resize(static_cast<std::size_t>(r.get_u64()));
+void EpochSampler::serialize(snap::Archive& ar) {
+  ar.count(rows_);
   for (EpochRow& row : rows_) {
-    row.epoch = r.get_u64();
-    row.start_tick = r.get_u64();
-    row.end_tick = r.get_u64();
-    row.requests = r.get_u64();
-    row.values.resize(static_cast<std::size_t>(r.get_u64()));
-    for (double& v : row.values) v = r.get_f64();
+    ar.u64(row.epoch);
+    ar.u64(row.start_tick);
+    ar.u64(row.end_tick);
+    ar.u64(row.requests);
+    ar.count(row.values);
+    for (double& v : row.values) ar.f64(v);
   }
-  const u64 baseline_slots = r.get_u64();
-  if (baseline_slots != baseline_.size()) {
-    throw snap::SnapshotError("epoch sampler probe count mismatch");
-  }
-  for (double& v : baseline_) v = r.get_f64();
-  next_epoch_ = r.get_u64();
-  epoch_start_tick_ = r.get_u64();
-  last_tick_ = r.get_u64();
-  requests_in_epoch_ = r.get_u64();
-  measured_start_tick_ = r.get_u64();
-  measured_start_known_ = r.get_u8() != 0;
+  ar.expect(baseline_.size(), "epoch sampler probe count");
+  for (double& v : baseline_) ar.f64(v);
+  ar.u64(next_epoch_);
+  ar.u64(epoch_start_tick_);
+  ar.u64(last_tick_);
+  ar.u64(requests_in_epoch_);
+  ar.u64(measured_start_tick_);
+  ar.flag(measured_start_known_);
 }
 
 void write_epoch_csv_header(std::ostream& os,

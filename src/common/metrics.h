@@ -17,8 +17,7 @@
 #include "common/types.h"
 
 namespace bb::snap {
-class Reader;
-class Writer;
+class Archive;
 }  // namespace bb::snap
 
 namespace bb {
@@ -101,9 +100,8 @@ class EpochSampler {
   /// Snapshot/restore of the epoch cursor and accumulated rows. The
   /// registry itself (probe closures) is rebuilt by the restoring run —
   /// registration order is deterministic, so the restored baseline slots
-  /// line up; load fails closed when the column count disagrees.
-  void save(snap::Writer& w) const;
-  void load(snap::Reader& r);
+  /// line up; a restore fails closed when the column count disagrees.
+  void serialize(snap::Archive& ar);
 
  private:
   void snapshot(std::vector<double>& out) const;

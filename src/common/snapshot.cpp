@@ -165,6 +165,50 @@ std::string Reader::get_str() {
   return std::string(p, static_cast<std::size_t>(n));
 }
 
+void Archive::u32(bb::u16& v) {
+  bb::u32 wide = v;
+  u32(wide);
+  if (wide > UINT16_MAX) {
+    throw SnapshotError("value " + std::to_string(wide) +
+                        " does not fit a 16-bit field");
+  }
+  v = static_cast<bb::u16>(wide);
+}
+
+void Archive::i64(std::int32_t& v) {
+  bb::i64 wide = v;
+  i64(wide);
+  if (wide < INT32_MIN || wide > INT32_MAX) {
+    throw SnapshotError("value " + std::to_string(wide) +
+                        " does not fit a 32-bit field");
+  }
+  v = static_cast<std::int32_t>(wide);
+}
+
+void Archive::expect(bb::u64 n, const char* what) {
+  bb::u64 stored = n;
+  u64(stored);
+  if (stored != n) throw SnapshotError(std::string(what) + " mismatch");
+}
+
+std::size_t Archive::length(std::size_t n) {
+  bb::u64 stored = n;
+  u64(stored);
+  if (loading() && stored > r_->remaining()) {
+    throw SnapshotError("count " + std::to_string(stored) +
+                        " overruns the payload");
+  }
+  return static_cast<std::size_t>(stored);
+}
+
+void Archive::presence(bool present, const char* what) {
+  bb::u8 b = present ? 1 : 0;
+  u8(b);
+  if ((b != 0) != present) {
+    throw SnapshotError(std::string(what) + " presence mismatch");
+  }
+}
+
 bool file_exists(const std::string& path) {
   struct stat st {};
   return ::stat(path.c_str(), &st) == 0;

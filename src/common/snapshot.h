@@ -9,9 +9,10 @@
 // all little-endian. The payload is a sequence of type-tagged primitives
 // (one tag byte before every value), so a reader that drifts out of sync
 // with its writer fails loudly at the first mismatched tag instead of
-// silently reinterpreting bytes. Save/load methods across the tree keep
-// their put_*/get_* sequences in mirror order; tools/bb_analyze's
-// snapshot-schema rule enforces that parity statically.
+// silently reinterpreting bytes. Each stateful class names its fields
+// once, in stream order, in a single `serialize(snap::Archive&)`: the
+// same body writes the fields on save and reads them back on restore, so
+// the two directions cannot drift apart.
 //
 // Error contract (matches bb::cli): a corrupt, truncated or
 // version-mismatched snapshot throws SnapshotError, a
@@ -20,6 +21,7 @@
 // crash mid-write can never leave a torn snapshot under the final name.
 #pragma once
 
+#include <cstdint>
 #include <cstring>
 #include <ios>
 #include <string>
@@ -130,6 +132,9 @@ class Reader {
   /// so a short read cannot pass silently).
   bool at_end() const { return pos_ == buf_.size(); }
 
+  /// Payload bytes not yet consumed.
+  std::size_t remaining() const { return buf_.size() - pos_; }
+
  private:
   void tag(Tag expect);
   const char* take(std::size_t n);
@@ -144,6 +149,107 @@ class Reader {
 
   std::string buf_;  ///< payload only (header verified in the ctor)
   std::size_t pos_ = 0;
+};
+
+/// One two-way pass over a snapshot payload, wrapping a Writer (save) or
+/// a Reader (restore). A class's `serialize(Archive&)` lists its fields
+/// once: saving writes each one, loading reads into it with the same type
+/// tag. Work only a restore needs — validating loaded values, rebuilding
+/// derived state — goes under `if (ar.loading())`; a check that must
+/// leave the object unchanged on rejection reads into locals first and
+/// assigns them after the check.
+///
+/// Every load-side failure throws SnapshotError. Counts read from the
+/// stream are bounded by the unread payload before anything is sized from
+/// them, so a crafted length cannot drive a huge allocation.
+class Archive {
+ public:
+  explicit Archive(Writer& w) : w_(&w) {}
+  explicit Archive(Reader& r) : r_(&r) {}
+
+  bool loading() const { return r_ != nullptr; }
+
+  void u8(bb::u8& v) {
+    if (r_ == nullptr) return w_->put_u8(v);
+    v = r_->get_u8();
+  }
+  void u32(bb::u32& v) {
+    if (r_ == nullptr) return w_->put_u32(v);
+    v = r_->get_u32();
+  }
+  void u64(bb::u64& v) {
+    if (r_ == nullptr) return w_->put_u64(v);
+    v = r_->get_u64();
+  }
+  void i64(bb::i64& v) {
+    if (r_ == nullptr) return w_->put_i64(v);
+    v = r_->get_i64();
+  }
+  void f64(double& v) {
+    if (r_ == nullptr) return w_->put_f64(v);
+    v = r_->get_f64();
+  }
+  void str(std::string& v) {
+    if (r_ == nullptr) return w_->put_str(v);
+    v = r_->get_str();
+  }
+
+  /// Narrow fields stored in a wider slot: a u16 as u32, an int32 as i64.
+  /// A loaded value the field cannot hold throws.
+  void u32(bb::u16& v);
+  void i64(std::int32_t& v);
+
+  /// A bool as a u8 0/1; any non-zero byte loads as true.
+  void flag(bool& v) {
+    bb::u8 b = v ? 1 : 0;
+    u8(b);
+    v = b != 0;
+  }
+
+  /// An enum stored as its u8 value; a loaded byte past `last` (the
+  /// enum's final enumerator) throws.
+  template <class E>
+  void enumeration(E& v, E last) {
+    bb::u8 b = static_cast<bb::u8>(v);
+    u8(b);
+    if (b > static_cast<bb::u8>(last)) {
+      throw SnapshotError("enum value " + std::to_string(b) +
+                          " out of range");
+    }
+    v = static_cast<E>(b);
+  }
+
+  /// A count fixed by the object's shape (bank count, bucket count):
+  /// writes `n`; a restore throws "<what> mismatch" unless the stored
+  /// count equals `n`.
+  void expect(bb::u64 n, const char* what);
+
+  /// A count the stream decides: writes `n`; a restore returns the stored
+  /// count, rejecting one larger than the unread payload bytes (every
+  /// element costs at least one byte).
+  std::size_t length(std::size_t n);
+
+  /// length() of a container, which a restore resizes to the stored count.
+  template <class C>
+  void count(C& c) {
+    const std::size_t n = length(c.size());
+    if (loading()) c.resize(n);
+  }
+
+  /// The presence byte of an optional layer: writes 1 when `present`; a
+  /// restore throws "<what> presence mismatch" when the stream disagrees.
+  void presence(bool present, const char* what);
+
+  /// presence() of `*p`, then the layer itself when there is one.
+  template <class T>
+  void optional(T* p, const char* what) {
+    presence(p != nullptr, what);
+    if (p != nullptr) p->serialize(*this);
+  }
+
+ private:
+  Writer* w_ = nullptr;
+  Reader* r_ = nullptr;
 };
 
 /// True when `path` exists (a plain stat probe; no directory iteration).

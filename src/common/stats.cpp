@@ -71,19 +71,10 @@ double Histogram::quantile(double q) const {
   return bounds_.empty() ? 0.0 : bounds_.back();
 }
 
-void Histogram::save(snap::Writer& w) const {
-  w.put_u64(total_);
-  w.put_u64(counts_.size());
-  for (u64 c : counts_) w.put_u64(c);
-}
-
-void Histogram::load(snap::Reader& r) {
-  total_ = r.get_u64();
-  const u64 n = r.get_u64();
-  if (n != counts_.size()) {
-    throw snap::SnapshotError("histogram bucket count mismatch");
-  }
-  for (u64& c : counts_) c = r.get_u64();
+void Histogram::serialize(snap::Archive& ar) {
+  ar.u64(total_);
+  ar.expect(counts_.size(), "histogram bucket count");
+  for (u64& c : counts_) ar.u64(c);
 }
 
 void Histogram::reset() {

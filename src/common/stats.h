@@ -11,8 +11,7 @@
 #include "common/types.h"
 
 namespace bb::snap {
-class Reader;
-class Writer;
+class Archive;
 }  // namespace bb::snap
 
 namespace bb {
@@ -114,9 +113,8 @@ class Histogram {
   void reset();
 
   /// Snapshot/restore of the counts (bounds are construction-time shape and
-  /// must match; load fails closed on a bucket-count mismatch).
-  void save(snap::Writer& w) const;
-  void load(snap::Reader& r);
+  /// must match; a restore fails closed on a bucket-count mismatch).
+  void serialize(snap::Archive& ar);
 
  private:
   /// Upper limit on guide-table cells (4 bytes each).

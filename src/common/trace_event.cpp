@@ -148,39 +148,20 @@ void write_trace_chrome(const std::vector<TraceEvent>& events,
   write_trace_chrome_footer(os);
 }
 
-void MemoryTraceSink::save(snap::Writer& w) const {
-  w.put_u64(events_.size());
-  for (const TraceEvent& ev : events_) {
-    w.put_u64(ev.tick);
-    w.put_str(ev.name);
-    w.put_str(ev.cat);
-    w.put_u64(ev.args.size());
-    for (const TraceEvent::Arg& a : ev.args) {
-      w.put_str(a.key);
-      w.put_u8(static_cast<u8>(a.kind));
-      w.put_u64(a.u);
-      w.put_i64(a.i);
-      w.put_f64(a.d);
-      w.put_str(a.s);
-    }
-  }
-}
-
-void MemoryTraceSink::load(snap::Reader& r) {
-  events_.clear();
-  events_.resize(static_cast<std::size_t>(r.get_u64()));
+void MemoryTraceSink::serialize(snap::Archive& ar) {
+  ar.count(events_);
   for (TraceEvent& ev : events_) {
-    ev.tick = r.get_u64();
-    ev.name = r.get_str();
-    ev.cat = r.get_str();
-    ev.args.resize(static_cast<std::size_t>(r.get_u64()));
+    ar.u64(ev.tick);
+    ar.str(ev.name);
+    ar.str(ev.cat);
+    ar.count(ev.args);
     for (TraceEvent::Arg& a : ev.args) {
-      a.key = r.get_str();
-      a.kind = static_cast<TraceEvent::Arg::Kind>(r.get_u8());
-      a.u = r.get_u64();
-      a.i = r.get_i64();
-      a.d = r.get_f64();
-      a.s = r.get_str();
+      ar.str(a.key);
+      ar.enumeration(a.kind, TraceEvent::Arg::Kind::kString);
+      ar.u64(a.u);
+      ar.i64(a.i);
+      ar.f64(a.d);
+      ar.str(a.s);
     }
   }
 }

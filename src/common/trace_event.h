@@ -19,8 +19,7 @@
 #include "common/types.h"
 
 namespace bb::snap {
-class Reader;
-class Writer;
+class Archive;
 }  // namespace bb::snap
 
 namespace bb {
@@ -81,8 +80,7 @@ class MemoryTraceSink final : public TraceSink {
   std::vector<TraceEvent> take() { return std::move(events_); }
 
   /// Snapshot/restore of the buffered events (all fields, insertion order).
-  void save(snap::Writer& w) const;
-  void load(snap::Reader& r);
+  void serialize(snap::Archive& ar);
 
  private:
   std::vector<TraceEvent> events_;

@@ -196,27 +196,17 @@ FaultEvent DeviceFaultState::classify(u32 channel, u32 bank, u32 row,
   return ev;
 }
 
-void DeviceFaultState::save(snap::Writer& w) const {
-  w.put_u64(rows_.size());
-  for (const auto& [key, health] : rows_) {
-    w.put_u64(key);
-    w.put_u32(health.ces);
-    w.put_u8(health.retired ? 1 : 0);
+void DeviceFaultState::serialize(snap::Archive& ar) {
+  // The map goes through a flat copy in key order.
+  std::vector<std::pair<u64, RowHealth>> rows(rows_.begin(), rows_.end());
+  ar.count(rows);
+  for (auto& [key, health] : rows) {
+    ar.u64(key);
+    ar.u32(health.ces);
+    ar.flag(health.retired);
   }
-  w.put_u64(retired_rows_);
-}
-
-void DeviceFaultState::load(snap::Reader& r) {
-  rows_.clear();
-  const u64 n = r.get_u64();
-  for (u64 i = 0; i < n; ++i) {
-    const u64 key = r.get_u64();
-    RowHealth health;
-    health.ces = r.get_u32();
-    health.retired = r.get_u8() != 0;
-    rows_.emplace(key, health);
-  }
-  retired_rows_ = r.get_u64();
+  ar.u64(retired_rows_);
+  if (ar.loading()) rows_ = {rows.begin(), rows.end()};
 }
 
 }  // namespace bb::fault

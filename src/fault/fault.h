@@ -31,8 +31,7 @@
 #include "common/types.h"
 
 namespace bb::snap {
-class Reader;
-class Writer;
+class Archive;
 }  // namespace bb::snap
 
 namespace bb::fault {
@@ -147,8 +146,7 @@ class DeviceFaultState {
 
   /// Snapshot/restore of the mutable state (per-row CE counts and the
   /// retirement tally); configuration and the hash streams are stateless.
-  void save(snap::Writer& w) const;
-  void load(snap::Reader& r);
+  void serialize(snap::Archive& ar);
 
  private:
   struct RowHealth {

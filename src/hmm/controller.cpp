@@ -242,84 +242,39 @@ HmmResult DramOnlyController::service(Addr addr, AccessType type, Tick now) {
   return res;
 }
 
-void HybridMemoryController::save_state(snap::Writer&) const {
+void HybridMemoryController::serialize(snap::Archive&) {
   throw std::invalid_argument("design '" + name_ +
                               "' does not support snapshots");
 }
 
-void HybridMemoryController::load_state(snap::Reader&) {
-  throw std::invalid_argument("design '" + name_ +
-                              "' does not support snapshots");
-}
-
-namespace {
-
-void save_core_stats(snap::Writer& w, const CoreStats& cs) {
-  w.put_u64(cs.requests);
-  w.put_u64(cs.hbm_served);
-  w.put_u64(cs.total_latency);
-  cs.latency_ns.save(w);
-  for (u64 b : cs.hbm_class_bytes) w.put_u64(b);
-  for (u64 b : cs.dram_class_bytes) w.put_u64(b);
-}
-
-void load_core_stats(snap::Reader& r, CoreStats& cs) {
-  cs.requests = r.get_u64();
-  cs.hbm_served = r.get_u64();
-  cs.total_latency = r.get_u64();
-  cs.latency_ns.load(r);
-  for (u64& b : cs.hbm_class_bytes) b = r.get_u64();
-  for (u64& b : cs.dram_class_bytes) b = r.get_u64();
-}
-
-}  // namespace
-
-void HybridMemoryController::save_base_state(snap::Writer& w) const {
-  w.put_u64(stats_.requests);
-  w.put_u64(stats_.reads);
-  w.put_u64(stats_.writes);
-  w.put_u64(stats_.hbm_served);
-  w.put_u64(stats_.total_latency);
-  w.put_u64(stats_.total_metadata_latency);
-  stats_.latency_ns.save(w);
-  w.put_u64(stats_.blocks_fetched);
-  w.put_u64(stats_.fetched_blocks_used);
-  w.put_u64(stats_.migrations);
-  w.put_u64(stats_.evictions);
-  w.put_u64(stats_.mode_switches);
-  w.put_u64(stats_.swaps);
-  w.put_u64(stats_.due_retries);
-  w.put_u64(stats_.due_recovered);
-  w.put_u64(stats_.due_unrecovered);
-  w.put_u64(stats_.due_data_loss);
-  w.put_u64(core_stats_.size());
-  for (const CoreStats& cs : core_stats_) save_core_stats(w, cs);
-  paging_.save(w);
-}
-
-void HybridMemoryController::load_base_state(snap::Reader& r) {
-  stats_.requests = r.get_u64();
-  stats_.reads = r.get_u64();
-  stats_.writes = r.get_u64();
-  stats_.hbm_served = r.get_u64();
-  stats_.total_latency = r.get_u64();
-  stats_.total_metadata_latency = r.get_u64();
-  stats_.latency_ns.load(r);
-  stats_.blocks_fetched = r.get_u64();
-  stats_.fetched_blocks_used = r.get_u64();
-  stats_.migrations = r.get_u64();
-  stats_.evictions = r.get_u64();
-  stats_.mode_switches = r.get_u64();
-  stats_.swaps = r.get_u64();
-  stats_.due_retries = r.get_u64();
-  stats_.due_recovered = r.get_u64();
-  stats_.due_unrecovered = r.get_u64();
-  stats_.due_data_loss = r.get_u64();
-  if (r.get_u64() != core_stats_.size()) {
-    throw snap::SnapshotError("per-core slice count mismatch");
+void HybridMemoryController::serialize_base(snap::Archive& ar) {
+  ar.u64(stats_.requests);
+  ar.u64(stats_.reads);
+  ar.u64(stats_.writes);
+  ar.u64(stats_.hbm_served);
+  ar.u64(stats_.total_latency);
+  ar.u64(stats_.total_metadata_latency);
+  stats_.latency_ns.serialize(ar);
+  ar.u64(stats_.blocks_fetched);
+  ar.u64(stats_.fetched_blocks_used);
+  ar.u64(stats_.migrations);
+  ar.u64(stats_.evictions);
+  ar.u64(stats_.mode_switches);
+  ar.u64(stats_.swaps);
+  ar.u64(stats_.due_retries);
+  ar.u64(stats_.due_recovered);
+  ar.u64(stats_.due_unrecovered);
+  ar.u64(stats_.due_data_loss);
+  ar.expect(core_stats_.size(), "per-core slice count");
+  for (CoreStats& cs : core_stats_) {
+    ar.u64(cs.requests);
+    ar.u64(cs.hbm_served);
+    ar.u64(cs.total_latency);
+    cs.latency_ns.serialize(ar);
+    for (u64& b : cs.hbm_class_bytes) ar.u64(b);
+    for (u64& b : cs.dram_class_bytes) ar.u64(b);
   }
-  for (CoreStats& cs : core_stats_) load_core_stats(r, cs);
-  paging_.load(r);
+  paging_.serialize(ar);
 }
 
 }  // namespace bb::hmm

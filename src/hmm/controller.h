@@ -226,8 +226,7 @@ class HybridMemoryController {
   /// in-flight state override these. The default is fail-closed — a
   /// snapshot request against an unsupporting design is a usage error.
   virtual bool snapshot_supported() const { return false; }
-  virtual void save_state(snap::Writer& w) const;
-  virtual void load_state(snap::Reader& r);
+  virtual void serialize(snap::Archive& ar);
 
   /// Clears accumulated statistics (not design state) — used to exclude
   /// warmup from measurements. Per-core slices reset in place so their
@@ -280,10 +279,9 @@ class HybridMemoryController {
   bool tracing() const { return trace_ != nullptr; }
 
   /// Framework-owned state shared by every design: aggregate and per-core
-  /// statistics plus the paging model. Snapshot-capable designs call these
-  /// from their save_state/load_state overrides.
-  void save_base_state(snap::Writer& w) const;
-  void load_base_state(snap::Reader& r);
+  /// statistics plus the paging model. Snapshot-capable designs call this
+  /// first from their serialize override.
+  void serialize_base(snap::Archive& ar);
 
  private:
   std::string name_;
@@ -307,8 +305,7 @@ class DramOnlyController final : public HybridMemoryController {
   u64 metadata_sram_bytes() const override { return 0; }
 
   bool snapshot_supported() const override { return true; }
-  void save_state(snap::Writer& w) const override { save_base_state(w); }
-  void load_state(snap::Reader& r) override { load_base_state(r); }
+  void serialize(snap::Archive& ar) override { serialize_base(ar); }
 
  protected:
   HmmResult service(Addr addr, AccessType type, Tick now) override;

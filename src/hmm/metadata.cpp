@@ -77,25 +77,12 @@ void MetadataModel::update(u64 key, Tick now) {
   }
 }
 
-void MetadataModel::save(snap::Writer& w) const {
-  w.put_u64(stats_.lookups);
-  w.put_u64(stats_.sram_hits);
-  w.put_u64(stats_.hbm_accesses);
-  w.put_u64(stats_.total_latency);
-  w.put_u8(sram_cache_ ? 1 : 0);
-  if (sram_cache_) sram_cache_->save(w);
-}
-
-void MetadataModel::load(snap::Reader& r) {
-  stats_.lookups = r.get_u64();
-  stats_.sram_hits = r.get_u64();
-  stats_.hbm_accesses = r.get_u64();
-  stats_.total_latency = r.get_u64();
-  const bool has_cache = r.get_u8() != 0;
-  if (has_cache != (sram_cache_ != nullptr)) {
-    throw snap::SnapshotError("metadata cache presence mismatch");
-  }
-  if (sram_cache_) sram_cache_->load(r);
+void MetadataModel::serialize(snap::Archive& ar) {
+  ar.u64(stats_.lookups);
+  ar.u64(stats_.sram_hits);
+  ar.u64(stats_.hbm_accesses);
+  ar.u64(stats_.total_latency);
+  ar.optional(sram_cache_.get(), "metadata cache");
 }
 
 }  // namespace bb::hmm

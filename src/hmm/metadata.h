@@ -20,8 +20,7 @@
 #include "mem/dram_device.h"
 
 namespace bb::snap {
-class Reader;
-class Writer;
+class Archive;
 }  // namespace bb::snap
 
 namespace bb::hmm {
@@ -75,8 +74,7 @@ class MetadataModel {
 
   /// Snapshot/restore of the lookup counters and (when present) the SRAM
   /// metadata cache contents.
-  void save(snap::Writer& w) const;
-  void load(snap::Reader& r);
+  void serialize(snap::Archive& ar);
 
  private:
   Addr key_to_hbm_addr(u64 key) const {

@@ -106,26 +106,32 @@ Tick PagingModel::touch(Addr addr, Tick now) {
   return cfg_.fault_penalty;
 }
 
-void PagingModel::save(snap::Writer& w) const {
-  w.put_u64(stats_.faults);
-  w.put_u64(stats_.first_touches);
-  w.put_u64(ring_.size());
-  for (u64 page : ring_) w.put_u64(page);
-  for (u8 ref : referenced_) w.put_u8(ref);
-  w.put_u64(hand_);
-}
-
-void PagingModel::load(snap::Reader& r) {
-  stats_.faults = r.get_u64();
-  stats_.first_touches = r.get_u64();
-  ring_.resize(static_cast<std::size_t>(r.get_u64()));
-  for (u64& page : ring_) page = r.get_u64();
-  referenced_.resize(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    referenced_[i] = r.get_u8() != 0 ? 1 : 0;
+void PagingModel::serialize(snap::Archive& ar) {
+  ar.u64(stats_.faults);
+  ar.u64(stats_.first_touches);
+  const std::size_t resident = ar.length(ring_.size());
+  if (resident > capacity_pages_) {
+    throw snap::SnapshotError("paging ring longer than its capacity");
   }
-  hand_ = static_cast<std::size_t>(r.get_u64());
+  if (ar.loading()) {
+    ring_.resize(resident);
+    referenced_.resize(resident);
+  }
+  for (u64& page : ring_) ar.u64(page);
+  for (u8& ref : referenced_) {
+    bool on = ref != 0;
+    ar.flag(on);
+    ref = on ? 1 : 0;
+  }
+  ar.u64(hand_);
+  if (!ar.loading()) return;
   rebuild();
+  // A page listed twice leaves its first slot unreachable in the table.
+  for (std::size_t slot = 0; slot < ring_.size(); ++slot) {
+    if (table_[find(ring_[slot])] != slot) {
+      throw snap::SnapshotError("paging ring lists a page twice");
+    }
+  }
 }
 
 }  // namespace bb::hmm

@@ -18,8 +18,7 @@ class TraceSink;
 }  // namespace bb
 
 namespace bb::snap {
-class Reader;
-class Writer;
+class Archive;
 }  // namespace bb::snap
 
 namespace bb::hmm {
@@ -58,10 +57,10 @@ class PagingModel {
   void reset_stats() { stats_ = PagingStats{}; }
 
   /// Snapshot/restore of the resident set (clock ring + reference bits +
-  /// hand) and fault counters; the page->slot table is rebuilt from the
-  /// ring.
-  void save(snap::Writer& w) const;
-  void load(snap::Reader& r);
+  /// hand) and fault counters; a restore rebuilds the page->slot table
+  /// from the ring and fails closed on a ring longer than the capacity or
+  /// one that lists a page twice.
+  void serialize(snap::Archive& ar);
 
  private:
   static constexpr u32 kEmptySlot = ~u32{0};

@@ -398,72 +398,37 @@ void DramDevice::attach_faults(fault::DeviceFaultState* faults,
   fault_label_ = std::move(label);
 }
 
-void DramDevice::save(snap::Writer& w) const {
-  w.put_u64(banks_.size());
-  for (const Bank& b : banks_) {
-    w.put_u32(b.open_row);
-    w.put_u64(b.ready_at);
-    w.put_u64(b.act_allowed_at);
-    w.put_u64(b.write_recovery_at);
-    w.put_u8(b.last_was_write ? 1 : 0);
-    w.put_u8(b.has_issued ? 1 : 0);
-  }
-  w.put_u64(bus_ready_.size());
-  for (Tick t : bus_ready_) w.put_u64(t);
-  for (Tick t : next_refresh_) w.put_u64(t);
-  w.put_u64(stats_.accesses);
-  w.put_u64(stats_.beats);
-  w.put_u64(stats_.row_hits);
-  w.put_u64(stats_.row_misses);
-  w.put_u64(stats_.row_empty);
-  w.put_u64(stats_.refreshes);
-  w.put_u64(stats_.ce_count);
-  w.put_u64(stats_.ue_count);
-  for (u64 b : stats_.read_bytes) w.put_u64(b);
-  for (u64 b : stats_.write_bytes) w.put_u64(b);
-  w.put_u64(energy_.act_count());
-  w.put_u64(energy_.read_burst_count());
-  w.put_u64(energy_.write_burst_count());
-  w.put_u8(scheduler_ ? 1 : 0);
-  if (scheduler_) scheduler_->save(w);
-}
-
-void DramDevice::load(snap::Reader& r) {
-  if (r.get_u64() != banks_.size()) {
-    throw snap::SnapshotError("dram bank count mismatch");
-  }
+void DramDevice::serialize(snap::Archive& ar) {
+  ar.expect(banks_.size(), "dram bank count");
   for (Bank& b : banks_) {
-    b.open_row = r.get_u32();
-    b.ready_at = r.get_u64();
-    b.act_allowed_at = r.get_u64();
-    b.write_recovery_at = r.get_u64();
-    b.last_was_write = r.get_u8() != 0;
-    b.has_issued = r.get_u8() != 0;
+    ar.u32(b.open_row);
+    ar.u64(b.ready_at);
+    ar.u64(b.act_allowed_at);
+    ar.u64(b.write_recovery_at);
+    ar.flag(b.last_was_write);
+    ar.flag(b.has_issued);
   }
-  if (r.get_u64() != bus_ready_.size()) {
-    throw snap::SnapshotError("dram channel count mismatch");
-  }
-  for (Tick& t : bus_ready_) t = r.get_u64();
-  for (Tick& t : next_refresh_) t = r.get_u64();
-  stats_.accesses = r.get_u64();
-  stats_.beats = r.get_u64();
-  stats_.row_hits = r.get_u64();
-  stats_.row_misses = r.get_u64();
-  stats_.row_empty = r.get_u64();
-  stats_.refreshes = r.get_u64();
-  stats_.ce_count = r.get_u64();
-  stats_.ue_count = r.get_u64();
-  for (u64& b : stats_.read_bytes) b = r.get_u64();
-  for (u64& b : stats_.write_bytes) b = r.get_u64();
-  const u64 acts = r.get_u64();
-  const u64 rd = r.get_u64();
-  const u64 wr = r.get_u64();
-  energy_.restore_counts(acts, rd, wr);
-  const bool has_sched = r.get_u8() != 0;
-  if (has_sched != (scheduler_ != nullptr)) {
-    throw snap::SnapshotError("queue-layer presence mismatch");
-  }
-  if (scheduler_) scheduler_->load(r);
+  ar.expect(bus_ready_.size(), "dram channel count");
+  for (Tick& t : bus_ready_) ar.u64(t);
+  for (Tick& t : next_refresh_) ar.u64(t);
+  ar.u64(stats_.accesses);
+  ar.u64(stats_.beats);
+  ar.u64(stats_.row_hits);
+  ar.u64(stats_.row_misses);
+  ar.u64(stats_.row_empty);
+  ar.u64(stats_.refreshes);
+  ar.u64(stats_.ce_count);
+  ar.u64(stats_.ue_count);
+  for (u64& b : stats_.read_bytes) ar.u64(b);
+  for (u64& b : stats_.write_bytes) ar.u64(b);
+  u64 acts = energy_.act_count();
+  u64 rd = energy_.read_burst_count();
+  u64 wr = energy_.write_burst_count();
+  ar.u64(acts);
+  ar.u64(rd);
+  ar.u64(wr);
+  if (ar.loading()) energy_.restore_counts(acts, rd, wr);
+  ar.optional(scheduler_.get(), "queue-layer");
 }
 
 }  // namespace bb::mem

@@ -142,9 +142,8 @@ class DramDevice final : private QueueBackend {
   /// Snapshot/restore of the full device state: bank FSMs, bus/refresh
   /// cursors, statistics, energy counters, and the scheduler (when the
   /// queue layer is on). Geometry and the queue-layer presence are
-  /// construction-time shape; load fails closed on a mismatch.
-  void save(snap::Writer& w) const;
-  void load(snap::Reader& r);
+  /// construction-time shape; a restore fails closed on a mismatch.
+  void serialize(snap::Archive& ar);
 
   /// Registers this device's epoch metrics under `prefix` (e.g. "hbm_"):
   /// per-epoch row-hit rate and bytes moved per traffic class, plus ECC

@@ -145,61 +145,31 @@ void ChannelScheduler::drain_all(Tick now, QueueBackend& dev) {
   }
 }
 
-void ChannelScheduler::save(snap::Writer& w) const {
-  w.put_u64(channels_.size());
-  for (const Channel& ch : channels_) {
-    w.put_u64(ch.writes.size());
-    for (const QueuedWrite& qw : ch.writes) {
-      w.put_u64(qw.addr);
-      w.put_u64(qw.bytes);
-      w.put_u64(qw.arrival);
-    }
-    w.put_u64(ch.mshrs.size());
-    for (const Mshr& m : ch.mshrs) {
-      w.put_u64(m.block);
-      w.put_u64(m.complete);
-    }
-  }
-  w.put_u64(stats_.reads_issued);
-  w.put_u64(stats_.reads_coalesced);
-  w.put_u64(stats_.writes_enqueued);
-  w.put_u64(stats_.writes_drained);
-  w.put_u64(stats_.write_drain_count);
-  w.put_u64(stats_.write_queue_full_stalls);
-  w.put_u64(stats_.queueing_latency_sum);
-  w.put_u64(stats_.read_queue_latency_sum);
-  w.put_u64(stats_.req_queue_length_sum);
-  w.put_u64(stats_.queue_length_samples);
-}
-
-void ChannelScheduler::load(snap::Reader& r) {
-  const u64 nch = r.get_u64();
-  if (nch != channels_.size()) {
-    throw snap::SnapshotError("scheduler channel count mismatch");
-  }
+void ChannelScheduler::serialize(snap::Archive& ar) {
+  ar.expect(channels_.size(), "scheduler channel count");
   for (Channel& ch : channels_) {
-    ch.writes.resize(static_cast<std::size_t>(r.get_u64()));
+    ar.count(ch.writes);
     for (QueuedWrite& qw : ch.writes) {
-      qw.addr = r.get_u64();
-      qw.bytes = r.get_u64();
-      qw.arrival = r.get_u64();
+      ar.u64(qw.addr);
+      ar.u64(qw.bytes);
+      ar.u64(qw.arrival);
     }
-    ch.mshrs.resize(static_cast<std::size_t>(r.get_u64()));
+    ar.count(ch.mshrs);
     for (Mshr& m : ch.mshrs) {
-      m.block = r.get_u64();
-      m.complete = r.get_u64();
+      ar.u64(m.block);
+      ar.u64(m.complete);
     }
   }
-  stats_.reads_issued = r.get_u64();
-  stats_.reads_coalesced = r.get_u64();
-  stats_.writes_enqueued = r.get_u64();
-  stats_.writes_drained = r.get_u64();
-  stats_.write_drain_count = r.get_u64();
-  stats_.write_queue_full_stalls = r.get_u64();
-  stats_.queueing_latency_sum = r.get_u64();
-  stats_.read_queue_latency_sum = r.get_u64();
-  stats_.req_queue_length_sum = r.get_u64();
-  stats_.queue_length_samples = r.get_u64();
+  ar.u64(stats_.reads_issued);
+  ar.u64(stats_.reads_coalesced);
+  ar.u64(stats_.writes_enqueued);
+  ar.u64(stats_.writes_drained);
+  ar.u64(stats_.write_drain_count);
+  ar.u64(stats_.write_queue_full_stalls);
+  ar.u64(stats_.queueing_latency_sum);
+  ar.u64(stats_.read_queue_latency_sum);
+  ar.u64(stats_.req_queue_length_sum);
+  ar.u64(stats_.queue_length_samples);
 }
 
 }  // namespace bb::mem

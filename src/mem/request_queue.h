@@ -21,8 +21,7 @@
 #include "common/types.h"
 
 namespace bb::snap {
-class Reader;
-class Writer;
+class Archive;
 }  // namespace bb::snap
 
 namespace bb::mem {
@@ -160,10 +159,9 @@ class ChannelScheduler {
   const QueueConfig& config() const { return cfg_; }
 
   /// Snapshot/restore of queued writes, in-flight MSHRs, and statistics.
-  /// Load fails closed when the channel count disagrees with this
+  /// A restore fails closed when the channel count disagrees with this
   /// scheduler's construction-time shape.
-  void save(snap::Writer& w) const;
-  void load(snap::Reader& r);
+  void serialize(snap::Archive& ar);
 
  private:
   struct QueuedWrite {

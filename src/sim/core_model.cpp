@@ -19,48 +19,25 @@ CoreModel::CoreModel(const CoreParams& params) : params_(params) {
   cpi_ticks_den_ = 1024;
 }
 
-void RunLoopState::save(snap::Writer& w) const {
-  w.put_u64(cores.size());
-  for (const Core& c : cores) {
-    w.put_u64(c.now);
-    w.put_u64(c.inst);
-    w.put_u64(c.misses);
-    w.put_u64(c.inst_at_reset);
-    w.put_u64(c.rob.size());
-    for (const auto& [inst_at_issue, complete] : c.rob) {
-      w.put_u64(inst_at_issue);
-      w.put_u64(complete);
-    }
-  }
-  w.put_u64(total_inst);
-  w.put_u64(measured_misses);
-  w.put_u64(inst_at_reset);
-  w.put_u64(tick_at_reset);
-  w.put_u8(warm ? 1 : 0);
-  w.put_u64(records);
-}
-
-void RunLoopState::load(snap::Reader& r) {
-  cores.resize(static_cast<std::size_t>(r.get_u64()));
+void RunLoopState::serialize(snap::Archive& ar) {
+  ar.count(cores);
   for (Core& c : cores) {
-    c.now = r.get_u64();
-    c.inst = r.get_u64();
-    c.misses = r.get_u64();
-    c.inst_at_reset = r.get_u64();
-    c.rob.clear();
-    const u64 depth = r.get_u64();
-    for (u64 i = 0; i < depth; ++i) {
-      const u64 inst_at_issue = r.get_u64();
-      const Tick complete = r.get_u64();
-      c.rob.emplace_back(inst_at_issue, complete);
+    ar.u64(c.now);
+    ar.u64(c.inst);
+    ar.u64(c.misses);
+    ar.u64(c.inst_at_reset);
+    ar.count(c.rob);
+    for (auto& [inst_at_issue, complete] : c.rob) {
+      ar.u64(inst_at_issue);
+      ar.u64(complete);
     }
   }
-  total_inst = r.get_u64();
-  measured_misses = r.get_u64();
-  inst_at_reset = r.get_u64();
-  tick_at_reset = r.get_u64();
-  warm = r.get_u8() != 0;
-  records = r.get_u64();
+  ar.u64(total_inst);
+  ar.u64(measured_misses);
+  ar.u64(inst_at_reset);
+  ar.u64(tick_at_reset);
+  ar.flag(warm);
+  ar.u64(records);
 }
 
 std::vector<CoreLane> CoreModel::homogeneous_lanes(

@@ -66,8 +66,7 @@ struct RunLoopState {
   bool warm = false;
   u64 records = 0;  ///< trace records consumed (checkpoint cadence)
 
-  void save(snap::Writer& w) const;
-  void load(snap::Reader& r);
+  void serialize(snap::Archive& ar);
 };
 
 /// Thrown out of run_sources when RunControl::interrupted() reports true
@@ -81,7 +80,7 @@ struct RunInterrupted {};
 struct RunControl {
   /// Invoke on_checkpoint every N consumed records (0 = never).
   u64 checkpoint_every_records = 0;
-  std::function<void(const RunLoopState&)> on_checkpoint;
+  std::function<void(RunLoopState&)> on_checkpoint;
   /// Resume from this state instead of starting fresh.
   const RunLoopState* resume = nullptr;
   /// Polled at checkpoint cadence (or every 64 Ki records when

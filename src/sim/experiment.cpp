@@ -610,9 +610,11 @@ void ExperimentRunner::run_bumblebee_matrix(
   run_cells(labels, workloads,
             [&configs](System& system, std::size_t d,
                        const trace::WorkloadProfile& w, u64 instr) {
-              RunResult r = system.run_bumblebee(configs[d].second, w, instr);
-              r.design = configs[d].first;
-              return r;
+              // The label names the controller, so each point gets its
+              // own snapshot file.
+              bumblebee::BumblebeeConfig cfg = configs[d].second;
+              cfg.variant_name = configs[d].first;
+              return system.run_bumblebee(cfg, w, instr);
             },
             opts);
 }

@@ -53,11 +53,29 @@ void put_fault_model(std::ostream& fp, const fault::FaultConfig& f) {
      << f.due_retry_backoff << '|';
 }
 
+/// A custom Bumblebee configuration's knobs (everything but its name) in
+/// snapshot-fingerprint form: sweep points that differ only in a knob
+/// never restore each other's snapshots.
+std::string bumblebee_knobs(const bumblebee::BumblebeeConfig& c) {
+  std::ostringstream fp;
+  fp.precision(std::numeric_limits<double>::max_digits10);
+  fp << "bumblebee|" << c.page_bytes << '|' << c.block_bytes << '|'
+     << c.hbm_ways << '|' << c.dram_queue_depth << '|' << c.counter_bits
+     << '|' << c.switch_fraction << '|' << c.zombie_window << '|'
+     << c.flush_batch_sets << '|' << c.sram_latency << '|'
+     << c.metadata_in_hbm << '|' << c.degrade_after_retired_frames << '|'
+     << c.enable_caching << '|' << c.enable_migration << '|'
+     << c.fixed_chbm_fraction << '|' << c.multiplexed_space << '|'
+     << static_cast<int>(c.alloc) << '|' << c.high_footprint_actions << '|';
+  return fp.str();
+}
+
 }  // namespace
 
 System::System(SystemConfig cfg) : cfg_(std::move(cfg)) {}
 
 void System::make_devices() {
+  design_knobs_.clear();
   hbm_ = std::make_unique<mem::DramDevice>(cfg_.hbm);
   dram_ = std::make_unique<mem::DramDevice>(cfg_.dram);
   hbm_faults_.reset();
@@ -84,6 +102,7 @@ RunResult System::run_bumblebee(const bumblebee::BumblebeeConfig& cfg,
                                 const trace::WorkloadProfile& workload,
                                 u64 instructions) {
   make_devices();
+  design_knobs_ = bumblebee_knobs(cfg);
   hmmc_ = std::make_unique<bumblebee::BumblebeeController>(cfg, *hbm_, *dram_,
                                                            cfg_.paging);
   return run_current(workload, instructions);
@@ -208,8 +227,32 @@ RunResult System::run_lanes_current(const std::vector<CoreLane>& lanes,
        << cfg_.obs.epoch.every_requests << '|' << cfg_.obs.epoch.every_ticks
        << '|' << cfg_.obs.trace << '|';
     put_fault_model(fp, cfg_.fault);
+    fp << design_knobs_;
     fingerprint = fp.str();
   }
+
+  // The one checkpoint body: a commit saves every layer in this order and
+  // a restore loads them back in the same order; every layer fails closed
+  // (SnapshotError) on a shape or presence mismatch.
+  const auto checkpoint = [&](snap::Archive& ar, RunLoopState& ls) {
+    std::string stored = fingerprint;
+    ar.str(stored);
+    if (stored != fingerprint) {
+      throw snap::SnapshotError(
+          "snapshot does not match this run's configuration: " + snap_path);
+    }
+    ls.serialize(ar);
+    for (trace::TraceSource* src : sources) src->serialize(ar);
+    hbm_->serialize(ar);
+    dram_->serialize(ar);
+    ar.presence(hbm_faults_ != nullptr, "fault-model");
+    ar.presence(dram_faults_ != nullptr, "fault-model");
+    if (hbm_faults_) hbm_faults_->serialize(ar);
+    if (dram_faults_) dram_faults_->serialize(ar);
+    hmmc_->serialize(ar);
+    ar.optional(sampler.get(), "epoch-sampler");
+    ar.optional(cfg_.obs.trace ? &sink : nullptr, "trace-sink");
+  };
 
   RunLoopState resume_state;
   RunControl control;
@@ -218,36 +261,9 @@ RunResult System::run_lanes_current(const std::vector<CoreLane>& lanes,
                             snap::file_exists(snap_path);
   restore_once_ = false;
   if (want_restore) {
-    // Load order mirrors the checkpoint's save order exactly; every layer
-    // fails closed (SnapshotError) on a shape or presence mismatch.
     snap::Reader r(snap_path);
-    if (r.get_str() != fingerprint) {
-      throw snap::SnapshotError(
-          "snapshot does not match this run's configuration: " + snap_path);
-    }
-    resume_state.load(r);
-    for (trace::TraceSource* src : sources) src->load_cursor(r);
-    hbm_->load(r);
-    dram_->load(r);
-    const bool had_hbm_faults = r.get_u8() != 0;
-    const bool had_dram_faults = r.get_u8() != 0;
-    if (had_hbm_faults != (hbm_faults_ != nullptr) ||
-        had_dram_faults != (dram_faults_ != nullptr)) {
-      throw snap::SnapshotError("fault-model presence mismatch");
-    }
-    if (hbm_faults_) hbm_faults_->load(r);
-    if (dram_faults_) dram_faults_->load(r);
-    hmmc_->load_state(r);
-    const bool had_sampler = r.get_u8() != 0;
-    if (had_sampler != (sampler != nullptr)) {
-      throw snap::SnapshotError("epoch-sampler presence mismatch");
-    }
-    if (sampler) sampler->load(r);
-    const bool had_sink = r.get_u8() != 0;
-    if (had_sink != cfg_.obs.trace) {
-      throw snap::SnapshotError("trace-sink presence mismatch");
-    }
-    if (cfg_.obs.trace) sink.load(r);
+    snap::Archive ar(r);
+    checkpoint(ar, resume_state);
     if (!r.at_end()) {
       throw snap::SnapshotError("trailing bytes after snapshot payload");
     }
@@ -256,22 +272,10 @@ RunResult System::run_lanes_current(const std::vector<CoreLane>& lanes,
 
   if (snapshotting && cfg_.snapshot.interval_records > 0) {
     control.checkpoint_every_records = cfg_.snapshot.interval_records;
-    control.on_checkpoint = [&](const RunLoopState& ls) {
+    control.on_checkpoint = [&](RunLoopState& ls) {
       snap::Writer w;
-      w.put_str(fingerprint);
-      ls.save(w);
-      for (const trace::TraceSource* src : sources) src->save_cursor(w);
-      hbm_->save(w);
-      dram_->save(w);
-      w.put_u8(hbm_faults_ ? 1 : 0);
-      w.put_u8(dram_faults_ ? 1 : 0);
-      if (hbm_faults_) hbm_faults_->save(w);
-      if (dram_faults_) dram_faults_->save(w);
-      hmmc_->save_state(w);
-      w.put_u8(sampler ? 1 : 0);
-      if (sampler) sampler->save(w);
-      w.put_u8(cfg_.obs.trace ? 1 : 0);
-      if (cfg_.obs.trace) sink.save(w);
+      snap::Archive ar(w);
+      checkpoint(ar, ls);
       w.commit(snap_path);
     };
   }

@@ -249,6 +249,9 @@ class System {
   std::unique_ptr<hmm::HybridMemoryController> hmmc_;
   std::function<bool()> interrupt_;
   bool restore_once_ = false;
+  /// Knobs of a run_bumblebee configuration for the snapshot fingerprint
+  /// (a design's name does not pin them); empty for named designs.
+  std::string design_knobs_;
 };
 
 /// Normalizes a metric against the "DRAM-only" row of the same workload.

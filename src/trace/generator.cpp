@@ -150,41 +150,29 @@ StreamStats measure_stream(const std::vector<TraceRecord>& recs) {
   return s;
 }
 
-void TraceSource::save_cursor(snap::Writer&) const {
+void TraceSource::serialize(snap::Archive&) {
   throw std::invalid_argument("trace source does not support snapshots");
 }
 
-void TraceSource::load_cursor(snap::Reader&) {
-  throw std::invalid_argument("trace source does not support snapshots");
-}
-
-void TraceGenerator::save_cursor(snap::Writer& w) const {
-  for (u64 word : rng_.state()) w.put_u64(word);
-  w.put_u64(scan_cursor_);
-  w.put_u64(hot_cursor_.size());
-  for (u16 c : hot_cursor_) w.put_u32(c);
-}
-
-void TraceGenerator::load_cursor(snap::Reader& r) {
-  std::array<u64, 4> st;
-  for (u64& word : st) word = r.get_u64();
-  const Addr scan = r.get_u64();
+void TraceGenerator::serialize(snap::Archive& ar) {
+  // Validate into copies so a rejected stream leaves the generator as it
+  // was.
+  std::array<u64, 4> st = rng_.state();
+  for (u64& word : st) ar.u64(word);
+  Addr scan = scan_cursor_;
+  ar.u64(scan);
   if (scan >= footprint_ || scan % kLineBytes != 0) {
     throw snap::SnapshotError("scan cursor outside the footprint or unaligned");
   }
-  if (r.get_u64() != hot_cursor_.size()) {
-    throw snap::SnapshotError("hot-region cursor count mismatch");
-  }
-  // Validate into a copy so a rejected stream leaves the generator as it
-  // was.
-  std::vector<u16> hot(hot_cursor_.size());
+  ar.expect(hot_cursor_.size(), "hot-region cursor count");
+  std::vector<u16> hot = hot_cursor_;
   for (u16& c : hot) {
-    const u32 v = r.get_u32();
-    if (v >= region_blocks_) {
+    ar.u32(c);
+    if (c >= region_blocks_) {
       throw snap::SnapshotError("hot-region cursor past the region's blocks");
     }
-    c = static_cast<u16>(v);
   }
+  if (!ar.loading()) return;
   rng_.set_state(st);
   scan_cursor_ = scan;
   hot_cursor_ = std::move(hot);

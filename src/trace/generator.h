@@ -23,8 +23,7 @@
 #include "trace/workload.h"
 
 namespace bb::snap {
-class Reader;
-class Writer;
+class Archive;
 }  // namespace bb::snap
 
 namespace bb::trace {
@@ -51,8 +50,7 @@ class TraceSource {
   /// and reinstated override these. The defaults are fail-closed — a
   /// snapshot request against an unsupporting source is a usage error.
   virtual bool cursor_supported() const { return false; }
-  virtual void save_cursor(snap::Writer& w) const;
-  virtual void load_cursor(snap::Reader& r);
+  virtual void serialize(snap::Archive& ar);
 };
 
 inline constexpr u64 kLineBytes = 64;
@@ -81,11 +79,11 @@ class TraceGenerator : public TraceSource {
 
   /// Snapshot/restore of the generator position (RNG state + scan and
   /// per-region cursors); everything else follows from (profile, seed),
-  /// including the shared Zipf table. load_cursor fails closed on a cursor
-  /// the generator could not have reached.
+  /// including the shared Zipf table. A restore fails closed on a cursor
+  /// the generator could not have reached and then leaves the generator
+  /// unchanged.
   bool cursor_supported() const override { return true; }
-  void save_cursor(snap::Writer& w) const override;
-  void load_cursor(snap::Reader& r) override;
+  void serialize(snap::Archive& ar) override;
 
  private:
   Addr hot_address();

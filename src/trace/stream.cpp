@@ -620,19 +620,15 @@ void StreamingTraceReader::load_v1_slice() {
   records_served_this_lap_ += n;
 }
 
-void StreamingTraceReader::save_cursor(snap::Writer& w) const {
+void StreamingTraceReader::serialize(snap::Archive& ar) {
   // Position = completed laps + records already handed out this lap. The
   // decoded_ buffer holds a whole chunk; records_served_this_lap_ counts
   // whole chunks, so subtract the part of the buffer not yet served.
-  const u64 served_in_lap =
-      records_served_this_lap_ - (decoded_.size() - cursor_);
-  w.put_u64(laps_);
-  w.put_u64(served_in_lap);
-}
-
-void StreamingTraceReader::load_cursor(snap::Reader& r) {
-  const u64 target_laps = r.get_u64();
-  const u64 served_in_lap = r.get_u64();
+  u64 target_laps = laps_;
+  u64 served_in_lap = records_served_this_lap_ - (decoded_.size() - cursor_);
+  ar.u64(target_laps);
+  ar.u64(served_in_lap);
+  if (!ar.loading()) return;
   if (served_in_lap > info_.records) {
     throw snap::SnapshotError("stream cursor past end of trace");
   }

@@ -170,8 +170,7 @@ class StreamingTraceReader : public TraceSource {
   /// along the way, so checksum verification at the next lap boundary
   /// still covers every record.
   bool cursor_supported() const override { return true; }
-  void save_cursor(snap::Writer& w) const override;
-  void load_cursor(snap::Reader& r) override;
+  void serialize(snap::Archive& ar) override;
 
  private:
   void rewind_to_first_chunk();

@@ -76,18 +76,14 @@ std::vector<TraceRecord> load_trace(const std::string& path, bool* ok) {
   return out;
 }
 
-void TraceReplayer::save_cursor(snap::Writer& w) const {
-  w.put_u64(cursor_);
-  w.put_u64(laps_);
-}
-
-void TraceReplayer::load_cursor(snap::Reader& r) {
-  const u64 cur = r.get_u64();
+void TraceReplayer::serialize(snap::Archive& ar) {
+  u64 cur = cursor_;
+  ar.u64(cur);
   if (cur >= records_.size()) {
     throw snap::SnapshotError("replay cursor out of range");
   }
   cursor_ = static_cast<std::size_t>(cur);
-  laps_ = r.get_u64();
+  ar.u64(laps_);
 }
 
 }  // namespace bb::trace

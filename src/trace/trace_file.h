@@ -47,8 +47,7 @@ class TraceReplayer : public TraceSource {
 
   /// Snapshot/restore of the replay position.
   bool cursor_supported() const override { return true; }
-  void save_cursor(snap::Writer& w) const override;
-  void load_cursor(snap::Reader& r) override;
+  void serialize(snap::Archive& ar) override;
 
  private:
   std::vector<TraceRecord> records_;

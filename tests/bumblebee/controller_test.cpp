@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "snapshot_testing.h"
 
 namespace bb::bumblebee {
 namespace {
@@ -462,6 +463,26 @@ TEST_F(BumblebeeTest, ResetStatsClearsCountersKeepsPlacement) {
   // invariants still hold.
   EXPECT_TRUE(c->locate(0).allocated);
   EXPECT_TRUE(c->check_invariants());
+}
+
+TEST_F(BumblebeeTest, RestoreRejectsBleModePastLastEnumerator) {
+  // A fresh controller's first BLE is the first tagged run of mode kFree
+  // (u8 0), PLE kNoPage (u32 0xFFFFFFFF) and retired false (u8 0) in its
+  // stream; earlier fields hold no u32. Patch that mode byte to one past
+  // kMem, re-seal, and the restore must fail closed.
+  auto saved = make();
+  std::string payload = snap::testing::payload_of(*saved);
+  const std::string first_ble("\x01\x00\x02\xFF\xFF\xFF\xFF\x01\x00", 9);
+  const std::size_t at = payload.find(first_ble);
+  ASSERT_NE(at, std::string::npos);
+  {
+    auto intact = make();
+    EXPECT_NO_THROW(snap::testing::restore(payload, *intact));
+  }
+  payload[at + 1] = static_cast<char>(static_cast<u8>(Ble::Mode::kMem) + 1);
+  auto restored = make();
+  EXPECT_THROW(snap::testing::restore(payload, *restored),
+               snap::SnapshotError);
 }
 
 }  // namespace

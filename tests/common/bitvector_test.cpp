@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "snapshot_testing.h"
+
 #include <cstdio>
 #include <string>
 
@@ -150,9 +152,11 @@ TEST(BitMatrix, RowSnapshotMatchesBitVectorAndChecksWidth) {
   m.set(1, 3);
   m.set(1, 77);
   snap::Writer from_vector;
-  v.save(from_vector);
+  snap::Archive save_vector(from_vector);
+  v.serialize(save_vector);
   snap::Writer from_row;
-  m.row(1).save(from_row);
+  snap::Archive save_row(from_row);
+  m.row(1).serialize(save_row);
   EXPECT_EQ(from_vector.payload(), from_row.payload());
 
   const std::string path =
@@ -160,15 +164,28 @@ TEST(BitMatrix, RowSnapshotMatchesBitVectorAndChecksWidth) {
   from_row.commit(path);
   BitMatrix copy(2, 100);
   snap::Reader r(path);
-  copy.row(0).load(r);
+  snap::Archive load_row(r);
+  copy.row(0).serialize(load_row);
   EXPECT_TRUE(copy.test(0, 3));
   EXPECT_TRUE(copy.test(0, 77));
   EXPECT_EQ(copy.row(0).popcount(), 2u);
 
   BitMatrix narrow(1, 64);
   snap::Reader again(path);
-  EXPECT_THROW(narrow.row(0).load(again), snap::SnapshotError);
+  snap::Archive load_narrow(again);
+  EXPECT_THROW(narrow.row(0).serialize(load_narrow), snap::SnapshotError);
   std::remove(path.c_str());
+}
+
+TEST(BitVector, RestoreRejectsWidthPastPayload) {
+  // A width the payload cannot hold words for fails closed before the
+  // vector is sized from it.
+  snap::Writer w;
+  w.put_u64(u64{1} << 60);
+  w.put_u64(0);
+  BitVector v(8);
+  EXPECT_THROW(snap::testing::restore(w.payload(), v), snap::SnapshotError);
+  EXPECT_EQ(v.size(), 8u);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "snapshot_testing.h"
+
 namespace bb {
 namespace {
 
@@ -161,6 +163,32 @@ TEST(EpochCsv, UnionColumnsLeaveMissingCellsEmpty) {
   EXPECT_EQ(os.str(),
             "design,workload,epoch,start_tick,end_tick,requests,a,b\n"
             "D,W,0,0,10,2,,1.5\n");
+}
+
+TEST(EpochSampler, RestoreRejectsCountsPastPayload) {
+  // An inflated row count, then an inflated value count inside a row,
+  // each fail closed before a vector is sized from them.
+  const auto sampler = [] {
+    MetricRegistry reg;
+    reg.add_counter("c", [] { return 0.0; });
+    EpochConfig cfg;
+    cfg.every_requests = 2;
+    return EpochSampler(cfg, std::move(reg));
+  };
+  {
+    snap::Writer w;
+    w.put_u64(u64{1} << 60);  // rows
+    EpochSampler s = sampler();
+    EXPECT_THROW(snap::testing::restore(w.payload(), s), snap::SnapshotError);
+  }
+  {
+    snap::Writer w;
+    w.put_u64(1);  // rows
+    for (int i = 0; i < 4; ++i) w.put_u64(0);  // epoch, ticks, requests
+    w.put_u64(u64{1} << 60);  // values
+    EpochSampler s = sampler();
+    EXPECT_THROW(snap::testing::restore(w.payload(), s), snap::SnapshotError);
+  }
 }
 
 }  // namespace

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdint>
 #include <fstream>
 #include <string>
+#include <vector>
+
+#include "common/trace_event.h"
+#include "snapshot_testing.h"
 
 namespace bb::snap {
 namespace {
@@ -153,6 +158,236 @@ TEST(Snapshot, FileExistsProbe) {
   write_raw(path, "x");
   EXPECT_TRUE(file_exists(path));
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------- Archive
+
+enum class Color : u8 { kRed, kGreen, kBlue };
+
+/// Every Archive field shape in one object.
+struct Sample {
+  u8 a = 0;
+  u32 b = 0;
+  u64 c = 0;
+  i64 d = 0;
+  double e = 0;
+  std::string f;
+  bool g = false;
+  u16 h = 0;
+  std::int32_t i = 0;
+  Color j = Color::kRed;
+  std::vector<u64> list;
+  std::vector<u64> fixed = std::vector<u64>(3);
+
+  void serialize(Archive& ar) {
+    ar.u8(a);
+    ar.u32(b);
+    ar.u64(c);
+    ar.i64(d);
+    ar.f64(e);
+    ar.str(f);
+    ar.flag(g);
+    ar.u32(h);
+    ar.i64(i);
+    ar.enumeration(j, Color::kBlue);
+    ar.count(list);
+    for (u64& v : list) ar.u64(v);
+    ar.expect(fixed.size(), "fixed count");
+    for (u64& v : fixed) ar.u64(v);
+  }
+};
+
+TEST(Archive, OneBodySavesAndRestoresEveryShape) {
+  Sample s;
+  s.a = 7;
+  s.b = 0xDEADBEEFu;
+  s.c = 0x123456789ABCDEF0ULL;
+  s.d = -42;
+  s.e = 3.25;
+  s.f = "bumblebee";
+  s.g = true;
+  s.h = 0xFFFF;
+  s.i = -7;
+  s.j = Color::kBlue;
+  s.list = {1, 2, 3, 4};
+  s.fixed = {5, 6, 7};
+  const std::string payload = testing::payload_of(s);
+
+  Sample back;
+  testing::restore(payload, back);
+  EXPECT_EQ(back.a, s.a);
+  EXPECT_EQ(back.b, s.b);
+  EXPECT_EQ(back.c, s.c);
+  EXPECT_EQ(back.d, s.d);
+  EXPECT_DOUBLE_EQ(back.e, s.e);
+  EXPECT_EQ(back.f, s.f);
+  EXPECT_EQ(back.g, s.g);
+  EXPECT_EQ(back.h, s.h);
+  EXPECT_EQ(back.i, s.i);
+  EXPECT_EQ(back.j, s.j);
+  EXPECT_EQ(back.list, s.list);
+  EXPECT_EQ(back.fixed, s.fixed);
+  EXPECT_EQ(testing::payload_of(back), payload);
+}
+
+TEST(Archive, WritesTheSameTagsAsThePrimitives) {
+  // The archive is a front end over Writer: a bool is a u8 0/1, a u16 a
+  // u32, an int32 an i64, an enum a u8 and every count a u64.
+  Writer w;
+  Archive ar(w);
+  bool on = true;
+  u16 narrow = 9;
+  std::int32_t signed_narrow = -3;
+  Color c = Color::kGreen;
+  std::vector<u64> list = {11};
+  ar.flag(on);
+  ar.u32(narrow);
+  ar.i64(signed_narrow);
+  ar.enumeration(c, Color::kBlue);
+  ar.count(list);
+  ar.expect(2, "pair");
+  ar.presence(true, "layer");
+
+  Writer want;
+  want.put_u8(1);
+  want.put_u32(9);
+  want.put_i64(-3);
+  want.put_u8(1);
+  want.put_u64(1);
+  want.put_u64(2);
+  want.put_u8(1);
+  EXPECT_EQ(w.payload(), want.payload());
+}
+
+TEST(Archive, RestoreRejectsCountPastPayload) {
+  // A count is bounded by the unread payload before anything is sized
+  // from it; the container is left as it was.
+  struct Listed {
+    std::vector<u64> list = {1, 2};
+    void serialize(Archive& ar) { ar.count(list); }
+  };
+  Writer w;
+  w.put_u64(u64{1} << 60);
+  Listed l;
+  EXPECT_THROW(testing::restore(w.payload(), l), SnapshotError);
+  EXPECT_EQ(l.list.size(), 2u);
+
+  // The bound is the unread bytes: a count equal to them is accepted.
+  Writer edge;
+  edge.put_u64(4);
+  edge.put_u8(0);
+  edge.put_u8(0);
+  Listed ok;
+  EXPECT_NO_THROW(testing::restore(edge.payload(), ok));
+  EXPECT_EQ(ok.list.size(), 4u);
+}
+
+TEST(Archive, RestoreRejectsOutOfRangeValues) {
+  struct Narrow {
+    Color c = Color::kRed;
+    u16 h = 0;
+    std::int32_t i = 0;
+    int which = 0;
+    void serialize(Archive& ar) {
+      if (which == 0) ar.enumeration(c, Color::kBlue);
+      if (which == 1) ar.u32(h);
+      if (which == 2) ar.i64(i);
+    }
+  };
+  Writer bad_enum;
+  bad_enum.put_u8(3);  // one past kBlue
+  Writer bad_u16;
+  bad_u16.put_u32(0x10000);
+  Writer bad_i32;
+  bad_i32.put_i64(i64{1} << 31);
+  const Writer* streams[] = {&bad_enum, &bad_u16, &bad_i32};
+  for (int which = 0; which < 3; ++which) {
+    SCOPED_TRACE(which);
+    Narrow n;
+    n.which = which;
+    EXPECT_THROW(testing::restore(streams[which]->payload(), n),
+                 SnapshotError);
+  }
+}
+
+TEST(Archive, RestoreRejectsShapeAndPresenceMismatch) {
+  struct Shaped {
+    u64 n = 3;
+    bool present = true;
+    void serialize(Archive& ar) {
+      ar.expect(n, "slot count");
+      ar.presence(present, "layer");
+    }
+  };
+  Shaped saved;
+  const std::string payload = testing::payload_of(saved);
+  Shaped wider;
+  wider.n = 4;
+  EXPECT_THROW(testing::restore(payload, wider), SnapshotError);
+  Shaped absent;
+  absent.present = false;
+  EXPECT_THROW(testing::restore(payload, absent), SnapshotError);
+  Shaped same;
+  EXPECT_NO_THROW(testing::restore(payload, same));
+}
+
+// ------------------------------------------------------- MemoryTraceSink
+
+TEST(MemoryTraceSinkSnapshot, RoundTripsEveryArgKind) {
+  MemoryTraceSink sink;
+  sink.emit(TraceEvent(5, "a", "x").arg("u", u64{1}).arg("i", i64{-2}));
+  sink.emit(TraceEvent(9, "b", "y").arg("d", 0.5).arg("s", "text"));
+  const std::string payload = testing::payload_of(sink);
+  MemoryTraceSink back;
+  testing::restore(payload, back);
+  ASSERT_EQ(back.events().size(), 2u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(trace_event_to_json(back.events()[k]),
+              trace_event_to_json(sink.events()[k]));
+  }
+}
+
+/// One event named "e" at tick 0 in MemoryTraceSink::serialize's layout,
+/// with `args` arguments; the first has kind byte `kind`.
+std::string sink_payload(u64 args, u8 kind) {
+  Writer w;
+  w.put_u64(1);  // events
+  w.put_u64(0);  // tick
+  w.put_str("e");
+  w.put_str("c");
+  w.put_u64(args);
+  w.put_str("k");
+  w.put_u8(kind);
+  w.put_u64(0);
+  w.put_i64(0);
+  w.put_f64(0);
+  w.put_str("");
+  return w.payload();
+}
+
+TEST(MemoryTraceSinkSnapshot, RestoreRejectsCraftedCountsAndKinds) {
+  {
+    MemoryTraceSink sink;
+    EXPECT_NO_THROW(testing::restore(sink_payload(1, 3), sink));
+  }
+  {
+    SCOPED_TRACE("kind byte past kString");
+    MemoryTraceSink sink;
+    EXPECT_THROW(testing::restore(sink_payload(1, 4), sink), SnapshotError);
+  }
+  {
+    SCOPED_TRACE("argument count past the payload");
+    MemoryTraceSink sink;
+    EXPECT_THROW(testing::restore(sink_payload(u64{1} << 60, 0), sink),
+                 SnapshotError);
+  }
+  {
+    SCOPED_TRACE("event count past the payload");
+    Writer w;
+    w.put_u64(u64{1} << 60);
+    MemoryTraceSink sink;
+    EXPECT_THROW(testing::restore(w.payload(), sink), SnapshotError);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "common/snapshot.h"
 #include "common/trace_event.h"
+#include "snapshot_testing.h"
 
 namespace bb::hmm {
 namespace {
@@ -215,17 +216,59 @@ TEST(Paging, VictimOrderAndRestoreMatchReferenceClockAcrossTableGrowth) {
   const std::string path =
       std::string(::testing::TempDir()) + "/paging_clock.bbsnap";
   snap::Writer w;
-  model.save(w);
+  snap::Archive save(w);
+  model.serialize(save);
   w.commit(path);
   PagingModel restored(tiny(kCapacity));
   snap::Reader r(path);
-  restored.load(r);
+  snap::Archive load(r);
+  restored.serialize(load);
   EXPECT_TRUE(r.at_end());
   EXPECT_EQ(restored.stats().faults, model.stats().faults);
   MemoryTraceSink restored_sink;
   restored.set_trace_sink(&restored_sink);
   expect_matches_reference(restored, ref, restored_sink, rng, kUniverse,
                            40000);
+}
+
+/// A paging stream in PagingModel::serialize's layout: zero fault
+/// counters, the ring, every page referenced, hand 0.
+std::string paging_payload(const std::vector<u64>& ring) {
+  snap::Writer w;
+  w.put_u64(0);  // faults
+  w.put_u64(0);  // first touches
+  w.put_u64(ring.size());
+  for (u64 page : ring) w.put_u64(page);
+  for (std::size_t i = 0; i < ring.size(); ++i) w.put_u8(1);
+  w.put_u64(0);  // hand
+  return w.payload();
+}
+
+TEST(PagingModel, RestoreRejectsOverlongRingAndDuplicatePages) {
+  // The valid neighbour loads; a ring longer than the capacity, a page
+  // listed twice and a count past the payload fail closed.
+  {
+    PagingModel p(tiny(4));
+    EXPECT_NO_THROW(snap::testing::restore(paging_payload({1, 2, 3, 4}), p));
+  }
+  {
+    PagingModel p(tiny(4));
+    EXPECT_THROW(snap::testing::restore(paging_payload({1, 2, 3, 4, 5}), p),
+                 snap::SnapshotError);
+  }
+  {
+    PagingModel p(tiny(4));
+    EXPECT_THROW(snap::testing::restore(paging_payload({1, 2, 1}), p),
+                 snap::SnapshotError);
+  }
+  {
+    snap::Writer w;
+    w.put_u64(0);
+    w.put_u64(0);
+    w.put_u64(u64{1} << 60);  // ring length
+    PagingModel p(tiny(u64{1} << 20));
+    EXPECT_THROW(snap::testing::restore(w.payload(), p), snap::SnapshotError);
+  }
 }
 
 }  // namespace

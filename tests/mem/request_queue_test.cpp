@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/dram_device.h"
+#include "snapshot_testing.h"
 
 namespace bb::mem {
 namespace {
@@ -175,6 +176,30 @@ TEST(ChannelSchedulerTest, ResetStatsClearsSchedulerCounters) {
   dev.reset_stats();
   EXPECT_EQ(dev.queue_stats()->reads_issued, 0u);
   EXPECT_EQ(dev.queue_stats()->queue_length_samples, 0u);
+}
+
+// --- Snapshot ----------------------------------------------------------
+
+TEST(ChannelSchedulerTest, RestoreRejectsQueueLengthsPastPayload) {
+  // An inflated write-queue length, then an inflated MSHR count, each
+  // fail closed before the channel's queue is sized from them.
+  {
+    snap::Writer w;
+    w.put_u64(1);             // channels
+    w.put_u64(u64{1} << 60);  // queued writes
+    ChannelScheduler sched(small_queue(), 1);
+    EXPECT_THROW(snap::testing::restore(w.payload(), sched),
+                 snap::SnapshotError);
+  }
+  {
+    snap::Writer w;
+    w.put_u64(1);             // channels
+    w.put_u64(0);             // queued writes
+    w.put_u64(u64{1} << 60);  // MSHRs
+    ChannelScheduler sched(small_queue(), 1);
+    EXPECT_THROW(snap::testing::restore(w.payload(), sched),
+                 snap::SnapshotError);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "hmm/controller.h"
+#include "snapshot_testing.h"
 
 namespace bb::sim {
 namespace {
@@ -191,6 +192,26 @@ TEST_F(CoreModelTest, DeterministicAcrossRuns) {
   EXPECT_EQ(r1.elapsed, r2.elapsed);
   EXPECT_EQ(r1.misses, r2.misses);
   EXPECT_EQ(r1.instructions, r2.instructions);
+}
+
+TEST(RunLoopState, RestoreRejectsCountsPastPayload) {
+  // An inflated core count, then an inflated ROB depth, each fail closed
+  // before a container is sized from them.
+  {
+    snap::Writer w;
+    w.put_u64(u64{1} << 60);  // cores
+    RunLoopState ls;
+    EXPECT_THROW(snap::testing::restore(w.payload(), ls), snap::SnapshotError);
+    EXPECT_TRUE(ls.cores.empty());
+  }
+  {
+    snap::Writer w;
+    w.put_u64(1);  // cores
+    for (int i = 0; i < 4; ++i) w.put_u64(0);  // now, inst, misses, reset
+    w.put_u64(u64{1} << 60);  // ROB depth
+    RunLoopState ls;
+    EXPECT_THROW(snap::testing::restore(w.payload(), ls), snap::SnapshotError);
+  }
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ std::string cursor_path(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
 
-/// A cursor stream in TraceGenerator::save_cursor's layout.
+/// A cursor stream in TraceGenerator::serialize's layout.
 void write_cursor(const std::string& path, const std::array<u64, 4>& rng,
                   u64 scan, const std::vector<u32>& hot) {
   snap::Writer w;
@@ -112,7 +112,8 @@ TEST(GeneratorCursor, LoadRejectsEachCorruptField) {
   {
     TraceGenerator g(w, 1);
     snap::Reader r(ok_path);
-    EXPECT_NO_THROW(g.load_cursor(r));
+    snap::Archive ar(r);
+    EXPECT_NO_THROW(g.serialize(ar));
   }
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
@@ -120,7 +121,8 @@ TEST(GeneratorCursor, LoadRejectsEachCorruptField) {
     write_cursor(path, rng, c.scan, c.hot);
     TraceGenerator g(w, 1);
     snap::Reader r(path);
-    EXPECT_THROW(g.load_cursor(r), snap::SnapshotError);
+    snap::Archive ar(r);
+    EXPECT_THROW(g.serialize(ar), snap::SnapshotError);
     // A rejected load leaves the generator where it was.
     TraceGenerator fresh(w, 1);
     for (int i = 0; i < 1000; ++i) ASSERT_EQ(g.next().addr, fresh.next().addr);
