@@ -19,6 +19,31 @@ std::vector<double> HmmStats::latency_bounds_ns() {
           7500, 10000, 20000, 50000, 100000};
 }
 
+namespace {
+
+/// Points both devices at one core's class-byte slices (or at nothing) for
+/// the span of a request, and detaches them on scope exit.
+class DeviceCharge {
+ public:
+  DeviceCharge(mem::DramDevice& hbm, mem::DramDevice& dram, CoreStats* cs)
+      : hbm_(hbm), dram_(dram) {
+    hbm_.charge_to(cs != nullptr ? &cs->hbm_class_bytes : nullptr);
+    dram_.charge_to(cs != nullptr ? &cs->dram_class_bytes : nullptr);
+  }
+  ~DeviceCharge() {
+    hbm_.charge_to(nullptr);
+    dram_.charge_to(nullptr);
+  }
+  DeviceCharge(const DeviceCharge&) = delete;
+  DeviceCharge& operator=(const DeviceCharge&) = delete;
+
+ private:
+  mem::DramDevice& hbm_;
+  mem::DramDevice& dram_;
+};
+
+}  // namespace
+
 HybridMemoryController::HybridMemoryController(std::string name,
                                                mem::DramDevice& hbm,
                                                mem::DramDevice& dram,
@@ -30,19 +55,17 @@ HmmResult HybridMemoryController::access(Addr addr, AccessType type,
   // Host-side phase attribution only; the nested device-timing phase in
   // DramDevice::access claims its own (exclusive) share of this span.
   prof::ScopedPhase prof_phase(prof::Phase::kHmmAccess);
-  // Per-core byte attribution works by device-counter snapshot: whatever
-  // both devices move while service() runs — demand beats plus any fills,
-  // writebacks or migrations the design triggers from this request — is
-  // charged to the requesting core.
-  const bool per_core = !core_stats_.empty();
-  std::array<u64, mem::kTrafficClassCount> hbm_rd{}, hbm_wr{}, dram_rd{},
-      dram_wr{};
-  if (per_core) {
-    hbm_rd = hbm_.stats().read_bytes;
-    hbm_wr = hbm_.stats().write_bytes;
-    dram_rd = dram_.stats().read_bytes;
-    dram_wr = dram_.stats().write_bytes;
+  // Per-core byte attribution: both devices charge every byte they move
+  // while this request is handled — demand beats plus any fills,
+  // writebacks or migrations the design triggers from it — straight into
+  // the requesting core's class-byte slices. The guard detaches them on
+  // every exit path; drain() runs outside access(), so its traffic has no
+  // causing core.
+  CoreStats* cs = nullptr;
+  if (!core_stats_.empty()) {
+    cs = &core_stats_[std::min<std::size_t>(core_id, core_stats_.size() - 1)];
   }
+  const DeviceCharge charge(hbm_, dram_, cs);
 
   const Tick fault = paging_.touch(addr, now);
   HmmResult res = service(addr, type, now + fault);
@@ -60,20 +83,11 @@ HmmResult HybridMemoryController::access(Addr addr, AccessType type,
   stats_.total_metadata_latency += res.metadata_latency;
   stats_.latency_ns.sample(ticks_to_ns(res.complete - now));
 
-  if (per_core) {
-    const std::size_t c =
-        std::min<std::size_t>(core_id, core_stats_.size() - 1);
-    CoreStats& cs = core_stats_[c];
-    ++cs.requests;
-    if (res.served_by_hbm) ++cs.hbm_served;
-    cs.total_latency += res.complete - now;
-    cs.latency_ns.sample(ticks_to_ns(res.complete - now));
-    for (std::size_t k = 0; k < mem::kTrafficClassCount; ++k) {
-      cs.hbm_class_bytes[k] += (hbm_.stats().read_bytes[k] - hbm_rd[k]) +
-                               (hbm_.stats().write_bytes[k] - hbm_wr[k]);
-      cs.dram_class_bytes[k] += (dram_.stats().read_bytes[k] - dram_rd[k]) +
-                                (dram_.stats().write_bytes[k] - dram_wr[k]);
-    }
+  if (cs != nullptr) {
+    ++cs->requests;
+    if (res.served_by_hbm) ++cs->hbm_served;
+    cs->total_latency += res.complete - now;
+    cs->latency_ns.sample(ticks_to_ns(res.complete - now));
   }
   if (sampler_) sampler_->on_request(now);
   return res;

@@ -117,9 +117,11 @@ struct HmmStats {
 /// (multi-programmed co-run evaluation). Device bytes are attributed by
 /// causation: everything both DRAM devices move while serving one request —
 /// the demand access plus any fills/migrations the design triggered
-/// synchronously from it — is charged to that request's core. Asynchronous
-/// end-of-run drain() traffic has no causing core, so per-core byte sums are
-/// <= the device totals; request/latency/serve counters sum exactly.
+/// synchronously from it — is charged to that request's core, by the
+/// devices themselves (DramDevice::charge_to) while access() runs.
+/// Asynchronous end-of-run drain() traffic has no causing core, so per-core
+/// byte sums are <= the device totals; request/latency/serve counters sum
+/// exactly.
 struct CoreStats {
   u64 requests = 0;
   u64 hbm_served = 0;

@@ -282,7 +282,7 @@ AccessResult DramDevice::access(Addr addr, u64 bytes, AccessType type,
     // Queued path: reads go through the MSHR/scheduler (coalesced reads
     // produce no device traffic), writes are posted into the per-channel
     // write queues and drained FR-FCFS. Byte/access accounting stays at
-    // arrival so per-core attribution snapshots charge the causing core.
+    // arrival so per-core attribution charges the causing core.
     const ChannelScheduler::SchedResult is =
         (type == AccessType::kRead)
             ? scheduler_->on_read(addr, bytes, now, *this)
@@ -296,9 +296,11 @@ AccessResult DramDevice::access(Addr addr, u64 bytes, AccessType type,
   ++stats_.accesses;
   if (!coalesced) {
     const u64 moved = (last - first) + beat_bytes_;
+    const std::size_t k = static_cast<std::size_t>(cls);
     auto& by_class = (type == AccessType::kRead) ? stats_.read_bytes
                                                  : stats_.write_bytes;
-    by_class[static_cast<std::size_t>(cls)] += moved;
+    by_class[k] += moved;
+    if (charge_ != nullptr) (*charge_)[k] += moved;
   }
 
   // A coalesced read rides the original fill, whose ECC verdict was

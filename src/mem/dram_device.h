@@ -159,6 +159,14 @@ class DramDevice final : private QueueBackend {
   /// Sink for fault_injected events (nullptr = no tracing).
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }
 
+  /// Additionally adds every byte this device moves, per traffic class, to
+  /// `bytes` until detached with nullptr. The controller points it at the
+  /// requesting core's slice while one request is handled (per-core
+  /// attribution); reads and writes land in the same slot.
+  void charge_to(std::array<u64, kTrafficClassCount>* bytes) {
+    charge_ = bytes;
+  }
+
   struct Decoded {
     u32 channel;
     u32 bank;
@@ -229,6 +237,7 @@ class DramDevice final : private QueueBackend {
   fault::DeviceFaultState* faults_ = nullptr;
   std::string fault_label_;
   TraceSink* trace_ = nullptr;
+  std::array<u64, kTrafficClassCount>* charge_ = nullptr;  ///< see charge_to
 };
 
 }  // namespace bb::mem

@@ -586,6 +586,9 @@ void StreamingTraceReader::load_next_chunk() {
       n_records > info_.max_chunk_records) {
     throw_bad(path_, "chunk grew beyond its validated bounds mid-replay");
   }
+  // An empty chunk checksums and decodes cleanly but leaves nothing to
+  // serve; the structural walk rejects it, so a rewrite put it here.
+  if (n_records == 0) throw_bad(path_, "empty chunk mid-replay");
   if (!read_exact(file_.get(), payload_.data(), payload_bytes)) {
     throw_io(path_, "cannot read chunk payload");
   }

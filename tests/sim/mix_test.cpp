@@ -11,7 +11,9 @@
 #include <string>
 
 #include "common/rng.h"
+#include "hmm/controller.h"
 #include "sim/experiment.h"
+#include "sim/system.h"
 
 namespace bb::sim {
 namespace {
@@ -147,6 +149,62 @@ TEST(Mix, PerCoreStatsSumToAggregate) {
   EXPECT_LE(hbm_bytes, r.hbm_bytes);
   EXPECT_LE(dram_bytes, r.dram_bytes);
   EXPECT_GT(hbm_bytes, 0u);
+}
+
+/// FNV-1a 64 over every exact CoreStats counter of every core slice.
+u64 core_stats_hash(const std::vector<hmm::CoreStats>& cores) {
+  u64 h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const hmm::CoreStats& cs : cores) {
+    mix(cs.requests);
+    mix(cs.hbm_served);
+    mix(cs.total_latency);
+    for (u64 b : cs.hbm_class_bytes) mix(b);
+    for (u64 b : cs.dram_class_bytes) mix(b);
+  }
+  return h;
+}
+
+// Pins the exact per-core attribution (requests, serves, latency and every
+// class-byte counter on both devices) of 4-lane co-runs, on the direct
+// device path and behind FR-FCFS queues, for a design that fills and one
+// that migrates.
+TEST(Mix, PerCoreClassBytesArePinned) {
+  struct Case {
+    const char* design;
+    bool queued;
+    u64 hash;
+  };
+  const Case cases[] = {
+      {"Bumblebee", false, 0x8496f05f2cefbef7ULL},
+      {"Bumblebee", true, 0x1ad4f6710a0f906bULL},
+      {"Hybrid2", false, 0x5a6fa7daff6d45d0ULL},
+      {"Hybrid2", true, 0xfb6bfc17f93f8450ULL},
+  };
+  for (const Case& c : cases) {
+    SystemConfig cfg = mix_config();
+    if (c.queued) {
+      cfg.hbm.queue = mem::QueueConfig::fr_fcfs();
+      cfg.dram.queue = mem::QueueConfig::fr_fcfs();
+    }
+    System system(cfg);
+    const MixSpec m = MixSpec::parse("mixed-locality4");
+    system.run_mix(c.design, m.lanes(cfg.seed), m.name, 100'000);
+    const auto& cores = system.last_controller()->core_stats();
+    ASSERT_EQ(cores.size(), 4u);
+    for (const hmm::CoreStats& cs : cores) {
+      EXPECT_GT(cs.hbm_bytes(), 0u) << c.design;
+      EXPECT_GT(cs.dram_bytes(), 0u) << c.design;
+    }
+    EXPECT_EQ(core_stats_hash(cores), c.hash)
+        << c.design << (c.queued ? " queued" : " direct") << " 0x" << std::hex
+        << core_stats_hash(cores);
+  }
 }
 
 TEST(Mix, MatrixScoresAgainstAloneBaselines) {

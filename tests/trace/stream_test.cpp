@@ -294,6 +294,36 @@ TEST(StreamCorruption, StreamChecksumCatchesConsistentlyPatchedChunk) {
   EXPECT_THROW(validate_trace(t.path), TraceError);
 }
 
+TEST(StreamCorruption, EmptyChunkMidReplayFailsClosed) {
+  // Raw chunks make the file (170 KB) far larger than a stdio buffer, so
+  // the rewind at a lap boundary re-reads the first chunk from the file.
+  const auto original = synth_records(10000);
+  TempTrace t("emptied.bbtrace");
+  TraceWriterOptions w;
+  w.codec = TraceCodec::kRaw;
+  w.chunk_records = 100;
+  ASSERT_TRUE(save_trace_v2(t.path, original, w));
+  // The structural walk passes at open; then the file is rewritten in
+  // place so the first chunk header claims zero records and an empty
+  // payload, whose CRC is 0. No record may be served from it.
+  StreamingTraceReader reader(t.path);
+  std::FILE* f = std::fopen(t.path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  std::vector<unsigned char> header(16, 0);
+  put_le32(header, 0, 0x434b4e48);  // "CHNK"
+  ASSERT_EQ(std::fseek(f, 24, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(header.data(), 1, header.size(), f), header.size());
+  ASSERT_EQ(std::fclose(f), 0);
+  // Lap one may still see the original header if stdio read it ahead at
+  // open; the first record of lap two comes from the patched file.
+  std::size_t served = 0;
+  try {
+    for (; served <= original.size(); ++served) reader.next();
+  } catch (const TraceError&) {
+  }
+  EXPECT_TRUE(served == 0 || served == original.size()) << served;
+}
+
 TEST(StreamCorruption, FooterCountMismatchFailsClosed) {
   const auto original = synth_records(256);
   TempTrace t("badcount.bbtrace");
