@@ -13,9 +13,10 @@ AlloyCacheController::AlloyCacheController(mem::DramDevice& hbm,
                              }()),
       cfg_(cfg),
       lines_(hbm.capacity() / cfg.tad_bytes) {
-  tag_ = ZeroArray<u8>(static_cast<std::size_t>(lines_));
-  valid_.resize(static_cast<std::size_t>(lines_));
-  dirty_.resize(static_cast<std::size_t>(lines_));
+  const auto slots = static_cast<std::size_t>(lines_);
+  tag_ = ZeroArray<u8>(slots);
+  valid_ = BitMatrix(1, slots);
+  dirty_ = BitMatrix(1, slots);
 }
 
 hmm::HmmResult AlloyCacheController::service(Addr addr, AccessType type,
@@ -33,12 +34,12 @@ hmm::HmmResult AlloyCacheController::service(Addr addr, AccessType type,
   res.metadata_latency = probe.latency();  // the tag half of the TAD
 
   const std::size_t s = static_cast<std::size_t>(slot);
-  if (valid_.test(s) && tag_[s] == tag) {
+  if (valid_.test(0, s) && tag_[s] == tag) {
     // Hit: the probe already delivered the data; writes update the TAD.
     if (type == AccessType::kWrite) {
       hbm().access(tad_addr, cfg_.tad_bytes, AccessType::kWrite,
                    probe.complete, mem::TrafficClass::kDemand);
-      dirty_.set(s);
+      dirty_.set(0, s);
     }
     res.complete = probe.complete;
     res.served_by_hbm = true;
@@ -47,7 +48,7 @@ hmm::HmmResult AlloyCacheController::service(Addr addr, AccessType type,
   }
 
   // Miss: writeback the victim if dirty, then serve from DRAM and fill.
-  if (valid_.test(s) && dirty_.test(s)) {
+  if (valid_.test(0, s) && dirty_.test(0, s)) {
     const Addr victim =
         (static_cast<u64>(tag_[s]) * lines_ + slot) * cfg_.line_bytes;
     move_data(hbm(), tad_addr, dram(), victim, cfg_.line_bytes,
@@ -60,8 +61,8 @@ hmm::HmmResult AlloyCacheController::service(Addr addr, AccessType type,
   hbm().access(tad_addr, cfg_.tad_bytes, AccessType::kWrite, r.complete,
                mem::TrafficClass::kFill);
   tag_[s] = tag;
-  valid_.set(s);
-  dirty_.set(s, type == AccessType::kWrite);
+  valid_.set(0, s);
+  dirty_.set(0, s, type == AccessType::kWrite);
   ++mutable_stats().blocks_fetched;
   ++mutable_stats().fetched_blocks_used;  // demand fill: always used
 

@@ -36,9 +36,9 @@ class AlloyCacheController final : public hmm::HybridMemoryController {
  private:
   AlloyConfig cfg_;
   u64 lines_;                ///< direct-mapped TAD slots
-  ZeroArray<u8> tag_;        ///< tag per slot (small: footprint/HBM ratio)
-  BitVector valid_;
-  BitVector dirty_;
+  ZeroArray<u8> tag_;  ///< tag per slot (small: footprint/HBM ratio)
+  BitMatrix valid_;    ///< one row: a bit per slot
+  BitMatrix dirty_;    ///< one row: a bit per slot
 };
 
 }  // namespace bb::baselines

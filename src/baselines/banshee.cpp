@@ -1,5 +1,7 @@
 #include "baselines/banshee.h"
 
+#include "common/check.h"
+
 namespace bb::baselines {
 
 BansheeController::BansheeController(mem::DramDevice& hbm,
@@ -14,8 +16,31 @@ BansheeController::BansheeController(mem::DramDevice& hbm,
       cfg_(cfg),
       sets_(static_cast<u32>(hbm.capacity() / cfg.page_bytes / cfg.ways)) {
   const std::size_t ways = static_cast<std::size_t>(sets_) * cfg_.ways;
-  ways_.resize(ways);
+  ways_ = ZeroArray<Way>(ways);
   used_ = BitMatrix(ways, cfg_.page_bytes / 64);
+}
+
+bool BansheeController::set_is_consistent(u32 set) const {
+  for (u32 w = 0; w < cfg_.ways; ++w) {
+    const std::size_t wi = way_index(set, w);
+    const Way& way = ways_[wi];
+    if (!way.valid) {
+      if (used_.row(wi).any()) return false;
+      continue;
+    }
+    for (u32 v = w + 1; v < cfg_.ways; ++v) {
+      const Way& other = ways_[way_index(set, v)];
+      if (other.valid && other.page == way.page) return false;
+    }
+  }
+  return true;
+}
+
+bool BansheeController::check_invariants() const {
+  for (u32 set = 0; set < sets_; ++set) {
+    if (!set_is_consistent(set)) return false;
+  }
+  return true;
 }
 
 u64 BansheeController::metadata_sram_bytes() const {
@@ -108,6 +133,8 @@ hmm::HmmResult BansheeController::service(Addr addr, AccessType type,
   const std::size_t wi = way_index(set, victim);
   used_.clear_row(wi);
   used_.set(wi, block);
+  BB_CHECK(set_is_consistent(set),
+           "Banshee set holds a page twice or an invalid way has used bits");
   ++mutable_stats().fetched_blocks_used;
   candidate_freq_.erase(page);
   return res;

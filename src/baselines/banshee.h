@@ -12,9 +12,9 @@
 
 #include <cassert>
 #include <unordered_map>
-#include <vector>
 
 #include "common/bitvector.h"
+#include "common/zero_array.h"
 #include "hmm/controller.h"
 
 namespace bb::baselines {
@@ -37,6 +37,11 @@ class BansheeController final : public hmm::HybridMemoryController {
   /// it all had to live in SRAM.
   u64 metadata_sram_bytes() const override;
 
+  /// True when no set holds one page in two valid ways and every invalid
+  /// way has an empty `used` row. Debug and BB_CHECKS builds check a set
+  /// after every install into it (an install replaces the evicted page).
+  bool check_invariants() const;
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 
@@ -54,13 +59,14 @@ class BansheeController final : public hmm::HybridMemoryController {
     return static_cast<std::size_t>(set) * cfg_.ways + w;
   }
   Way& way_at(u32 set, u32 w) { return ways_[way_index(set, w)]; }
+  bool set_is_consistent(u32 set) const;
   Addr frame_addr(u32 set, u32 w) const {
     return (static_cast<u64>(set) * cfg_.ways + w) * cfg_.page_bytes;
   }
 
   BansheeConfig cfg_;
   u32 sets_;
-  std::vector<Way> ways_;
+  ZeroArray<Way> ways_;  ///< all-zero bytes: every way invalid
   BitMatrix used_;  ///< per way: demanded blocks, for over-fetch accounting
   // determinism-ok: keyed operator[]/erase only (never iterated), so the
   // implementation-defined bucket order cannot reach stats or output.

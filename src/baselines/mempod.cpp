@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <vector>
 
 #include "common/trace_event.h"
 
@@ -21,18 +22,14 @@ MemPodController::MemPodController(mem::DramDevice& hbm,
       hbm_pages_per_pod_(hbm.capacity() / cfg.page_bytes / cfg.pods),
       dram_pages_per_pod_(dram.capacity() / cfg.page_bytes / cfg.pods) {
   assert(hbm_pages_per_pod_ > 0 && dram_pages_per_pod_ > 0);
-  pods_.resize(cfg_.pods);
-  const u64 pages = hbm_pages_per_pod_ + dram_pages_per_pod_;
-  for (auto& pod : pods_) {
-    pod.frame_of.resize(pages);
-    pod.page_at.resize(pages);
-    for (u64 i = 0; i < pages; ++i) {
-      pod.frame_of[i] = static_cast<u32>(i);
-      pod.page_at[i] = static_cast<u32>(i);
-    }
-    pod.mea.resize(cfg_.mea_counters);
-    pod.hbm_access.assign(hbm_pages_per_pod_, 0);
-  }
+  const std::size_t pods = cfg_.pods;
+  const std::size_t pages =
+      pods * (hbm_pages_per_pod_ + dram_pages_per_pod_);
+  frame_xor_page_ = ZeroArray<u32>(pages);
+  page_xor_frame_ = ZeroArray<u32>(pages);
+  mea_ = ZeroArray<MeaEntry>(pods * cfg_.mea_counters);
+  hbm_access_ = ZeroArray<u32>(pods * hbm_pages_per_pod_);
+  next_interval_ = ZeroArray<Tick>(pods);
 }
 
 u64 MemPodController::metadata_sram_bytes() const {
@@ -42,32 +39,33 @@ u64 MemPodController::metadata_sram_bytes() const {
          (pages * 8 + cfg_.mea_counters * 12);
 }
 
-void MemPodController::mea_touch(Pod& pod, u64 page) {
+void MemPodController::mea_touch(u32 pod, u64 page) {
   // Majority Element Algorithm: increment the page's counter if tracked;
   // otherwise claim a zero-count slot; otherwise decrement everyone.
-  for (auto& e : pod.mea) {
+  for (auto& e : mea(pod)) {
     if (e.count > 0 && e.page == page) {
       ++e.count;
       return;
     }
   }
-  for (auto& e : pod.mea) {
+  for (auto& e : mea(pod)) {
     if (e.count == 0) {
       e.page = page;
       e.count = 1;
       return;
     }
   }
-  for (auto& e : pod.mea) {
+  for (auto& e : mea(pod)) {
     --e.count;
   }
 }
 
-void MemPodController::run_interval(Pod& pod, u32 pod_idx, Tick now) {
+void MemPodController::run_interval(u32 pod_idx, Tick now) {
   // Sort MEA candidates hottest-first (only those still in far memory).
+  const std::span<u32> hbm_access = this->hbm_access(pod_idx);
   std::vector<MeaEntry> cands;
-  for (const auto& e : pod.mea) {
-    if (e.count > 0 && pod.frame_of[e.page] < dram_pages_per_pod_) {
+  for (const auto& e : mea(pod_idx)) {
+    if (e.count > 0 && frame_of(pod_idx, e.page) < dram_pages_per_pod_) {
       cands.push_back(e);
     }
   }
@@ -83,8 +81,8 @@ void MemPodController::run_interval(Pod& pod, u32 pod_idx, Tick now) {
     frames[f] = static_cast<u32>(dram_pages_per_pod_) + f;
   }
   std::sort(frames.begin(), frames.end(), [&](u32 a, u32 b) {
-    return pod.hbm_access[a - dram_pages_per_pod_] <
-           pod.hbm_access[b - dram_pages_per_pod_];
+    return hbm_access[a - dram_pages_per_pod_] <
+           hbm_access[b - dram_pages_per_pod_];
   });
 
   const u64 pod_hbm_base =
@@ -97,12 +95,11 @@ void MemPodController::run_interval(Pod& pod, u32 pod_idx, Tick now) {
     const u32 hot_page = static_cast<u32>(cands[i].page);
     const u32 cold_frame = frames[i];
     // Only displace strictly colder residents.
-    if (pod.hbm_access[cold_frame - dram_pages_per_pod_] >=
-        cands[i].count) {
+    if (hbm_access[cold_frame - dram_pages_per_pod_] >= cands[i].count) {
       break;
     }
-    const u32 hot_frame = pod.frame_of[hot_page];
-    const u32 cold_page = pod.page_at[cold_frame];
+    const u32 hot_frame = frame_of(pod_idx, hot_page);
+    const u32 cold_page = page_at(pod_idx, cold_frame);
 
     swap_data(hbm(),
               pod_hbm_base + static_cast<u64>(cold_frame -
@@ -112,10 +109,8 @@ void MemPodController::run_interval(Pod& pod, u32 pod_idx, Tick now) {
               pod_dram_base + static_cast<u64>(hot_frame) * cfg_.page_bytes,
               cfg_.page_bytes, now, mem::TrafficClass::kMigration);
 
-    pod.frame_of[hot_page] = cold_frame;
-    pod.frame_of[cold_page] = hot_frame;
-    pod.page_at[cold_frame] = hot_page;
-    pod.page_at[hot_frame] = cold_page;
+    map(pod_idx, hot_page, cold_frame);
+    map(pod_idx, cold_page, hot_frame);
     if (tracing()) {
       trace()->emit(TraceEvent(now, "page_swap", "mempod")
                         .arg("pod", pod_idx)
@@ -129,9 +124,9 @@ void MemPodController::run_interval(Pod& pod, u32 pod_idx, Tick now) {
     ++mutable_stats().fetched_blocks_used;
   }
 
-  for (auto& e : pod.mea) e = MeaEntry{};
-  for (auto& c : pod.hbm_access) c = 0;
-  pod.next_interval = now + cfg_.interval;
+  for (auto& e : mea(pod_idx)) e = MeaEntry{};
+  for (auto& c : hbm_access) c = 0;
+  next_interval_[pod_idx] = now + cfg_.interval;
 }
 
 hmm::HmmResult MemPodController::service(Addr addr, AccessType type,
@@ -145,16 +140,15 @@ hmm::HmmResult MemPodController::service(Addr addr, AccessType type,
   const u32 pod_idx = static_cast<u32>(gp % cfg_.pods);
   const u64 page = gp / cfg_.pods;  // pod-local logical page
   const u64 off = a % cfg_.page_bytes;
-  Pod& pod = pods_[pod_idx];
 
   res.metadata_latency = cfg_.sram_latency;  // remap tables are SRAM here
   Tick t = now + cfg_.sram_latency;
 
-  if (now >= pod.next_interval) run_interval(pod, pod_idx, now);
+  if (now >= next_interval_[pod_idx]) run_interval(pod_idx, now);
 
-  const u32 frame = pod.frame_of[page];
+  const u32 frame = frame_of(pod_idx, page);
   if (frame >= dram_pages_per_pod_) {
-    ++pod.hbm_access[frame - dram_pages_per_pod_];
+    ++hbm_access(pod_idx)[frame - dram_pages_per_pod_];
     const Addr pa = static_cast<u64>(pod_idx) * hbm_pages_per_pod_ *
                         cfg_.page_bytes +
                     static_cast<u64>(frame - dram_pages_per_pod_) *
@@ -167,7 +161,7 @@ hmm::HmmResult MemPodController::service(Addr addr, AccessType type,
     return res;
   }
 
-  mea_touch(pod, page);
+  mea_touch(pod_idx, page);
   const Addr pa = static_cast<u64>(pod_idx) * dram_pages_per_pod_ *
                       cfg_.page_bytes +
                   static_cast<u64>(frame) * cfg_.page_bytes + off;

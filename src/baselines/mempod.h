@@ -10,8 +10,9 @@
 // bandwidth from the access stream — MemPod's scalability claim.
 #pragma once
 
-#include <vector>
+#include <span>
 
+#include "common/zero_array.h"
 #include "hmm/controller.h"
 
 namespace bb::baselines {
@@ -50,22 +51,50 @@ class MemPodController final : public hmm::HybridMemoryController {
     u64 page = 0;  ///< pod-local logical page index
     u32 count = 0;
   };
-  struct Pod {
-    /// Remap: pod-local logical page -> pod-local frame (HBM frames first).
-    std::vector<u32> frame_of;
-    std::vector<u32> page_at;  ///< inverse mapping
-    std::vector<MeaEntry> mea;
-    std::vector<u32> hbm_access;  ///< per-HBM-frame interval access count
-    Tick next_interval = 0;
-  };
 
-  void mea_touch(Pod& pod, u64 page);
-  void run_interval(Pod& pod, u32 pod_idx, Tick now);
+  /// Index of pod-local page or frame `i` of `pod` in the remap tables.
+  std::size_t slot(u32 pod, u64 i) const {
+    return static_cast<std::size_t>(pod) *
+               (hbm_pages_per_pod_ + dram_pages_per_pod_) +
+           i;
+  }
+  /// Remap: pod-local logical page -> pod-local frame (DRAM frames first,
+  /// then HBM frames), and its inverse.
+  u32 frame_of(u32 pod, u64 page) const {
+    return frame_xor_page_[slot(pod, page)] ^ static_cast<u32>(page);
+  }
+  u32 page_at(u32 pod, u32 frame) const {
+    return page_xor_frame_[slot(pod, frame)] ^ frame;
+  }
+  void map(u32 pod, u32 page, u32 frame) {
+    frame_xor_page_[slot(pod, page)] = frame ^ page;
+    page_xor_frame_[slot(pod, frame)] = page ^ frame;
+  }
+  std::span<MeaEntry> mea(u32 pod) {
+    return {mea_.data() + static_cast<std::size_t>(pod) * cfg_.mea_counters,
+            cfg_.mea_counters};
+  }
+  /// Per-HBM-frame interval access counts of `pod`.
+  std::span<u32> hbm_access(u32 pod) {
+    return {hbm_access_.data() +
+                static_cast<std::size_t>(pod) * hbm_pages_per_pod_,
+            static_cast<std::size_t>(hbm_pages_per_pod_)};
+  }
+
+  void mea_touch(u32 pod, u64 page);
+  void run_interval(u32 pod, Tick now);
 
   MemPodConfig cfg_;
   u64 hbm_pages_per_pod_;
   u64 dram_pages_per_pod_;
-  std::vector<Pod> pods_;
+  // Every pod's state in flat tables sized once. The remap tables store
+  // frame ^ page (and page ^ frame), so the zero bytes of a fresh table are
+  // the identity mapping.
+  ZeroArray<u32> frame_xor_page_;  ///< pods x pages per pod
+  ZeroArray<u32> page_xor_frame_;  ///< pods x frames per pod
+  ZeroArray<MeaEntry> mea_;        ///< pods x mea_counters
+  ZeroArray<u32> hbm_access_;      ///< pods x HBM frames per pod
+  ZeroArray<Tick> next_interval_;  ///< per pod
   u64 interval_migrations_ = 0;
 };
 

@@ -16,12 +16,8 @@ PomController::PomController(mem::DramDevice& hbm, mem::DramDevice& dram,
       sets_(static_cast<u32>(hbm.capacity() / cfg.sector_bytes)),
       m_(static_cast<u32>(dram.capacity() / cfg.sector_bytes / sets_)) {
   assert(m_ + 1 <= 0xff);
-  entries_.resize(sets_);
-  for (auto& e : entries_) {
-    e.sector_at_frame.resize(m_ + 1);
-    for (u32 f = 0; f <= m_; ++f) e.sector_at_frame[f] = static_cast<u8>(f);
-    e.challenger = 0;
-  }
+  sec_xor_frame_ = ZeroArray<u8>(static_cast<std::size_t>(sets_) * (m_ + 1));
+  entries_ = ZeroArray<SetEntry>(sets_);
 
   hmm::MetadataConfig mc;
   mc.placement = hmm::MetadataPlacement::kSramCachedHbm;
@@ -51,7 +47,7 @@ hmm::HmmResult PomController::service(Addr addr, AccessType type, Tick now) {
 
   u32 frame = m_ + 1;
   for (u32 f = 0; f <= m_; ++f) {
-    if (e.sector_at_frame[f] == sec) {
+    if (sector_at(set, f) == sec) {
       frame = f;
       break;
     }
@@ -96,9 +92,9 @@ hmm::HmmResult PomController::service(Addr addr, AccessType type, Tick now) {
       e.counter >= static_cast<i64>(cfg_.swap_threshold)) {
     swap_data(hbm(), hbm_slot, dram(), dram_frame_addr(frame),
               cfg_.sector_bytes, r.complete, mem::TrafficClass::kMigration);
-    const u32 occupant = e.sector_at_frame[m_];
-    e.sector_at_frame[m_] = static_cast<u8>(sec);
-    e.sector_at_frame[frame] = static_cast<u8>(occupant);
+    const u32 occupant = sector_at(set, m_);
+    set_sector_at(set, m_, sec);
+    set_sector_at(set, frame, occupant);
     e.counter = 0;
     ++mutable_stats().swaps;
     mutable_stats().blocks_fetched += cfg_.sector_bytes / 64;

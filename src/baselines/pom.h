@@ -11,8 +11,9 @@
 // SRAM cache in front (PoM's "SRT cache").
 #pragma once
 
-#include <vector>
+#include <cassert>
 
+#include "common/zero_array.h"
 #include "hmm/controller.h"
 #include "hmm/metadata.h"
 
@@ -45,15 +46,31 @@ class PomController final : public hmm::HybridMemoryController {
 
  private:
   struct SetEntry {
-    std::vector<u8> sector_at_frame;  ///< permutation over m_+1 frames
     i64 counter = 0;   ///< competing counter (challenger vs occupant)
     u32 challenger = 0;  ///< sector currently accumulating the counter
   };
 
+  /// The in-set sector held by `frame` of `set` (frame m_ is the HBM
+  /// slot).
+  u32 sector_at(u32 set, u32 frame) const {
+    return static_cast<u32>(sec_xor_frame_[at(set, frame)] ^ frame);
+  }
+  void set_sector_at(u32 set, u32 frame, u32 sec) {
+    sec_xor_frame_[at(set, frame)] = static_cast<u8>(sec ^ frame);
+  }
+  std::size_t at(u32 set, u32 frame) const {
+    assert(set < sets_ && frame <= m_);
+    return static_cast<std::size_t>(set) * (m_ + 1) + frame;
+  }
+
   PomConfig cfg_;
   u32 sets_;
   u32 m_;
-  std::vector<SetEntry> entries_;
+  /// Per set, the permutation of its m_+1 sectors over its frames, m_+1
+  /// entries a set, stored as sector ^ frame: the zero bytes of a fresh
+  /// table are the identity.
+  ZeroArray<u8> sec_xor_frame_;
+  ZeroArray<SetEntry> entries_;  ///< per set; zero bytes: no challenger
   std::unique_ptr<hmm::MetadataModel> meta_;
 };
 

@@ -17,11 +17,9 @@ SilcFmController::SilcFmController(mem::DramDevice& hbm,
       cfg_(cfg),
       sets_(static_cast<u32>(hbm.capacity() / cfg.block_bytes)),
       m_(static_cast<u32>(dram.capacity() / cfg.block_bytes / sets_)) {
-  entries_.resize(sets_);
-  for (auto& e : entries_) {
-    e.present.resize(subblocks());
-    e.counter.assign(m_ + 1, 0);
-  }
+  paired_xor_none_ = ZeroArray<u32>(sets_);
+  present_ = BitMatrix(sets_, subblocks());
+  counter_ = ZeroArray<u8>(static_cast<std::size_t>(sets_) * (m_ + 1));
 
   hmm::MetadataConfig mc;
   mc.placement = hmm::MetadataPlacement::kSramCachedHbm;
@@ -48,12 +46,14 @@ hmm::HmmResult SilcFmController::service(Addr addr, AccessType type,
   const u32 blk = static_cast<u32>(blk_global / sets_);  // in-set index
   const u64 off = a % cfg_.block_bytes;
   const u32 sub = static_cast<u32>(off / cfg_.subblock_bytes);
-  SetEntry& e = entries_[set];
+  BitRow present = present_.row(set);
+  u8* const counter =
+      counter_.data() + static_cast<std::size_t>(set) * (m_ + 1);
 
   res.metadata_latency = meta_->lookup(blk_global, now);
   Tick t = now + res.metadata_latency;
 
-  if (e.counter[blk] < 0xff) ++e.counter[blk];
+  if (counter[blk] < 0xff) ++counter[blk];
 
   const Addr near_base = static_cast<u64>(set) * cfg_.block_bytes;
   auto far_addr = [&](u32 b) {
@@ -65,8 +65,7 @@ hmm::HmmResult SilcFmController::service(Addr addr, AccessType type,
   // The near-native block (in-set index m_) is served near except for the
   // subblocks currently lent to the paired far block.
   if (blk == m_) {
-    const bool displaced =
-        e.paired != kNone && e.present.test(sub);
+    const bool displaced = paired(set) != kNone && present.test(sub);
     if (!displaced) {
       const Addr pa = near_base + off;
       const auto r =
@@ -77,7 +76,7 @@ hmm::HmmResult SilcFmController::service(Addr addr, AccessType type,
       return res;
     }
     // Its subblock was swapped out to the paired block's far frame.
-    const Addr pa = far_addr(e.paired) + off;
+    const Addr pa = far_addr(paired(set)) + off;
     const auto r = dram().access(pa, 64, type, t,
                                  mem::TrafficClass::kDemand);
     res.complete = r.complete;
@@ -86,7 +85,7 @@ hmm::HmmResult SilcFmController::service(Addr addr, AccessType type,
     return res;
   }
 
-  if (e.paired == blk && e.present.test(sub)) {
+  if (paired(set) == blk && present.test(sub)) {
     // Paired far block, subblock already interleaved into near memory.
     const Addr pa = near_base + off;
     const auto r = hbm().access(pa, 64, type, t, mem::TrafficClass::kDemand);
@@ -106,36 +105,36 @@ hmm::HmmResult SilcFmController::service(Addr addr, AccessType type,
   // Pairing: a hot far block claims the near slot; switching pairs first
   // restores the previous pair's swapped subblocks (subblock-granularity
   // swaps back), the cheap-reconfiguration property SILC-FM claims.
-  if (e.paired != blk) {
-    const u8 incumbent =
-        e.paired == kNone ? 0 : e.counter[e.paired];
-    if (e.counter[blk] >= static_cast<u32>(incumbent) +
-                              cfg_.pair_threshold) {
-      if (e.paired != kNone) {
+  const u32 incumbent = paired(set);
+  if (incumbent != blk) {
+    const u8 incumbent_count = incumbent == kNone ? 0 : counter[incumbent];
+    if (counter[blk] >= static_cast<u32>(incumbent_count) +
+                            cfg_.pair_threshold) {
+      if (incumbent != kNone) {
         for (u32 s2 = 0; s2 < subblocks(); ++s2) {
-          if (e.present.test(s2)) {
+          if (present.test(s2)) {
             swap_data(hbm(), near_base + s2 * cfg_.subblock_bytes, dram(),
-                      far_addr(e.paired) + s2 * cfg_.subblock_bytes,
+                      far_addr(incumbent) + s2 * cfg_.subblock_bytes,
                       cfg_.subblock_bytes, r.complete,
                       mem::TrafficClass::kMigration);
             ++mutable_stats().swaps;
           }
         }
-        if (e.paired != kNone) e.counter[e.paired] /= 2;
-        e.present.clear_all();
+        counter[incumbent] /= 2;
+        present.clear_all();
       }
-      e.paired = blk;
+      set_paired(set, blk);
       ++mutable_stats().mode_switches;  // re-pairing event
     }
   }
 
   // Demand-driven subblock interleaving for the paired block.
-  if (e.paired == blk && !e.present.test(sub)) {
+  if (paired(set) == blk && !present.test(sub)) {
     swap_data(hbm(), near_base + sub * cfg_.subblock_bytes, dram(),
               far_addr(blk) + sub * cfg_.subblock_bytes,
               cfg_.subblock_bytes, r.complete,
               mem::TrafficClass::kMigration);
-    e.present.set(sub);
+    present.set(sub);
     ++mutable_stats().blocks_fetched;
     ++mutable_stats().fetched_blocks_used;
     ++mutable_stats().swaps;

@@ -12,9 +12,8 @@
 // cites for mHBM designs).
 #pragma once
 
-#include <vector>
-
 #include "common/bitvector.h"
+#include "common/zero_array.h"
 #include "hmm/controller.h"
 #include "hmm/metadata.h"
 
@@ -50,20 +49,21 @@ class SilcFmController final : public hmm::HybridMemoryController {
  private:
   static constexpr u32 kNone = ~u32{0};
 
-  struct SetEntry {
-    u32 paired = kNone;     ///< far block interleaved into the near slot
-    BitVector present;      ///< paired block's subblocks now in near memory
-    std::vector<u8> counter;
-  };
-
   u32 subblocks() const {
     return static_cast<u32>(cfg_.block_bytes / cfg_.subblock_bytes);
   }
+  /// The far block interleaved into `set`'s near slot, or kNone.
+  u32 paired(u32 set) const { return paired_xor_none_[set] ^ kNone; }
+  void set_paired(u32 set, u32 blk) { paired_xor_none_[set] = blk ^ kNone; }
 
   SilcFmConfig cfg_;
   u32 sets_;  ///< one near block per set
   u32 m_;     ///< far blocks per set
-  std::vector<SetEntry> entries_;
+  // Every set's state in flat tables sized once; all-zero bytes are the
+  // initial state.
+  ZeroArray<u32> paired_xor_none_;  ///< per set: paired block ^ kNone
+  BitMatrix present_;  ///< per set: paired block's subblocks now near
+  ZeroArray<u8> counter_;  ///< per set: m_+1 saturating block counters
   std::unique_ptr<hmm::MetadataModel> meta_;
 };
 

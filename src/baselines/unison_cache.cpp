@@ -1,5 +1,7 @@
 #include "baselines/unison_cache.h"
 
+#include "common/check.h"
+
 namespace bb::baselines {
 
 UnisonCacheController::UnisonCacheController(mem::DramDevice& hbm,
@@ -16,10 +18,8 @@ UnisonCacheController::UnisonCacheController(mem::DramDevice& hbm,
   const u64 pages = hbm.capacity() / slot_bytes;
   sets_ = static_cast<u32>(pages / cfg_.ways);
   const std::size_t ways = static_cast<std::size_t>(sets_) * cfg_.ways;
-  ways_.resize(ways);
-  present_ = BitMatrix(ways, blocks_per_page());
-  dirty_ = BitMatrix(ways, blocks_per_page());
-  used_ = BitMatrix(ways, blocks_per_page());
+  ways_ = ZeroArray<Way>(ways);
+  blocks_ = BitMatrix(ways * kBitmaps, blocks_per_page());
   footprints_ = BitMatrix(cfg_.footprint_table_entries, blocks_per_page());
 }
 
@@ -27,6 +27,40 @@ u64 UnisonCacheController::metadata_sram_bytes() const {
   // Footprint history table: per entry a page id (4 B) plus one bit per
   // block of the page.
   return cfg_.footprint_table_entries * (4 + blocks_per_page() / 8);
+}
+
+bool UnisonCacheController::set_is_consistent(u32 set) const {
+  for (u32 w = 0; w < cfg_.ways; ++w) {
+    const std::size_t wi = way_index(set, w);
+    const Way& way = ways_[wi];
+    if (!way.valid) {
+      if (blocks_.row(bitmap(wi, kPresent)).any() ||
+          blocks_.row(bitmap(wi, kDirty)).any() ||
+          blocks_.row(bitmap(wi, kUsed)).any()) {
+        return false;
+      }
+      continue;
+    }
+    for (u32 b = 0; b < blocks_per_page(); ++b) {
+      if ((blocks_.test(bitmap(wi, kUsed), b) ||
+           blocks_.test(bitmap(wi, kDirty), b)) &&
+          !blocks_.test(bitmap(wi, kPresent), b)) {
+        return false;
+      }
+    }
+    for (u32 v = w + 1; v < cfg_.ways; ++v) {
+      const Way& other = ways_[way_index(set, v)];
+      if (other.valid && other.page == way.page) return false;
+    }
+  }
+  return true;
+}
+
+bool UnisonCacheController::check_invariants() const {
+  for (u32 set = 0; set < sets_; ++set) {
+    if (!set_is_consistent(set)) return false;
+  }
+  return true;
 }
 
 Addr UnisonCacheController::frame_addr(u32 set, u32 w) const {
@@ -41,18 +75,20 @@ void UnisonCacheController::evict(u32 set, u32 w, Tick now) {
   const Addr frame = frame_addr(set, w);
   const Addr home = (way.page * cfg_.page_bytes) % dram().capacity();
   for (u32 b = 0; b < blocks_per_page(); ++b) {
-    if (dirty_.test(wi, b)) {
+    if (blocks_.test(bitmap(wi, kDirty), b)) {
       move_data(hbm(), frame + b * cfg_.block_bytes, dram(),
                 home + b * cfg_.block_bytes, cfg_.block_bytes, now,
                 mem::TrafficClass::kWriteback);
     }
   }
   // Record the residency footprint for the next fill of this page.
-  footprints_.copy_row(way.page % cfg_.footprint_table_entries, used_, wi);
+  footprints_.copy_row(way.page % cfg_.footprint_table_entries, blocks_,
+                       bitmap(wi, kUsed));
   way.valid = false;
-  present_.clear_row(wi);
-  dirty_.clear_row(wi);
-  used_.clear_row(wi);
+  for (std::size_t k = 0; k < kBitmaps; ++k) {
+    blocks_.clear_row(bitmap(wi, k));
+  }
+  BB_CHECK(set_is_consistent(set), "UC set inconsistent after an eviction");
   ++mutable_stats().evictions;
 }
 
@@ -79,7 +115,7 @@ hmm::HmmResult UnisonCacheController::service(Addr addr, AccessType type,
     Way& way = ways_[wi];
     if (way.valid && way.page == page) {
       way.lru_stamp = ++lru_clock_;
-      if (present_.test(wi, block)) {
+      if (blocks_.test(bitmap(wi, kPresent), block)) {
         const Addr pa = frame_addr(set, w) + block * cfg_.block_bytes +
                         in_block_off;
         const auto r =
@@ -87,9 +123,11 @@ hmm::HmmResult UnisonCacheController::service(Addr addr, AccessType type,
         res.complete = r.complete;
         res.served_by_hbm = true;
         res.phys_addr = pa;
-        if (type == AccessType::kWrite) dirty_.set(wi, block);
-        if (!used_.test(wi, block)) {
-          used_.set(wi, block);
+        if (type == AccessType::kWrite) {
+          blocks_.set(bitmap(wi, kDirty), block);
+        }
+        if (!blocks_.test(bitmap(wi, kUsed), block)) {
+          blocks_.set(bitmap(wi, kUsed), block);
           ++mutable_stats().fetched_blocks_used;
         }
         return res;
@@ -100,8 +138,8 @@ hmm::HmmResult UnisonCacheController::service(Addr addr, AccessType type,
       move_data(dram(), phys - in_block_off, hbm(),
                 frame_addr(set, w) + block * cfg_.block_bytes,
                 cfg_.block_bytes, r.complete, mem::TrafficClass::kFill);
-      present_.set(wi, block);
-      used_.set(wi, block);
+      blocks_.set(bitmap(wi, kPresent), block);
+      blocks_.set(bitmap(wi, kUsed), block);
       ++mutable_stats().blocks_fetched;
       ++mutable_stats().fetched_blocks_used;
       res.complete = r.complete;
@@ -148,13 +186,14 @@ hmm::HmmResult UnisonCacheController::service(Addr addr, AccessType type,
       move_data(dram(), home + b * cfg_.block_bytes, hbm(),
                 frame + b * cfg_.block_bytes, cfg_.block_bytes, r.complete,
                 mem::TrafficClass::kFill);
-      present_.set(wi, b);
+      blocks_.set(bitmap(wi, kPresent), b);
       ++mutable_stats().blocks_fetched;
     }
   }
-  used_.set(wi, block);
+  blocks_.set(bitmap(wi, kUsed), block);
   ++mutable_stats().fetched_blocks_used;
-  if (type == AccessType::kWrite) dirty_.set(wi, block);
+  if (type == AccessType::kWrite) blocks_.set(bitmap(wi, kDirty), block);
+  BB_CHECK(set_is_consistent(set), "UC set inconsistent after an install");
   // Tag update rides with the fill.
   hbm().access(frame + cfg_.page_bytes, cfg_.tag_bytes_per_page,
                AccessType::kWrite, r.complete, mem::TrafficClass::kMetadata);

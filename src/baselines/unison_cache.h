@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cassert>
-#include <vector>
 
 #include "common/bitvector.h"
+#include "common/zero_array.h"
 #include "hmm/controller.h"
 
 namespace bb::baselines {
@@ -35,6 +35,12 @@ class UnisonCacheController final : public hmm::HybridMemoryController {
 
   u32 set_count() const { return sets_; }
 
+  /// True when, on every way, the used and dirty blocks are fetched ones,
+  /// an invalid way has empty bitmaps, and no set holds one page in two
+  /// valid ways. Debug and BB_CHECKS builds check a set after every
+  /// eviction from it and every install into it.
+  bool check_invariants() const;
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 
@@ -48,21 +54,31 @@ class UnisonCacheController final : public hmm::HybridMemoryController {
   u32 blocks_per_page() const {
     return static_cast<u32>(cfg_.page_bytes / cfg_.block_bytes);
   }
-  /// Index of way `w` of `set` in ways_ and in the per-way bitmaps.
+  /// Index of way `w` of `set` in ways_.
   std::size_t way_index(u32 set, u32 w) const {
     assert(set < sets_ && w < cfg_.ways);
     return static_cast<std::size_t>(set) * cfg_.ways + w;
   }
+  /// Row of bitmap `k` (kPresent, kDirty or kUsed) of way `wi` in blocks_.
+  static std::size_t bitmap(std::size_t wi, std::size_t k) {
+    return wi * kBitmaps + k;
+  }
   Addr frame_addr(u32 set, u32 w) const;
   void evict(u32 set, u32 w, Tick now);
+  bool set_is_consistent(u32 set) const;
 
   UnisonConfig cfg_;
   u32 sets_;
-  std::vector<Way> ways_;
-  // Per-way block bitmaps, one row per way (indexed by way_index).
-  BitMatrix present_;  ///< fetched blocks
-  BitMatrix dirty_;
-  BitMatrix used_;     ///< demanded blocks (footprint + over-fetch)
+  ZeroArray<Way> ways_;  ///< all-zero bytes: every way invalid
+  // Per-way block bitmaps: fetched blocks, dirty blocks, and demanded
+  // blocks (footprint + over-fetch). A way's three are adjacent rows of one
+  // table: an access finds them side by side, and the one table is large
+  // enough for huge zero pages (DESIGN.md section 4).
+  static constexpr std::size_t kPresent = 0;
+  static constexpr std::size_t kDirty = 1;
+  static constexpr std::size_t kUsed = 2;
+  static constexpr std::size_t kBitmaps = 3;
+  BitMatrix blocks_;
   u64 lru_clock_ = 0;
   /// Footprint history, direct-mapped by page id (aliasing pages share an
   /// entry, as a real bounded SRAM table would): block usage of the last

@@ -19,9 +19,9 @@
 
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "common/types.h"
+#include "common/zero_array.h"
 
 namespace bb::snap {
 class Archive;
@@ -111,22 +111,23 @@ class HotTable {
   const Shape* shape_;
 };
 
-/// The hot tables of every remapping set in three flat arrays.
+/// The hot tables of every remapping set in three flat arrays; all-zero
+/// bytes are empty queues.
 class HotTables {
  public:
   HotTables(u32 sets, u32 hbm_capacity, u32 dram_capacity, u64 counter_max);
 
   HotTable operator[](u32 set) {
-    return {&hbm_[std::size_t{set} * shape_.hbm_capacity],
-            &dram_[std::size_t{set} * shape_.dram_capacity], len_[set],
-            shape_};
+    return {hbm_.data() + std::size_t{set} * shape_.hbm_capacity,
+            dram_.data() + std::size_t{set} * shape_.dram_capacity,
+            len_[set], shape_};
   }
 
  private:
   HotTable::Shape shape_;
-  std::vector<HotTable::Entry> hbm_;   ///< sets x hbm_capacity
-  std::vector<HotTable::Entry> dram_;  ///< sets x dram_capacity
-  std::vector<HotTable::Lengths> len_;
+  ZeroArray<HotTable::Entry> hbm_;   ///< sets x hbm_capacity
+  ZeroArray<HotTable::Entry> dram_;  ///< sets x dram_capacity
+  ZeroArray<HotTable::Lengths> len_;
 };
 
 }  // namespace bb::bumblebee

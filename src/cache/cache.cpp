@@ -8,8 +8,8 @@ Cache::Cache(CacheParams params)
     : params_(std::move(params)), sets_(params_.num_sets()) {
   assert(sets_ > 0 && "cache must have at least one set");
   assert(is_pow2(params_.line_bytes));
-  lines_.resize(static_cast<std::size_t>(sets_) * params_.ways);
-  stamp_.assign(lines_.size(), 0);
+  lines_ = ZeroArray<Line>(static_cast<std::size_t>(sets_) * params_.ways);
+  stamp_ = ZeroArray<u64>(lines_.size());
 }
 
 u32 Cache::lru_way(u32 set) const {
@@ -112,7 +112,8 @@ void Cache::flush() {
 
 void Cache::serialize(snap::Archive& ar) {
   ar.expect(lines_.size(), "cache line count");
-  for (Line& ln : lines_) {
+  for (std::size_t i = 0; i < lines_.size(); ++i) {
+    Line& ln = lines_[i];
     ar.u64(ln.tag);
     ar.flag(ln.valid);
     ar.flag(ln.dirty);
@@ -124,7 +125,7 @@ void Cache::serialize(snap::Archive& ar) {
   ar.u64(stats_.writebacks);
   ar.u64(clock_);
   ar.expect(stamp_.size(), "LRU stamp count");
-  for (u64& s : stamp_) ar.u64(s);
+  for (std::size_t i = 0; i < stamp_.size(); ++i) ar.u64(stamp_[i]);
 }
 
 }  // namespace bb::cache

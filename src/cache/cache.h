@@ -11,9 +11,9 @@
 #include <cassert>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
+#include "common/zero_array.h"
 
 namespace bb::snap {
 class Archive;
@@ -129,11 +129,11 @@ class Cache {
 
   CacheParams params_;
   u32 sets_;
-  std::vector<Line> lines_;
+  ZeroArray<Line> lines_;  ///< sets * ways; zero bytes: invalid
   // bb-analyze-ok(stats-reset): LRU recency clock, not a statistic;
   // resetting it at warmup would reorder lines touched before the boundary.
   u64 clock_ = 0;
-  std::vector<u64> stamp_;  ///< per-line last-use stamp (sets * ways)
+  ZeroArray<u64> stamp_;  ///< per-line last-use stamp (sets * ways)
   CacheStats stats_;
   std::function<void(const EvictionInfo&)> eviction_hook_;
 };

@@ -1,7 +1,8 @@
 // Compact dynamic bit vector used for cache-line presence tracking, a
 // fixed-shape matrix of bit rows for per-way and per-frame block bitmaps,
 // and the bit operations both share, as a view of one row of words. Sized
-// at construction; bounds-checked in debug builds.
+// at construction; bounds-checked in debug builds. A BitMatrix's words are
+// a ZeroArray, the allocator of every per-cell design table.
 #pragma once
 
 #include <cassert>
@@ -9,6 +10,7 @@
 
 #include "common/snapshot.h"
 #include "common/types.h"
+#include "common/zero_array.h"
 
 namespace bb {
 
@@ -115,7 +117,8 @@ class BitVector {
 };
 
 /// `rows` bit vectors of `bits_per_row` bits each, packed into a single
-/// allocation: per-way block bitmaps without one heap object per way.
+/// zero-filled allocation: per-way block bitmaps without one heap object
+/// per way, all rows empty at construction. Move-only.
 class BitMatrix {
  public:
   BitMatrix() = default;
@@ -123,7 +126,7 @@ class BitMatrix {
       : rows_(rows),
         bits_per_row_(bits_per_row),
         words_per_row_((bits_per_row + 63) / 64),
-        words_(rows * words_per_row_, 0) {}
+        words_(rows * words_per_row_) {}
 
   BitRow row(std::size_t r) {
     assert(r < rows_);
@@ -134,7 +137,9 @@ class BitMatrix {
   }
 
   bool test(std::size_t r, std::size_t i) const { return row(r).test(i); }
-  void set(std::size_t r, std::size_t i) { row(r).set(i); }
+  void set(std::size_t r, std::size_t i, bool v = true) {
+    row(r).set(i, v);
+  }
   void clear_row(std::size_t r) { row(r).clear_all(); }
 
   /// Copies row `src_row` of `src` (same row width) into row `row`.
@@ -151,7 +156,7 @@ class BitMatrix {
   std::size_t rows_ = 0;
   std::size_t bits_per_row_ = 0;
   std::size_t words_per_row_ = 0;
-  std::vector<u64> words_;
+  ZeroArray<u64> words_;
 };
 
 }  // namespace bb

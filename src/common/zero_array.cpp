@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <new>
 
 namespace bb::detail {
@@ -10,10 +11,9 @@ namespace {
 
 constexpr std::size_t kHugePage = std::size_t{2} << 20;
 
-/// Length actually mapped for a request of `bytes`.
+/// Length mapped for a table of `bytes` (at least kHugePage).
 std::size_t mapped_length(std::size_t bytes) {
-  return bytes < kHugePage ? bytes
-                           : (bytes + kHugePage - 1) & ~(kHugePage - 1);
+  return (bytes + kHugePage - 1) & ~(kHugePage - 1);
 }
 
 void* map_anonymous(std::size_t bytes) {
@@ -23,16 +23,16 @@ void* map_anonymous(std::size_t bytes) {
   return p;
 }
 
-}  // namespace
-
-void* map_zero_pages(std::size_t bytes) {
-  if (bytes == 0) return nullptr;
+/// Maps `bytes` (>= kHugePage) of zero pages 2 MiB-aligned and offers them
+/// to transparent huge pages: a run that touches a table all over then
+/// takes one fault per 2 MiB instead of one per 4 KiB. Where the kernel
+/// gives no huge pages the hint is ignored and pages stay 4 KiB.
+void* map_huge_zero_pages(std::size_t bytes) {
+  // The length rounded up plus the alignment slack must fit in size_t.
+  if (bytes > std::numeric_limits<std::size_t>::max() - 2 * kHugePage) {
+    throw std::bad_alloc();
+  }
   const std::size_t len = mapped_length(bytes);
-  if (len < kHugePage) return map_anonymous(len);
-  // Tables of 2 MiB and more are mapped 2 MiB-aligned and offered to
-  // transparent huge pages: a run that touches a table all over then
-  // takes one fault per 2 MiB instead of one per 4 KiB. Where the kernel
-  // gives no huge pages the hint is ignored and pages stay 4 KiB.
   char* raw = static_cast<char*>(map_anonymous(len + kHugePage));
   const auto addr = reinterpret_cast<std::uintptr_t>(raw);
   char* p = raw + (((addr + kHugePage - 1) & ~(kHugePage - 1)) - addr);
@@ -45,8 +45,23 @@ void* map_zero_pages(std::size_t bytes) {
   return p;
 }
 
-void unmap_pages(void* p, std::size_t bytes) noexcept {
-  if (p != nullptr) munmap(p, mapped_length(bytes));
+}  // namespace
+
+void* alloc_zeroed(std::size_t bytes) {
+  if (bytes == 0) return nullptr;
+  if (bytes >= kHugePage) return map_huge_zero_pages(bytes);
+  void* p = std::calloc(1, bytes);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void free_zeroed(void* p, std::size_t bytes) noexcept {
+  if (p == nullptr) return;
+  if (bytes >= kHugePage) {
+    munmap(p, mapped_length(bytes));
+  } else {
+    std::free(p);
+  }
 }
 
 }  // namespace bb::detail

@@ -1,23 +1,31 @@
-// Fixed-size array whose elements start as all-zero bytes, backed by
-// anonymous zero pages: construction maps address space and touches
-// nothing, and the kernel supplies each page on its first access. Large
-// per-set tables that a run touches only in part (remap permutations,
-// counters, tag arrays) cost no set-up time and no resident memory for
-// the sets never visited.
+// Fixed-size array whose elements start as all-zero bytes: the one
+// allocator for per-cell design tables (remap permutations, counters, tag
+// and way arrays, block bitmaps). One size rule picks the backing:
+//   * 2 MiB and more: anonymous zero pages, 2 MiB-aligned and offered to
+//     transparent huge pages. Construction maps address space and touches
+//     nothing; the kernel supplies each page on its first access, so the
+//     sets a run never visits cost no set-up time and no resident memory.
+//   * Less than 2 MiB: calloc from the heap. A matrix of cells frees and
+//     re-creates tables of the same sizes, so these mostly come back from
+//     warm, already-resident heap memory; fresh 4 KiB zero pages would cost
+//     a read fault and then a copy-on-write fault per page at run time.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
+#include <limits>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
 namespace bb {
 namespace detail {
 
-/// Maps `bytes` of zero-filled private anonymous memory (nullptr for 0);
-/// throws std::bad_alloc on failure.
-void* map_zero_pages(std::size_t bytes);
-void unmap_pages(void* p, std::size_t bytes) noexcept;
+/// `bytes` of zero-filled memory under the size rule above (nullptr for
+/// 0); throws std::bad_alloc on failure.
+void* alloc_zeroed(std::size_t bytes);
+/// Releases what alloc_zeroed(bytes) returned.
+void free_zeroed(void* p, std::size_t bytes) noexcept;
 
 }  // namespace detail
 
@@ -28,14 +36,18 @@ template <class T>
 class ZeroArray {
   static_assert(std::is_trivially_copyable_v<T> &&
                     std::is_trivially_destructible_v<T>,
-                "ZeroArray elements live in raw zero pages");
+                "ZeroArray elements live in raw zero-filled memory");
+  static_assert(alignof(T) <= alignof(std::max_align_t),
+                "calloc aligns to max_align_t only");
 
  public:
   ZeroArray() = default;
+  /// Throws std::length_error, allocating nothing, when `n` elements do
+  /// not fit in size_t bytes.
   explicit ZeroArray(std::size_t n)
-      : data_(static_cast<T*>(detail::map_zero_pages(n * sizeof(T)))),
+      : data_(static_cast<T*>(detail::alloc_zeroed(byte_size(n)))),
         size_(n) {}
-  ~ZeroArray() { detail::unmap_pages(data_, size_ * sizeof(T)); }
+  ~ZeroArray() { detail::free_zeroed(data_, size_ * sizeof(T)); }
 
   ZeroArray(ZeroArray&& o) noexcept
       : data_(std::exchange(o.data_, nullptr)),
@@ -49,6 +61,8 @@ class ZeroArray {
   ZeroArray& operator=(const ZeroArray&) = delete;
 
   std::size_t size() const { return size_; }
+  T* data() { return data_; }
+  const T* data() const { return data_; }
 
   T& operator[](std::size_t i) {
     assert(i < size_);
@@ -60,6 +74,13 @@ class ZeroArray {
   }
 
  private:
+  static std::size_t byte_size(std::size_t n) {
+    if (n > std::numeric_limits<std::size_t>::max() / sizeof(T)) {
+      throw std::length_error("ZeroArray: element count overflows size_t");
+    }
+    return n * sizeof(T);
+  }
+
   T* data_ = nullptr;
   std::size_t size_ = 0;
 };

@@ -103,6 +103,28 @@ TEST_F(BaselineFixture, UnisonFootprintPredictionLearns) {
   EXPECT_GE(c.stats().blocks_fetched - fetched_before, 4u);
 }
 
+TEST_F(BaselineFixture, UnisonRandomTrafficKeepsWayInvariants) {
+  UnisonCacheController c(hbm_, dram_);
+  EXPECT_TRUE(c.check_invariants());
+  Rng rng(23);
+  Tick now = 0;
+  for (int i = 0; i < 20000; ++i) {
+    now += 50000;
+    // Eight pages compete for each of four sets, so ways are evicted and
+    // refilled with a learned footprint; reads and writes mix.
+    const u64 page = rng.next_below(4) + rng.next_below(8) * c.set_count();
+    const Addr a = page * 4 * KiB + rng.next_below(64) * 64;
+    c.access(a, rng.next_below(3) == 0 ? AccessType::kWrite
+                                       : AccessType::kRead,
+             now);
+    if (i % 256 == 0) {
+      ASSERT_TRUE(c.check_invariants()) << "access " << i;
+    }
+  }
+  EXPECT_GT(c.stats().evictions, 100u);
+  EXPECT_TRUE(c.check_invariants());
+}
+
 TEST_F(BaselineFixture, UnisonTagTrafficInHbm) {
   UnisonCacheController c(hbm_, dram_);
   c.access(0, AccessType::kRead, 0);
@@ -144,6 +166,36 @@ TEST_F(BaselineFixture, BansheeRepeatedPageBecomesResident) {
               .served_by_hbm;
   }
   EXPECT_TRUE(hit);
+}
+
+TEST_F(BaselineFixture, BansheeRandomTrafficKeepsWayInvariants) {
+  BansheeController c(hbm_, dram_);
+  EXPECT_TRUE(c.check_invariants());
+  const BansheeConfig cfg;
+  const u64 sets = hbm_.capacity() / cfg.page_bytes / cfg.ways;
+  Rng rng(24);
+  Tick now = 0;
+  // Each phase touches its own four pages in each of four sets, twenty
+  // times as often as the phase before, so its pages' sampled miss counts
+  // outgrow the residents' frequency counters and replace them.
+  u64 accesses = 320;
+  for (u64 phase = 0; phase < 3; ++phase, accesses *= 20) {
+    for (u64 i = 0; i < accesses; ++i) {
+      now += 50000;
+      const u64 page =
+          rng.next_below(4) + (phase * 4 + rng.next_below(4)) * sets;
+      const Addr a = page * cfg.page_bytes + rng.next_below(64) * 64;
+      c.access(a, rng.next_below(3) == 0 ? AccessType::kWrite
+                                         : AccessType::kRead,
+               now);
+      if (i % 256 == 0) {
+        ASSERT_TRUE(c.check_invariants()) << "phase " << phase << " access "
+                                          << i;
+      }
+    }
+  }
+  EXPECT_GT(c.stats().evictions, 10u);
+  EXPECT_TRUE(c.check_invariants());
 }
 
 // -------------------------------------------------------------- Chameleon

@@ -1,7 +1,10 @@
 #include "common/zero_array.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <utility>
 
 #include "common/types.h"
@@ -49,6 +52,70 @@ TEST(ZeroArray, MoveTransfersTheMapping) {
   EXPECT_EQ(c.size(), 0u);
   c = std::move(b);
   EXPECT_EQ(c[10], 42u);
+}
+
+constexpr std::size_t kHugePage = std::size_t{2} << 20;
+
+TEST(ZeroArray, BothBackingsReadZeroKeepWritesAndMove) {
+  // Just under the 2 MiB line (heap) and at it (huge zero pages).
+  for (std::size_t bytes : {kHugePage - 8, kHugePage}) {
+    const std::size_t n = bytes / sizeof(u64);
+    ZeroArray<u64> a(n);
+    ASSERT_EQ(a.size(), n);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(a[i], 0u) << i;
+    for (std::size_t i = 0; i < n; i += 511) a[i] = i + 1;
+    a[n - 1] = 77;
+    ZeroArray<u64> b(std::move(a));
+    EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+    ZeroArray<u64> c(1);
+    c = std::move(b);
+    ASSERT_EQ(c.size(), n);
+    for (std::size_t i = 0; i < n - 1; ++i) {
+      ASSERT_EQ(c[i], i % 511 == 0 ? i + 1 : 0u) << i;
+    }
+    EXPECT_EQ(c[n - 1], 77u);
+  }
+}
+
+TEST(ZeroArray, SmallArrayRecreatedAfterWritesReadsZero) {
+  // A heap-backed table freed dirty and re-created at the same size (as
+  // the next cell of a matrix does) must not see the old contents.
+  constexpr std::size_t kN = 64 * 1024;
+  for (int round = 0; round < 3; ++round) {
+    ZeroArray<u32> a(kN);
+    for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(a[i], 0u) << round;
+    for (std::size_t i = 0; i < kN; ++i) a[i] = 0xdeadbeef;
+  }
+}
+
+TEST(ZeroArray, OversizedRequestThrowsAndAllocatesNothing) {
+  // SIZE_MAX / 8 + 2 elements of 8 bytes wrap to an 8-byte request if the
+  // multiplication is not checked.
+  const std::size_t n = SIZE_MAX / sizeof(u64) + 2;
+  auto rejects = [](auto make) {
+    try {
+      make();
+    } catch (const std::length_error&) {
+      return true;
+    }
+    return false;
+  };
+  // The first throw sets up the unwinder's own caches; keep them out of
+  // the measurement.
+  rejects([] { throw std::length_error("warm-up"); });
+  const struct mallinfo2 before = mallinfo2();
+  const bool wrapped = rejects([n] { ZeroArray<u64> a(n); });
+  const bool exact = rejects(
+      [] { ZeroArray<Line> a(SIZE_MAX / sizeof(Line) + 1); });
+  const struct mallinfo2 after = mallinfo2();
+  EXPECT_TRUE(wrapped);
+  EXPECT_TRUE(exact);
+  // Nothing is left allocated on the heap or in mapped blocks.
+  EXPECT_EQ(after.uordblks, before.uordblks);
+  EXPECT_EQ(after.hblkhd, before.hblkhd);
+  // The largest count that fits still reaches the allocator, which
+  // refuses it.
+  EXPECT_THROW(ZeroArray<u64>{SIZE_MAX / sizeof(u64)}, std::bad_alloc);
 }
 
 }  // namespace

@@ -13,7 +13,9 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "baselines/factory.h"
 #include "sim/experiment.h"
 
 namespace bb::sim {
@@ -65,6 +67,46 @@ TEST(GoldenRun, FixedSeedMatrixHashIsPinned) {
       << "golden-run output changed; new hash: 0x" << std::hex << hash
       << "\nIf this change is intended, update kGoldenHash and justify the "
          "behavioral change in the commit.";
+}
+
+
+/// FNV-1a of the CSV + JSON output of `designs` x {mcf, lbm} on the
+/// golden-run system with 128 MiB of HBM (Hybrid2 needs more than its
+/// fixed 64 MiB cHBM slice) and 1280 MiB of DRAM, one core, no warmup,
+/// seed 42, at a fixed per-cell instruction budget.
+u64 matrix_hash(const std::vector<std::string>& designs, u64 instructions) {
+  SystemConfig cfg;
+  cfg.hbm.capacity_bytes = 128 * MiB;
+  cfg.dram.capacity_bytes = 1280 * MiB;
+  cfg.core.cores = 1;
+  cfg.warmup_ratio = 0.0;
+  cfg.seed = 42;
+  RunMatrixOptions opts;
+  opts.jobs = 1;
+  opts.instructions = instructions;
+  ExperimentRunner ex(cfg);
+  ex.run_matrix(designs,
+                {trace::WorkloadProfile::by_name("mcf"),
+                 trace::WorkloadProfile::by_name("lbm")},
+                opts);
+  EXPECT_EQ(ex.results().size(), designs.size() * 2);
+  std::ostringstream csv, json;
+  ex.write_csv(csv);
+  ex.write_json(json);
+  return fnv1a(csv.str() + json.str());
+}
+
+// Every design the factory builds, including the comparison-only PoM,
+// MemPod and SILC-FM that neither the test above nor the benchmark's
+// digest runs: a slip in any design's state layout flips this hash.
+TEST(GoldenRun, EveryDesignHashIsPinned) {
+  const u64 hash = matrix_hash(baselines::all_design_names(), 400'000);
+  const u64 kEveryDesignHash = 0x6c6b0716ac6c2d0fULL;
+  EXPECT_EQ(hash, kEveryDesignHash)
+      << "every-design golden output changed; new hash: 0x" << std::hex
+      << hash
+      << "\nIf this change is intended, update kEveryDesignHash and "
+         "justify the behavioral change in the commit.";
 }
 
 }  // namespace
