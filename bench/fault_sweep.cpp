@@ -89,5 +89,5 @@ int run(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cli::cli_main(argc, argv, "fault_sweep", run);
+  return cli::cli_main(argc, argv, "fault_sweep", {"jobs"}, run);
 }

@@ -79,5 +79,5 @@ int run(const Flags&) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cli::cli_main(argc, argv, "fig1_access_distribution", run);
+  return cli::cli_main(argc, argv, "fig1_access_distribution", {}, run);
 }

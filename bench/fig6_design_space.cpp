@@ -82,5 +82,5 @@ int run(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cli::cli_main(argc, argv, "fig6_design_space", run);
+  return cli::cli_main(argc, argv, "fig6_design_space", {"jobs"}, run);
 }

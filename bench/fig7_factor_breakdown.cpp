@@ -6,56 +6,59 @@
 //
 // Paper reference values: 1.33, 1.37, 1.54, 1.68, 1.84, 1.75, 1.52, 1.54,
 // 1.86, 2.00 (same order as above, reading Meta-H = 1.75).
+// Flags: --jobs N (worker threads, default all). Environment knobs:
+// BB_SIM_SCALE, BB_TARGET_MISSES (default 80000), BB_WARMUP_PCT (300).
 #include <iostream>
 #include <map>
 #include <vector>
 
 #include "common/cli.h"
+#include "common/flags.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "sim/system.h"
+#include "sim/experiment.h"
 
 using namespace bb;
 
 namespace {
 
-int run(const Flags&) {
-  const u64 target_misses = sim::env_u64("BB_TARGET_MISSES", 80'000);
+int run(const Flags& flags) {
   sim::SystemConfig sys_cfg;
   // Steady-state measurement: warm up several multiples of the measured
   // window (BB_WARMUP_PCT, percent of the measured instructions).
   sys_cfg.warmup_ratio =
       static_cast<double>(sim::env_u64("BB_WARMUP_PCT", 300)) / 100.0;
-  sim::System system(sys_cfg);
 
   const auto& designs = baselines::figure7_designs();
+  std::vector<std::string> all_designs = {"DRAM-only"};
+  all_designs.insert(all_designs.end(), designs.begin(), designs.end());
+  const auto workloads = trace::WorkloadProfile::spec2017();
   const std::map<std::string, double> paper = {
       {"C-Only", 1.33}, {"M-Only", 1.37},  {"25%-C", 1.54},
       {"50%-C", 1.68},  {"No-Multi", 1.84}, {"Meta-H", 1.75},
       {"Alloc-D", 1.52}, {"Alloc-H", 1.54}, {"No-HMF", 1.86},
       {"Bumblebee", 2.00}};
 
-  std::map<std::string, std::vector<double>> speedups;
-  std::cerr << "fig7: simulating " << trace::WorkloadProfile::spec2017().size()
-            << " workloads x " << (designs.size() + 1) << " configs...\n";
-  for (const auto& w : trace::WorkloadProfile::spec2017()) {
-    const u64 instr = sim::default_instructions_for(w, target_misses,
-                                     /*min_instructions=*/50'000'000);
-    const auto base = system.run("DRAM-only", w, instr);
-    std::cerr << "  " << w.name << std::flush;
-    for (const auto& d : designs) {
-      const auto r = system.run(d, w, instr);
-      speedups[d].push_back(r.ipc / base.ipc);
-      std::cerr << '.' << std::flush;
-    }
-    std::cerr << '\n';
-  }
+  std::cerr << "fig7: simulating " << workloads.size() << " workloads x "
+            << all_designs.size() << " configs...\n";
+  sim::ExperimentRunner runner(sys_cfg);
+  sim::RunMatrixOptions opts;
+  opts.jobs = static_cast<unsigned>(flags.get_u64("jobs", 0));
+  opts.progress = true;
+  opts.target_misses = sim::env_u64("BB_TARGET_MISSES", 80'000);
+  opts.min_instructions = 50'000'000;
+  runner.run_matrix(all_designs, workloads, opts);
 
   std::cout << "\nFigure 7: performance factors breakdown "
                "(geomean speedup over DRAM-only, all benchmarks)\n";
   TextTable table({"config", "geomean speedup", "paper"});
   for (const auto& d : designs) {
-    table.add_row({d, fmt_double(geomean(speedups[d]), 2),
+    std::vector<double> speedups;
+    for (const auto& entry :
+         runner.normalized(d, "DRAM-only", sim::metric_ipc)) {
+      speedups.push_back(entry.second);
+    }
+    table.add_row({d, fmt_double(geomean(speedups), 2),
                    fmt_double(paper.at(d), 2)});
   }
   table.print(std::cout);
@@ -65,5 +68,5 @@ int run(const Flags&) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cli::cli_main(argc, argv, "fig7_factor_breakdown", run);
+  return cli::cli_main(argc, argv, "fig7_factor_breakdown", {"jobs"}, run);
 }

@@ -104,5 +104,5 @@ int run(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cli::cli_main(argc, argv, "fig8_comparison", run);
+  return cli::cli_main(argc, argv, "fig8_comparison", {"jobs"}, run);
 }

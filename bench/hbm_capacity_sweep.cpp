@@ -67,5 +67,5 @@ int run(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cli::cli_main(argc, argv, "hbm_capacity_sweep", run);
+  return cli::cli_main(argc, argv, "hbm_capacity_sweep", {"jobs"}, run);
 }

@@ -75,5 +75,5 @@ int run(const Flags&) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cli::cli_main(argc, argv, "metadata_size", run);
+  return cli::cli_main(argc, argv, "metadata_size", {}, run);
 }

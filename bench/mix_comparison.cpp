@@ -129,5 +129,6 @@ int run(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cli::cli_main(argc, argv, "mix_comparison", run);
+  return cli::cli_main(argc, argv, "mix_comparison",
+                       {"instructions", "jobs"}, run);
 }

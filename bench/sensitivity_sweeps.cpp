@@ -89,5 +89,5 @@ int run(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cli::cli_main(argc, argv, "sensitivity_sweeps", run);
+  return cli::cli_main(argc, argv, "sensitivity_sweeps", {"jobs"}, run);
 }

@@ -40,5 +40,5 @@ int run(const Flags&) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cli::cli_main(argc, argv, "table2_benchmarks", run);
+  return cli::cli_main(argc, argv, "table2_benchmarks", {}, run);
 }

@@ -200,5 +200,8 @@ int run(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cli::cli_main(argc, argv, "throughput", run);
+  return cli::cli_main(argc, argv, "throughput",
+                       {"git-rev", "help", "instructions", "out", "quick",
+                        "reps", "warmup-reps"},
+                       run);
 }

@@ -33,7 +33,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -82,8 +81,8 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-/// Every flag --help documents; any other --name is a usage error.
-constexpr const char* kKnownFlags[] = {
+/// Every flag --help documents; cli_main rejects any other --name.
+const std::vector<std::string_view> kKnownFlags = {
     "designs", "workloads", "misses", "warmup", "cores", "seed", "csv",
     "json", "profile", "jobs", "epoch-csv", "epoch-requests", "epoch-ticks",
     "event-trace", "trace-format", "capture-trace", "capture-codec",
@@ -95,13 +94,6 @@ constexpr const char* kKnownFlags[] = {
 };
 
 int run(const Flags& flags) {
-  for (const std::string& name : flags.names()) {
-    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), name) ==
-        std::end(kKnownFlags)) {
-      std::cerr << "bbsim: unknown flag --" << name << "\n";
-      return kExitUsage;
-    }
-  }
   if (flags.has("help")) {
     std::cout <<
         "usage: bbsim [--designs=a,b,...] [--workloads=x,y,...]\n"
@@ -683,5 +675,5 @@ int run(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cli::cli_main(argc, argv, "bbsim", run);
+  return cli::cli_main(argc, argv, "bbsim", kKnownFlags, run);
 }

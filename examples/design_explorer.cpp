@@ -13,26 +13,24 @@
 
 #include "baselines/factory.h"
 #include "bumblebee/config.h"
+#include "common/cli.h"
 #include "common/flags.h"
 #include "common/table.h"
 #include "sim/experiment.h"
 
 using namespace bb;
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+namespace {
+
+int run(const Flags& flags) {
   const auto& pos = flags.positional();
   const std::string workload_name = !pos.empty() ? pos[0] : "cactuBSSN";
   const u64 instructions =
       pos.size() > 1 ? std::stoull(pos[1])
                      : sim::env_u64("BB_INSTRUCTIONS", 30'000'000);
   const std::string baseline = flags.get_string("baseline", "DRAM-only");
-  try {
-    baselines::require_design_names({baseline});
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "design_explorer: " << e.what() << "\n";
-    return 1;
-  }
+  baselines::require_design_names({baseline});
+  trace::require_workload_names({workload_name});
 
   const auto& w = trace::WorkloadProfile::by_name(workload_name);
 
@@ -73,4 +71,11 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cli::cli_main(argc, argv, "design_explorer", {"baseline", "jobs"},
+                       run);
 }

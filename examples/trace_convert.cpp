@@ -107,5 +107,8 @@ int run(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cli::cli_main(argc, argv, "trace_convert", run);
+  return cli::cli_main(argc, argv, "trace_convert",
+                       {"chunk-records", "codec", "format", "gap", "help", "in",
+                        "info", "no-align", "out", "ticks-per-inst", "verify"},
+                       run);
 }

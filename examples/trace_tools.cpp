@@ -83,5 +83,8 @@ int run(const Flags& flags) {
 // cli_main maps the TraceReplayer empty-trace rejection (and any other
 // invalid_argument) to exit 2 per the shared CLI contract.
 int main(int argc, char** argv) {
-  return cli::cli_main(argc, argv, "trace_tools", run);
+  return cli::cli_main(argc, argv, "trace_tools",
+                       {"design", "in", "misses", "out", "replay", "seed",
+                        "workload"},
+                       run);
 }

@@ -2,6 +2,7 @@
 
 #include <bitset>
 #include <cassert>
+#include <stdexcept>
 
 #include "common/check.h"
 #include "common/trace_event.h"
@@ -15,20 +16,24 @@ Hybrid2Controller::Hybrid2Controller(mem::DramDevice& hbm,
     : HybridMemoryController(
           "Hybrid2", hbm, dram,
           [&] {
+            if (hbm.capacity() <= cfg.cache_bytes) {
+              throw std::invalid_argument(
+                  "Hybrid2 needs HBM beyond its fixed cHBM slice");
+            }
             paging.visible_bytes =
                 dram.capacity() + hbm.capacity() - cfg.cache_bytes;
             return paging;
           }()),
       cfg_(cfg) {
-  assert(hbm.capacity() > cfg_.cache_bytes &&
-         "Hybrid2 needs HBM beyond its fixed cHBM slice");
   const u64 mhbm_pages =
       (hbm.capacity() - cfg_.cache_bytes) / cfg_.page_bytes;
   n_ = cfg_.hbm_ways;
   sets_ = static_cast<u32>(mhbm_pages / n_);
-  assert(sets_ > 0);
+  if (sets_ == 0) throw std::invalid_argument("Hybrid2 mHBM below one set");
   m_ = static_cast<u32>(dram.capacity() / cfg_.page_bytes / sets_);
-  assert(m_ + n_ <= 0xff && "u8 permutation entries");
+  if (m_ + n_ > 0xff) {  // u8 permutation entries
+    throw std::invalid_argument("Hybrid2 set has more than 255 frames");
+  }
 
   const std::size_t segs = static_cast<std::size_t>(sets_) * (m_ + n_);
   const std::size_t ways = static_cast<std::size_t>(sets_) * n_;

@@ -1,7 +1,8 @@
 #include "baselines/mempod.h"
 
 #include <algorithm>
-#include <cassert>
+#include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "common/trace_event.h"
@@ -21,7 +22,9 @@ MemPodController::MemPodController(mem::DramDevice& hbm,
       cfg_(cfg),
       hbm_pages_per_pod_(hbm.capacity() / cfg.page_bytes / cfg.pods),
       dram_pages_per_pod_(dram.capacity() / cfg.page_bytes / cfg.pods) {
-  assert(hbm_pages_per_pod_ > 0 && dram_pages_per_pod_ > 0);
+  if (hbm_pages_per_pod_ == 0 || dram_pages_per_pod_ == 0) {
+    throw std::invalid_argument("MemPod pod holds no HBM or no DRAM page");
+  }
   const std::size_t pods = cfg_.pods;
   const std::size_t pages =
       pods * (hbm_pages_per_pod_ + dram_pages_per_pod_);
@@ -75,11 +78,10 @@ void MemPodController::run_interval(u32 pod_idx, Tick now) {
             });
 
   // Coldest HBM frames by interval access count (HBM frames are the
-  // frames at and above the DRAM slice).
-  std::vector<u32> frames(hbm_pages_per_pod_);
-  for (u32 f = 0; f < hbm_pages_per_pod_; ++f) {
-    frames[f] = static_cast<u32>(dram_pages_per_pod_) + f;
-  }
+  // frames at and above the DRAM slice), ranked only for a candidate.
+  std::vector<u32> frames(cands.empty() ? 0 : hbm_pages_per_pod_);
+  std::iota(frames.begin(), frames.end(),
+            static_cast<u32>(dram_pages_per_pod_));
   std::sort(frames.begin(), frames.end(), [&](u32 a, u32 b) {
     return hbm_access[a - dram_pages_per_pod_] <
            hbm_access[b - dram_pages_per_pod_];

@@ -1,6 +1,7 @@
 #include "baselines/pom.h"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace bb::baselines {
 
@@ -15,7 +16,9 @@ PomController::PomController(mem::DramDevice& hbm, mem::DramDevice& dram,
       cfg_(cfg),
       sets_(static_cast<u32>(hbm.capacity() / cfg.sector_bytes)),
       m_(static_cast<u32>(dram.capacity() / cfg.sector_bytes / sets_)) {
-  assert(m_ + 1 <= 0xff);
+  if (m_ + 1 > 0xff) {  // u8 permutation entries
+    throw std::invalid_argument("PoM set has more than 255 frames");
+  }
   sec_xor_frame_ = ZeroArray<u8>(static_cast<std::size_t>(sets_) * (m_ + 1));
   entries_ = ZeroArray<SetEntry>(sets_);
 

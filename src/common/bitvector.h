@@ -1,12 +1,10 @@
-// Compact dynamic bit vector used for cache-line presence tracking, a
-// fixed-shape matrix of bit rows for per-way and per-frame block bitmaps,
-// and the bit operations both share, as a view of one row of words. Sized
+// Fixed-shape matrix of bit rows for per-way and per-frame block bitmaps,
+// and the bit operations on one row, as a view of that row's words. Sized
 // at construction; bounds-checked in debug builds. A BitMatrix's words are
 // a ZeroArray, the allocator of every per-cell design table.
 #pragma once
 
 #include <cassert>
-#include <vector>
 
 #include "common/snapshot.h"
 #include "common/types.h"
@@ -14,10 +12,9 @@
 
 namespace bb {
 
-/// Bit operations over `nbits` bits in words someone else owns: a
-/// BitVector's own words or one row of a BitMatrix. A const BitRow is
-/// read-only. serialize() stores `nbits` then the words; a restore fails
-/// closed on a stream of a different width.
+/// Bit operations over `nbits` bits in words someone else owns: one row
+/// of a BitMatrix. A const BitRow is read-only. serialize() stores `nbits`
+/// then the words; a restore fails closed on a stream of a different width.
 class BitRow {
  public:
   BitRow(u64* words, std::size_t nbits) : words_(words), nbits_(nbits) {}
@@ -78,45 +75,7 @@ class BitRow {
   std::size_t nbits_;
 };
 
-class BitVector {
- public:
-  BitVector() = default;
-  explicit BitVector(std::size_t nbits) { resize(nbits); }
-
-  void resize(std::size_t nbits) {
-    nbits_ = nbits;
-    words_.assign((nbits + 63) / 64, 0);
-  }
-
-  std::size_t size() const { return nbits_; }
-  bool test(std::size_t i) const { return bits().test(i); }
-  void set(std::size_t i, bool v = true) { bits().set(i, v); }
-  void clear_all() { bits().clear_all(); }
-  void set_all() { bits().set_all(); }
-  std::size_t popcount() const { return bits().popcount(); }
-  bool any() const { return bits().any(); }
-  bool none() const { return !any(); }
-  bool all() const { return bits().all(); }
-
-  bool operator==(const BitVector& other) const {
-    return nbits_ == other.nbits_ && words_ == other.words_;
-  }
-
-  void serialize(snap::Archive& ar) {
-    const std::size_t n = ar.length(nbits_);
-    if (ar.loading()) resize(n);
-    for (u64& word : words_) ar.u64(word);
-  }
-
- private:
-  BitRow bits() { return {words_.data(), nbits_}; }
-  const BitRow bits() const { return const_cast<BitVector*>(this)->bits(); }
-
-  std::size_t nbits_ = 0;
-  std::vector<u64> words_;
-};
-
-/// `rows` bit vectors of `bits_per_row` bits each, packed into a single
+/// `rows` bit rows of `bits_per_row` bits each, packed into a single
 /// zero-filled allocation: per-way block bitmaps without one heap object
 /// per way, all rows empty at construction. Move-only.
 class BitMatrix {

@@ -32,8 +32,8 @@ class Flags {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Every --name given, sorted, so a tool can reject names it does not
-  /// document.
+  /// Every --name given, sorted, so cli_main can reject names a tool does
+  /// not read.
   std::vector<std::string> names() const;
 
  private:

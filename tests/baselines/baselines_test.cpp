@@ -5,6 +5,8 @@
 #include "baselines/chameleon.h"
 #include "baselines/factory.h"
 #include "baselines/hybrid2.h"
+#include "baselines/mempod.h"
+#include "baselines/pom.h"
 #include "baselines/unison_cache.h"
 #include "common/rng.h"
 
@@ -391,6 +393,52 @@ TEST_F(BaselineFixture, Hybrid2VisibleExcludesCacheSlice) {
 TEST_F(BaselineFixture, Hybrid2MetadataExceedsSram) {
   Hybrid2Controller c(hbm_, dram_);
   EXPECT_GT(c.metadata_sram_bytes(), 512 * KiB);
+}
+
+// ------------------------------------------- geometry guards (all builds)
+
+TEST_F(BaselineFixture, Hybrid2RejectsHbmNoLargerThanCacheSlice) {
+  Hybrid2Config cfg;
+  cfg.cache_bytes = hbm_.capacity();
+  EXPECT_THROW(Hybrid2Controller(hbm_, dram_, {}, cfg),
+               std::invalid_argument);
+  cfg.cache_bytes = 2 * hbm_.capacity();
+  EXPECT_THROW(Hybrid2Controller(hbm_, dram_, {}, cfg),
+               std::invalid_argument);
+}
+
+TEST_F(BaselineFixture, Hybrid2RejectsMhbmSmallerThanOneSet) {
+  // Seven mHBM pages against eight ways per set.
+  Hybrid2Config cfg;
+  cfg.cache_bytes = hbm_.capacity() - 7 * cfg.page_bytes;
+  EXPECT_THROW(Hybrid2Controller(hbm_, dram_, {}, cfg),
+               std::invalid_argument);
+}
+
+TEST_F(BaselineFixture, Hybrid2RejectsSetsPastU8Frames) {
+  // 16 ways of 64 MiB mHBM against 1 GiB DRAM: 256 + 16 frames per set.
+  Hybrid2Config cfg;
+  cfg.hbm_ways = 16;
+  EXPECT_THROW(Hybrid2Controller(hbm_, dram_, {}, cfg),
+               std::invalid_argument);
+}
+
+TEST(BaselineGuards, PomRejectsSetsPastU8Frames) {
+  // 4 MiB HBM against 1 GiB DRAM: 256 + 1 frames per set.
+  auto hbm_params = small_hbm();
+  hbm_params.capacity_bytes = 4 * MiB;
+  mem::DramDevice hbm(hbm_params);
+  mem::DramDevice dram(small_dram());
+  EXPECT_THROW(PomController(hbm, dram), std::invalid_argument);
+}
+
+TEST_F(BaselineFixture, MemPodRejectsEmptyPod) {
+  // 128 MiB pages over two pods leave each pod without an HBM page.
+  MemPodConfig cfg;
+  cfg.page_bytes = 128 * MiB;
+  cfg.pods = 2;
+  EXPECT_THROW(MemPodController(hbm_, dram_, {}, cfg),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- factory

@@ -10,15 +10,22 @@
 namespace bb {
 namespace {
 
+// The BitVector suites cover the bit-vector behaviour of one BitRow, each
+// on the single row of a one-row BitMatrix.
+
 TEST(BitVector, EmptyByDefault) {
-  BitVector v;
-  EXPECT_EQ(v.size(), 0u);
-  EXPECT_TRUE(v.none());
-  EXPECT_FALSE(v.any());
+  BitMatrix m(1, 0);
+  EXPECT_EQ(m.row(0).size(), 0u);
+  EXPECT_FALSE(m.row(0).any());
+  BitMatrix wide(1, 100);
+  EXPECT_EQ(wide.row(0).size(), 100u);
+  EXPECT_FALSE(wide.row(0).any());
+  EXPECT_EQ(wide.row(0).popcount(), 0u);
 }
 
 TEST(BitVector, SetAndTest) {
-  BitVector v(100);
+  BitMatrix m(1, 100);
+  BitRow v = m.row(0);
   EXPECT_FALSE(v.test(0));
   v.set(0);
   v.set(63);
@@ -33,55 +40,67 @@ TEST(BitVector, SetAndTest) {
 }
 
 TEST(BitVector, Unset) {
-  BitVector v(10);
+  BitMatrix m(1, 10);
+  BitRow v = m.row(0);
   v.set(5);
   EXPECT_TRUE(v.test(5));
   v.set(5, false);
   EXPECT_FALSE(v.test(5));
-  EXPECT_TRUE(v.none());
+  EXPECT_FALSE(v.any());
 }
 
 TEST(BitVector, SetAllRespectsSize) {
   for (std::size_t n : {1u, 31u, 32u, 63u, 64u, 65u, 127u, 128u}) {
-    BitVector v(n);
+    BitMatrix m(1, n);
+    BitRow v = m.row(0);
     v.set_all();
     EXPECT_EQ(v.popcount(), n) << "size " << n;
     EXPECT_TRUE(v.all());
     v.clear_all();
-    EXPECT_TRUE(v.none());
+    EXPECT_FALSE(v.any());
     EXPECT_FALSE(v.all());
   }
 }
 
 TEST(BitVector, AllOnEmptyIsTrue) {
-  BitVector v(0);
-  EXPECT_TRUE(v.all());  // vacuous truth
-  EXPECT_TRUE(v.none());
+  BitMatrix m(1, 0);
+  EXPECT_TRUE(m.row(0).all());  // vacuous truth
+  EXPECT_FALSE(m.row(0).any());
 }
 
 TEST(BitVector, Equality) {
-  BitVector a(48), b(48), c(47);
-  a.set(3);
-  b.set(3);
-  EXPECT_TRUE(a == b);
-  b.set(4);
-  EXPECT_FALSE(a == b);
-  EXPECT_FALSE(a == c);
+  // Rows are equal exactly when their snapshot streams are: the stream
+  // holds the width and every word.
+  BitMatrix a(1, 48), b(1, 48), c(1, 47);
+  a.set(0, 3);
+  b.set(0, 3);
+  BitRow ra = a.row(0), rb = b.row(0), rc = c.row(0);
+  EXPECT_EQ(snap::testing::payload_of(ra), snap::testing::payload_of(rb));
+  rb.set(4);
+  EXPECT_NE(snap::testing::payload_of(ra), snap::testing::payload_of(rb));
+  rc.set(3);
+  EXPECT_NE(snap::testing::payload_of(ra), snap::testing::payload_of(rc));
 }
 
 TEST(BitVector, ResizeClears) {
-  BitVector v(10);
-  v.set_all();
-  v.resize(20);
-  EXPECT_TRUE(v.none());
-  EXPECT_EQ(v.size(), 20u);
+  // A matrix built at a new width starts clear, even where a filled one
+  // was just released.
+  {
+    BitMatrix m(1, 10);
+    m.row(0).set_all();
+    EXPECT_EQ(m.row(0).popcount(), 10u);
+  }
+  BitMatrix m(1, 20);
+  EXPECT_FALSE(m.row(0).any());
+  EXPECT_EQ(m.row(0).size(), 20u);
 }
 
 class BitVectorSizeTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BitVectorSizeTest, PopcountMatchesLoop) {
   const std::size_t n = GetParam();
-  BitVector v(n);
+  BitMatrix m(1, n);
+  BitRow v = m.row(0);
   std::size_t expected = 0;
   for (std::size_t i = 0; i < n; i += 3) {
     v.set(i);
@@ -142,22 +161,20 @@ TEST(BitMatrix, RowViewSetAllStaysInsideItsRow) {
   EXPECT_FALSE(m.row(1).any());
 }
 
-TEST(BitMatrix, RowSnapshotMatchesBitVectorAndChecksWidth) {
-  // A row writes the same stream as a BitVector of its width, and a row
-  // of another width refuses to load it.
-  BitVector v(100);
-  v.set(3);
-  v.set(77);
+TEST(BitMatrix, RowSnapshotMatchesWordStreamAndChecksWidth) {
+  // A row writes its width, then its words low to high, and a row of
+  // another width refuses to load the stream.
   BitMatrix m(2, 100);
   m.set(1, 3);
   m.set(1, 77);
-  snap::Writer from_vector;
-  snap::Archive save_vector(from_vector);
-  v.serialize(save_vector);
+  snap::Writer expected;
+  expected.put_u64(100);
+  expected.put_u64(u64{1} << 3);
+  expected.put_u64(u64{1} << (77 - 64));
   snap::Writer from_row;
   snap::Archive save_row(from_row);
   m.row(1).serialize(save_row);
-  EXPECT_EQ(from_vector.payload(), from_row.payload());
+  EXPECT_EQ(from_row.payload(), expected.payload());
 
   const std::string path =
       std::string(::testing::TempDir()) + "/bitrow.bbsnap";
@@ -178,14 +195,18 @@ TEST(BitMatrix, RowSnapshotMatchesBitVectorAndChecksWidth) {
 }
 
 TEST(BitVector, RestoreRejectsWidthPastPayload) {
-  // A width the payload cannot hold words for fails closed before the
-  // vector is sized from it.
+  // A width the payload cannot hold words for fails closed before any
+  // word of the row is overwritten.
   snap::Writer w;
   w.put_u64(u64{1} << 60);
   w.put_u64(0);
-  BitVector v(8);
+  BitMatrix m(1, 8);
+  BitRow v = m.row(0);
+  v.set(2);
   EXPECT_THROW(snap::testing::restore(w.payload(), v), snap::SnapshotError);
   EXPECT_EQ(v.size(), 8u);
+  EXPECT_TRUE(v.test(2));
+  EXPECT_EQ(v.popcount(), 1u);
 }
 
 }  // namespace
