@@ -25,6 +25,10 @@ Hybrid2Controller::Hybrid2Controller(mem::DramDevice& hbm,
             return paging;
           }()),
       cfg_(cfg) {
+  if (cfg_.page_bytes == 0 || cfg_.hbm_ways == 0 || cfg_.block_bytes == 0 ||
+      cfg_.cache_ways == 0) {
+    throw std::invalid_argument("Hybrid2 page, block or way count is 0");
+  }
   const u64 mhbm_pages =
       (hbm.capacity() - cfg_.cache_bytes) / cfg_.page_bytes;
   n_ = cfg_.hbm_ways;
@@ -44,6 +48,9 @@ Hybrid2Controller::Hybrid2Controller(mem::DramDevice& hbm,
 
   cache_sets_ =
       static_cast<u32>(cfg_.cache_bytes / cfg_.block_bytes / cfg_.cache_ways);
+  if (cache_sets_ == 0) {
+    throw std::invalid_argument("Hybrid2 cHBM below one set");
+  }
   cache_ = ZeroArray<CacheLine>(static_cast<std::size_t>(cache_sets_) *
                                 cfg_.cache_ways);
 

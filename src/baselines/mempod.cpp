@@ -16,6 +16,10 @@ MemPodController::MemPodController(mem::DramDevice& hbm,
     : HybridMemoryController(
           "MemPod", hbm, dram,
           [&] {
+            // The init list below divides by page_bytes and by pods.
+            if (cfg.page_bytes == 0 || cfg.pods == 0) {
+              throw std::invalid_argument("MemPod needs pages and pods > 0");
+            }
             paging.visible_bytes = dram.capacity() + hbm.capacity();
             return paging;
           }()),

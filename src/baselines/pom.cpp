@@ -10,6 +10,10 @@ PomController::PomController(mem::DramDevice& hbm, mem::DramDevice& dram,
     : HybridMemoryController(
           "PoM", hbm, dram,
           [&] {
+            // The init list below divides by sector_bytes and by sets_.
+            if (cfg.sector_bytes == 0 || cfg.sector_bytes > hbm.capacity()) {
+              throw std::invalid_argument("PoM sector exceeds HBM or is 0");
+            }
             paging.visible_bytes = dram.capacity() + hbm.capacity();
             return paging;
           }()),

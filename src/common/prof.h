@@ -19,9 +19,9 @@
 //   stats-commit    end-of-run RunResult assembly
 //   io              result serialization (CSV/JSON/epoch/trace writers)
 //
-// Profiling is opt-in (bbsim --profile, bench/throughput). While disabled
-// a ScopedPhase costs one relaxed atomic load; simulated outputs are
-// byte-identical either way — the golden-run hash pins that.
+// Profiling is opt-in (bbsim --profile, perfbench's traced run). While
+// disabled a ScopedPhase costs one relaxed atomic load; simulated outputs
+// are byte-identical either way — the golden-run hash pins that.
 //
 // Per-worker aggregation: each thread accumulates into its own slot
 // (registered on first use), so `--jobs` matrices profile without locks on
@@ -69,7 +69,7 @@ void enable(bool on);
 bool enabled();
 
 /// Clears every thread slot. Call between repetitions while no worker is
-/// inside a ScopedPhase (e.g. between bench/throughput reps).
+/// inside a ScopedPhase (e.g. before perfbench's traced run).
 void reset();
 
 /// Merged totals across every thread that ever recorded a phase.

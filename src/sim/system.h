@@ -254,14 +254,6 @@ class System {
   std::string design_knobs_;
 };
 
-/// Normalizes a metric against the "DRAM-only" row of the same workload.
-/// Results without a baseline row are returned unchanged.
-struct NormalizedSeries {
-  std::vector<std::string> workloads;
-  std::vector<double> values;
-  double geomean = 0;
-};
-
 /// Groups run results by MPKI class and computes per-group geomeans of
 /// `metric(result) / metric(baseline_result)`.
 struct GroupedMetric {

@@ -423,6 +423,28 @@ TEST_F(BaselineFixture, Hybrid2RejectsSetsPastU8Frames) {
                std::invalid_argument);
 }
 
+TEST_F(BaselineFixture, Hybrid2RejectsZeroGeometry) {
+  const auto rejects = [&](auto edit) {
+    Hybrid2Config cfg;
+    edit(cfg);
+    EXPECT_THROW(Hybrid2Controller(hbm_, dram_, {}, cfg),
+                 std::invalid_argument);
+  };
+  rejects([](Hybrid2Config& c) { c.hbm_ways = 0; });
+  rejects([](Hybrid2Config& c) { c.page_bytes = 0; });
+  rejects([](Hybrid2Config& c) { c.block_bytes = 0; });
+  rejects([](Hybrid2Config& c) { c.cache_ways = 0; });
+  rejects([](Hybrid2Config& c) { c.cache_bytes = 0; });  // no cHBM set
+}
+
+TEST_F(BaselineFixture, PomRejectsZeroGeometry) {
+  PomConfig cfg;
+  cfg.sector_bytes = 0;
+  EXPECT_THROW(PomController(hbm_, dram_, {}, cfg), std::invalid_argument);
+  cfg.sector_bytes = 2 * hbm_.capacity();  // no whole set
+  EXPECT_THROW(PomController(hbm_, dram_, {}, cfg), std::invalid_argument);
+}
+
 TEST(BaselineGuards, PomRejectsSetsPastU8Frames) {
   // 4 MiB HBM against 1 GiB DRAM: 256 + 1 frames per set.
   auto hbm_params = small_hbm();
@@ -437,6 +459,17 @@ TEST_F(BaselineFixture, MemPodRejectsEmptyPod) {
   MemPodConfig cfg;
   cfg.page_bytes = 128 * MiB;
   cfg.pods = 2;
+  EXPECT_THROW(MemPodController(hbm_, dram_, {}, cfg),
+               std::invalid_argument);
+}
+
+TEST_F(BaselineFixture, MemPodRejectsZeroGeometry) {
+  MemPodConfig cfg;
+  cfg.pods = 0;
+  EXPECT_THROW(MemPodController(hbm_, dram_, {}, cfg),
+               std::invalid_argument);
+  cfg = MemPodConfig{};
+  cfg.page_bytes = 0;
   EXPECT_THROW(MemPodController(hbm_, dram_, {}, cfg),
                std::invalid_argument);
 }

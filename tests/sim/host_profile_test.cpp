@@ -5,8 +5,8 @@
 // the plain (golden-hashed) writers; (2) with profiling ENABLED, simulated
 // outputs stay byte-identical between --jobs=1 and --jobs=4 — the profiler
 // observes, it never perturbs; (3) the checked-in BENCH_throughput.json
-// trajectory file round-trips through the repo's own json_parse with the
-// schema bench/throughput promises.
+// trajectory file round-trips through the repo's own json_parse and holds
+// every workload and end-to-end metric that BENCHMARK.json declares.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -121,41 +121,54 @@ TEST_F(HostProfileTest, ProfilingEnabledKeepsJobsByteIdentity) {
   EXPECT_GT(prof::aggregate().total_ns(), 0u);
 }
 
-TEST_F(HostProfileTest, CheckedInBenchTrajectoryRoundTrips) {
-  // Locate the repo-root trajectory file relative to this source file, so
-  // the test is independent of the ctest working directory.
+// Parses a repo-root file, located relative to this source file so the
+// test is independent of the ctest working directory.
+JsonValue parse_repo_file(const std::string& name) {
   std::string path = __FILE__;
   const std::string suffix = "tests/sim/host_profile_test.cpp";
-  ASSERT_GE(path.size(), suffix.size());
-  path.replace(path.size() - suffix.size(), suffix.size(),
-               "BENCH_throughput.json");
-
+  if (!path.ends_with(suffix)) {
+    ADD_FAILURE() << "cannot locate the repo root from " << path;
+    return {};
+  }
+  path.replace(path.size() - suffix.size(), suffix.size(), name);
   std::ifstream in(path);
-  ASSERT_TRUE(in) << "missing checked-in trajectory file: " << path;
+  EXPECT_TRUE(in) << "missing checked-in file: " << path;
   std::stringstream buf;
   buf << in.rdbuf();
-
   JsonValue doc;
   std::string error;
-  ASSERT_TRUE(json_parse(buf.str(), doc, &error)) << error;
+  EXPECT_TRUE(json_parse(buf.str(), doc, &error)) << path << ": " << error;
+  return doc;
+}
+
+TEST_F(HostProfileTest, CheckedInBenchTrajectoryRoundTrips) {
+  const JsonValue spec = parse_repo_file("BENCHMARK.json");
+  const JsonValue doc = parse_repo_file("BENCH_throughput.json");
   ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.get_string("schema"), "bb-bench-throughput");
-  EXPECT_EQ(doc.get_number("schema_version"), 1.0);
   EXPECT_FALSE(doc.get_string("git_rev").empty());
-  const JsonValue* cells = doc.find("cells");
-  ASSERT_NE(cells, nullptr);
-  ASSERT_EQ(cells->type, JsonValue::Type::kArray);
-  EXPECT_GE(cells->array.size(), 3u);
-  for (const JsonValue& cell : cells->array) {
-    EXPECT_FALSE(cell.get_string("design").empty());
-    EXPECT_FALSE(cell.get_string("workload").empty());
-    EXPECT_GT(cell.get_number("requests"), 0.0);
-    EXPECT_GT(cell.get_number("requests_per_sec"), 0.0);
-    const JsonValue* phases = cell.find("phases");
-    ASSERT_NE(phases, nullptr);
-    for (std::size_t i = 0; i < prof::kPhaseCount; ++i) {
-      EXPECT_NE(phases->find(prof::to_string(static_cast<prof::Phase>(i))),
-                nullptr);
+  EXPECT_EQ(doc.get_number("seed"), 42.0);
+  const JsonValue* workloads = spec.find("workloads");
+  const JsonValue* metrics = spec.find("end_to_end");
+  ASSERT_NE(workloads, nullptr);
+  ASSERT_NE(metrics, nullptr);
+  ASSERT_FALSE(workloads->array.empty());
+  ASSERT_FALSE(metrics->array.empty());
+  for (const JsonValue& w : workloads->array) {
+    const std::string name = w.get_string("name");
+    const JsonValue* run = doc.find(name);
+    ASSERT_NE(run, nullptr) << "workload " << name << " missing";
+    const JsonValue* correct = run->find("correct");
+    ASSERT_NE(correct, nullptr);
+    EXPECT_TRUE(correct->boolean) << name;
+    EXPECT_EQ(run->get_number("failed", -1.0), 0.0) << name;
+    const JsonValue* got = run->find("metrics");
+    ASSERT_NE(got, nullptr) << name;
+    for (const JsonValue& m : metrics->array) {
+      const JsonValue* entry = got->find(m.get_string("name"));
+      ASSERT_NE(entry, nullptr) << name << "." << m.get_string("name");
+      EXPECT_EQ(entry->get_string("unit"), m.get_string("unit"));
+      EXPECT_GT(entry->get_number("value"), 0.0)
+          << name << "." << m.get_string("name");
     }
   }
 }
