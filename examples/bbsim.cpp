@@ -86,7 +86,7 @@ const std::vector<std::string_view> kKnownFlags = {
     "designs", "workloads", "misses", "warmup", "cores", "seed", "csv",
     "json", "profile", "jobs", "epoch-csv", "epoch-requests", "epoch-ticks",
     "event-trace", "trace-format", "capture-trace", "capture-codec",
-    "chunk-records", "replay-trace", "replay-mode", "resume", "snapshot-dir",
+    "chunk-records", "replay-trace", "resume", "snapshot-dir",
     "snapshot-interval", "restore", "cell-timeout", "cell-retries", "mix",
     "instructions", "fault-profile", "fault-rate", "fault-seed",
     "queue-depth", "write-watermarks", "list-workloads", "list-mixes",
@@ -119,15 +119,12 @@ int run(const Flags& flags) {
         "               or mix; replayable with --replay-trace)\n"
         "              [--capture-codec=varint|raw|zlib]  (chunk codec for\n"
         "               --capture-trace; default varint)\n"
-        "              [--chunk-records=N]  (records per capture chunk and\n"
-        "               per v1 replay read slice; default 4096)\n"
+        "              [--chunk-records=N]  (records per capture chunk;\n"
+        "               default 4096)\n"
         "              [--replay-trace=FILE]  (replay a recorded binary\n"
         "               miss stream through every design in bounded\n"
         "               memory; workload column = trace file name;\n"
         "               --instructions defaults to one full pass)\n"
-        "              [--replay-mode=stream|memory]  (default stream;\n"
-        "               memory loads the whole trace — the reference\n"
-        "               path, byte-identical results)\n"
         "              [--resume=FILE]  (checkpoint journal: finished cells\n"
         "               are restored from FILE, new cells appended to it;\n"
         "               works for plain and --mix matrices)\n"
@@ -304,13 +301,7 @@ int run(const Flags& flags) {
   // Binary miss-stream capture and replay (src/trace/stream.h).
   const std::string capture_path = flags.get_string("capture-trace", "");
   const std::string replay_path = flags.get_string("replay-trace", "");
-  const std::string replay_mode = flags.get_string("replay-mode", "stream");
   const u64 chunk_records = flags.get_u64("chunk-records", 4096);
-  if (replay_mode != "stream" && replay_mode != "memory") {
-    std::cerr << "bbsim: --replay-mode must be stream or memory, got: "
-              << replay_mode << "\n";
-    return kExitUsage;
-  }
   if (chunk_records == 0 || chunk_records > (u64{1} << 24)) {
     std::cerr << "bbsim: --chunk-records must be in [1, 2^24]\n";
     return kExitUsage;
@@ -498,15 +489,10 @@ int run(const Flags& flags) {
     const std::size_t slash = replay_path.find_last_of('/');
     ropts.label = slash == std::string::npos ? replay_path
                                              : replay_path.substr(slash + 1);
-    ropts.streaming = replay_mode == "stream";
-    ropts.v1_chunk_records = static_cast<u32>(chunk_records);
     if (opts.instructions == 0) {
       // Default budget: exactly one pass over the trace. trace_info also
       // validates the file, so a bad path fails before any simulation.
-      opts.instructions =
-          trace::trace_info(replay_path,
-                            trace::TraceReaderOptions{ropts.v1_chunk_records})
-              .inst_gap_total;
+      opts.instructions = trace::trace_info(replay_path).inst_gap_total;
       if (opts.instructions == 0) {
         std::cerr << "bbsim: trace " << replay_path
                   << " has zero instruction span; pass --instructions\n";

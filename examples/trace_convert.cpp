@@ -52,22 +52,14 @@ int run(const Flags& flags) {
     return 0;
   }
 
-  const u64 chunk_records = flags.get_u64("chunk-records", 4096);
-  if (chunk_records == 0 || chunk_records > (u64{1} << 24)) {
-    std::cerr << "trace_convert: --chunk-records must be in [1, 2^24]\n";
-    return cli::kExitUsage;
-  }
-  const trace::TraceReaderOptions reader_opts{
-      static_cast<u32>(chunk_records)};
-
   if (flags.has("info")) {
     const std::string path = flags.get_string("info", "");
-    print_info(trace::trace_info(path, reader_opts), path);
+    print_info(trace::trace_info(path), path);
     return 0;
   }
   if (flags.has("verify")) {
     const std::string path = flags.get_string("verify", "");
-    const auto info = trace::validate_trace(path, reader_opts);
+    const auto info = trace::validate_trace(path);
     print_info(info, path);
     std::cout << "ok: all chunk checksums, the stream checksum and the "
                  "record count verified\n";
@@ -79,6 +71,12 @@ int run(const Flags& flags) {
   if (in.empty() || out.empty()) {
     std::cerr << "trace_convert: --in and --out are required "
                  "(see --help)\n";
+    return cli::kExitUsage;
+  }
+
+  const u64 chunk_records = flags.get_u64("chunk-records", 4096);
+  if (chunk_records == 0 || chunk_records > (u64{1} << 24)) {
+    std::cerr << "trace_convert: --chunk-records must be in [1, 2^24]\n";
     return cli::kExitUsage;
   }
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/check.h"
 #include "common/trace_event.h"
 
 namespace bb::baselines {
@@ -37,6 +38,22 @@ MemPodController::MemPodController(mem::DramDevice& hbm,
   mea_ = ZeroArray<MeaEntry>(pods * cfg_.mea_counters);
   hbm_access_ = ZeroArray<u32>(pods * hbm_pages_per_pod_);
   next_interval_ = ZeroArray<Tick>(pods);
+}
+
+bool MemPodController::pod_maps_are_inverse(u32 pod) const {
+  const u64 pages = hbm_pages_per_pod_ + dram_pages_per_pod_;
+  for (u64 page = 0; page < pages; ++page) {
+    const u32 frame = frame_of(pod, page);
+    if (frame >= pages || page_at(pod, frame) != page) return false;
+  }
+  return true;
+}
+
+bool MemPodController::check_invariants() const {
+  for (u32 pod = 0; pod < cfg_.pods; ++pod) {
+    if (!pod_maps_are_inverse(pod)) return false;
+  }
+  return true;
 }
 
 u64 MemPodController::metadata_sram_bytes() const {
@@ -130,6 +147,8 @@ void MemPodController::run_interval(u32 pod_idx, Tick now) {
     ++mutable_stats().fetched_blocks_used;
   }
 
+  BB_CHECK(cands.empty() || pod_maps_are_inverse(pod_idx),
+           "MemPod page and frame maps are not inverses after migrations");
   for (auto& e : mea(pod_idx)) e = MeaEntry{};
   for (auto& c : hbm_access) c = 0;
   next_interval_[pod_idx] = now + cfg_.interval;

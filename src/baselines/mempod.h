@@ -36,6 +36,11 @@ class MemPodController final : public hmm::HybridMemoryController {
   u32 pod_count() const { return cfg_.pods; }
   u64 interval_migrations() const { return interval_migrations_; }
 
+  /// True when, in every pod, the page-to-frame and frame-to-page maps are
+  /// mutual inverses over the pod's pages. Debug and BB_CHECKS builds check
+  /// a pod after every interval that had migration candidates.
+  bool check_invariants() const;
+
   /// Base reset plus the cumulative migration counter (it parallels
   /// stats().swaps, which the base reset clears).
   void reset_stats() override {
@@ -81,6 +86,7 @@ class MemPodController final : public hmm::HybridMemoryController {
             static_cast<std::size_t>(hbm_pages_per_pod_)};
   }
 
+  bool pod_maps_are_inverse(u32 pod) const;
   void mea_touch(u32 pod, u64 page);
   void run_interval(u32 pod, Tick now);
 

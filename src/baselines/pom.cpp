@@ -1,7 +1,10 @@
 #include "baselines/pom.h"
 
+#include <bitset>
 #include <cassert>
 #include <stdexcept>
+
+#include "common/check.h"
 
 namespace bb::baselines {
 
@@ -31,6 +34,23 @@ PomController::PomController(mem::DramDevice& hbm, mem::DramDevice& dram,
   mc.cache_bytes = cfg_.metadata_cache_bytes;
   mc.entry_bytes = 8;
   meta_ = std::make_unique<hmm::MetadataModel>(mc, &hbm);
+}
+
+bool PomController::set_is_permutation(u32 set) const {
+  std::bitset<256> seen;
+  for (u32 f = 0; f <= m_; ++f) {
+    const u32 sec = sector_at(set, f);
+    if (sec > m_ || seen.test(sec)) return false;
+    seen.set(sec);
+  }
+  return true;
+}
+
+bool PomController::check_invariants() const {
+  for (u32 set = 0; set < sets_; ++set) {
+    if (!set_is_permutation(set)) return false;
+  }
+  return true;
 }
 
 u64 PomController::metadata_sram_bytes() const {
@@ -102,6 +122,8 @@ hmm::HmmResult PomController::service(Addr addr, AccessType type, Tick now) {
     const u32 occupant = sector_at(set, m_);
     set_sector_at(set, m_, sec);
     set_sector_at(set, frame, occupant);
+    BB_CHECK(set_is_permutation(set),
+             "PoM set permutation is not a bijection after a swap");
     e.counter = 0;
     ++mutable_stats().swaps;
     mutable_stats().blocks_fetched += cfg_.sector_bytes / 64;

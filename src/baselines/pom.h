@@ -41,6 +41,11 @@ class PomController final : public hmm::HybridMemoryController {
   u32 set_count() const { return sets_; }
   u32 sectors_per_set() const { return m_ + 1; }
 
+  /// True when the sector-to-frame map of every set is a permutation of
+  /// its m_+1 sectors. Debug and BB_CHECKS builds check a set after every
+  /// swap in it.
+  bool check_invariants() const;
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 
@@ -62,6 +67,7 @@ class PomController final : public hmm::HybridMemoryController {
     assert(set < sets_ && frame <= m_);
     return static_cast<std::size_t>(set) * (m_ + 1) + frame;
   }
+  bool set_is_permutation(u32 set) const;
 
   PomConfig cfg_;
   u32 sets_;

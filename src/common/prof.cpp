@@ -56,6 +56,21 @@ void flush(Slot& slot, u64 now) {
   slot.phase_start_ns = now;
 }
 
+/// The phase breakdown as a single-line JSON object:
+/// {"trace_gen":{"seconds":..,"calls":..}, ...}.
+std::string phases_to_json(const PhaseTotals& t) {
+  std::ostringstream os;
+  os << "{";
+  for (std::size_t i = 0; i < kPhaseCount; ++i) {
+    if (i) os << ", ";
+    os << "\"" << to_string(static_cast<Phase>(i)) << "\": {\"seconds\": "
+       << json_double(static_cast<double>(t.ns[i]) * 1e-9)
+       << ", \"calls\": " << t.calls[i] << "}";
+  }
+  os << "}";
+  return os.str();
+}
+
 }  // namespace
 
 const char* to_string(Phase p) {
@@ -177,19 +192,6 @@ HostReport make_host_report(double wall_seconds, u64 requests) {
   r.phases = aggregate();
   r.worker_busy_ns_by_thread = worker_busy_ns();
   return r;
-}
-
-std::string phases_to_json(const PhaseTotals& t) {
-  std::ostringstream os;
-  os << "{";
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    if (i) os << ", ";
-    os << "\"" << to_string(static_cast<Phase>(i)) << "\": {\"seconds\": "
-       << json_double(static_cast<double>(t.ns[i]) * 1e-9)
-       << ", \"calls\": " << t.calls[i] << "}";
-  }
-  os << "}";
-  return os.str();
 }
 
 std::string host_report_to_json(const HostReport& r) {

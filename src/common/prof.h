@@ -145,10 +145,6 @@ struct HostReport {
 /// worker slots and peak RSS, with requests/sec derived from the inputs.
 HostReport make_host_report(double wall_seconds, u64 requests);
 
-/// The phase breakdown as a single-line JSON object:
-/// {"trace_gen":{"seconds":..,"calls":..}, ...}.
-std::string phases_to_json(const PhaseTotals& t);
-
 /// The full report as a single-line JSON object (schema_version 1).
 std::string host_report_to_json(const HostReport& r);
 

@@ -22,7 +22,6 @@
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "trace/stream.h"
-#include "trace/trace_file.h"
 
 namespace bb::sim {
 
@@ -569,32 +568,21 @@ void ExperimentRunner::run_replay_matrix(
         "trace replay requires an explicit instruction budget "
         "(use trace_info().inst_gap_total for one full pass)");
   }
-  const trace::TraceReaderOptions reader_opts{replay.v1_chunk_records};
   // Validate the structure once up front so malformed files fail with a
   // clean diagnostic here, not from a worker thread mid-matrix.
-  (void)trace::trace_info(replay.path, reader_opts);
+  (void)trace::trace_info(replay.path);
 
   // The pseudo-workload only labels the result rows; its profile fields
   // are never consulted because opts.instructions is mandatory.
   trace::WorkloadProfile label;
   label.name = replay.label.empty() ? replay.path : replay.label;
 
-  // Memory mode loads the records once and replays them per cell from a
-  // private cursor; streaming mode opens a reader per cell, so workers
-  // never share file offsets and every replay starts from record zero.
-  std::shared_ptr<const std::vector<trace::TraceRecord>> records;
-  if (!replay.streaming) {
-    records = std::make_shared<const std::vector<trace::TraceRecord>>(
-        trace::read_trace(replay.path));
-  }
+  // Each cell opens its own reader, so workers never share file offsets
+  // and every replay starts from record zero.
   run_cells(designs, {label},
             [&](System& system, std::size_t d,
                 const trace::WorkloadProfile& w, u64 instr) {
-              if (records) {
-                trace::TraceReplayer replayer(*records);
-                return system.run_replay(designs[d], replayer, w.name, instr);
-              }
-              trace::StreamingTraceReader reader(replay.path, reader_opts);
+              trace::StreamingTraceReader reader(replay.path);
               return system.run_replay(designs[d], reader, w.name, instr);
             },
             opts);

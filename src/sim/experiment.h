@@ -142,19 +142,15 @@ class ExperimentRunner {
 
   /// Trace-replay matrix: every design replays the recorded binary trace
   /// at `replay.path` (see src/trace/stream.h). Results carry workload =
-  /// `replay.label`. In streaming mode each worker opens its own bounded-
-  /// memory StreamingTraceReader, so peak RSS is independent of trace
-  /// length; memory mode loads the records once and replays them through
-  /// TraceReplayer (the byte-identity reference path — both modes produce
-  /// identical results, pinned by test). opts.instructions must be set: a
-  /// trace has no MPKI to derive a budget from (trace_info(path)
-  /// .inst_gap_total is the budget for exactly one pass). The trace is
-  /// structurally validated up front; bad files throw trace::TraceError.
+  /// `replay.label`. Each cell opens its own bounded-memory
+  /// StreamingTraceReader, so peak RSS is independent of trace length.
+  /// opts.instructions must be set: a trace has no MPKI to derive a budget
+  /// from (trace_info(path).inst_gap_total is the budget for exactly one
+  /// pass). The trace is structurally validated up front; bad files throw
+  /// trace::TraceError.
   struct ReplayMatrixOptions {
     std::string path;
-    std::string label;      ///< result workload name (e.g. the file stem)
-    bool streaming = true;  ///< false: whole-trace in-memory replay
-    u32 v1_chunk_records = 4096;  ///< streaming read slice for v1 traces
+    std::string label;  ///< result workload name (e.g. the file stem)
   };
   void run_replay_matrix(const std::vector<std::string>& designs,
                          const ReplayMatrixOptions& replay,

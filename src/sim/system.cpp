@@ -201,12 +201,6 @@ RunResult System::run_lanes_current(const std::vector<CoreLane>& lanes,
       throw std::invalid_argument("design '" + hmmc_->name() +
                                   "' does not support snapshots");
     }
-    for (const trace::TraceSource* src : sources) {
-      if (!src->cursor_supported()) {
-        throw std::invalid_argument(
-            "trace source does not support snapshots");
-      }
-    }
     snap_path = cfg_.snapshot.dir + "/" + kind + "__" +
                 sanitize_token(hmmc_->name()) + "__" +
                 sanitize_token(workload_name) + ".bbsnap";

@@ -1,7 +1,6 @@
 #include "trace/generator.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <cmath>
 #include <map>
 #include <set>
@@ -148,10 +147,6 @@ StreamStats measure_stream(const std::vector<TraceRecord>& recs) {
   s.top1pct_share =
       static_cast<double>(top_sum) / static_cast<double>(recs.size());
   return s;
-}
-
-void TraceSource::serialize(snap::Archive&) {
-  throw std::invalid_argument("trace source does not support snapshots");
 }
 
 void TraceGenerator::serialize(snap::Archive& ar) {

@@ -35,10 +35,10 @@ struct TraceRecord {
   AccessType type = AccessType::kRead;
 };
 
-/// Abstract producer of miss records. Synthetic generators, in-memory
-/// replayers and the streaming trace reader all implement this, so the
-/// core model can drive any of them interchangeably (CoreModel
-/// ::run_sources). Sources never run dry: replayers loop at end-of-trace.
+/// Abstract producer of miss records. The synthetic generator and the
+/// streaming trace reader both implement this, so the core model can drive
+/// either interchangeably (CoreModel::run_sources). Sources never run dry:
+/// the reader loops at end-of-trace.
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
@@ -46,11 +46,8 @@ class TraceSource {
   /// Produces the next miss record.
   virtual TraceRecord next() = 0;
 
-  /// Snapshot capability: sources whose read position can be serialized
-  /// and reinstated override these. The defaults are fail-closed — a
-  /// snapshot request against an unsupporting source is a usage error.
-  virtual bool cursor_supported() const { return false; }
-  virtual void serialize(snap::Archive& ar);
+  /// Snapshot/restore of the read position; every source has one.
+  virtual void serialize(snap::Archive& ar) = 0;
 };
 
 inline constexpr u64 kLineBytes = 64;
@@ -82,7 +79,6 @@ class TraceGenerator : public TraceSource {
   /// including the shared Zipf table. A restore fails closed on a cursor
   /// the generator could not have reached and then leaves the generator
   /// unchanged.
-  bool cursor_supported() const override { return true; }
   void serialize(snap::Archive& ar) override;
 
  private:

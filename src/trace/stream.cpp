@@ -24,7 +24,6 @@ constexpr std::size_t kHeaderBytes = 24;
 constexpr std::size_t kChunkHeaderBytes = 16;
 constexpr std::size_t kFooterBytes = 32;
 constexpr std::size_t kCanonicalRecordBytes = 17;  // u64 gap, u64 addr, u8 w
-constexpr std::size_t kV1RecordBytes = 24;         // trace_file.cpp layout
 constexpr u64 kMaxChunkPayloadBytes = 1ULL << 30;
 constexpr u32 kMaxChunkRecords = 1u << 24;
 
@@ -264,11 +263,8 @@ struct WalkResult {
 
 /// Shallow structural validation of an open trace file: header, every
 /// chunk header (payloads skipped), footer, and their mutual agreement.
-/// For v1 files the records are additionally scanned (they carry no
-/// footer) to compute the one-pass instruction total. Leaves the file
-/// position unspecified.
-WalkResult walk_structure(std::FILE* f, const std::string& path,
-                          const TraceReaderOptions& opts) {
+/// Leaves the file position unspecified.
+WalkResult walk_structure(std::FILE* f, const std::string& path) {
   WalkResult wr;
   TraceInfo& info = wr.info;
   info.file_bytes = file_size(f, path);
@@ -282,47 +278,11 @@ WalkResult walk_structure(std::FILE* f, const std::string& path,
   const u32 version = get_u32(hdr + 8);
 
   if (magic == kMagicV1) {
-    if (version != 1) {
-      throw_bad(path, "v1 magic with unsupported version " +
-                          std::to_string(version));
-    }
-    const u64 count = get_u64(hdr + 16);
-    if (count == 0) throw_bad(path, "empty trace: nothing to replay");
-    const u64 expect = kHeaderBytes + count * kV1RecordBytes;
-    if (info.file_bytes != expect) {
-      throw_bad(path, "v1 record area is " +
-                          std::to_string(info.file_bytes - kHeaderBytes) +
-                          " bytes but the header promises " +
-                          std::to_string(count * kV1RecordBytes) +
-                          " (truncated or trailing bytes)");
-    }
-    info.version = 1;
-    info.codec = TraceCodec::kRaw;
-    info.records = count;
-    const u64 slice = std::max<u64>(1, opts.v1_chunk_records);
-    info.chunks = (count + slice - 1) / slice;
-    info.max_chunk_records = std::min<u64>(count, slice);
-    info.max_chunk_payload = info.max_chunk_records * kV1RecordBytes;
-    // v1 has no footer: scan the packed records for the instruction total
-    // (v1 traces are small by construction — they predate streaming).
-    std::vector<u8> buf(static_cast<std::size_t>(info.max_chunk_payload));
-    u64 remaining = count;
-    while (remaining > 0) {
-      const u64 n = std::min<u64>(remaining, info.max_chunk_records);
-      const std::size_t bytes = static_cast<std::size_t>(n) * kV1RecordBytes;
-      if (!read_exact(f, buf.data(), bytes)) {
-        throw_io(path, "cannot read v1 records");
-      }
-      for (u64 i = 0; i < n; ++i) {
-        info.inst_gap_total +=
-            get_u64(buf.data() + static_cast<std::size_t>(i) *
-                                     kV1RecordBytes);
-      }
-      remaining -= n;
-    }
-    return wr;
+    throw_bad(path,
+              "v1 trace (BBMMTRC1) is no longer read; regenerate it as v2 "
+              "(trace_tools --out rebuilds a synthetic trace from the same "
+              "--workload, --misses and --seed)");
   }
-
   if (magic != kMagicV2) throw_bad(path, "not a Bumblebee binary trace");
   if (version != 2) {
     throw_bad(path,
@@ -509,7 +469,7 @@ bool TraceCaptureSink::close() {
 
 // ---- trace_info -----------------------------------------------------------
 
-TraceInfo trace_info(const std::string& path, const TraceReaderOptions& opts) {
+TraceInfo trace_info(const std::string& path) {
   struct Closer {
     void operator()(std::FILE* fp) const {
       if (fp != nullptr) std::fclose(fp);
@@ -517,17 +477,16 @@ TraceInfo trace_info(const std::string& path, const TraceReaderOptions& opts) {
   };
   std::unique_ptr<std::FILE, Closer> f(std::fopen(path.c_str(), "rb"));
   if (!f) throw_io(path, "cannot open trace file");
-  return walk_structure(f.get(), path, opts).info;
+  return walk_structure(f.get(), path).info;
 }
 
 // ---- StreamingTraceReader -------------------------------------------------
 
-StreamingTraceReader::StreamingTraceReader(const std::string& path,
-                                           const TraceReaderOptions& opts)
-    : path_(path), opts_(opts) {
+StreamingTraceReader::StreamingTraceReader(const std::string& path)
+    : path_(path) {
   file_.reset(std::fopen(path.c_str(), "rb"));
   if (!file_) throw_io(path, "cannot open trace file");
-  const WalkResult wr = walk_structure(file_.get(), path_, opts_);
+  const WalkResult wr = walk_structure(file_.get(), path_);
   info_ = wr.info;
   footer_stream_crc_ = wr.footer_stream_crc;
   payload_.resize(static_cast<std::size_t>(info_.max_chunk_payload));
@@ -546,23 +505,14 @@ void StreamingTraceReader::rewind_to_first_chunk() {
 }
 
 TraceRecord StreamingTraceReader::next() {
-  if (cursor_ >= decoded_.size()) {
-    if (info_.version == 1) {
-      load_v1_slice();
-    } else {
-      load_next_chunk();
-    }
-  }
+  if (cursor_ >= decoded_.size()) load_next_chunk();
   const TraceRecord r = decoded_[cursor_++];
   if (cursor_ >= decoded_.size() &&
       records_served_this_lap_ >= info_.records) {
-    // Lap complete. Count it eagerly — TraceReplayer::next() bumps laps()
-    // while serving the last record, and the two must stay in lockstep —
-    // and verify the whole decoded stream against the footer checksum
-    // before the record escapes (fail closed, v2 only: v1 carries no
-    // checksums).
-    if (info_.version == 2 &&
-        crc32_final(stream_crc_) != footer_stream_crc_) {
+    // Lap complete. Count it eagerly, while serving the last record, and
+    // verify the whole decoded stream against the footer checksum before
+    // the record escapes (fail closed).
+    if (crc32_final(stream_crc_) != footer_stream_crc_) {
       throw_bad(path_, "stream checksum mismatch (corrupt records?)");
     }
     ++laps_;
@@ -602,27 +552,6 @@ void StreamingTraceReader::load_next_chunk() {
   records_served_this_lap_ += n_records;
 }
 
-void StreamingTraceReader::load_v1_slice() {
-  const u64 n = std::min<u64>(info_.records - records_served_this_lap_,
-                              info_.max_chunk_records);
-  const std::size_t bytes = static_cast<std::size_t>(n) * kV1RecordBytes;
-  if (!read_exact(file_.get(), payload_.data(), bytes)) {
-    throw_io(path_, "cannot read v1 records");
-  }
-  decoded_.clear();
-  for (u64 i = 0; i < n; ++i) {
-    const u8* p = payload_.data() + static_cast<std::size_t>(i) *
-                                        kV1RecordBytes;
-    TraceRecord r;
-    r.inst_gap = get_u64(p);
-    r.addr = get_u64(p + 8);
-    r.type = p[16] != 0 ? AccessType::kWrite : AccessType::kRead;
-    decoded_.push_back(r);
-  }
-  cursor_ = 0;
-  records_served_this_lap_ += n;
-}
-
 void StreamingTraceReader::serialize(snap::Archive& ar) {
   // Position = completed laps + records already handed out this lap. The
   // decoded_ buffer holds a whole chunk; records_served_this_lap_ counts
@@ -636,13 +565,7 @@ void StreamingTraceReader::serialize(snap::Archive& ar) {
     throw snap::SnapshotError("stream cursor past end of trace");
   }
   rewind_to_first_chunk();
-  while (records_served_this_lap_ < served_in_lap) {
-    if (info_.version == 1) {
-      load_v1_slice();
-    } else {
-      load_next_chunk();
-    }
-  }
+  while (records_served_this_lap_ < served_in_lap) load_next_chunk();
   cursor_ = decoded_.size() -
             static_cast<std::size_t>(records_served_this_lap_ - served_in_lap);
   laps_ = target_laps;
@@ -650,9 +573,8 @@ void StreamingTraceReader::serialize(snap::Archive& ar) {
 
 // ---- whole-trace helpers --------------------------------------------------
 
-TraceInfo validate_trace(const std::string& path,
-                         const TraceReaderOptions& opts) {
-  StreamingTraceReader reader(path, opts);
+TraceInfo validate_trace(const std::string& path) {
+  StreamingTraceReader reader(path);
   u64 gaps = 0;
   for (u64 i = 0; i < reader.info().records; ++i) {
     gaps += reader.next().inst_gap;

@@ -21,9 +21,9 @@
 //              see zlib_supported())
 //
 // Readers hold one chunk at a time: peak memory is bounded by the largest
-// chunk in the file, never by trace length. v1 traces (trace_file.cpp's
-// whole-file header + packed records) remain readable through the same
-// reader, loaded in fixed-size slices.
+// chunk in the file, never by trace length. v2 is the only format: a file
+// in the retired v1 layout ("BBMMTRC1", host-layout records, no checksums)
+// is rejected with a TraceError that says to regenerate it.
 //
 // Error contract (matches bb::cli): structural violations, corruption and
 // empty traces throw TraceError (a std::invalid_argument — exit 2: the
@@ -117,12 +117,6 @@ class TraceCaptureSink {
   bool ok_ = true;
 };
 
-struct TraceReaderOptions {
-  /// Records decoded per read slice for v1 traces (v2 chunk sizes are
-  /// baked into the file at capture time).
-  u32 v1_chunk_records = 4096;
-};
-
 /// Structural description of a trace file, from a shallow walk of the
 /// header, chunk headers and footer (payloads are not decoded).
 struct TraceInfo {
@@ -130,30 +124,26 @@ struct TraceInfo {
   TraceCodec codec = TraceCodec::kRaw;
   u64 records = 0;
   u64 inst_gap_total = 0;  ///< instruction budget for exactly one pass
-  u64 chunks = 0;          ///< v1: number of read slices
+  u64 chunks = 0;
   u64 file_bytes = 0;
   u64 max_chunk_payload = 0;  ///< read-buffer high-water mark, bytes
   u64 max_chunk_records = 0;  ///< decoded-buffer high-water mark, records
 };
 
 /// Walks and structurally validates `path` (markers, sizes, chunk/footer
-/// record-count agreement; v1 traces additionally scan records for the
-/// instruction total). Throws TraceError / std::ios_base::failure.
-TraceInfo trace_info(const std::string& path,
-                     const TraceReaderOptions& opts = TraceReaderOptions{});
+/// record-count agreement). Throws TraceError / std::ios_base::failure.
+TraceInfo trace_info(const std::string& path);
 
 /// Bounded-memory trace replay behind the TraceSource interface: holds
 /// exactly one decoded chunk regardless of trace length, and loops to the
-/// first record at end-of-trace (laps() counts completed passes, matching
-/// TraceReplayer). Construction walks the file structure up front, so a
-/// truncated or empty file fails before any record is served; per-chunk
-/// CRCs are verified as chunks load and the footer's stream checksum and
-/// record count at every lap boundary.
+/// first record at end-of-trace (laps() counts completed passes and is
+/// bumped while serving a pass's last record). Construction walks the file
+/// structure up front, so a truncated or empty file fails before any
+/// record is served; per-chunk CRCs are verified as chunks load and the
+/// footer's stream checksum and record count at every lap boundary.
 class StreamingTraceReader : public TraceSource {
  public:
-  explicit StreamingTraceReader(
-      const std::string& path,
-      const TraceReaderOptions& opts = TraceReaderOptions{});
+  explicit StreamingTraceReader(const std::string& path);
   ~StreamingTraceReader() override;
 
   StreamingTraceReader(const StreamingTraceReader&) = delete;
@@ -169,13 +159,11 @@ class StreamingTraceReader : public TraceSource {
   /// of chunks from the file start, rebuilding the running stream checksum
   /// along the way, so checksum verification at the next lap boundary
   /// still covers every record.
-  bool cursor_supported() const override { return true; }
   void serialize(snap::Archive& ar) override;
 
  private:
   void rewind_to_first_chunk();
   void load_next_chunk();
-  void load_v1_slice();
 
   struct FileCloser {
     void operator()(std::FILE* f) const {
@@ -184,7 +172,6 @@ class StreamingTraceReader : public TraceSource {
   };
   std::unique_ptr<std::FILE, FileCloser> file_;
   std::string path_;
-  TraceReaderOptions opts_;
   TraceInfo info_;
   u64 footer_stream_crc_ = 0;
 
@@ -201,13 +188,10 @@ class StreamingTraceReader : public TraceSource {
 /// stream checksum, the instruction total and the footer record count.
 /// Returns the file's TraceInfo; throws TraceError with a diagnostic that
 /// names the failing offset/chunk otherwise.
-TraceInfo validate_trace(const std::string& path,
-                         const TraceReaderOptions& opts =
-                             TraceReaderOptions{});
+TraceInfo validate_trace(const std::string& path);
 
-/// Reads an entire trace (v1 or v2) into memory — the non-streaming path
-/// used by `--replay-mode=memory` and small tools. Throws like
-/// StreamingTraceReader.
+/// Reads an entire trace into memory, for tools that inspect a whole
+/// stream (trace_tools --in). Throws like StreamingTraceReader.
 std::vector<TraceRecord> read_trace(const std::string& path);
 
 /// Convenience one-shot v2 writer (capture of an in-memory record set).

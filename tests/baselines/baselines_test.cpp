@@ -474,6 +474,60 @@ TEST_F(BaselineFixture, MemPodRejectsZeroGeometry) {
                std::invalid_argument);
 }
 
+TEST_F(BaselineFixture, PomSwapHeavyTrafficKeepsPermutations) {
+  PomController c(hbm_, dram_);
+  EXPECT_TRUE(c.check_invariants());
+  const u64 sectors = c.sectors_per_set();
+  const u64 sector_bytes = PomConfig{}.sector_bytes;
+  Rng rng(25);
+  Tick now = 0;
+  for (u64 i = 0; i < 20000; ++i) {
+    now += 50000;
+    // Every 400 accesses a new sector of each of four sets turns hot, wins
+    // the competing counter and swaps in; a quarter of the accesses hit a
+    // random sector of the set instead.
+    const u64 set = i % 4;
+    const u64 sec = rng.next_below(4) == 0 ? rng.next_below(sectors)
+                                           : (i / 400) % sectors;
+    const Addr a = (set * sectors + sec) * sector_bytes +
+                   rng.next_below(32) * 64;
+    c.access(a, rng.next_below(3) == 0 ? AccessType::kWrite
+                                       : AccessType::kRead,
+             now);
+    if (i % 256 == 0) {
+      ASSERT_TRUE(c.check_invariants()) << "access " << i;
+    }
+  }
+  EXPECT_GT(c.stats().swaps, 100u);
+  EXPECT_TRUE(c.check_invariants());
+}
+
+TEST_F(BaselineFixture, MemPodSwapHeavyTrafficKeepsMapsInverse) {
+  MemPodController c(hbm_, dram_);
+  EXPECT_TRUE(c.check_invariants());
+  const MemPodConfig cfg;
+  Rng rng(26);
+  Tick now = 0;
+  for (u64 i = 0; i < 40000; ++i) {
+    now += ns_to_ticks(50.0);
+    // Every 4000 accesses (four migration intervals) sixteen new off-chip
+    // pages of pods 0 and 1 turn hot. They migrate in and displace the
+    // previous phase's pages, which have gone cold.
+    const u64 pod = i % 2;
+    const u64 page = (i / 4000) * 16 + rng.next_below(16);
+    const Addr a = (page * cfg.pods + pod) * cfg.page_bytes +
+                   rng.next_below(32) * 64;
+    c.access(a, rng.next_below(3) == 0 ? AccessType::kWrite
+                                       : AccessType::kRead,
+             now);
+    if (i % 1024 == 0) {
+      ASSERT_TRUE(c.check_invariants()) << "access " << i;
+    }
+  }
+  EXPECT_GT(c.interval_migrations(), 100u);
+  EXPECT_TRUE(c.check_invariants());
+}
+
 // ----------------------------------------------------------------- factory
 
 TEST_F(BaselineFixture, FactoryCreatesEveryDesign) {

@@ -1,7 +1,6 @@
-// Trace-replay acceptance tests: the streaming (bounded-memory) path must
-// be byte-identical to the in-memory reference path, the capture sink must
-// round-trip a synthetic run, and replay matrices must be --jobs
-// independent like every other matrix.
+// Trace-replay acceptance tests: replay streams a trace many times larger
+// than one chunk, the capture sink must round-trip a synthetic run, and
+// replay matrices must be --jobs independent like every other matrix.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,7 +9,6 @@
 
 #include "sim/experiment.h"
 #include "trace/stream.h"
-#include "trace/trace_file.h"
 #include "trace/workload.h"
 
 namespace bb::sim {
@@ -26,9 +24,8 @@ struct TempTrace {
   std::string path;
 };
 
-// A v2 trace whose record count is 16x the reader's chunk size, so the
-// streaming path demonstrably replays more data than it ever buffers
-// (ISSUE acceptance asks for >= 4x).
+// A v2 trace whose record count is 16x the reader's chunk size, so replay
+// demonstrably serves more data than it ever buffers.
 void write_big_trace(const std::string& path, std::size_t records,
                      u32 chunk_records) {
   trace::TraceGenerator gen(trace::WorkloadProfile::by_name("mcf"), 99);
@@ -37,39 +34,26 @@ void write_big_trace(const std::string& path, std::size_t records,
   ASSERT_TRUE(trace::save_trace_v2(path, gen.take(records), w));
 }
 
-TEST(Replay, StreamingIsByteIdenticalToInMemory) {
+TEST(Replay, StreamsTraceManyChunksLong) {
   TempTrace t("accept.bbtrace");
   write_big_trace(t.path, 4096, 256);
   const auto info = trace::trace_info(t.path);
   ASSERT_GE(info.records / info.max_chunk_records, 4u);
 
-  const std::vector<std::string> designs = {"DRAM-only", "Bumblebee"};
   RunMatrixOptions opts;
   opts.jobs = 1;
   opts.instructions = info.inst_gap_total;
-
   ExperimentRunner::ReplayMatrixOptions ropts;
   ropts.path = t.path;
   ropts.label = "accept";
+  ExperimentRunner runner;
+  runner.run_replay_matrix({"DRAM-only", "Bumblebee"}, ropts, opts);
 
-  ExperimentRunner streaming;
-  ropts.streaming = true;
-  streaming.run_replay_matrix(designs, ropts, opts);
-
-  ExperimentRunner memory;
-  ropts.streaming = false;
-  memory.run_replay_matrix(designs, ropts, opts);
-
-  std::ostringstream csv_s, csv_m, json_s, json_m;
-  streaming.write_csv(csv_s);
-  memory.write_csv(csv_m);
-  streaming.write_json(json_s);
-  memory.write_json(json_m);
-  EXPECT_EQ(csv_s.str(), csv_m.str());
-  EXPECT_EQ(json_s.str(), json_m.str());
-  ASSERT_EQ(streaming.results().size(), 2u);
-  EXPECT_EQ(streaming.results()[0].workload, "accept");
-  EXPECT_GT(streaming.results()[0].misses, 0u);
+  ASSERT_EQ(runner.results().size(), 2u);
+  for (const RunResult& r : runner.results()) {
+    EXPECT_EQ(r.workload, "accept");
+    EXPECT_GT(r.misses, 0u);
+  }
 }
 
 TEST(Replay, JobsDoNotChangeReplayResults) {

@@ -1,7 +1,7 @@
-// Streaming trace layer tests: v2 round-trips under every codec, lap
-// parity with the in-memory replayer, v1 compatibility, and the fail-
-// closed contract for truncated / corrupt files (a record must never be
-// served from a chunk whose checksum did not verify).
+// Streaming trace layer tests: v2 round-trips under every codec, replay
+// laps, rejection of the retired v1 format, and the fail-closed contract
+// for truncated / corrupt files (a record must never be served from a
+// chunk whose checksum did not verify).
 #include "trace/stream.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/trace_file.h"
 #include "trace/workload.h"
 
 namespace bb::trace {
@@ -77,6 +76,33 @@ struct TempTrace {
   std::string path;
 };
 
+// A file in the retired v1 layout: "BBMMTRC1" magic, u32 version 1, u32
+// reserved, u64 record count, then `body_bytes` of packed records.
+std::vector<unsigned char> v1_file(u64 count, std::size_t body_bytes) {
+  std::vector<unsigned char> bytes(24 + body_bytes, 0);
+  const u64 magic = 0x42424d4d54524331ULL;
+  for (int i = 0; i < 8; ++i) {
+    bytes[static_cast<std::size_t>(i)] =
+        static_cast<unsigned char>(magic >> (8 * i));
+    bytes[16 + static_cast<std::size_t>(i)] =
+        static_cast<unsigned char>(count >> (8 * i));
+  }
+  put_le32(bytes, 8, 1);
+  return bytes;
+}
+
+void expect_v1_rejected(const std::string& path) {
+  EXPECT_THROW(trace_info(path), TraceError);
+  try {
+    StreamingTraceReader reader(path);
+    FAIL() << "a v1 trace must not open";
+  } catch (const TraceError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("v1"), std::string::npos) << what;
+    EXPECT_NE(what.find("regenerate"), std::string::npos) << what;
+  }
+}
+
 TEST(StreamFormat, RoundTripAllCodecs) {
   const auto original = synth_records(3000);
   std::vector<TraceCodec> codecs = {TraceCodec::kRaw, TraceCodec::kVarint};
@@ -124,24 +150,24 @@ TEST(StreamFormat, VarintHandlesAddressJumpsAndWideGaps) {
   expect_same(read_trace(t.path), recs);
 }
 
-TEST(StreamingReader, BitIdenticalToInMemoryReplayerAcrossLaps) {
+TEST(StreamingReader, BitIdenticalToRecordsAcrossLaps) {
   const auto original = synth_records(1000);
+  const std::size_t n = original.size();
   TempTrace t("laps.bbtrace");
   TraceWriterOptions w;
   w.chunk_records = 128;
   ASSERT_TRUE(save_trace_v2(t.path, original, w));
 
   StreamingTraceReader stream(t.path);
-  TraceReplayer memory(original);
   // 2.5 laps: exercises the wrap twice, including lap-boundary checksum
   // verification, and ends mid-trace.
   for (std::size_t i = 0; i < 2500; ++i) {
+    ASSERT_EQ(stream.laps(), i / n) << "step " << i;
     const TraceRecord a = stream.next();
-    const TraceRecord b = memory.next();
+    const TraceRecord& b = original[i % n];
     ASSERT_EQ(a.inst_gap, b.inst_gap) << "step " << i;
     ASSERT_EQ(a.addr, b.addr) << "step " << i;
     ASSERT_EQ(a.type, b.type) << "step " << i;
-    ASSERT_EQ(stream.laps(), memory.laps()) << "step " << i;
   }
   EXPECT_EQ(stream.laps(), 2u);
 }
@@ -162,26 +188,6 @@ TEST(StreamingReader, BoundedBuffersReportedInInfo) {
   }
 }
 
-TEST(StreamingReader, ReadsV1Files) {
-  const auto original = synth_records(777);
-  TempTrace t("v1_compat.bbtrace");
-  ASSERT_TRUE(save_trace(t.path, original));  // legacy whole-file writer
-  TraceReaderOptions opts;
-  opts.v1_chunk_records = 100;  // force multiple slices incl. a short tail
-  const auto info = trace_info(t.path, opts);
-  EXPECT_EQ(info.version, 1u);
-  EXPECT_EQ(info.records, original.size());
-  EXPECT_EQ(info.chunks, 8u);
-  StreamingTraceReader reader(t.path, opts);
-  std::vector<TraceRecord> seen;
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    seen.push_back(reader.next());
-  }
-  expect_same(seen, original);
-  EXPECT_EQ(reader.next().addr, original[0].addr);  // wraps like v2
-  EXPECT_EQ(reader.laps(), 1u);
-}
-
 TEST(StreamingReader, EmptyV2TraceRejected) {
   TempTrace t("empty_v2.bbtrace");
   TraceCaptureSink sink;
@@ -193,8 +199,8 @@ TEST(StreamingReader, EmptyV2TraceRejected) {
 
 TEST(StreamingReader, EmptyV1TraceRejected) {
   TempTrace t("empty_v1.bbtrace");
-  ASSERT_TRUE(save_trace(t.path, {}));
-  EXPECT_THROW(StreamingTraceReader reader(t.path), TraceError);
+  dump(t.path, v1_file(0, 0));
+  expect_v1_rejected(t.path);
 }
 
 TEST(StreamingReader, MissingFileIsIoError) {
@@ -212,6 +218,10 @@ TEST(StreamCorruption, BadMagicFailsClosed) {
   dump(t.path, bytes);
   EXPECT_THROW(trace_info(t.path), TraceError);
   EXPECT_THROW(StreamingTraceReader reader(t.path), TraceError);
+  // A well-formed file in the retired v1 layout (100 packed 24-byte
+  // records) fails closed the same way, naming v1.
+  dump(t.path, v1_file(100, 100 * 24));
+  expect_v1_rejected(t.path);
 }
 
 TEST(StreamCorruption, UnknownVersionFailsClosed) {
@@ -239,13 +249,9 @@ TEST(StreamCorruption, TruncatedFinalChunkFailsClosed) {
 }
 
 TEST(StreamCorruption, TruncatedV1FailsClosed) {
-  const auto original = synth_records(100);
   TempTrace t("truncated_v1.bbtrace");
-  ASSERT_TRUE(save_trace(t.path, original));
-  auto bytes = slurp(t.path);
-  bytes.resize(bytes.size() - 13);  // mid-record cut
-  dump(t.path, bytes);
-  EXPECT_THROW(StreamingTraceReader reader(t.path), TraceError);
+  dump(t.path, v1_file(100, 100 * 24 - 13));  // mid-record cut
+  expect_v1_rejected(t.path);
 }
 
 TEST(StreamCorruption, ChunkChecksumMismatchDetectedOnLoad) {
@@ -369,6 +375,78 @@ TEST(CaptureSink, RejectsBadOptions) {
   EXPECT_THROW(sink.open(tmp_path("never.bbtrace"), w), TraceError);
   EXPECT_THROW(sink.open("/nonexistent-dir/x.bbtrace"),
                std::ios_base::failure);
+}
+
+// Whole-file reads (read_trace, as trace_tools --in uses) of the one
+// on-disk format.
+
+TEST(TraceFile, RoundTrip) {
+  TraceGenerator gen(WorkloadProfile::by_name("mcf"), 21);
+  const auto original = gen.take(5000);
+  TempTrace t("roundtrip.bbtrace");
+  ASSERT_TRUE(save_trace_v2(t.path, original));
+  expect_same(read_trace(t.path), original);
+}
+
+TEST(TraceFile, EmptyTrace) {
+  // Writing zero records succeeds; reading them back fails closed.
+  TempTrace t("empty.bbtrace");
+  ASSERT_TRUE(save_trace_v2(t.path, {}));
+  EXPECT_THROW(read_trace(t.path), TraceError);
+}
+
+TEST(TraceFile, MissingFileFails) {
+  EXPECT_THROW(read_trace(tmp_path("does-not-exist.bbtrace")),
+               std::ios_base::failure);
+}
+
+TEST(TraceFile, RejectsCorruptHeader) {
+  TempTrace t("corrupt.bbtrace");
+  const std::string text = "not a trace file at all, only some text";
+  dump(t.path, std::vector<unsigned char>(text.begin(), text.end()));
+  EXPECT_THROW(read_trace(t.path), TraceError);
+}
+
+TEST(TraceFile, RejectsTruncatedBody) {
+  TraceGenerator gen(WorkloadProfile::by_name("xz"), 4);
+  TempTrace t("truncated_body.bbtrace");
+  ASSERT_TRUE(save_trace_v2(t.path, gen.take(100)));
+  auto bytes = slurp(t.path);
+  bytes.resize(bytes.size() - 13);  // cuts into the footer
+  dump(t.path, bytes);
+  EXPECT_THROW(read_trace(t.path), TraceError);
+}
+
+// The streaming reader is the one replay source for trace files.
+
+TEST(Replayer, LoopsOverRecords) {
+  const std::vector<TraceRecord> recs = {
+      {1, 0, AccessType::kRead},
+      {2, 64, AccessType::kWrite},
+      {3, 128, AccessType::kRead},
+  };
+  TempTrace t("loops.bbtrace");
+  ASSERT_TRUE(save_trace_v2(t.path, recs));
+  StreamingTraceReader rep(t.path);
+  EXPECT_EQ(rep.info().records, 3u);
+  EXPECT_EQ(rep.next().addr, 0u);
+  EXPECT_EQ(rep.next().addr, 64u);
+  EXPECT_EQ(rep.next().addr, 128u);
+  EXPECT_EQ(rep.laps(), 1u);
+  EXPECT_EQ(rep.next().addr, 0u);  // wrapped
+}
+
+// An empty trace must not fabricate records: construction throws a
+// std::invalid_argument (exit 2 through the bb::cli contract).
+TEST(Replayer, EmptyTraceRejectedAtConstruction) {
+  TempTrace t("empty_replay.bbtrace");
+  ASSERT_TRUE(save_trace_v2(t.path, {}));
+  try {
+    StreamingTraceReader rep(t.path);
+    FAIL() << "empty trace must not construct";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("empty trace"), std::string::npos);
+  }
 }
 
 }  // namespace
