@@ -23,7 +23,7 @@ using namespace bb;
 namespace {
 
 void print_info(const trace::TraceInfo& info, const std::string& path) {
-  std::cout << path << ": v" << info.version << " "
+  std::cout << path << ": v" << trace::kTraceFormatVersion << " "
             << trace::codec_name(info.codec) << ", " << info.records
             << " records, " << info.inst_gap_total << " instructions/pass, "
             << info.chunks << " chunks, " << info.file_bytes << " bytes"

@@ -10,6 +10,7 @@
 // The generator is a pure function of (workload, seed), so rerunning the
 // same --out command rebuilds a file bit-exactly.
 #include <iostream>
+#include <stdexcept>
 
 #include "common/cli.h"
 #include "common/flags.h"
@@ -33,6 +34,8 @@ int run(const Flags& flags) {
 
   const std::string workload = flags.get_string("workload", "mcf");
   const u64 misses = flags.get_u64("misses", 100'000);
+  // Zero records is no trace: every reader rejects an empty file.
+  if (misses == 0) throw std::invalid_argument("--misses must be at least 1");
   trace::TraceGenerator gen(trace::WorkloadProfile::by_name(workload),
                             flags.get_u64("seed", 42));
   const auto records = gen.take(misses);

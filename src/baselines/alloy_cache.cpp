@@ -12,8 +12,9 @@ AlloyCacheController::AlloyCacheController(mem::DramDevice& hbm,
                                return paging;
                              }()),
       cfg_(cfg),
+      line_bytes_(cfg.line_bytes),
       lines_(hbm.capacity() / cfg.tad_bytes) {
-  const auto slots = static_cast<std::size_t>(lines_);
+  const auto slots = static_cast<std::size_t>(lines_.value());
   tag_ = ZeroArray<u8>(slots);
   valid_ = BitMatrix(1, slots);
   dirty_ = BitMatrix(1, slots);
@@ -22,10 +23,10 @@ AlloyCacheController::AlloyCacheController(mem::DramDevice& hbm,
 hmm::HmmResult AlloyCacheController::service(Addr addr, AccessType type,
                                              Tick now) {
   hmm::HmmResult res;
-  const Addr phys = addr % dram().capacity();
-  const u64 line = phys / cfg_.line_bytes;
-  const u64 slot = line % lines_;
-  const u8 tag = static_cast<u8>(line / lines_);
+  const Addr phys = dram().fold(addr);
+  const u64 line = line_bytes_.div(phys);
+  const u64 slot = lines_.mod(line);
+  const u8 tag = static_cast<u8>(lines_.div(line));
   const Addr tad_addr = slot * cfg_.tad_bytes;
 
   // One TAD stream returns tag + data together.
@@ -50,7 +51,7 @@ hmm::HmmResult AlloyCacheController::service(Addr addr, AccessType type,
   // Miss: writeback the victim if dirty, then serve from DRAM and fill.
   if (valid_.test(0, s) && dirty_.test(0, s)) {
     const Addr victim =
-        (static_cast<u64>(tag_[s]) * lines_ + slot) * cfg_.line_bytes;
+        (static_cast<u64>(tag_[s]) * lines_.value() + slot) * cfg_.line_bytes;
     move_data(hbm(), tad_addr, dram(), victim, cfg_.line_bytes,
               probe.complete, mem::TrafficClass::kWriteback);
     ++mutable_stats().evictions;

@@ -28,14 +28,15 @@ class AlloyCacheController final : public hmm::HybridMemoryController {
   /// Tags live in HBM; the controller itself needs no SRAM metadata.
   u64 metadata_sram_bytes() const override { return 0; }
 
-  u64 line_count() const { return lines_; }
+  u64 line_count() const { return lines_.value(); }
 
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 
  private:
   AlloyConfig cfg_;
-  u64 lines_;                ///< direct-mapped TAD slots
+  Divisor line_bytes_;
+  Divisor lines_;            ///< direct-mapped TAD slots
   ZeroArray<u8> tag_;  ///< tag per slot (small: footprint/HBM ratio)
   BitMatrix valid_;    ///< one row: a bit per slot
   BitMatrix dirty_;    ///< one row: a bit per slot

@@ -14,7 +14,10 @@ BansheeController::BansheeController(mem::DramDevice& hbm,
                                return paging;
                              }()),
       cfg_(cfg),
-      sets_(static_cast<u32>(hbm.capacity() / cfg.page_bytes / cfg.ways)) {
+      sets_(static_cast<u32>(hbm.capacity() / cfg.page_bytes / cfg.ways)),
+      page_div_(cfg.page_bytes),
+      sets_div_(sets_),
+      sample_div_(cfg.sample_rate) {
   const std::size_t ways = static_cast<std::size_t>(sets_) * cfg_.ways;
   ways_ = ZeroArray<Way>(ways);
   used_ = BitMatrix(ways, cfg_.page_bytes / 64);
@@ -53,10 +56,10 @@ u64 BansheeController::metadata_sram_bytes() const {
 hmm::HmmResult BansheeController::service(Addr addr, AccessType type,
                                           Tick now) {
   hmm::HmmResult res;
-  const Addr phys = addr % dram().capacity();
-  const u64 page = phys / cfg_.page_bytes;
-  const u32 set = static_cast<u32>(page % sets_);
-  const u64 in_page = phys % cfg_.page_bytes;
+  const Addr phys = dram().fold(addr);
+  const u64 page = page_div_.div(phys);
+  const u32 set = static_cast<u32>(sets_div_.mod(page));
+  const u64 in_page = page_div_.mod(phys);
   const u32 block = static_cast<u32>(in_page / 64);
 
   // Mapping known from TLB/PTE: SRAM-cost lookup only.
@@ -89,7 +92,7 @@ hmm::HmmResult BansheeController::service(Addr addr, AccessType type,
   res.phys_addr = phys;
 
   // Frequency-based replacement with sampling.
-  if (++miss_tick_ % cfg_.sample_rate != 0) return res;
+  if (sample_div_.mod(++miss_tick_) != 0) return res;
   u16& cand = candidate_freq_[page];
   if (cand < 0xffff) ++cand;
 
@@ -117,7 +120,7 @@ hmm::HmmResult BansheeController::service(Addr addr, AccessType type,
   if (way.valid && way.dirty) {
     // Lazy page-granularity writeback.
     move_data(hbm(), frame_addr(set, victim), dram(),
-              (way.page * cfg_.page_bytes) % dram().capacity(),
+              dram().fold(way.page * cfg_.page_bytes),
               cfg_.page_bytes, r.complete, mem::TrafficClass::kWriteback);
   }
   if (way.valid) ++mutable_stats().evictions;

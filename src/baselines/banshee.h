@@ -66,6 +66,9 @@ class BansheeController final : public hmm::HybridMemoryController {
 
   BansheeConfig cfg_;
   u32 sets_;
+  Divisor page_div_;    ///< cfg_.page_bytes
+  Divisor sets_div_;    ///< sets_
+  Divisor sample_div_;  ///< cfg_.sample_rate
   ZeroArray<Way> ways_;  ///< all-zero bytes: every way invalid
   BitMatrix used_;  ///< per way: demanded blocks, for over-fetch accounting
   // determinism-ok: keyed operator[]/erase only (never iterated), so the

@@ -19,7 +19,10 @@ ChameleonController::ChameleonController(mem::DramDevice& hbm,
           }()),
       cfg_(cfg),
       sets_(static_cast<u32>(hbm.capacity() / cfg.segment_bytes)),
-      m_(static_cast<u32>(dram.capacity() / cfg.segment_bytes / sets_)) {
+      m_(static_cast<u32>(dram.capacity() / cfg.segment_bytes / sets_)),
+      visible_div_(static_cast<u64>(sets_) * (m_ + 1) * cfg.segment_bytes),
+      seg_div_(cfg.segment_bytes),
+      group_div_(m_ + 1) {
   assert(m_ + 1 <= 0xff && "u8 permutation entries");
   const std::size_t entries = static_cast<std::size_t>(sets_) * (m_ + 1);
   seg_xor_frame_ = ZeroArray<u8>(entries);
@@ -57,16 +60,15 @@ u64 ChameleonController::metadata_sram_bytes() const {
 hmm::HmmResult ChameleonController::service(Addr addr, AccessType type,
                                             Tick now) {
   hmm::HmmResult res;
-  const u64 visible = static_cast<u64>(sets_) * (m_ + 1) * cfg_.segment_bytes;
-  const Addr a = addr % visible;
-  const u64 seg_global = a / cfg_.segment_bytes;
+  const Addr a = visible_div_.wrap(addr);
+  const u64 seg_global = seg_div_.div(a);
   // Consecutive grouping: each remapping set covers m_+1 adjacent segments
   // sharing ONE near slot — the restriction the paper blames for uneven
   // HBM utilization (dense hot regions span a whole set but only one of
   // its segments can be near) and frequent sector migration.
-  const u32 set = static_cast<u32>(seg_global / (m_ + 1));
-  const u32 seg = static_cast<u32>(seg_global % (m_ + 1));  // in-set index
-  const u64 off = a % cfg_.segment_bytes;
+  const u32 set = static_cast<u32>(group_div_.div(seg_global));
+  const u32 seg = static_cast<u32>(group_div_.mod(seg_global));  // in-set
+  const u64 off = seg_div_.mod(a);
 
   // Remap lookup through the SRAM metadata cache (misses go to HBM); the
   // table is per segment, so large footprints overflow the 512 KB cache.

@@ -70,6 +70,9 @@ class ChameleonController final : public hmm::HybridMemoryController {
   ChameleonConfig cfg_;
   u32 sets_;  ///< one HBM segment per set
   u32 m_;     ///< off-chip segments per set
+  Divisor visible_div_;  ///< bytes the sets cover
+  Divisor seg_div_;      ///< cfg_.segment_bytes
+  Divisor group_div_;    ///< m_ + 1 segments per set
   /// Per set, the permutation of its m_+1 segments over its frames; frame
   /// m_ is the single HBM slot, frames [0, m_) are off-chip. Stored as
   /// segment ^ frame, so the zero pages a fresh table reads are the

@@ -53,6 +53,12 @@ Hybrid2Controller::Hybrid2Controller(mem::DramDevice& hbm,
   }
   cache_ = ZeroArray<CacheLine>(static_cast<std::size_t>(cache_sets_) *
                                 cfg_.cache_ways);
+  visible_div_ =
+      Divisor(static_cast<u64>(sets_) * (m_ + n_) * cfg_.page_bytes);
+  page_div_ = Divisor(cfg_.page_bytes);
+  sets_div_ = Divisor(sets_);
+  block_div_ = Divisor(cfg_.block_bytes);
+  cache_sets_div_ = Divisor(cache_sets_);
 
   hmm::MetadataConfig mc;
   mc.placement = hmm::MetadataPlacement::kSramCachedHbm;
@@ -92,9 +98,9 @@ void Hybrid2Controller::flush_frame_blocks(Addr fa, Tick now) {
   const u32 blocks = static_cast<u32>(cfg_.page_bytes / cfg_.block_bytes);
   for (u32 b = 0; b < blocks; ++b) {
     const Addr ba = fa + b * cfg_.block_bytes;
-    const u64 line = ba / cfg_.block_bytes;
-    const u32 cset = static_cast<u32>(line % cache_sets_);
-    const u32 tag = static_cast<u32>(line / cache_sets_);
+    const u64 line = block_div_.div(ba);
+    const u32 cset = static_cast<u32>(cache_sets_div_.mod(line));
+    const u32 tag = static_cast<u32>(cache_sets_div_.div(line));
     for (u32 w = 0; w < cfg_.cache_ways; ++w) {
       CacheLine& cl = cache_[static_cast<std::size_t>(cset) *
                                  cfg_.cache_ways +
@@ -117,11 +123,11 @@ void Hybrid2Controller::flush_frame_blocks(Addr fa, Tick now) {
 hmm::HmmResult Hybrid2Controller::cache_path(Addr fa, u64 off,
                                              AccessType type, Tick t) {
   hmm::HmmResult res;
-  const Addr ba = fa + (off / cfg_.block_bytes) * cfg_.block_bytes;
-  const u64 in_block = off % cfg_.block_bytes;
-  const u64 line = ba / cfg_.block_bytes;
-  const u32 cset = static_cast<u32>(line % cache_sets_);
-  const u32 tag = static_cast<u32>(line / cache_sets_);
+  const Addr ba = fa + block_div_.div(off) * cfg_.block_bytes;
+  const u64 in_block = block_div_.mod(off);
+  const u64 line = block_div_.div(ba);
+  const u32 cset = static_cast<u32>(cache_sets_div_.mod(line));
+  const u32 tag = static_cast<u32>(cache_sets_div_.div(line));
   const std::size_t base =
       static_cast<std::size_t>(cset) * cfg_.cache_ways;
 
@@ -189,13 +195,11 @@ hmm::HmmResult Hybrid2Controller::cache_path(Addr fa, u64 off,
 hmm::HmmResult Hybrid2Controller::service(Addr addr, AccessType type,
                                           Tick now) {
   hmm::HmmResult res;
-  const u64 visible =
-      static_cast<u64>(sets_) * (m_ + n_) * cfg_.page_bytes;
-  const Addr a = addr % visible;
-  const u64 page = a / cfg_.page_bytes;
-  const u32 set = static_cast<u32>(page % sets_);
-  const u32 seg = static_cast<u32>(page / sets_);
-  const u64 off = a % cfg_.page_bytes;
+  const Addr a = visible_div_.wrap(addr);
+  const u64 page = page_div_.div(a);
+  const u32 set = static_cast<u32>(sets_div_.mod(page));
+  const u32 seg = static_cast<u32>(sets_div_.div(page));
+  const u64 off = page_div_.mod(a);
 
   // Metadata is per page (remap entry + counters): the SRAM metadata cache
   // only helps while the page working set fits in 512 KB.
@@ -219,7 +223,7 @@ hmm::HmmResult Hybrid2Controller::service(Addr addr, AccessType type,
     const u32 way = frame - m_;
     const Addr pa = mhbm_frame_addr(set, way) + off;
     const auto r = hbm().access(pa, 64, type, t, mem::TrafficClass::kDemand);
-    const u32 blk = static_cast<u32>(off / cfg_.block_bytes);
+    const u32 blk = static_cast<u32>(block_div_.div(off));
     const u8 bit = static_cast<u8>(1u << blk);
     // Over-fetch accounting applies only to data that was actually moved
     // into HBM; native-resident pages were never fetched.
@@ -237,7 +241,7 @@ hmm::HmmResult Hybrid2Controller::service(Addr addr, AccessType type,
   // are metadata of their own (distinct key space from the remap table).
   const Addr fa = dram_frame_addr(set, frame);
   const Tick tag_lat =
-      meta_->lookup((u64{1} << 26) + (fa + off) / cfg_.block_bytes, t);
+      meta_->lookup((u64{1} << 26) + block_div_.div(fa + off), t);
   res.metadata_latency += tag_lat;
   t += tag_lat;
   hmm::HmmResult inner = cache_path(fa, off, type, t);
@@ -268,7 +272,7 @@ hmm::HmmResult Hybrid2Controller::service(Addr addr, AccessType type,
              "Hybrid2 set permutation is not a bijection after a swap");
     counter(set, victim_seg) /= 2;
     swapped(set, cold_way) = 1;
-    const u32 blk = static_cast<u32>(off / cfg_.block_bytes);
+    const u32 blk = static_cast<u32>(block_div_.div(off));
     used_mask(set, cold_way) = static_cast<u8>(1u << blk);
     mutable_stats().blocks_fetched +=
         cfg_.page_bytes / cfg_.block_bytes;

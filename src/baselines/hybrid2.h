@@ -109,6 +109,11 @@ class Hybrid2Controller final : public hmm::HybridMemoryController {
   u32 sets_;  ///< mHBM remapping sets
   u32 m_;     ///< off-chip pages per set
   u32 n_;     ///< mHBM pages per set
+  Divisor visible_div_;     ///< bytes the sets cover
+  Divisor page_div_;        ///< cfg_.page_bytes
+  Divisor sets_div_;        ///< sets_
+  Divisor block_div_;       ///< cfg_.block_bytes
+  Divisor cache_sets_div_;  ///< cache_sets_
   /// Per set: the permutation over m_+n_ frames, stored as
   /// segment ^ frame so that zero pages read as the identity.
   ZeroArray<u8> seg_xor_frame_;

@@ -26,7 +26,12 @@ MemPodController::MemPodController(mem::DramDevice& hbm,
           }()),
       cfg_(cfg),
       hbm_pages_per_pod_(hbm.capacity() / cfg.page_bytes / cfg.pods),
-      dram_pages_per_pod_(dram.capacity() / cfg.page_bytes / cfg.pods) {
+      dram_pages_per_pod_(dram.capacity() / cfg.page_bytes / cfg.pods),
+      visible_div_(static_cast<u64>(cfg.pods) *
+                   (hbm_pages_per_pod_ + dram_pages_per_pod_) *
+                   cfg.page_bytes),
+      page_div_(cfg.page_bytes),
+      pods_div_(cfg.pods) {
   if (hbm_pages_per_pod_ == 0 || dram_pages_per_pod_ == 0) {
     throw std::invalid_argument("MemPod pod holds no HBM or no DRAM page");
   }
@@ -157,14 +162,11 @@ void MemPodController::run_interval(u32 pod_idx, Tick now) {
 hmm::HmmResult MemPodController::service(Addr addr, AccessType type,
                                          Tick now) {
   hmm::HmmResult res;
-  const u64 pages_per_pod = hbm_pages_per_pod_ + dram_pages_per_pod_;
-  const u64 visible =
-      static_cast<u64>(cfg_.pods) * pages_per_pod * cfg_.page_bytes;
-  const Addr a = addr % visible;
-  const u64 gp = a / cfg_.page_bytes;
-  const u32 pod_idx = static_cast<u32>(gp % cfg_.pods);
-  const u64 page = gp / cfg_.pods;  // pod-local logical page
-  const u64 off = a % cfg_.page_bytes;
+  const Addr a = visible_div_.wrap(addr);
+  const u64 gp = page_div_.div(a);
+  const u32 pod_idx = static_cast<u32>(pods_div_.mod(gp));
+  const u64 page = pods_div_.div(gp);  // pod-local logical page
+  const u64 off = page_div_.mod(a);
 
   res.metadata_latency = cfg_.sram_latency;  // remap tables are SRAM here
   Tick t = now + cfg_.sram_latency;

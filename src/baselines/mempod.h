@@ -93,6 +93,9 @@ class MemPodController final : public hmm::HybridMemoryController {
   MemPodConfig cfg_;
   u64 hbm_pages_per_pod_;
   u64 dram_pages_per_pod_;
+  Divisor visible_div_;  ///< bytes the pods cover
+  Divisor page_div_;     ///< cfg_.page_bytes
+  Divisor pods_div_;     ///< cfg_.pods
   // Every pod's state in flat tables sized once. The remap tables store
   // frame ^ page (and page ^ frame), so the zero bytes of a fresh table are
   // the identity mapping.

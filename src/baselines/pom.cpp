@@ -22,7 +22,10 @@ PomController::PomController(mem::DramDevice& hbm, mem::DramDevice& dram,
           }()),
       cfg_(cfg),
       sets_(static_cast<u32>(hbm.capacity() / cfg.sector_bytes)),
-      m_(static_cast<u32>(dram.capacity() / cfg.sector_bytes / sets_)) {
+      m_(static_cast<u32>(dram.capacity() / cfg.sector_bytes / sets_)),
+      visible_div_(static_cast<u64>(sets_) * (m_ + 1) * cfg.sector_bytes),
+      sec_div_(cfg.sector_bytes),
+      group_div_(m_ + 1) {
   if (m_ + 1 > 0xff) {  // u8 permutation entries
     throw std::invalid_argument("PoM set has more than 255 frames");
   }
@@ -60,13 +63,11 @@ u64 PomController::metadata_sram_bytes() const {
 
 hmm::HmmResult PomController::service(Addr addr, AccessType type, Tick now) {
   hmm::HmmResult res;
-  const u64 visible =
-      static_cast<u64>(sets_) * (m_ + 1) * cfg_.sector_bytes;
-  const Addr a = addr % visible;
-  const u64 sec_global = a / cfg_.sector_bytes;
-  const u32 set = static_cast<u32>(sec_global / (m_ + 1));
-  const u32 sec = static_cast<u32>(sec_global % (m_ + 1));
-  const u64 off = a % cfg_.sector_bytes;
+  const Addr a = visible_div_.wrap(addr);
+  const u64 sec_global = sec_div_.div(a);
+  const u32 set = static_cast<u32>(group_div_.div(sec_global));
+  const u32 sec = static_cast<u32>(group_div_.mod(sec_global));
+  const u64 off = sec_div_.mod(a);
   SetEntry& e = entries_[set];
 
   res.metadata_latency = meta_->lookup(sec_global, now);

@@ -72,6 +72,9 @@ class PomController final : public hmm::HybridMemoryController {
   PomConfig cfg_;
   u32 sets_;
   u32 m_;
+  Divisor visible_div_;  ///< bytes the sets cover
+  Divisor sec_div_;      ///< cfg_.sector_bytes
+  Divisor group_div_;    ///< m_ + 1 sectors per set
   /// Per set, the permutation of its m_+1 sectors over its frames, m_+1
   /// entries a set, stored as sector ^ frame: the zero bytes of a fresh
   /// table are the identity.

@@ -16,7 +16,12 @@ SilcFmController::SilcFmController(mem::DramDevice& hbm,
           }()),
       cfg_(cfg),
       sets_(static_cast<u32>(hbm.capacity() / cfg.block_bytes)),
-      m_(static_cast<u32>(dram.capacity() / cfg.block_bytes / sets_)) {
+      m_(static_cast<u32>(dram.capacity() / cfg.block_bytes / sets_)),
+      visible_div_(static_cast<u64>(sets_) * (m_ + 1) * cfg.block_bytes),
+      block_div_(cfg.block_bytes),
+      sub_div_(cfg.subblock_bytes),
+      sets_div_(sets_),
+      far_div_(m_) {
   paired_xor_none_ = ZeroArray<u32>(sets_);
   present_ = BitMatrix(sets_, subblocks());
   counter_ = ZeroArray<u8>(static_cast<std::size_t>(sets_) * (m_ + 1));
@@ -37,15 +42,13 @@ u64 SilcFmController::metadata_sram_bytes() const {
 hmm::HmmResult SilcFmController::service(Addr addr, AccessType type,
                                          Tick now) {
   hmm::HmmResult res;
-  const u64 visible =
-      static_cast<u64>(sets_) * (m_ + 1) * cfg_.block_bytes;
-  const Addr a = addr % visible;
-  const u64 blk_global = a / cfg_.block_bytes;
+  const Addr a = visible_div_.wrap(addr);
+  const u64 blk_global = block_div_.div(a);
   // Strided (CAMEO-style) congruence groups: block b shares set b % sets_.
-  const u32 set = static_cast<u32>(blk_global % sets_);
-  const u32 blk = static_cast<u32>(blk_global / sets_);  // in-set index
-  const u64 off = a % cfg_.block_bytes;
-  const u32 sub = static_cast<u32>(off / cfg_.subblock_bytes);
+  const u32 set = static_cast<u32>(sets_div_.mod(blk_global));
+  const u32 blk = static_cast<u32>(sets_div_.div(blk_global));  // in-set
+  const u64 off = block_div_.mod(a);
+  const u32 sub = static_cast<u32>(sub_div_.div(off));
   BitRow present = present_.row(set);
   u8* const counter =
       counter_.data() + static_cast<std::size_t>(set) * (m_ + 1);
@@ -59,7 +62,7 @@ hmm::HmmResult SilcFmController::service(Addr addr, AccessType type,
   auto far_addr = [&](u32 b) {
     // In-set far block index m_ is the near-native block's spill frame;
     // far blocks [0, m_) have their own frames.
-    return (static_cast<u64>(b % m_) * sets_ + set) * cfg_.block_bytes;
+    return (far_div_.wrap(b) * sets_ + set) * cfg_.block_bytes;
   };
 
   // The near-native block (in-set index m_) is served near except for the

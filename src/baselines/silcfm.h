@@ -59,6 +59,11 @@ class SilcFmController final : public hmm::HybridMemoryController {
   SilcFmConfig cfg_;
   u32 sets_;  ///< one near block per set
   u32 m_;     ///< far blocks per set
+  Divisor visible_div_;  ///< bytes the sets cover
+  Divisor block_div_;    ///< cfg_.block_bytes
+  Divisor sub_div_;      ///< cfg_.subblock_bytes
+  Divisor sets_div_;     ///< sets_
+  Divisor far_div_;      ///< m_
   // Every set's state in flat tables sized once; all-zero bytes are the
   // initial state.
   ZeroArray<u32> paired_xor_none_;  ///< per set: paired block ^ kNone

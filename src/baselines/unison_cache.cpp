@@ -17,6 +17,10 @@ UnisonCacheController::UnisonCacheController(mem::DramDevice& hbm,
   const u64 slot_bytes = cfg_.page_bytes + cfg_.tag_bytes_per_page;
   const u64 pages = hbm.capacity() / slot_bytes;
   sets_ = static_cast<u32>(pages / cfg_.ways);
+  page_div_ = Divisor(cfg_.page_bytes);
+  block_div_ = Divisor(cfg_.block_bytes);
+  sets_div_ = Divisor(sets_);
+  fp_div_ = Divisor(cfg_.footprint_table_entries);
   const std::size_t ways = static_cast<std::size_t>(sets_) * cfg_.ways;
   ways_ = ZeroArray<Way>(ways);
   blocks_ = BitMatrix(ways * kBitmaps, blocks_per_page());
@@ -73,7 +77,7 @@ void UnisonCacheController::evict(u32 set, u32 w, Tick now) {
   Way& way = ways_[wi];
   if (!way.valid) return;
   const Addr frame = frame_addr(set, w);
-  const Addr home = (way.page * cfg_.page_bytes) % dram().capacity();
+  const Addr home = dram().fold(way.page * cfg_.page_bytes);
   for (u32 b = 0; b < blocks_per_page(); ++b) {
     if (blocks_.test(bitmap(wi, kDirty), b)) {
       move_data(hbm(), frame + b * cfg_.block_bytes, dram(),
@@ -82,7 +86,7 @@ void UnisonCacheController::evict(u32 set, u32 w, Tick now) {
     }
   }
   // Record the residency footprint for the next fill of this page.
-  footprints_.copy_row(way.page % cfg_.footprint_table_entries, blocks_,
+  footprints_.copy_row(fp_div_.mod(way.page), blocks_,
                        bitmap(wi, kUsed));
   way.valid = false;
   for (std::size_t k = 0; k < kBitmaps; ++k) {
@@ -95,12 +99,11 @@ void UnisonCacheController::evict(u32 set, u32 w, Tick now) {
 hmm::HmmResult UnisonCacheController::service(Addr addr, AccessType type,
                                               Tick now) {
   hmm::HmmResult res;
-  const Addr phys = addr % dram().capacity();
-  const u64 page = phys / cfg_.page_bytes;
-  const u32 set = static_cast<u32>(page % sets_);
-  const u32 block = static_cast<u32>((phys % cfg_.page_bytes) /
-                                     cfg_.block_bytes);
-  const u64 in_block_off = phys % cfg_.block_bytes;
+  const Addr phys = dram().fold(addr);
+  const u64 page = page_div_.div(phys);
+  const u32 set = static_cast<u32>(sets_div_.mod(page));
+  const u32 block = static_cast<u32>(block_div_.div(page_div_.mod(phys)));
+  const u64 in_block_off = block_div_.mod(phys);
 
   // Embedded tags: one HBM metadata read covering the set's way tags.
   const auto tags = hbm().access(frame_addr(set, 0) + cfg_.page_bytes,
@@ -178,7 +181,7 @@ hmm::HmmResult UnisonCacheController::service(Addr addr, AccessType type,
   way.page = page;
   way.lru_stamp = ++lru_clock_;
   // Fetch the predicted footprint, and always the demanded block.
-  const std::size_t fp = page % cfg_.footprint_table_entries;
+  const std::size_t fp = fp_div_.mod(page);
   const Addr frame = frame_addr(set, victim);
   const Addr home = page * cfg_.page_bytes;
   for (u32 b = 0; b < blocks_per_page(); ++b) {

@@ -69,6 +69,10 @@ class UnisonCacheController final : public hmm::HybridMemoryController {
 
   UnisonConfig cfg_;
   u32 sets_;
+  Divisor page_div_;   ///< cfg_.page_bytes
+  Divisor block_div_;  ///< cfg_.block_bytes
+  Divisor sets_div_;   ///< sets_
+  Divisor fp_div_;     ///< cfg_.footprint_table_entries
   ZeroArray<Way> ways_;  ///< all-zero bytes: every way invalid
   // Per-way block bitmaps: fetched blocks, dirty blocks, and demanded
   // blocks (footprint + over-fetch). A way's three are adjacent rows of one

@@ -45,6 +45,10 @@ BumblebeeController::BumblebeeController(const BumblebeeConfig& cfg,
                       paging)),
       cfg_(cfg),
       geo_(Geometry::make(cfg, hbm.capacity(), dram.capacity())),
+      visible_div_(geo_.visible_bytes()),
+      page_div_(geo_.page_bytes),
+      block_div_(geo_.block_bytes),
+      sets_div_(geo_.sets),
       counter_max_((u64{1} << cfg.counter_bits) - 1),
       sets_(geo_, cfg_.dram_queue_depth, counter_max_) {
   hmm::MetadataConfig mc;
@@ -186,19 +190,19 @@ void BumblebeeController::register_metrics(MetricRegistry& reg) const {
 // --------------------------------------------------------------- address
 
 BumblebeeController::Decoded BumblebeeController::decode(Addr addr) const {
-  addr %= geo_.visible_bytes();
-  const u64 lp = addr / geo_.page_bytes;
+  addr = visible_div_.wrap(addr);
+  const u64 lp = page_div_.div(addr);
   Decoded d;
   if (lp < geo_.dram_pages()) {
-    d.set = static_cast<u32>(lp % geo_.sets);
-    d.page = static_cast<u32>(lp / geo_.sets);
+    d.set = static_cast<u32>(sets_div_.mod(lp));
+    d.page = static_cast<u32>(sets_div_.div(lp));
   } else {
     const u64 q = lp - geo_.dram_pages();
-    d.set = static_cast<u32>(q % geo_.sets);
-    d.page = geo_.m + static_cast<u32>(q / geo_.sets);
+    d.set = static_cast<u32>(sets_div_.mod(q));
+    d.page = geo_.m + static_cast<u32>(sets_div_.div(q));
   }
-  d.offset = addr % geo_.page_bytes;
-  d.block = static_cast<u32>(d.offset / geo_.block_bytes);
+  d.offset = page_div_.mod(addr);
+  d.block = static_cast<u32>(block_div_.div(d.offset));
   return d;
 }
 
@@ -829,7 +833,7 @@ hmm::HmmResult BumblebeeController::service(Addr addr, AccessType type,
   // High-footprint detection (trigger 5): the OS is handing out addresses
   // beyond the off-chip capacity.
   if (cfg_.high_footprint_actions && !high_footprint_mode_ &&
-      (addr % geo_.visible_bytes()) >=
+      visible_div_.wrap(addr) >=
           geo_.dram_pages() * geo_.page_bytes) {
     high_footprint_mode_ = true;
   }

@@ -201,6 +201,11 @@ class BumblebeeController final : public hmm::HybridMemoryController {
 
   BumblebeeConfig cfg_;
   Geometry geo_;
+  // decode()'s divisors, derived once from geo_.
+  Divisor visible_div_;  ///< geo_.visible_bytes()
+  Divisor page_div_;     ///< geo_.page_bytes
+  Divisor block_div_;    ///< geo_.block_bytes
+  Divisor sets_div_;     ///< geo_.sets
   std::unique_ptr<hmm::MetadataModel> meta_;
   u64 counter_max_;
   SetTable sets_;

@@ -108,12 +108,14 @@ namespace detail {
 
 std::atomic<bool> g_enabled{false};
 
-Phase enter(Phase p) {
+Phase enter(Phase p, u64 calls) {
   Slot& slot = local_slot();
   flush(slot, monotonic_ns());
   const Phase prev = slot.current;
   slot.current = p;
-  if (p != Phase::kNone) ++slot.totals.calls[static_cast<std::size_t>(p)];
+  if (p != Phase::kNone) {
+    slot.totals.calls[static_cast<std::size_t>(p)] += calls;
+  }
   return prev;
 }
 

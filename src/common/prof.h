@@ -12,7 +12,9 @@
 //
 // Phases (exclusive self-time; entering a nested phase pauses the outer
 // one, so the five buckets partition the instrumented span):
-//   trace-gen       synthetic trace generation (TraceGenerator::next)
+//   trace-gen       miss-record production: TraceGenerator::next, the
+//                   trace reader, shared-stream chunk fills; one call per
+//                   record handed to the core loop
 //   hmm-access      hybrid-memory-controller request service, minus the
 //                   device-timing time it nests
 //   device-timing   DramDevice::access (bank/bus/queue timing model)
@@ -89,20 +91,23 @@ u64 peak_rss_bytes();
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
-/// Switches the calling thread into `p`, returning the suspended phase.
-Phase enter(Phase p);
+/// Switches the calling thread into `p` and adds `calls` activations to
+/// it, returning the suspended phase.
+Phase enter(Phase p, u64 calls);
 /// Ends the current phase and resumes `prev`.
 void leave(Phase prev);
 }  // namespace detail
 
 /// RAII phase marker. Cheap enough for per-request hot paths: a single
 /// relaxed load while profiling is off, one clock read per transition when
-/// it is on.
+/// it is on. `calls` is the number of operations the span stands for: one
+/// per request, or a whole batch when a span covers many records at once
+/// (a shared-stream cursor bills its records once per chunk).
 class ScopedPhase {
  public:
-  explicit ScopedPhase(Phase p) {
+  explicit ScopedPhase(Phase p, u64 calls = 1) {
     if (detail::g_enabled.load(std::memory_order_relaxed)) {
-      prev_ = detail::enter(p);
+      prev_ = detail::enter(p, calls);
       active_ = true;
     }
   }

@@ -75,8 +75,12 @@ class Histogram {
   /// strictly increasing.
   explicit Histogram(std::vector<double> upper_bounds);
 
-  void sample(double v, u64 weight = 1) {
-    counts_[bucket_of(v)] += weight;
+  void sample(double v, u64 weight = 1) { add(bucket_of(v), weight); }
+
+  /// Counts a sample already placed in bucket `i` by bucket_of, of this
+  /// histogram or of one with the same bounds (one lookup, two counts).
+  void add(std::size_t i, u64 weight = 1) {
+    counts_[i] += weight;
     total_ += weight;
   }
 

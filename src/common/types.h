@@ -72,6 +72,31 @@ constexpr u32 bits_for(u64 distinct_values) {
 /// ceil(a / b) for b > 0.
 constexpr u64 ceil_div(u64 a, u64 b) { return (a + b - 1) / b; }
 
+/// Exact `/` and `%` by a non-zero divisor fixed at construction, for the
+/// per-request address arithmetic: a shift and a mask when the divisor is a
+/// power of two (every default geometry), hardware division otherwise.
+/// Results equal `x / d` and `x % d` for every x and every d > 0.
+class Divisor {
+ public:
+  /// Divisor 1 (every quotient is x, every remainder 0).
+  constexpr Divisor() = default;
+  /// `d` must be non-zero; callers validate their geometry first.
+  explicit constexpr Divisor(u64 d)
+      : d_(d), pow2_(is_pow2(d)), shift_(is_pow2(d) ? log2_floor(d) : 0) {}
+
+  constexpr u64 value() const { return d_; }
+  constexpr u64 div(u64 x) const { return pow2_ ? x >> shift_ : x / d_; }
+  constexpr u64 mod(u64 x) const { return pow2_ ? x & (d_ - 1) : x % d_; }
+  /// `x % d` for an x that is usually already below d: skips the division
+  /// then (an address already inside a device's capacity, say).
+  constexpr u64 wrap(u64 x) const { return x < d_ ? x : mod(x); }
+
+ private:
+  u64 d_ = 1;
+  bool pow2_ = true;
+  u32 shift_ = 0;
+};
+
 /// Read/write direction of a memory request.
 enum class AccessType : u8 { kRead, kWrite };
 

@@ -81,13 +81,16 @@ HmmResult HybridMemoryController::access(Addr addr, AccessType type,
   if (res.served_by_hbm) ++stats_.hbm_served;
   stats_.total_latency += res.complete - now;
   stats_.total_metadata_latency += res.metadata_latency;
-  stats_.latency_ns.sample(ticks_to_ns(res.complete - now));
+  // Both latency histograms have HmmStats' bounds: one bucket lookup.
+  const std::size_t bucket =
+      stats_.latency_ns.bucket_of(ticks_to_ns(res.complete - now));
+  stats_.latency_ns.add(bucket);
 
   if (cs != nullptr) {
     ++cs->requests;
     if (res.served_by_hbm) ++cs->hbm_served;
     cs->total_latency += res.complete - now;
-    cs->latency_ns.sample(ticks_to_ns(res.complete - now));
+    cs->latency_ns.add(bucket);
   }
   if (sampler_) sampler_->on_request(now);
   return res;
@@ -244,7 +247,7 @@ DramOnlyController::DramOnlyController(mem::DramDevice& hbm,
 HmmResult DramOnlyController::service(Addr addr, AccessType type, Tick now) {
   HmmResult res;
   // HBM absent: all OS addresses fold into the off-chip DRAM.
-  const Addr phys = addr % dram().capacity();
+  const Addr phys = dram().fold(addr);
   const auto r = ecc_demand(dram(), phys, 64, type, now);
   res.complete = r.access.complete;
   res.served_by_hbm = false;

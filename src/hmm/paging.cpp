@@ -15,6 +15,7 @@ constexpr std::size_t kMinTableSize = 1024;
 
 PagingModel::PagingModel(const PagingConfig& cfg)
     : cfg_(cfg),
+      os_page_(cfg.os_page_bytes),
       capacity_pages_(cfg.enabled ? cfg.visible_bytes / cfg.os_page_bytes
                                   : 0) {
   assert(capacity_pages_ < kEmptySlot && "u32 ring slots");
@@ -62,7 +63,7 @@ void PagingModel::rebuild() {
 
 Tick PagingModel::touch(Addr addr, Tick now) {
   if (!cfg_.enabled) return 0;
-  const u64 page = addr / cfg_.os_page_bytes;
+  const u64 page = os_page_.div(addr);
 
   const std::size_t at = find(page);
   if (table_[at] != kEmptySlot) {

@@ -81,6 +81,7 @@ class PagingModel {
 
   TraceSink* trace_ = nullptr;
   PagingConfig cfg_;
+  Divisor os_page_;
   u64 capacity_pages_;
   PagingStats stats_;
   /// page id -> slot in the clock ring: open addressing with linear

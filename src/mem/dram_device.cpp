@@ -47,6 +47,10 @@ DramDevice::DramDevice(DramTimingParams params)
       row_shift_(log2_floor(params_.row_bytes)),
       granule_shift_(std::min(interleave_shift_, row_shift_)),
       beat_bytes_(params_.burst_bytes()),
+      beat_shift_(log2_floor(beat_bytes_)),
+      channels_(params_.channels),
+      banks_per_channel_(params_.banks_per_channel),
+      capacity_(params_.capacity_bytes),
       t_{params_.cycles_to_ticks(params_.tCAS),
          params_.cycles_to_ticks(params_.tRCD),
          params_.cycles_to_ticks(params_.tRP),
@@ -105,13 +109,13 @@ DramDevice::Decoded DramDevice::decode(Addr addr) const {
   // ubiquitous here because frames are page-sized — alias onto a single
   // channel/bank and serialize.
   const u64 ch_hash = chunk ^ (chunk >> 4) ^ (chunk >> 9) ^ (chunk >> 15);
-  const u32 channel = static_cast<u32>(ch_hash % params_.channels);
+  const u32 channel = static_cast<u32>(channels_.mod(ch_hash));
   // Address within the channel, with interleaving folded out.
-  const u64 chan_addr = ((chunk / params_.channels) << interleave_shift_) +
+  const u64 chan_addr = (channels_.div(chunk) << interleave_shift_) +
                         (addr & (params_.interleave_bytes - 1));
   const u64 row_index = chan_addr >> row_shift_;
   const u64 bank_hash = row_index ^ (row_index >> 3) ^ (row_index >> 7);
-  const u32 bank = static_cast<u32>(bank_hash % params_.banks_per_channel);
+  const u32 bank = static_cast<u32>(banks_per_channel_.mod(bank_hash));
   // Open-row identity: the full row_index, unique per channel by
   // construction (a row_index / banks quotient would alias two rows whose
   // hashes land in the same bank and count phantom open-row hits).
@@ -216,10 +220,10 @@ DramDevice::RawTiming DramDevice::timed_beats(Addr addr, u64 bytes,
                                               AccessType type, Tick now) {
   const Addr first = addr & ~(beat_bytes_ - 1);
   const Addr last = (addr + bytes - 1) & ~(beat_bytes_ - 1);
-  u64 beats = (last - first) / beat_bytes_ + 1;
-  const u64 capacity = params_.capacity_bytes;
+  u64 beats = ((last - first) >> beat_shift_) + 1;
+  const u64 capacity = capacity_.value();
 
-  Addr a = first % capacity;
+  Addr a = capacity_.wrap(first);
   if (beats == 1) return do_beat(decode(a), type, now);
 
   // Walk the span one decode granule at a time (channel, bank and row are
@@ -230,7 +234,7 @@ DramDevice::RawTiming DramDevice::timed_beats(Addr addr, u64 bytes,
   RawTiming res;
   for (bool first_granule = true; beats > 0; first_granule = false) {
     const u64 run = std::min(
-        beats, (granule_bytes - (a & (granule_bytes - 1))) / beat_bytes_);
+        beats, (granule_bytes - (a & (granule_bytes - 1))) >> beat_shift_);
     const Decoded d = decode(a);
     const RawTiming head = do_beat(d, type, now);
     if (first_granule) res.start = head.start;
@@ -247,11 +251,11 @@ DramDevice::RawTiming DramDevice::timed_beats(Addr addr, u64 bytes,
 }
 
 u32 DramDevice::channel_of(Addr addr) const {
-  return decode(addr % params_.capacity_bytes).channel;
+  return decode(capacity_.wrap(addr)).channel;
 }
 
 bool DramDevice::open_row_hit(Addr addr) const {
-  const Decoded d = decode(addr % params_.capacity_bytes);
+  const Decoded d = decode(capacity_.wrap(addr));
   return banks_[static_cast<std::size_t>(d.channel) *
                     params_.banks_per_channel +
                 d.bank]
@@ -309,7 +313,7 @@ AccessResult DramDevice::access(Addr addr, u64 bytes, AccessType type,
     // ECC classification covers the access as a unit, keyed on the first
     // beat's geometry (sufficient for 64 B demand accesses; a multi-beat
     // transfer spanning a faulty structure still reports one event).
-    const Decoded d0 = decode(first % params_.capacity_bytes);
+    const Decoded d0 = decode(capacity_.wrap(first));
     const fault::FaultEvent ev = faults_->classify(d0.channel, d0.bank,
                                                    d0.row, now);
     if (ev.outcome != fault::EccOutcome::kClean) {

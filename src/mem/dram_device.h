@@ -135,6 +135,8 @@ class DramDevice final : private QueueBackend {
   /// The scheduler itself (tests / probes), nullptr when off.
   const ChannelScheduler* scheduler() const { return scheduler_.get(); }
   u64 capacity() const { return params_.capacity_bytes; }
+  /// `addr % capacity()`, with no division for an address already inside.
+  Addr fold(Addr addr) const { return capacity_.wrap(addr); }
 
   /// Clears statistics (bank/bus state is retained).
   void reset_stats();
@@ -225,6 +227,10 @@ class DramDevice final : private QueueBackend {
   /// constant over each aligned granule of this size.
   u32 granule_shift_;
   u64 beat_bytes_;
+  u32 beat_shift_;  ///< log2(beat_bytes_)
+  Divisor channels_;
+  Divisor banks_per_channel_;
+  Divisor capacity_;
   struct Ticks {
     Tick cas, rcd, rp, ras, rtw, wtr, burst, refi, rfc;
   } t_;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/prof.h"
 #include "common/snapshot.h"
 #include "trace/stream.h"
 
@@ -15,8 +14,8 @@ CoreModel::CoreModel(const CoreParams& params) : params_(params) {
   // base CPI in picoseconds per instruction, kept as a rational so long
   // runs accumulate no floating-point drift: cpi / freq_ghz ns/inst.
   const double ps_per_inst = params_.base_cpi / params_.freq_ghz * 1000.0;
-  cpi_ticks_num_ = static_cast<Tick>(ps_per_inst * 1024.0 + 0.5);
-  cpi_ticks_den_ = 1024;
+  cpi_ticks_num_ = static_cast<Tick>(
+      ps_per_inst * static_cast<double>(kCpiTicksDen.value()) + 0.5);
 }
 
 void RunLoopState::serialize(snap::Archive& ar) {
@@ -147,10 +146,7 @@ CoreResult CoreModel::run_sources(
     }
     RunLoopState::Core& core = ls.cores[next];
 
-    const trace::TraceRecord rec = [&] {
-      prof::ScopedPhase phase(prof::Phase::kTraceGen);
-      return sources[next]->next();
-    }();
+    const trace::TraceRecord rec = sources[next]->next();
     ++ls.records;
     if (capture_ != nullptr) {
       // Record the merged stream exactly as the memory system sees it:
@@ -171,12 +167,12 @@ CoreResult CoreModel::run_sources(
       const u64 adv = stall_inst > core.inst ? stall_inst - core.inst : 0;
       core.inst += adv;
       remaining -= adv;
-      core.now += adv * cpi_ticks_num_ / cpi_ticks_den_;
+      core.now += kCpiTicksDen.div(adv * cpi_ticks_num_);
       core.now = std::max(core.now, core.rob.front().second);
       core.rob.pop_front();
     }
     core.inst += remaining;
-    core.now += remaining * cpi_ticks_num_ / cpi_ticks_den_;
+    core.now += kCpiTicksDen.div(remaining * cpi_ticks_num_);
 
     // MSHR/MLP limit.
     if (core.rob.size() >= params_.mlp) {

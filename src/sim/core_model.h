@@ -178,8 +178,9 @@ class CoreModel {
 
  private:
   CoreParams params_;
-  Tick cpi_ticks_num_;  ///< base CPI in ticks, as a rational (num/denom)
-  Tick cpi_ticks_den_;
+  /// Base CPI in ticks, as the rational cpi_ticks_num_ / kCpiTicksDen.
+  static constexpr Divisor kCpiTicksDen{1024};
+  Tick cpi_ticks_num_;
   trace::TraceCaptureSink* capture_ = nullptr;
 };
 

@@ -21,6 +21,7 @@
 #include "common/snapshot.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
+#include "trace/shared_stream.h"
 #include "trace/stream.h"
 
 namespace bb::sim {
@@ -461,6 +462,47 @@ void run_ordered(std::size_t n, const SystemConfig& cfg,
   pool.parallel_for(n, step);
 }
 
+/// The miss streams of one matrix: per workload, one trace::SharedStream
+/// per core lane, made when the workload's first cell opens them and read
+/// by each of its `readers` cells. Each stream frees its chunks and its
+/// generator once its last reader is done; only the empty stream objects
+/// wait for the matrix to end.
+class MatrixStreams {
+ public:
+  using Cursors = std::vector<std::unique_ptr<trace::SharedStream::Cursor>>;
+
+  MatrixStreams(const SystemConfig& cfg,
+                const std::vector<trace::WorkloadProfile>& workloads,
+                u32 readers)
+      : cfg_(cfg),
+        workloads_(workloads),
+        readers_(readers),
+        streams_(workloads.size()) {}
+
+  /// One reader's cursors over workload `w`'s lanes, in lane order.
+  Cursors open(std::size_t w) {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto& lanes = streams_[w];
+    if (lanes.empty()) {
+      for (const CoreLane& lane : CoreModel::homogeneous_lanes(
+               workloads_[w], cfg_.seed, cfg_.core.cores)) {
+        lanes.push_back(std::make_unique<trace::SharedStream>(
+            lane.profile, lane.seed, readers_));
+      }
+    }
+    Cursors out;
+    for (const auto& stream : lanes) out.push_back(stream->open());
+    return out;
+  }
+
+ private:
+  const SystemConfig& cfg_;
+  const std::vector<trace::WorkloadProfile>& workloads_;
+  const u32 readers_;
+  std::mutex mu_;
+  std::vector<std::vector<std::unique_ptr<trace::SharedStream>>> streams_;
+};
+
 }  // namespace
 
 ResultJournal::LoadStats ResultJournal::load_stats(
@@ -554,10 +596,11 @@ void ExperimentRunner::run_matrix(
     const RunMatrixOptions& opts) {
   run_cells(designs, workloads,
             [&designs](System& system, std::size_t d,
-                       const trace::WorkloadProfile& w, u64 instr) {
-              return system.run(designs[d], w, instr);
+                       const trace::WorkloadProfile& w, u64 instr,
+                       const LaneSources& lanes) {
+              return system.run(designs[d], w, instr, lanes);
             },
-            opts);
+            opts, /*share_streams=*/true);
 }
 
 void ExperimentRunner::run_replay_matrix(
@@ -581,11 +624,12 @@ void ExperimentRunner::run_replay_matrix(
   // and every replay starts from record zero.
   run_cells(designs, {label},
             [&](System& system, std::size_t d,
-                const trace::WorkloadProfile& w, u64 instr) {
+                const trace::WorkloadProfile& w, u64 instr,
+                const LaneSources&) {
               trace::StreamingTraceReader reader(replay.path);
               return system.run_replay(designs[d], reader, w.name, instr);
             },
-            opts);
+            opts, /*share_streams=*/false);
 }
 
 void ExperimentRunner::run_bumblebee_matrix(
@@ -597,37 +641,57 @@ void ExperimentRunner::run_bumblebee_matrix(
   for (const auto& [label, cfg] : configs) labels.push_back(label);
   run_cells(labels, workloads,
             [&configs](System& system, std::size_t d,
-                       const trace::WorkloadProfile& w, u64 instr) {
+                       const trace::WorkloadProfile& w, u64 instr,
+                       const LaneSources& lanes) {
               // The label names the controller, so each point gets its
               // own snapshot file.
               bumblebee::BumblebeeConfig cfg = configs[d].second;
               cfg.variant_name = configs[d].first;
-              return system.run_bumblebee(cfg, w, instr);
+              return system.run_bumblebee(cfg, w, instr, lanes);
             },
-            opts);
+            opts, /*share_streams=*/true);
 }
 
 void ExperimentRunner::run_cells(
     const std::vector<std::string>& designs,
     const std::vector<trace::WorkloadProfile>& workloads, const CellFn& cell,
-    const RunMatrixOptions& opts) {
+    const RunMatrixOptions& opts, bool share_streams) {
   // Cells run workload-major, design-minor. Journaled cells are restored
   // without re-simulation and without re-firing on_result.
   const std::size_t n_designs = designs.size();
+  // A shared stream cannot rewind, so cells that may restart or restore a
+  // run mid-stream (snapshots, watchdog retries) keep private generators,
+  // as do captures, whose sink must see each cell's own generation.
+  std::optional<MatrixStreams> streams;
+  if (share_streams && !cfg_.snapshot.configured() &&
+      cfg_.capture == nullptr && opts.cell_timeout_s <= 0) {
+    streams.emplace(cfg_, workloads, static_cast<u32>(n_designs));
+  }
   run_ordered<RunResult>(
       n_designs * workloads.size(), cfg_, opts, "cells",
       [&](const ResultJournal& journal, std::size_t i) {
-        return journal.find(designs[i % n_designs],
-                             workloads[i / n_designs].name);
+        const RunResult* row = journal.find(designs[i % n_designs],
+                                            workloads[i / n_designs].name);
+        // A restored cell reads nothing: open and drop its cursors so the
+        // streams stop holding chunks for it.
+        if (row != nullptr && streams) streams->open(i / n_designs);
+        return row;
       },
       [&](System& system, std::size_t i) {
         const trace::WorkloadProfile& w = workloads[i / n_designs];
+        // The cursors close when the cell returns or throws, so each cell
+        // releases its share of the streams exactly once.
+        const MatrixStreams::Cursors cursors =
+            streams ? streams->open(i / n_designs) : MatrixStreams::Cursors{};
+        LaneSources lanes;
+        for (const auto& c : cursors) lanes.push_back(c.get());
         return cell(system, i % n_designs, w,
                     opts.instructions
                         ? opts.instructions
                         : default_instructions_for(w, opts.target_misses,
                                                    opts.min_instructions,
-                                                   opts.max_instructions));
+                                                   opts.max_instructions),
+                    lanes);
       },
       [&](std::size_t i) {
         RunResult r;

@@ -247,15 +247,22 @@ class ExperimentRunner {
 
  private:
   /// One matrix cell: run design index `d` of the current matrix against
-  /// `w` for `instr` instructions on the given (worker-private) System.
+  /// `w` for `instr` instructions on the given (worker-private) System,
+  /// reading `lanes` (shared-stream cursors; empty when not shared).
   using CellFn = std::function<RunResult(
-      System&, std::size_t d, const trace::WorkloadProfile& w, u64 instr)>;
+      System&, std::size_t d, const trace::WorkloadProfile& w, u64 instr,
+      const LaneSources& lanes)>;
 
   /// Runs every (design, workload) cell through the ordered matrix driver;
   /// `designs` are the names result rows and resume lookups are keyed by.
+  /// With `share_streams`, each (workload, lane) miss stream is generated
+  /// once and read by every cell of the workload, unless a cell could need
+  /// to rewind it: snapshots, capture and the watchdog's retries keep
+  /// private generators.
   void run_cells(const std::vector<std::string>& designs,
                  const std::vector<trace::WorkloadProfile>& workloads,
-                 const CellFn& cell, const RunMatrixOptions& opts);
+                 const CellFn& cell, const RunMatrixOptions& opts,
+                 bool share_streams);
 
   SystemConfig cfg_;
   std::vector<RunResult> results_;

@@ -92,20 +92,21 @@ void System::make_devices() {
 
 RunResult System::run(const std::string& design,
                       const trace::WorkloadProfile& workload,
-                      u64 instructions) {
+                      u64 instructions, const LaneSources& lane_sources) {
   make_devices();
   hmmc_ = baselines::make_design(design, *hbm_, *dram_, cfg_.paging);
-  return run_current(workload, instructions);
+  return run_current(workload, instructions, lane_sources);
 }
 
 RunResult System::run_bumblebee(const bumblebee::BumblebeeConfig& cfg,
                                 const trace::WorkloadProfile& workload,
-                                u64 instructions) {
+                                u64 instructions,
+                                const LaneSources& lane_sources) {
   make_devices();
   design_knobs_ = bumblebee_knobs(cfg);
   hmmc_ = std::make_unique<bumblebee::BumblebeeController>(cfg, *hbm_, *dram_,
                                                            cfg_.paging);
-  return run_current(workload, instructions);
+  return run_current(workload, instructions, lane_sources);
 }
 
 RunResult System::run_mix(const std::string& design,
@@ -120,10 +121,12 @@ RunResult System::run_mix(const std::string& design,
 }
 
 RunResult System::run_current(const trace::WorkloadProfile& workload,
-                              u64 instructions) {
+                              u64 instructions,
+                              const LaneSources& lane_sources) {
   return run_lanes_current(
       CoreModel::homogeneous_lanes(workload, cfg_.seed, cfg_.core.cores),
-      instructions, workload.name, /*attach_core_perf=*/false);
+      instructions, workload.name, /*attach_core_perf=*/false,
+      /*replay=*/nullptr, lane_sources);
 }
 
 RunResult System::run_replay(const std::string& design,
@@ -141,7 +144,8 @@ RunResult System::run_lanes_current(const std::vector<CoreLane>& lanes,
                                     u64 total_instructions,
                                     const std::string& workload_name,
                                     bool attach_core_perf,
-                                    trace::TraceSource* replay) {
+                                    trace::TraceSource* replay,
+                                    const LaneSources& lane_sources) {
   CoreModel core(cfg_.core);
   core.set_capture(cfg_.capture);
   hmmc_->set_core_count(static_cast<u32>(lanes.size()));
@@ -158,13 +162,17 @@ RunResult System::run_lanes_current(const std::vector<CoreLane>& lanes,
     sources.push_back(replay);
     bases.push_back(0);
   } else {
+    BB_CHECK(lane_sources.empty() || lane_sources.size() == lanes.size(),
+             "lane sources must match the lanes one to one");
     gens.reserve(lanes.size());
-    sources.reserve(lanes.size());
+    sources = lane_sources;
     bases.reserve(lanes.size());
     for (const CoreLane& lane : lanes) {
-      gens.push_back(
-          std::make_unique<trace::TraceGenerator>(lane.profile, lane.seed));
-      sources.push_back(gens.back().get());
+      if (lane_sources.empty()) {
+        gens.push_back(
+            std::make_unique<trace::TraceGenerator>(lane.profile, lane.seed));
+        sources.push_back(gens.back().get());
+      }
       bases.push_back(lane.base);
     }
   }

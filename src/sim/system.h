@@ -172,6 +172,12 @@ struct RunResult {
   std::shared_ptr<std::vector<CorePerf>> core_perf;
 };
 
+/// Record sources standing in for a run's per-lane generators, one per
+/// lane of CoreModel::homogeneous_lanes(workload, seed, cores), each at
+/// record 0 of that lane's stream (the matrix's shared-stream cursors).
+/// Empty: the run builds private generators.
+using LaneSources = std::vector<trace::TraceSource*>;
+
 class System {
  public:
   explicit System(SystemConfig cfg = SystemConfig{});
@@ -180,12 +186,14 @@ class System {
   /// Each call constructs fresh devices and controller (no state leaks
   /// between runs).
   RunResult run(const std::string& design,
-                const trace::WorkloadProfile& workload, u64 instructions);
+                const trace::WorkloadProfile& workload, u64 instructions,
+                const LaneSources& lane_sources = {});
 
   /// Runs a custom Bumblebee configuration (design-space exploration).
   RunResult run_bumblebee(const bumblebee::BumblebeeConfig& cfg,
                           const trace::WorkloadProfile& workload,
-                          u64 instructions);
+                          u64 instructions,
+                          const LaneSources& lane_sources = {});
 
   /// Multi-programmed co-run: one lane per core (heterogeneous profiles,
   /// seeds and address bases — see sim/mix.h for the MixSpec front end).
@@ -226,16 +234,17 @@ class System {
 
  private:
   RunResult run_current(const trace::WorkloadProfile& workload,
-                        u64 instructions);
+                        u64 instructions, const LaneSources& lane_sources);
   /// Shared replay + result assembly for run_current, run_mix and
   /// run_replay. When `replay` is non-null it is the single record source
-  /// (lanes then only size the core count); otherwise lanes seed fresh
-  /// generators.
+  /// (lanes then only size the core count); otherwise each lane reads its
+  /// entry of `lane_sources`, or a fresh generator when that is empty.
   RunResult run_lanes_current(const std::vector<CoreLane>& lanes,
                               u64 total_instructions,
                               const std::string& workload_name,
                               bool attach_core_perf,
-                              trace::TraceSource* replay = nullptr);
+                              trace::TraceSource* replay = nullptr,
+                              const LaneSources& lane_sources = {});
   /// Constructs fresh devices for a run and, when cfg_.fault is enabled,
   /// fresh per-device fault state seeded from the run seed (fault-free runs
   /// attach nothing and take the historical code path).

@@ -6,6 +6,7 @@
 #include <set>
 #include <utility>
 
+#include "common/prof.h"
 #include "common/snapshot.h"
 
 namespace bb::trace {
@@ -86,6 +87,11 @@ Addr TraceGenerator::cold_address() {
 }
 
 TraceRecord TraceGenerator::next() {
+  prof::ScopedPhase phase(prof::Phase::kTraceGen);
+  return draw();
+}
+
+TraceRecord TraceGenerator::draw() {
   TraceRecord rec;
   rec.inst_gap = unit_gap_ ? 1 : rng_.next_gap_log(gap_log1p_);
   const double u = rng_.next_double();
@@ -104,7 +110,7 @@ TraceRecord TraceGenerator::next() {
 std::vector<TraceRecord> TraceGenerator::take(u64 n) {
   std::vector<TraceRecord> out;
   out.reserve(static_cast<std::size_t>(n));
-  for (u64 i = 0; i < n; ++i) out.push_back(next());
+  for (u64 i = 0; i < n; ++i) out.push_back(draw());
   return out;
 }
 

@@ -35,15 +35,17 @@ struct TraceRecord {
   AccessType type = AccessType::kRead;
 };
 
-/// Abstract producer of miss records. The synthetic generator and the
-/// streaming trace reader both implement this, so the core model can drive
-/// either interchangeably (CoreModel::run_sources). Sources never run dry:
-/// the reader loops at end-of-trace.
+/// Abstract producer of miss records. The synthetic generator, the
+/// streaming trace reader and the shared-stream cursor all implement this,
+/// so the core model can drive any of them interchangeably
+/// (CoreModel::run_sources). Sources never run dry: the reader loops at
+/// end-of-trace.
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
 
-  /// Produces the next miss record.
+  /// Produces the next miss record. Each source bills its own host time to
+  /// bb::prof's trace-gen phase, one call per record returned.
   virtual TraceRecord next() = 0;
 
   /// Snapshot/restore of the read position; every source has one.
@@ -61,8 +63,12 @@ class TraceGenerator : public TraceSource {
  public:
   TraceGenerator(const WorkloadProfile& profile, u64 seed);
 
-  /// Produces the next miss record.
+  /// Produces the next miss record (profiled; see TraceSource::next).
   TraceRecord next() override;
+
+  /// next() without the profiler marker, for callers that bill a whole
+  /// batch of records at once (SharedStream's chunk fill).
+  TraceRecord draw();
 
   /// Convenience: materializes `n` records.
   std::vector<TraceRecord> take(u64 n);

@@ -1,6 +1,7 @@
 #include "trace/stream.h"
 
 #include "common/crc32.h"
+#include "common/prof.h"
 #include "common/snapshot.h"
 
 #include <array>
@@ -284,7 +285,7 @@ WalkResult walk_structure(std::FILE* f, const std::string& path) {
               "--workload, --misses and --seed)");
   }
   if (magic != kMagicV2) throw_bad(path, "not a Bumblebee binary trace");
-  if (version != 2) {
+  if (version != kTraceFormatVersion) {
     throw_bad(path,
               "v2 magic with unsupported version " + std::to_string(version));
   }
@@ -296,7 +297,6 @@ WalkResult walk_structure(std::FILE* f, const std::string& path) {
   if (info.codec == TraceCodec::kZlib && !kHaveZlib) {
     throw_bad(path, "zlib codec unavailable in this build");
   }
-  info.version = 2;
 
   if (info.file_bytes < kHeaderBytes + kFooterBytes) {
     throw_bad(path, "too small to hold a footer (truncated capture?)");
@@ -423,7 +423,7 @@ void TraceCaptureSink::open(const std::string& path,
 
   u8 hdr[kHeaderBytes];
   put_u64(hdr, kMagicV2);
-  put_u32(hdr + 8, 2);
+  put_u32(hdr + 8, kTraceFormatVersion);
   put_u32(hdr + 12, static_cast<u32>(opts_.codec));
   put_u64(hdr + 16, opts_.chunk_records);
   if (!write_exact(file_.get(), hdr, kHeaderBytes)) ok_ = false;
@@ -505,6 +505,7 @@ void StreamingTraceReader::rewind_to_first_chunk() {
 }
 
 TraceRecord StreamingTraceReader::next() {
+  prof::ScopedPhase phase(prof::Phase::kTraceGen);
   if (cursor_ >= decoded_.size()) load_next_chunk();
   const TraceRecord r = decoded_[cursor_++];
   if (cursor_ >= decoded_.size() &&

@@ -119,8 +119,10 @@ class TraceCaptureSink {
 
 /// Structural description of a trace file, from a shallow walk of the
 /// header, chunk headers and footer (payloads are not decoded).
+/// The on-disk format version every file carries (the only one read).
+inline constexpr u32 kTraceFormatVersion = 2;
+
 struct TraceInfo {
-  u32 version = 0;
   TraceCodec codec = TraceCodec::kRaw;
   u64 records = 0;
   u64 inst_gap_total = 0;  ///< instruction budget for exactly one pass

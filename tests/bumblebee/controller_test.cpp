@@ -485,5 +485,44 @@ TEST_F(BumblebeeTest, RestoreRejectsBleModePastLastEnumerator) {
                snap::SnapshotError);
 }
 
+TEST(BumblebeeGeometry, OddSetCountDecodesLikeDivision) {
+  // 24 MiB of HBM gives 48 sets and 53 off-chip pages per set, so the
+  // set, page and wrap arithmetic run on hardware division. Where every
+  // access lands must agree with the plain `/` and `%` decode kept here as
+  // the reference: same set (frames are slot * sets + set on either
+  // device) and same offset within the page, and an address one visible
+  // span higher must land on the same byte.
+  auto hbm_p = small_hbm();
+  hbm_p.capacity_bytes = 24 * MiB;
+  mem::DramDevice hbm(hbm_p);
+  mem::DramDevice dram(small_dram());
+  BumblebeeController c(BumblebeeConfig::baseline(), hbm, dram,
+                        hmm::PagingConfig{});
+  const Geometry& g = c.geometry();
+  ASSERT_EQ(g.sets, 48u);
+  ASSERT_EQ(g.m, 53u);
+  const u64 visible = g.visible_bytes();
+  const auto ref_set = [&](Addr addr) {
+    const u64 lp = (addr % visible) / g.page_bytes;
+    const u64 q = lp < g.dram_pages() ? lp : lp - g.dram_pages();
+    return q % g.sets;
+  };
+  Rng rng(5);
+  Tick now = 1000;
+  for (int i = 0; i < 4000; ++i) {
+    const Addr a = rng.next_below(3 * visible) & ~u64{63};
+    c.access(a, i % 4 == 0 ? AccessType::kWrite : AccessType::kRead, now);
+    now += 2000;
+    const auto loc = c.locate(a);
+    ASSERT_TRUE(loc.allocated) << a;
+    EXPECT_EQ((loc.phys / g.page_bytes) % g.sets, ref_set(a)) << a;
+    EXPECT_EQ(loc.phys % g.page_bytes, (a % visible) % g.page_bytes) << a;
+    const auto again = c.locate(a % visible + visible);
+    EXPECT_EQ(again.phys, loc.phys) << a;
+    EXPECT_EQ(again.in_hbm, loc.in_hbm) << a;
+  }
+  EXPECT_TRUE(c.check_invariants());
+}
+
 }  // namespace
 }  // namespace bb::bumblebee

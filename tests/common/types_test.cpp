@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.h"
+
 namespace bb {
 namespace {
 
@@ -39,6 +43,38 @@ TEST(Types, CeilDiv) {
   EXPECT_EQ(ceil_div(1, 8), 1u);
   EXPECT_EQ(ceil_div(8, 8), 1u);
   EXPECT_EQ(ceil_div(9, 8), 2u);
+}
+
+TEST(Types, DivisorMatchesHardwareDivision) {
+  // Power-of-two divisors take the shift/mask path, the rest `/` and `%`;
+  // both must equal hardware division on every input, including the
+  // extremes and inputs far past the divisor.
+  const u64 divisors[] = {1,         2,         3,     6,          7,
+                          64,        72,        1000,  1024,       1536,
+                          u64{10} * GiB,        11 * GiB, u64{1} << 40,
+                          (u64{1} << 40) + 1,   (u64{1} << 63) - 1,
+                          u64{1} << 63,         ~u64{0}};
+  Rng rng(2024);
+  for (const u64 d : divisors) {
+    SCOPED_TRACE(d);
+    const Divisor div(d);
+    EXPECT_EQ(div.value(), d);
+    std::vector<u64> xs = {0, 1, d - 1, d, d + 1, 2 * d - 1, ~u64{0},
+                           ~u64{0} - 1};
+    for (int i = 0; i < 2000; ++i) {
+      xs.push_back(rng.next_u64());
+      xs.push_back(rng.next_u64() >> (rng.next_u64() % 64));
+      xs.push_back(rng.next_below(d));  // already in range: wrap's fast path
+    }
+    for (const u64 x : xs) {
+      ASSERT_EQ(div.div(x), x / d) << x;
+      ASSERT_EQ(div.mod(x), x % d) << x;
+      ASSERT_EQ(div.wrap(x), x % d) << x;
+    }
+  }
+  // The default divisor is 1.
+  EXPECT_EQ(Divisor().div(12345), 12345u);
+  EXPECT_EQ(Divisor().mod(12345), 0u);
 }
 
 TEST(Types, TickConversions) {

@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "common/rng.h"
+
 namespace bb::mem {
 namespace {
 
@@ -282,6 +284,58 @@ TEST(DramDevice, RejectsDecodeGranuleSmallerThanABurst) {
   EXPECT_THROW({ DramDevice dev(p); }, std::invalid_argument);
   p.row_bytes = 64;  // exactly one burst per granule is fine
   EXPECT_NO_THROW({ DramDevice dev(p); });
+}
+
+TEST(DramDeviceGeometry, OddGeometryDecodesLikeDivision) {
+  // 3 channels, 6 banks and a capacity that is no power of two put decode
+  // and the capacity wrap on hardware division; both must equal the
+  // plain `/` and `%` formula, kept here as the reference.
+  DramTimingParams p = DramTimingParams::hbm2_1gb();
+  p.name = "odd";
+  p.channels = 3;
+  p.banks_per_channel = 6;
+  p.interleave_bytes = 512;
+  p.row_bytes = 2 * KiB;
+  p.capacity_bytes = 3 * 6 * 1000 * p.row_bytes;
+  DramDevice dev(p);
+  const auto reference = [&p](Addr addr) {
+    const u64 chunk = addr / p.interleave_bytes;
+    const u64 ch_hash = chunk ^ (chunk >> 4) ^ (chunk >> 9) ^ (chunk >> 15);
+    const u64 chan_addr = (chunk / p.channels) * p.interleave_bytes +
+                          addr % p.interleave_bytes;
+    const u64 row_index = chan_addr / p.row_bytes;
+    const u64 bank_hash = row_index ^ (row_index >> 3) ^ (row_index >> 7);
+    return DramDevice::Decoded{static_cast<u32>(ch_hash % p.channels),
+                               static_cast<u32>(bank_hash %
+                                                p.banks_per_channel),
+                               static_cast<u32>(row_index)};
+  };
+  Rng rng(99);
+  for (int i = 0; i < 20000; ++i) {
+    const Addr a = rng.next_below(p.capacity_bytes);
+    const DramDevice::Decoded got = dev.decode_addr(a);
+    const DramDevice::Decoded want = reference(a);
+    ASSERT_EQ(got.channel, want.channel) << a;
+    ASSERT_EQ(got.bank, want.bank) << a;
+    ASSERT_EQ(got.row, want.row) << a;
+  }
+
+  // An address past the capacity is timed as `addr % capacity`.
+  DramDevice wrapped(p);
+  DramDevice folded(p);
+  Tick now = 1000;
+  for (int i = 0; i < 2000; ++i) {
+    const Addr a = rng.next_below(4 * p.capacity_bytes) & ~u64{63};
+    EXPECT_EQ(wrapped.fold(a), a % p.capacity_bytes);
+    const u64 bytes = i % 3 == 0 ? 4 * KiB : 64;
+    const auto w = wrapped.access(a, bytes, AccessType::kRead, now);
+    const auto f = folded.access(a % p.capacity_bytes, bytes,
+                                 AccessType::kRead, now);
+    ASSERT_EQ(w.complete, f.complete) << a;
+    now += 500;
+  }
+  EXPECT_EQ(wrapped.stats().row_hits, folded.stats().row_hits);
+  EXPECT_EQ(wrapped.stats().beats, folded.stats().beats);
 }
 
 }  // namespace
