@@ -18,9 +18,7 @@
 using namespace bb;
 
 int main(int argc, char** argv) {
-  const u64 per_phase =
-      argc > 1 ? std::stoull(argv[1])
-               : sim::env_u64("BB_PHASE_MISSES", 400'000);
+  const u64 per_phase = argc > 1 ? std::stoull(argv[1]) : 400'000;
 
   mem::DramDevice hbm(mem::DramTimingParams::hbm2_1gb());
   mem::DramDevice dram(mem::DramTimingParams::ddr4_3200_10gb());

@@ -16,9 +16,7 @@
 using namespace bb;
 
 int main(int argc, char** argv) {
-  const u64 instructions =
-      argc > 1 ? std::stoull(argv[1])
-               : sim::env_u64("BB_INSTRUCTIONS", 30'000'000);
+  const u64 instructions = argc > 1 ? std::stoull(argv[1]) : 30'000'000;
 
   sim::SystemConfig cfg;
   cfg.paging.fault_penalty = ns_to_ticks(500);

@@ -25,9 +25,7 @@ namespace {
 int run(const Flags& flags) {
   const auto& pos = flags.positional();
   const std::string workload_name = !pos.empty() ? pos[0] : "cactuBSSN";
-  const u64 instructions =
-      pos.size() > 1 ? std::stoull(pos[1])
-                     : sim::env_u64("BB_INSTRUCTIONS", 30'000'000);
+  const u64 instructions = pos.size() > 1 ? std::stoull(pos[1]) : 30'000'000;
   const std::string baseline = flags.get_string("baseline", "DRAM-only");
   baselines::require_design_names({baseline});
   trace::require_workload_names({workload_name});

@@ -12,9 +12,7 @@
 
 int main(int argc, char** argv) {
   const std::string workload_name = argc > 1 ? argv[1] : "mcf";
-  const bb::u64 instructions =
-      argc > 2 ? std::stoull(argv[2])
-               : bb::sim::env_u64("BB_INSTRUCTIONS", 20'000'000);
+  const bb::u64 instructions = argc > 2 ? std::stoull(argv[2]) : 20'000'000;
 
   const auto& workload = bb::trace::WorkloadProfile::by_name(workload_name);
   std::cout << "Workload " << workload.name << ": MPKI " << workload.mpki

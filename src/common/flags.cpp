@@ -1,6 +1,10 @@
 #include "common/flags.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace bb {
 
@@ -29,12 +33,28 @@ std::string Flags::get_string(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+[[noreturn]] void bad_number(const std::string& name, const std::string& value,
+                             const char* what) {
+  throw std::invalid_argument("--" + name + "=" + value + ": expected " + what);
+}
+
+}  // namespace
+
 u64 Flags::get_u64(const std::string& name, u64 fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end() || it->second.empty()) return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-  return end == it->second.c_str() ? fallback : static_cast<u64>(v);
+  const std::string& s = it->second;
+  // strtoull would accept a sign (wrapping "-1" to 2^64-1) and leading
+  // blanks; only plain decimal digits are a u64.
+  if (s.find_first_not_of("0123456789") != std::string::npos) {
+    bad_number(name, s, "an unsigned integer");
+  }
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+  if (errno == ERANGE) bad_number(name, s, "an integer that fits 64 bits");
+  return static_cast<u64>(v);
 }
 
 std::vector<std::string> Flags::names() const {
@@ -47,9 +67,19 @@ std::vector<std::string> Flags::names() const {
 double Flags::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end() || it->second.empty()) return fallback;
+  const std::string& s = it->second;
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return end == it->second.c_str() ? fallback : v;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  // strtod skips leading blanks; the whole token must be the number.
+  if (std::isspace(static_cast<unsigned char>(s[0])) ||
+      end != s.c_str() + s.size()) {
+    bad_number(name, s, "a number");
+  }
+  if (errno == ERANGE || !std::isfinite(v)) {
+    bad_number(name, s, "a finite number in range");
+  }
+  return v;
 }
 
 }  // namespace bb

@@ -27,6 +27,11 @@ class Flags {
 
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
+  /// Numeric getters return `fallback` when the flag is absent or a bare
+  /// switch. Otherwise the whole value must parse: get_u64 takes plain
+  /// decimal digits that fit 64 bits (no sign), get_double a finite number.
+  /// Anything else throws std::invalid_argument naming the flag, which
+  /// cli_main turns into exit 2.
   u64 get_u64(const std::string& name, u64 fallback) const;
   double get_double(const std::string& name, double fallback) const;
 

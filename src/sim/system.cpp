@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -515,18 +514,7 @@ u64 default_instructions_for(const trace::WorkloadProfile& w,
       static_cast<double>(target_misses) * 1000.0 / w.mpki;
   u64 budget = static_cast<u64>(inst);
   budget = std::clamp(budget, min_instructions, max_instructions);
-  const u64 scale_pct = env_u64("BB_SIM_SCALE", 100);
-  budget = budget * scale_pct / 100;
   return std::max<u64>(budget, 1'000'000);
-}
-
-u64 env_u64(const char* name, u64 fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v) return fallback;
-  return static_cast<u64>(parsed);
 }
 
 }  // namespace bb::sim

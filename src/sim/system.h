@@ -292,14 +292,10 @@ double metric_hbm_traffic(const RunResult& r);
 double metric_dram_traffic(const RunResult& r);
 double metric_energy(const RunResult& r);
 
-/// Reads an unsigned environment override (e.g. BB_INSTRUCTIONS), falling
-/// back to `fallback` when unset or unparsable.
-u64 env_u64(const char* name, u64 fallback);
-
 /// Picks a per-workload instruction budget that yields roughly
 /// `target_misses` LLC misses (low-MPKI workloads need more instructions
-/// for a statistically meaningful miss sample), clamped to [min, max].
-/// `BB_SIM_SCALE` (percent, default 100) scales the result for quick runs.
+/// for a statistically meaningful miss sample), clamped to [min, max] and
+/// to at least 1 M instructions. Depends only on its arguments.
 u64 default_instructions_for(const trace::WorkloadProfile& w,
                              u64 target_misses = 200'000,
                              u64 min_instructions = 20'000'000,

@@ -42,7 +42,7 @@ TEST(GoldenRun, FixedSeedMatrixHashIsPinned) {
   RunMatrixOptions opts;
   opts.jobs = 1;
   // Fixed budget: keeps the run fast and independent of the
-  // default_instructions_for heuristic (and its BB_SIM_SCALE env override).
+  // default_instructions_for heuristic.
   opts.instructions = 150'000;
 
   ExperimentRunner ex(cfg);

@@ -122,17 +122,7 @@ TEST(GroupByMpki, MissingBaselineRowSkipped) {
   EXPECT_DOUBLE_EQ(g.high, 0.0);
 }
 
-TEST(EnvU64, ParsesAndFallsBack) {
-  ::setenv("BB_TEST_ENV_U64", "123", 1);
-  EXPECT_EQ(env_u64("BB_TEST_ENV_U64", 7), 123u);
-  ::setenv("BB_TEST_ENV_U64", "garbage", 1);
-  EXPECT_EQ(env_u64("BB_TEST_ENV_U64", 7), 7u);
-  ::unsetenv("BB_TEST_ENV_U64");
-  EXPECT_EQ(env_u64("BB_TEST_ENV_U64", 7), 7u);
-}
-
 TEST(DefaultInstructions, ScalesWithMpki) {
-  ::unsetenv("BB_SIM_SCALE");
   const auto& roms = trace::WorkloadProfile::by_name("roms");  // high MPKI
   const auto& xz = trace::WorkloadProfile::by_name("xz");      // low MPKI
   EXPECT_LT(default_instructions_for(roms), default_instructions_for(xz));
@@ -141,10 +131,16 @@ TEST(DefaultInstructions, ScalesWithMpki) {
   EXPECT_LE(default_instructions_for(xz), 400'000'000u);
 }
 
-TEST(DefaultInstructions, EnvScaleApplies) {
-  ::setenv("BB_SIM_SCALE", "10", 1);
+TEST(DefaultInstructions, IgnoresEnvScale) {
+  // The budget depends only on the arguments: the retired BB_SIM_SCALE
+  // environment knob no longer shortens it.
   const auto& w = trace::WorkloadProfile::by_name("roms");
-  EXPECT_EQ(default_instructions_for(w), 2'000'000u);
+  ::unsetenv("BB_SIM_SCALE");
+  const u64 unset = default_instructions_for(w, 2'400, 1'000'000, 8'000'000);
+  EXPECT_EQ(default_instructions_for(w), 20'000'000u);
+  ::setenv("BB_SIM_SCALE", "10", 1);
+  EXPECT_EQ(default_instructions_for(w, 2'400, 1'000'000, 8'000'000), unset);
+  EXPECT_EQ(default_instructions_for(w), 20'000'000u);
   ::unsetenv("BB_SIM_SCALE");
 }
 
