@@ -587,18 +587,18 @@ int print_fault(const Figure& f, const Run& run) {
 // EXPERIMENTS.md contended-mix study.
 
 int print_mix(const Figure& f, const Run& run) {
-  const auto& mix_results = run.points[0].mix_results();
+  const auto& co_runs = run.points[0].results();
   const auto& mixes = sim::MixSpec::presets();
   struct Panel {
     const char* title;
-    double sim::MixResult::* metric;
+    double sim::RunResult::* metric;
     const char* better;
   };
   const Panel panels[] = {
       {"Weighted speedup (sum of per-core IPC_shared / IPC_alone)",
-       &sim::MixResult::weighted_speedup, "higher"},
-      {"Harmonic-mean speedup", &sim::MixResult::hmean_speedup, "higher"},
-      {"Max slowdown (fairness)", &sim::MixResult::max_slowdown, "lower"},
+       &sim::RunResult::weighted_speedup, "higher"},
+      {"Harmonic-mean speedup", &sim::RunResult::hmean_speedup, "higher"},
+      {"Max slowdown (fairness)", &sim::RunResult::max_slowdown, "lower"},
   };
 
   for (const auto& panel : panels) {
@@ -611,8 +611,8 @@ int print_mix(const Figure& f, const Run& run) {
       std::vector<std::string> row = {d};
       for (const auto& m : mixes) {
         double v = 0;
-        for (const auto& r : mix_results) {
-          if (r.design == d && r.mix == m.name) v = r.*(panel.metric);
+        for (const auto& r : co_runs) {
+          if (r.design == d && r.workload == m.name) v = r.*(panel.metric);
         }
         row.push_back(fmt_double(v, 3));
       }
@@ -626,22 +626,22 @@ int print_mix(const Figure& f, const Run& run) {
   std::cout << "\nPer-core breakdown (cachecap4):\n";
   TextTable cores({"design", "core", "workload", "IPC", "alone", "speedup",
                    "HBM serve", "p99 (ns)"});
-  for (const auto& r : mix_results) {
-    if (r.mix != "cachecap4") continue;
-    for (const auto& c : r.cores) {
-      cores.add_row({r.design, std::to_string(c.perf.core), c.perf.workload,
-                     fmt_double(c.perf.ipc, 2), fmt_double(c.alone_ipc, 2),
+  for (const auto& r : co_runs) {
+    if (r.workload != "cachecap4") continue;
+    for (const auto& c : *r.core_perf) {
+      cores.add_row({r.design, std::to_string(c.core), c.workload,
+                     fmt_double(c.ipc, 2), fmt_double(c.alone_ipc, 2),
                      fmt_double(c.speedup, 2) + "x",
-                     fmt_percent(c.perf.hbm_serve_rate),
-                     fmt_double(c.perf.latency_p99_ns, 1)});
+                     fmt_percent(c.hbm_serve_rate),
+                     fmt_double(c.latency_p99_ns, 1)});
     }
   }
   cores.print(std::cout);
 
   double bumblebee_ws = 0, best_split_ws = 0;
   std::string best_split;
-  for (const auto& r : mix_results) {
-    if (r.mix != "cachecap4") continue;
+  for (const auto& r : co_runs) {
+    if (r.workload != "cachecap4") continue;
     if (r.design == "Bumblebee") {
       bumblebee_ws = r.weighted_speedup;
     } else if ((r.design == "25%-C" || r.design == "50%-C") &&

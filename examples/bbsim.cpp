@@ -444,30 +444,14 @@ int run(const Flags& flags) {
     opts.resume = &journal;
   }
 
-  const bool mix_mode = !mixes.empty();
-  opts.on_result = [&journal_out, mix_mode](const sim::RunResult& r) {
+  // Every fresh cell, a mix's alone baselines and co-runs included, is
+  // one journal line.
+  opts.on_result = [&journal_out](const sim::RunResult& r) {
     std::cerr << r.design << "/" << r.workload << " done\n";
-    // Mix cells journal through on_mix_result (the aggregate is embedded
-    // in the mix line); journaling it here too would double-book the cell.
-    if (!mix_mode && journal_out.is_open()) {
+    if (journal_out.is_open()) {
       journal_out << sim::ResultJournal::line(r) << "\n" << std::flush;
     }
   };
-  if (mix_mode) {
-    opts.on_alone = [&journal_out](const std::string& design,
-                                   const std::string& workload, double ipc) {
-      if (journal_out.is_open()) {
-        journal_out << sim::ResultJournal::alone_line(design, workload, ipc)
-                    << "\n"
-                    << std::flush;
-      }
-    };
-    opts.on_mix_result = [&journal_out](const sim::MixResult& r) {
-      if (journal_out.is_open()) {
-        journal_out << sim::ResultJournal::mix_line(r) << "\n" << std::flush;
-      }
-    };
-  }
 
   std::signal(SIGINT, on_sigint);
   opts.cancel = [] { return g_interrupted != 0; };
@@ -504,7 +488,7 @@ int run(const Flags& flags) {
     trace::WorkloadProfile pseudo;
     pseudo.name = ropts.label;
     workloads = {pseudo};
-  } else if (mix_mode) {
+  } else if (!mixes.empty()) {
     runner.run_mix_matrix(designs, mixes, opts);
   } else {
     runner.run_matrix(designs, workloads, opts);
@@ -555,11 +539,7 @@ int run(const Flags& flags) {
   prof::HostReport host;
   if (profile) {
     u64 requests = 0;
-    if (mix_mode) {
-      for (const auto& r : runner.mix_results()) requests += r.aggregate.misses;
-    } else {
-      for (const auto& r : runner.results()) requests += r.misses;
-    }
+    for (const auto& r : runner.results()) requests += r.misses;
     host = prof::make_host_report(run_clock.seconds(), requests);
     std::fprintf(stderr,
                  "[prof] wall %.3fs, %llu requests, %.0f req/s, "
@@ -586,7 +566,7 @@ int run(const Flags& flags) {
     std::ostringstream buf;
     std::ostream& os = csv_file.empty() ? static_cast<std::ostream&>(std::cout)
                                         : buf;
-    if (mix_mode) {
+    if (!mixes.empty()) {
       runner.write_mix_csv(os);
     } else {
       runner.write_csv(os);
@@ -600,7 +580,7 @@ int run(const Flags& flags) {
     std::ostream& os = json_file.empty()
                            ? static_cast<std::ostream&>(std::cout)
                            : buf;
-    if (mix_mode) {
+    if (!mixes.empty()) {
       if (profile) {
         runner.write_mix_json(os, host);
       } else {
@@ -617,16 +597,16 @@ int run(const Flags& flags) {
     return 0;
   }
 
-  if (mix_mode) {
+  if (!mixes.empty()) {
     TextTable table({"mix", "design", "core", "workload", "IPC", "alone",
                      "speedup", "HBM serve", "WS", "hmean", "max SD"});
-    for (const auto& r : runner.mix_results()) {
-      for (const auto& c : r.cores) {
-        table.add_row({r.mix, r.design, std::to_string(c.perf.core),
-                       c.perf.workload, fmt_double(c.perf.ipc, 2),
+    for (const auto& r : runner.results()) {
+      for (const auto& c : *r.core_perf) {
+        table.add_row({r.workload, r.design, std::to_string(c.core),
+                       c.workload, fmt_double(c.ipc, 2),
                        fmt_double(c.alone_ipc, 2),
                        fmt_double(c.speedup, 2) + "x",
-                       fmt_percent(c.perf.hbm_serve_rate),
+                       fmt_percent(c.hbm_serve_rate),
                        fmt_double(r.weighted_speedup, 2),
                        fmt_double(r.hmean_speedup, 2),
                        fmt_double(r.max_slowdown, 2)});

@@ -92,8 +92,4 @@ double geomean(const std::vector<double>& values) {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-void StatGroup::reset() {
-  for (auto& [_, c] : counters_) c.reset();
-}
-
 }  // namespace bb

@@ -1,11 +1,9 @@
-// Lightweight statistics primitives: named counters, scalar summaries and
-// fixed-bucket histograms used for every reported metric.
+// Lightweight statistics primitives: the fixed-bucket histogram behind every
+// reported latency distribution, and the geomean the figures report.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -15,46 +13,6 @@ class Archive;
 }  // namespace bb::snap
 
 namespace bb {
-
-/// Monotonic event counter.
-class Counter {
- public:
-  void inc(u64 by = 1) { value_ += by; }
-  u64 value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  u64 value_ = 0;
-};
-
-/// Running scalar summary (count / sum / min / max / mean).
-class ScalarStat {
- public:
-  void sample(double v) {
-    if (count_ == 0) {
-      min_ = max_ = v;
-    } else {
-      min_ = std::min(min_, v);
-      max_ = std::max(max_, v);
-    }
-    sum_ += v;
-    ++count_;
-  }
-
-  u64 count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
-
-  void reset() { *this = ScalarStat{}; }
-
- private:
-  u64 count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Histogram over fixed, caller-supplied bucket upper bounds.
 ///
@@ -137,16 +95,5 @@ class Histogram {
 
 /// Geometric mean of a list of positive values (0 if empty or any <= 0).
 double geomean(const std::vector<double>& values);
-
-/// A named bundle of counters for ad-hoc bookkeeping in tests/examples.
-class StatGroup {
- public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  void reset();
-
- private:
-  std::map<std::string, Counter> counters_;
-};
 
 }  // namespace bb

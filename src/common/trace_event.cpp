@@ -88,10 +88,6 @@ std::string trace_event_to_json(const TraceEvent& ev,
   return out;
 }
 
-void JsonlTraceSink::emit(TraceEvent ev) {
-  os_ << trace_event_to_json(ev) << '\n';
-}
-
 void write_trace_jsonl(const std::vector<TraceEvent>& events,
                        std::ostream& os, const std::string& extra) {
   for (const auto& ev : events) {
@@ -138,14 +134,6 @@ void write_trace_chrome_events(const std::vector<TraceEvent>& events,
     line += '}';
     os << sep() << line;
   }
-}
-
-void write_trace_chrome(const std::vector<TraceEvent>& events,
-                        std::ostream& os, const std::string& process_name) {
-  write_trace_chrome_header(os);
-  bool first = true;
-  write_trace_chrome_events(events, os, 0, process_name, first);
-  write_trace_chrome_footer(os);
 }
 
 void MemoryTraceSink::serialize(snap::Archive& ar) {

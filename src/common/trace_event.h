@@ -5,11 +5,10 @@
 //
 // Emitters build TraceEvents only when a sink is attached, so the layer
 // costs a single pointer test per potential event when tracing is off.
-// Two sinks exist: JsonlTraceSink streams each event to an ostream as it
-// happens; MemoryTraceSink buffers events so a harness can serialize them
-// later in a deterministic order (the experiment runner commits per-run
-// buffers in matrix order, keeping trace files byte-identical across
-// --jobs values).
+// The sink, MemoryTraceSink, buffers events so a harness can serialize
+// them later in a deterministic order (the experiment runner commits
+// per-run buffers in matrix order, keeping trace files byte-identical
+// across --jobs values).
 #pragma once
 
 #include <iosfwd>
@@ -65,17 +64,11 @@ struct TraceEvent {
 std::string trace_event_to_json(const TraceEvent& ev,
                                 const std::string& extra = {});
 
-/// Destination for emitted events.
-class TraceSink {
+/// Destination for emitted events: buffers them in memory (deterministic
+/// replay/serialization later).
+class MemoryTraceSink {
  public:
-  virtual ~TraceSink() = default;
-  virtual void emit(TraceEvent ev) = 0;
-};
-
-/// Buffers events in memory (deterministic replay/serialization later).
-class MemoryTraceSink final : public TraceSink {
- public:
-  void emit(TraceEvent ev) override { events_.push_back(std::move(ev)); }
+  void emit(TraceEvent ev) { events_.push_back(std::move(ev)); }
   const std::vector<TraceEvent>& events() const { return events_; }
   std::vector<TraceEvent> take() { return std::move(events_); }
 
@@ -84,16 +77,6 @@ class MemoryTraceSink final : public TraceSink {
 
  private:
   std::vector<TraceEvent> events_;
-};
-
-/// Streams each event to `os` as one JSONL line at emission time.
-class JsonlTraceSink final : public TraceSink {
- public:
-  explicit JsonlTraceSink(std::ostream& os) : os_(os) {}
-  void emit(TraceEvent ev) override;
-
- private:
-  std::ostream& os_;
 };
 
 /// Writes events as JSONL, one object per line. `extra` as above (applied
@@ -111,10 +94,5 @@ void write_trace_chrome_events(const std::vector<TraceEvent>& events,
                                bool& first_record);
 void write_trace_chrome_header(std::ostream& os);
 void write_trace_chrome_footer(std::ostream& os);
-
-/// Single-run convenience: header + one process + footer.
-void write_trace_chrome(const std::vector<TraceEvent>& events,
-                        std::ostream& os,
-                        const std::string& process_name = {});
 
 }  // namespace bb

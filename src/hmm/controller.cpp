@@ -109,7 +109,7 @@ void HybridMemoryController::drain(Tick now) {
   dram_.drain_queues(now);
 }
 
-void HybridMemoryController::set_trace_sink(TraceSink* sink) {
+void HybridMemoryController::set_trace_sink(MemoryTraceSink* sink) {
   trace_ = sink;
   paging_.set_trace_sink(sink);
   // The devices emit fault_injected events; they share the run's sink.

@@ -31,7 +31,7 @@
 namespace bb {
 class EpochSampler;
 class MetricRegistry;
-class TraceSink;
+class MemoryTraceSink;
 }  // namespace bb
 
 namespace bb::hmm {
@@ -201,7 +201,7 @@ class HybridMemoryController {
 
   /// Attaches / detaches (nullptr) the structured event trace sink. The
   /// paging model shares it (OS fault / swap-out events).
-  void set_trace_sink(TraceSink* sink);
+  void set_trace_sink(MemoryTraceSink* sink);
   /// Attaches / detaches (nullptr) the epoch time-series sampler; when set,
   /// every demand request advances it at the request's simulated tick.
   void set_epoch_sampler(EpochSampler* sampler) { sampler_ = sampler; }
@@ -277,7 +277,7 @@ class HybridMemoryController {
 
   /// Event trace sink, nullptr when tracing is off. Designs test this
   /// before building an event so disabled tracing costs one pointer test.
-  TraceSink* trace() const { return trace_; }
+  MemoryTraceSink* trace() const { return trace_; }
   bool tracing() const { return trace_ != nullptr; }
 
   /// Framework-owned state shared by every design: aggregate and per-core
@@ -293,7 +293,7 @@ class HybridMemoryController {
   HmmStats stats_;
   std::vector<CoreStats> core_stats_;  ///< empty unless set_core_count
   std::function<void(const MoveEvent&)> movement_hook_;
-  TraceSink* trace_ = nullptr;
+  MemoryTraceSink* trace_ = nullptr;
   EpochSampler* sampler_ = nullptr;
 };
 

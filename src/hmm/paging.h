@@ -14,7 +14,7 @@
 #include "common/types.h"
 
 namespace bb {
-class TraceSink;
+class MemoryTraceSink;
 }  // namespace bb
 
 namespace bb::snap {
@@ -46,7 +46,7 @@ class PagingModel {
 
   /// Attaches / detaches (nullptr) the event trace sink; capacity faults
   /// then emit os_page_swap_out events (victim page evicted).
-  void set_trace_sink(TraceSink* sink) { trace_ = sink; }
+  void set_trace_sink(MemoryTraceSink* sink) { trace_ = sink; }
 
   const PagingStats& stats() const { return stats_; }
   const PagingConfig& config() const { return cfg_; }
@@ -79,7 +79,7 @@ class PagingModel {
   /// Re-sizes table_ to hold the whole ring at most half full.
   void rebuild();
 
-  TraceSink* trace_ = nullptr;
+  MemoryTraceSink* trace_ = nullptr;
   PagingConfig cfg_;
   Divisor os_page_;
   u64 capacity_pages_;

@@ -28,7 +28,7 @@
 
 namespace bb {
 class MetricRegistry;
-class TraceSink;
+class MemoryTraceSink;
 }  // namespace bb
 
 namespace bb::mem {
@@ -159,7 +159,7 @@ class DramDevice final : private QueueBackend {
   const fault::DeviceFaultState* faults() const { return faults_; }
 
   /// Sink for fault_injected events (nullptr = no tracing).
-  void set_trace_sink(TraceSink* sink) { trace_ = sink; }
+  void set_trace_sink(MemoryTraceSink* sink) { trace_ = sink; }
 
   /// Additionally adds every byte this device moves, per traffic class, to
   /// `bytes` until detached with nullptr. The controller points it at the
@@ -242,7 +242,7 @@ class DramDevice final : private QueueBackend {
   EnergyModel energy_;
   fault::DeviceFaultState* faults_ = nullptr;
   std::string fault_label_;
-  TraceSink* trace_ = nullptr;
+  MemoryTraceSink* trace_ = nullptr;
   std::array<u64, kTrafficClassCount>* charge_ = nullptr;  ///< see charge_to
 };
 

@@ -1,7 +1,6 @@
 #include "sim/core_model.h"
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -48,35 +47,6 @@ std::vector<CoreLane> CoreModel::homogeneous_lanes(
     lanes.push_back({profile, seed + 0x1000003ULL * c, /*base=*/0});
   }
   return lanes;
-}
-
-CoreResult CoreModel::run(const trace::WorkloadProfile& profile, u64 seed,
-                          u64 target_instructions,
-                          hmm::HybridMemoryController& hmmc,
-                          u64 warmup_instructions) {
-  return run_lanes(homogeneous_lanes(profile, seed, params_.cores),
-                   target_instructions, hmmc, warmup_instructions);
-}
-
-CoreResult CoreModel::run_lanes(const std::vector<CoreLane>& lanes,
-                                u64 target_instructions,
-                                hmm::HybridMemoryController& hmmc,
-                                u64 warmup_instructions) {
-  BB_CHECK(!lanes.empty(), "run_lanes needs at least one lane");
-  std::vector<std::unique_ptr<trace::TraceGenerator>> gens;
-  std::vector<trace::TraceSource*> sources;
-  std::vector<Addr> bases;
-  gens.reserve(lanes.size());
-  sources.reserve(lanes.size());
-  bases.reserve(lanes.size());
-  for (const CoreLane& lane : lanes) {
-    gens.push_back(
-        std::make_unique<trace::TraceGenerator>(lane.profile, lane.seed));
-    sources.push_back(gens.back().get());
-    bases.push_back(lane.base);
-  }
-  return run_sources(sources, bases, target_instructions, hmmc,
-                     warmup_instructions);
 }
 
 CoreResult CoreModel::run_sources(

@@ -123,37 +123,20 @@ class CoreModel {
  public:
   explicit CoreModel(const CoreParams& params = CoreParams{});
 
-  /// Runs `cores` independent miss streams (one generator per core, same
-  /// profile, distinct seeds) against the shared memory system until the
-  /// cores together retire `target_instructions`. Cores advance in
-  /// simulated-time order, so their requests genuinely interleave and
-  /// contend inside the device models.
+  /// The run loop: one record source per core (a synthetic generator, a
+  /// shared-stream cursor or a trace reader), with `bases[i]` added to
+  /// every address source i produces, advanced in simulated-time order
+  /// against the shared memory system until the cores together retire
+  /// `target_instructions`. The cores' requests genuinely interleave and
+  /// contend inside the device models, and each request carries its
+  /// source index as the controller core id, so the memory system
+  /// attributes misses, latency and bytes per core. `sources` must be
+  /// non-empty and sized like `bases`; the sources must outlive the call.
   ///
   /// `warmup_instructions` are executed first; when they complete, the
   /// statistics of the controller and both devices are reset so the
   /// returned result (and all traffic/energy counters) cover only the
   /// measurement window — the paper's numbers are steady-state.
-  CoreResult run(const trace::WorkloadProfile& profile, u64 seed,
-                 u64 target_instructions, hmm::HybridMemoryController& hmmc,
-                 u64 warmup_instructions = 0);
-
-  /// Heterogeneous co-run: one lane (profile + seed + address base) per
-  /// core, advanced in simulated-time order against the shared memory
-  /// system until the lanes together retire `target_instructions`. Each
-  /// request carries its lane index as the controller core id, so the
-  /// memory system attributes misses, latency and bytes per core. The
-  /// homogeneous run() above is exactly this with homogeneous_lanes().
-  CoreResult run_lanes(const std::vector<CoreLane>& lanes,
-                       u64 target_instructions,
-                       hmm::HybridMemoryController& hmmc,
-                       u64 warmup_instructions = 0);
-
-  /// Generalized lane run over abstract record sources: one TraceSource
-  /// per core (synthetic generator or trace replayer), with `bases[i]`
-  /// added to every address source i produces. run_lanes is exactly this
-  /// with freshly seeded generators, so both paths share one replay loop
-  /// and stay bit-identical. `sources` must be non-empty and sized like
-  /// `bases`; the sources must outlive the call.
   /// `control` (optional) adds checkpoint/resume/interrupt behavior —
   /// see RunControl; the hot loop is unchanged when it is null.
   CoreResult run_sources(const std::vector<trace::TraceSource*>& sources,
@@ -163,13 +146,13 @@ class CoreModel {
                          u64 warmup_instructions = 0,
                          const RunControl* control = nullptr);
 
-  /// Attaches a capture sink: every record consumed by run_sources /
-  /// run_lanes (warmup included) is appended with its lane base folded
+  /// Attaches a capture sink: every record consumed by run_sources
+  /// (warmup included) is appended with its lane base folded
   /// into the address, i.e. exactly the merged absolute-address stream the
   /// memory system saw. nullptr detaches. The sink must outlive the runs.
   void set_capture(trace::TraceCaptureSink* capture) { capture_ = capture; }
 
-  /// The lane set the homogeneous run() replays: `cores` copies of one
+  /// The lane set a single-profile run replays: `cores` copies of one
   /// profile with distinct derived seeds, all sharing address base 0.
   static std::vector<CoreLane> homogeneous_lanes(
       const trace::WorkloadProfile& profile, u64 seed, u32 cores);

@@ -37,17 +37,24 @@ namespace {
 /// only when their subsystem is configured (a sweep's CSV/JSON) or when any
 /// field of the group is non-zero (a journal line), so outputs without
 /// faults, queues or watchdog placeholders keep their historical shape.
-enum Group : unsigned { kBase = 0, kFault = 1, kQueue = 2, kTimeout = 4 };
+/// kMix is a co-run's scores and per-core rows, which only the mix writers
+/// and a co-run's journal line emit.
+enum Group : unsigned {
+  kBase = 0,
+  kFault = 1,
+  kQueue = 2,
+  kTimeout = 4,
+  kMix = 8,
+};
 
-/// One scalar of a result schema: JSON/CSV key, column group, location
-/// (a member of the row or, for a mix core row, of the CorePerf it embeds)
-/// and CSV decimals (doubles only).
-template <class... Owners>
+/// One scalar of a result schema: JSON/CSV key, column group, member of
+/// the row and CSV decimals (doubles only).
+template <class Owner>
 struct Field {
   const char* key;
   unsigned group;
-  std::variant<std::string Owners::*..., u64 Owners::*..., u32 Owners::*...,
-               double Owners::*..., bool Owners::*...>
+  std::variant<std::string Owner::*, u64 Owner::*, u32 Owner::*,
+               double Owner::*, bool Owner::*>
       member;
   int precision = 0;
 };
@@ -110,15 +117,15 @@ constexpr std::pair<const char*, ClassBytes RunResult::*> kClassFields[] = {
     {"dram_class_bytes", &RunResult::dram_class_bytes},
 };
 
-/// One core of a mix cell, in output order.
-constexpr Field<MixCoreResult, CorePerf> kCoreFields[] = {
+/// One core of a mix co-run, in output order.
+constexpr Field<CorePerf> kCoreFields[] = {
     {"core", kBase, &CorePerf::core},
     {kWorkload, kBase, &CorePerf::workload},
     {kInstructions, kBase, &CorePerf::instructions},
     {kMisses, kBase, &CorePerf::misses},
     {kIpc, kBase, &CorePerf::ipc, 4},
-    {"alone_ipc", kBase, &MixCoreResult::alone_ipc, 4},
-    {"speedup", kBase, &MixCoreResult::speedup, 4},
+    {"alone_ipc", kBase, &CorePerf::alone_ipc, 4},
+    {"speedup", kBase, &CorePerf::speedup, 4},
     {kHbmServeRate, kBase, &CorePerf::hbm_serve_rate, 4},
     {kMeanLatency, kBase, &CorePerf::mean_latency_ns, 2},
     {kLatencyP50, kBase, &CorePerf::latency_p50_ns, 2},
@@ -127,28 +134,18 @@ constexpr Field<MixCoreResult, CorePerf> kCoreFields[] = {
     {kDramBytes, kBase, &CorePerf::dram_bytes},
 };
 
-/// A mix cell's identity and its mix-level scores (the CSV repeats the
-/// scores on every per-core row).
-constexpr Field<MixResult> kMixKeys[] = {
-    {kDesign, kBase, &MixResult::design},
-    {"mix", kBase, &MixResult::mix},
+/// A co-run's identity in the mix writers, which name its workload "mix".
+constexpr Field<RunResult> kMixKeys[] = {
+    {kDesign, kBase, &RunResult::design},
+    {"mix", kBase, &RunResult::workload},
 };
-constexpr Field<MixResult> kMixScores[] = {
-    {"weighted_speedup", kBase, &MixResult::weighted_speedup, 4},
-    {"hmean_speedup", kBase, &MixResult::hmean_speedup, 4},
-    {"max_slowdown", kBase, &MixResult::max_slowdown, 4},
+/// The co-run scores: the kMix group of a RunResult (the mix CSV repeats
+/// them on every per-core row).
+constexpr Field<RunResult> kMixScores[] = {
+    {"weighted_speedup", kMix, &RunResult::weighted_speedup, 4},
+    {"hmean_speedup", kMix, &RunResult::hmean_speedup, 4},
+    {"max_slowdown", kMix, &RunResult::max_slowdown, 4},
 };
-
-/// The value a member pointer names in `row` (a CorePerf member of a mix
-/// core row resolves through its `perf`).
-template <class Row, class Owner, class V>
-auto& at(Row& row, V Owner::*m) {
-  if constexpr (std::is_same_v<std::remove_const_t<Row>, Owner>) {
-    return row.*m;
-  } else {
-    return row.perf.*m;
-  }
-}
 
 /// Calls fn(field, value) for each field of `table` in `groups`, with
 /// `value` a reference to the field in `row`.
@@ -156,7 +153,7 @@ template <class Row, class Table, class F>
 void for_each_field(Row& row, const Table& table, unsigned groups, F&& fn) {
   for (const auto& f : table) {
     if ((f.group & groups) != f.group) continue;
-    std::visit([&](auto m) { fn(f, at(row, m)); }, f.member);
+    std::visit([&](auto m) { fn(f, row.*m); }, f.member);
   }
 }
 
@@ -216,10 +213,11 @@ void parse_fields(const JsonValue& obj, Row& row, const Table& table) {
   });
 }
 
-/// The optional groups holding at least one non-zero field of `r` — what
-/// a journal line must carry to round-trip the row.
+/// The optional groups holding at least one non-zero field of `r`, plus
+/// kMix for a co-run — what a journal line must carry to round-trip the
+/// row.
 unsigned nonzero_groups(const RunResult& r) {
-  unsigned groups = kBase;
+  unsigned groups = r.core_perf ? kMix : kBase;
   for_each_field(r, kRunFields, ~0u, [&](const auto& f, const auto& v) {
     if constexpr (!std::is_same_v<std::decay_t<decltype(v)>, std::string>) {
       if (v != 0) groups |= f.group;
@@ -240,8 +238,21 @@ unsigned column_groups(const SystemConfig& cfg,
   return groups;
 }
 
+/// A co-run's per-core rows as a JSON array.
+std::string cores_json(const std::vector<CorePerf>& cores) {
+  std::string out = "[";
+  for (const CorePerf& core : cores) {
+    if (out.size() > 1) out += ',';
+    out += '{';
+    append_json(out, core, kCoreFields, kBase);
+    out.back() = '}';
+  }
+  return out + ']';
+}
+
 /// One result as a single-line JSON object: the element format of
-/// write_json and the line format of the checkpoint journal.
+/// write_json and the line format of the checkpoint journal. With kMix in
+/// `groups`, a co-run also carries its scores and per-core rows.
 std::string to_json(const RunResult& r, unsigned groups) {
   std::string out = "{";
   append_json(out, r, kRunFields, groups);
@@ -254,12 +265,28 @@ std::string to_json(const RunResult& r, unsigned groups) {
     obj.back() = '}';
     append_member(out, key, obj);
   }
+  if ((groups & kMix) != 0 && r.core_perf) {
+    append_json(out, r, kMixScores, kMix);
+    append_member(out, kCores, cores_json(*r.core_perf));
+  }
   out.back() = '}';
   return out;
 }
 
-/// Parses a RunResult object (journal "run" line or a mix line's
-/// "aggregate"). Returns false when the identifying keys are missing.
+/// One co-run as the element of write_mix_json: its identity and scores,
+/// the aggregate run object, then the per-core rows.
+std::string to_mix_json(const RunResult& r, unsigned groups) {
+  std::string out = "{";
+  append_json(out, r, kMixKeys, kBase);
+  append_json(out, r, kMixScores, kMix);
+  append_member(out, kAggregate, to_json(r, groups & ~kMix));
+  append_member(out, kCores, cores_json(*r.core_perf));
+  out.back() = '}';
+  return out;
+}
+
+/// Parses a journal line. Returns false when the identifying keys are
+/// missing.
 bool parse_run(const JsonValue& v, RunResult& r) {
   parse_fields(v, r, kRunFields);
   if (r.design.empty() || r.workload.empty()) return false;
@@ -271,63 +298,25 @@ bool parse_run(const JsonValue& v, RunResult& r) {
           mem::to_string(static_cast<mem::TrafficClass>(c))));
     }
   }
-  return true;
-}
-
-/// One MixResult as a single-line JSON object: the element format of
-/// write_mix_json and the "mix" journal line (minus the kind key).
-std::string to_json(const MixResult& r, unsigned groups) {
-  std::string out = "{";
-  append_json(out, r, kMixKeys, kBase);
-  append_json(out, r, kMixScores, kBase);
-  append_member(out, kAggregate, to_json(r.aggregate, groups));
-  std::string cores = "[";
-  for (const MixCoreResult& core : r.cores) {
-    if (cores.size() > 1) cores += ',';
-    cores += '{';
-    append_json(cores, core, kCoreFields, kBase);
-    cores.back() = '}';
-  }
-  append_member(out, kCores, cores + ']');
-  out.back() = '}';
-  return out;
-}
-
-/// Parses a "mix" journal line. Returns false when the identifying keys or
-/// the aggregate are missing.
-bool parse_mix(const JsonValue& v, MixResult& m) {
-  parse_fields(v, m, kMixKeys);
-  const JsonValue* agg = v.find(kAggregate);
-  if (m.design.empty() || m.mix.empty() || !agg || !agg->is_object() ||
-      !parse_run(*agg, m.aggregate)) {
-    return false;
-  }
-  parse_fields(v, m, kMixScores);
-  if (const JsonValue* cores = v.find(kCores);
-      cores && cores->type == JsonValue::Type::kArray) {
+  const JsonValue* cores = v.find(kCores);
+  if (cores && cores->type == JsonValue::Type::kArray) {
+    parse_fields(v, r, kMixScores);
+    r.core_perf = std::make_shared<std::vector<CorePerf>>();
     for (const JsonValue& cv : cores->array) {
-      if (cv.is_object()) parse_fields(cv, m.cores.emplace_back(), kCoreFields);
+      if (cv.is_object()) {
+        parse_fields(cv, r.core_perf->emplace_back(), kCoreFields);
+      }
     }
   }
   return true;
 }
 
-/// The last row matching `pred`, or nullptr: a journal that records a cell
-/// twice (a rerun after a partial resume) restores the later line.
-template <class Row, class Pred>
-const Row* find_last(const std::vector<Row>& rows, Pred pred) {
-  const auto it = std::find_if(rows.rbegin(), rows.rend(), pred);
-  return it == rows.rend() ? nullptr : &*it;
-}
-
-/// Writes `rows` as a JSON array, one object per line.
-template <class Row>
-void write_json_array(std::ostream& os, const std::vector<Row>& rows,
-                      unsigned groups) {
+/// Writes `objects` as a JSON array, one object per line.
+void write_json_array(std::ostream& os,
+                      const std::vector<std::string>& objects) {
   os << "[\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    os << "  " << to_json(rows[i], groups)
-       << (i + 1 < rows.size() ? "," : "") << '\n';
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    os << "  " << objects[i] << (i + 1 < objects.size() ? "," : "") << '\n';
   }
   os << "]\n";
 }
@@ -376,28 +365,36 @@ auto with_watchdog(System& system, const RunMatrixOptions& opts, Run run,
   return placeholder();
 }
 
-/// The one ordered matrix driver behind run_cells and both mix phases.
-/// Each of the `n` cells, in matrix order, is skipped once `opts.cancel`
-/// has returned true; otherwise it is restored when `restore(journal, i)`
-/// finds it in `opts.resume`, or simulated as `run(system, i)` under the
-/// watchdog on a System private to the worker (built from `cfg` on first
-/// use). Finished cells reach `commit(i, cell, restored)` strictly in index
-/// order under one lock, and the first skipped cell ends the commits, so
-/// the committed cells are always a matrix-order prefix (cells already
-/// running when the cancel lands still finish and commit). One job runs
-/// the same steps inline on the calling thread.
-template <class Cell, class Restore, class Run, class Placeholder,
-          class Commit>
+/// The journaled row that restores the cell `key` names (its design,
+/// workload and, for a mix co-run, a core_perf), or nullptr.
+const RunResult* journaled(const RunMatrixOptions& opts,
+                           const RunResult& key) {
+  return opts.resume ? opts.resume->find(key.design, key.workload,
+                                         key.core_perf != nullptr)
+                     : nullptr;
+}
+
+/// The one ordered matrix driver behind every matrix. Each of the `n`
+/// cells, in matrix order, is skipped once `opts.cancel` has returned
+/// true; otherwise it is restored when the journal holds the cell `key(i)`
+/// names, or simulated as `run(system, i)` under the watchdog on a System
+/// private to the worker (built from `cfg` on first use). A cell that runs
+/// out of retries commits `key(i)` marked timed_out. Finished cells commit
+/// strictly in index order under one lock — fresh ones through
+/// opts.on_result, then every one onto `results` — and the first skipped
+/// cell ends the commits, so the committed cells are always a matrix-order
+/// prefix (cells already running when the cancel lands still finish and
+/// commit). One job runs the same steps inline on the calling thread.
+template <class Key, class Run>
 void run_ordered(std::size_t n, const SystemConfig& cfg,
-                 const RunMatrixOptions& opts, const char* unit,
-                 Restore restore, Run run, Placeholder placeholder,
-                 Commit commit) {
+                 const RunMatrixOptions& opts, const char* unit, Key key,
+                 Run run, std::vector<RunResult>& results) {
   if (n == 0) return;
   const unsigned jobs = static_cast<unsigned>(std::min<std::size_t>(
       opts.jobs ? opts.jobs : ThreadPool::default_concurrency(), n));
 
   struct Slot {
-    std::optional<Cell> cell;  ///< empty: skipped after a cancel
+    std::optional<RunResult> cell;  ///< empty: skipped after a cancel
     bool restored = false;
     bool finished = false;
   };
@@ -417,8 +414,8 @@ void run_ordered(std::size_t n, const SystemConfig& cfg,
     Slot slot;
     if (cancelled || (opts.cancel && opts.cancel())) {
       cancelled = true;
-    } else if (const Cell* prior =
-                   opts.resume ? restore(*opts.resume, i) : nullptr) {
+    } else if (const RunResult* prior =
+                   opts.resume ? journaled(opts, key(i)) : nullptr) {
       slot.cell = *prior;
       slot.restored = true;
     } else {
@@ -426,7 +423,11 @@ void run_ordered(std::size_t n, const SystemConfig& cfg,
       if (!system) system = std::make_unique<System>(cfg);
       slot.cell = with_watchdog(
           *system, opts, [&] { return run(*system, i); },
-          [&] { return placeholder(i); });
+          [&] {
+            RunResult placeholder = key(i);
+            placeholder.timed_out = true;
+            return placeholder;
+          });
     }
     slot.finished = true;
 
@@ -445,12 +446,15 @@ void run_ordered(std::size_t n, const SystemConfig& cfg,
       }
     }
     while (next < n && slots[next].finished) {
-      if (!slots[next].cell) {
+      Slot& s = slots[next];
+      if (!s.cell) {
         next = n;  // the first skipped cell ends the prefix
         break;
       }
-      commit(next, std::move(*slots[next].cell), slots[next].restored);
-      slots[next++].cell.reset();
+      if (!s.restored && opts.on_result) opts.on_result(*s.cell);
+      results.push_back(std::move(*s.cell));
+      s.cell.reset();
+      ++next;
     }
   };
 
@@ -464,7 +468,7 @@ void run_ordered(std::size_t n, const SystemConfig& cfg,
 
 /// The miss streams of one matrix: per workload, one trace::SharedStream
 /// per core lane, made when the workload's first cell opens them and read
-/// by each of its `readers` cells. Each stream frees its chunks and its
+/// by each of its `readers[w]` cells. Each stream frees its chunks and its
 /// generator once its last reader is done; only the empty stream objects
 /// wait for the matrix to end.
 class MatrixStreams {
@@ -473,10 +477,10 @@ class MatrixStreams {
 
   MatrixStreams(const SystemConfig& cfg,
                 const std::vector<trace::WorkloadProfile>& workloads,
-                u32 readers)
+                std::vector<u32> readers)
       : cfg_(cfg),
         workloads_(workloads),
-        readers_(readers),
+        readers_(std::move(readers)),
         streams_(workloads.size()) {}
 
   /// One reader's cursors over workload `w`'s lanes, in lane order.
@@ -487,7 +491,7 @@ class MatrixStreams {
       for (const CoreLane& lane : CoreModel::homogeneous_lanes(
                workloads_[w], cfg_.seed, cfg_.core.cores)) {
         lanes.push_back(std::make_unique<trace::SharedStream>(
-            lane.profile, lane.seed, readers_));
+            lane.profile, lane.seed, readers_[w]));
       }
     }
     Cursors out;
@@ -498,7 +502,7 @@ class MatrixStreams {
  private:
   const SystemConfig& cfg_;
   const std::vector<trace::WorkloadProfile>& workloads_;
-  const u32 readers_;
+  const std::vector<u32> readers_;
   std::mutex mu_;
   std::vector<std::vector<std::unique_ptr<trace::SharedStream>>> streams_;
 };
@@ -512,23 +516,13 @@ ResultJournal::LoadStats ResultJournal::load_stats(
   while (std::getline(is, line_text)) {
     if (line_text.empty()) continue;
     JsonValue v;
-    const bool parsed = json_parse(line_text, v) && v.is_object();
-    const std::string kind = parsed ? v.get_string("kind", "run") : "";
-    bool ok = false;
-    if (kind == "run") {
-      RunResult r;
-      if ((ok = parse_run(v, r))) rows_.push_back(std::move(r));
-    } else if (kind == "alone") {
-      RunResult a;  // design, workload and ipc only
-      if ((ok = parse_run(v, a))) alone_rows_.push_back(std::move(a));
-    } else if (kind == "mix") {
-      MixResult m;
-      if ((ok = parse_mix(v, m))) mix_rows_.push_back(std::move(m));
-    }
-    if (!ok) {
+    RunResult r;
+    if (!json_parse(line_text, v) || !v.is_object() ||
+        v.find("kind") != nullptr || !parse_run(v, r)) {
       ++st.malformed;
       continue;
     }
+    rows_.push_back(std::move(r));
     if (well_formed != nullptr) well_formed->push_back(line_text);
     ++st.restored;
   }
@@ -536,48 +530,22 @@ ResultJournal::LoadStats ResultJournal::load_stats(
 }
 
 const RunResult* ResultJournal::find(const std::string& design,
-                                     const std::string& workload) const {
-  // Watchdog placeholders are never restored: a resumed sweep (typically
-  // with a longer deadline or a snapshot to pick up from) retries them.
-  return find_last(rows_, [&](const RunResult& r) {
-    return r.design == design && r.workload == workload && !r.timed_out;
-  });
-}
-
-const double* ResultJournal::find_alone(const std::string& design,
-                                        const std::string& workload) const {
-  const RunResult* row = find_last(alone_rows_, [&](const RunResult& a) {
-    return a.design == design && a.workload == workload;
-  });
-  return row ? &row->ipc : nullptr;
-}
-
-const MixResult* ResultJournal::find_mix(const std::string& design,
-                                         const std::string& mix) const {
-  return find_last(mix_rows_, [&](const MixResult& m) {
-    return m.design == design && m.mix == mix && !m.aggregate.timed_out;
-  });
+                                     const std::string& workload,
+                                     bool co_run) const {
+  // The last match wins: a journal that records a cell twice (a rerun
+  // after a partial resume) restores the later line.
+  const auto it = std::find_if(rows_.rbegin(), rows_.rend(),
+                               [&](const RunResult& r) {
+                                 return r.design == design &&
+                                        r.workload == workload &&
+                                        (r.core_perf != nullptr) == co_run &&
+                                        !r.timed_out;
+                               });
+  return it == rows_.rend() ? nullptr : &*it;
 }
 
 std::string ResultJournal::line(const RunResult& r) {
   return to_json(r, nonzero_groups(r));
-}
-
-std::string ResultJournal::alone_line(const std::string& design,
-                                      const std::string& workload,
-                                      double ipc) {
-  std::string out = "{\"kind\":\"alone\",";
-  append_member(out, kDesign, format_value(design));
-  append_member(out, kWorkload, format_value(workload));
-  append_member(out, kIpc, format_value(ipc));
-  out.back() = '}';
-  return out;
-}
-
-std::string ResultJournal::mix_line(const MixResult& r) {
-  // Splice the kind key into the shared mix-object serialization.
-  return "{\"kind\":\"mix\"," +
-         to_json(r, nonzero_groups(r.aggregate)).substr(1);
 }
 
 std::string quarantine_name(const std::string& path) {
@@ -656,27 +624,30 @@ void ExperimentRunner::run_cells(
     const std::vector<std::string>& designs,
     const std::vector<trace::WorkloadProfile>& workloads, const CellFn& cell,
     const RunMatrixOptions& opts, bool share_streams) {
-  // Cells run workload-major, design-minor. Journaled cells are restored
-  // without re-simulation and without re-firing on_result.
+  // Cells run workload-major, design-minor.
   const std::size_t n_designs = designs.size();
+  const std::size_t n = n_designs * workloads.size();
+  const auto key = [&](std::size_t i) {
+    RunResult r;
+    r.design = designs[i % n_designs];
+    r.workload = workloads[i / n_designs].name;
+    return r;
+  };
   // A shared stream cannot rewind, so cells that may restart or restore a
   // run mid-stream (snapshots, watchdog retries) keep private generators,
   // as do captures, whose sink must see each cell's own generation.
   std::optional<MatrixStreams> streams;
   if (share_streams && !cfg_.snapshot.configured() &&
       cfg_.capture == nullptr && opts.cell_timeout_s <= 0) {
-    streams.emplace(cfg_, workloads, static_cast<u32>(n_designs));
+    // A journaled cell is restored, not simulated, so it reads no stream.
+    std::vector<u32> readers(workloads.size(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (journaled(opts, key(i)) == nullptr) ++readers[i / n_designs];
+    }
+    streams.emplace(cfg_, workloads, std::move(readers));
   }
-  run_ordered<RunResult>(
-      n_designs * workloads.size(), cfg_, opts, "cells",
-      [&](const ResultJournal& journal, std::size_t i) {
-        const RunResult* row = journal.find(designs[i % n_designs],
-                                            workloads[i / n_designs].name);
-        // A restored cell reads nothing: open and drop its cursors so the
-        // streams stop holding chunks for it.
-        if (row != nullptr && streams) streams->open(i / n_designs);
-        return row;
-      },
+  run_ordered(
+      n, cfg_, opts, "cells", key,
       [&](System& system, std::size_t i) {
         const trace::WorkloadProfile& w = workloads[i / n_designs];
         // The cursors close when the cell returns or throws, so each cell
@@ -693,17 +664,7 @@ void ExperimentRunner::run_cells(
                                                    opts.max_instructions),
                     lanes);
       },
-      [&](std::size_t i) {
-        RunResult r;
-        r.design = designs[i % n_designs];
-        r.workload = workloads[i / n_designs].name;
-        r.timed_out = true;
-        return r;
-      },
-      [&](std::size_t, RunResult&& r, bool restored) {
-        if (!restored && opts.on_result) opts.on_result(r);
-        results_.push_back(std::move(r));
-      });
+      results_);
 }
 
 void ExperimentRunner::run_mix_matrix(const std::vector<std::string>& designs,
@@ -714,84 +675,54 @@ void ExperimentRunner::run_mix_matrix(const std::vector<std::string>& designs,
   // Every workload named by any mix, in first-seen order, and one shared
   // per-core budget for the alone and co-run phases, so every speedup
   // compares equal-length slices of the same instruction stream.
-  std::vector<std::string> uniq;
+  std::vector<trace::WorkloadProfile> uniq;
   u64 budget = opts.instructions;
   for (const auto& m : mixes) {
     for (const auto& w : m.workloads) {
-      if (std::find(uniq.begin(), uniq.end(), w) != uniq.end()) continue;
-      uniq.push_back(w);
+      if (std::any_of(uniq.begin(), uniq.end(),
+                      [&](const auto& u) { return u.name == w; })) {
+        continue;
+      }
+      uniq.push_back(trace::WorkloadProfile::by_name(w));
       if (opts.instructions) continue;
       budget = std::max(budget, default_instructions_for(
-                                    trace::WorkloadProfile::by_name(w),
-                                    opts.target_misses, opts.min_instructions,
+                                    uniq.back(), opts.target_misses,
+                                    opts.min_instructions,
                                     opts.max_instructions));
     }
   }
 
-  // Phase 1: alone baselines — one core, observability off (baselines feed
-  // only the speedup denominators; their artifacts are never exported).
-  std::vector<std::pair<std::string, std::string>> pairs;
-  for (const auto& d : designs) {
-    for (const auto& w : uniq) {
-      if (!alone_ipc_.count({d, w})) pairs.emplace_back(d, w);
-    }
-  }
+  // Phase 1: alone baselines, one core with observability off (they feed
+  // only the speedup denominators; their artifacts are never exported). A
+  // --capture-trace sink records the *co-run* miss stream only; letting
+  // the baselines append too would interleave several runs' records.
   SystemConfig alone_cfg = cfg_;
   alone_cfg.core.cores = 1;
   alone_cfg.obs = ObservabilityConfig{};
-  // A --capture-trace sink records the *co-run* miss stream only; letting
-  // the alone baselines append too would interleave three runs' records.
   alone_cfg.capture = nullptr;
-  // A timed-out baseline commits ipc 0, which the speedup scoring already
-  // treats as "no baseline" (the core is skipped), so the mix scores stay
-  // well-defined. on_alone checkpoints only freshly simulated baselines.
-  run_ordered<double>(
-      pairs.size(), alone_cfg, opts, "mix alone baselines",
-      [&](const ResultJournal& journal, std::size_t i) {
-        return journal.find_alone(pairs[i].first, pairs[i].second);
-      },
-      [&](System& system, std::size_t i) {
-        return system
-            .run(pairs[i].first,
-                 trace::WorkloadProfile::by_name(pairs[i].second), budget)
-            .ipc;
-      },
-      [](std::size_t) { return 0.0; },
-      [&](std::size_t i, double ipc, bool restored) {
-        alone_ipc_[pairs[i]] = ipc;
-        if (!restored && opts.on_alone) {
-          opts.on_alone(pairs[i].first, pairs[i].second, ipc);
-        }
-      });
+  ExperimentRunner alone(alone_cfg);
+  RunMatrixOptions alone_opts = opts;
+  alone_opts.instructions = budget;
+  alone.run_matrix(designs, uniq, alone_opts);
+  // A cancelled sweep stops at its baselines' committed prefix.
+  if (alone.results().size() < designs.size() * uniq.size()) return;
 
-  // Phase 2: co-runs — mix-major, design-minor. Each committed cell's
-  // aggregate also lands in results_, so every writer covers mix runs.
+  // Phase 2: co-runs, mix-major and design-minor.
   const std::size_t n_designs = designs.size();
-  run_ordered<MixResult>(
+  run_ordered(
       mixes.size() * n_designs, cfg_, opts, "mix co-runs",
-      [&](const ResultJournal& journal, std::size_t i) {
-        return journal.find_mix(designs[i % n_designs],
-                                mixes[i / n_designs].name);
+      [&](std::size_t i) {
+        RunResult r;
+        r.design = designs[i % n_designs];
+        r.workload = mixes[i / n_designs].name;
+        r.core_perf = std::make_shared<std::vector<CorePerf>>();
+        return r;
       },
       [&](System& system, std::size_t i) {
         return run_mix_cell(system, designs[i % n_designs],
-                            mixes[i / n_designs], budget, alone_ipc_);
+                            mixes[i / n_designs], budget, alone.results());
       },
-      [&](std::size_t i) {
-        MixResult r;
-        r.design = r.aggregate.design = designs[i % n_designs];
-        r.mix = r.aggregate.workload = mixes[i / n_designs].name;
-        r.aggregate.timed_out = true;
-        return r;
-      },
-      [&](std::size_t, MixResult&& r, bool restored) {
-        if (!restored) {
-          if (opts.on_result) opts.on_result(r.aggregate);
-          if (opts.on_mix_result) opts.on_mix_result(r);
-        }
-        results_.push_back(r.aggregate);
-        mix_results_.push_back(std::move(r));
-      });
+      results_);
 }
 
 void ExperimentRunner::write_mix_csv(std::ostream& os) const {
@@ -799,14 +730,15 @@ void ExperimentRunner::write_mix_csv(std::ostream& os) const {
   std::vector<std::string> header;
   append_keys(header, kMixKeys, kBase);
   append_keys(header, kCoreFields, kBase);
-  append_keys(header, kMixScores, kBase);
+  append_keys(header, kMixScores, kMix);
   TextTable t(std::move(header));
-  for (const auto& r : mix_results_) {
-    for (const auto& c : r.cores) {
+  for (const auto& r : results_) {
+    if (!r.core_perf) continue;
+    for (const auto& c : *r.core_perf) {
       std::vector<std::string> row;
       append_cells(row, r, kMixKeys, kBase);
       append_cells(row, c, kCoreFields, kBase);
-      append_cells(row, r, kMixScores, kBase);
+      append_cells(row, r, kMixScores, kMix);
       t.add_row(std::move(row));
     }
   }
@@ -815,7 +747,12 @@ void ExperimentRunner::write_mix_csv(std::ostream& os) const {
 
 void ExperimentRunner::write_mix_json(std::ostream& os) const {
   prof::ScopedPhase prof_phase(prof::Phase::kIo);
-  write_json_array(os, mix_results_, column_groups(cfg_, results_));
+  const unsigned groups = column_groups(cfg_, results_);
+  std::vector<std::string> objects;
+  for (const auto& r : results_) {
+    if (r.core_perf) objects.push_back(to_mix_json(r, groups));
+  }
+  write_json_array(os, objects);
 }
 
 std::vector<RunResult> ExperimentRunner::for_design(
@@ -860,7 +797,10 @@ void ExperimentRunner::write_csv(std::ostream& os) const {
 
 void ExperimentRunner::write_json(std::ostream& os) const {
   prof::ScopedPhase prof_phase(prof::Phase::kIo);
-  write_json_array(os, results_, column_groups(cfg_, results_));
+  const unsigned groups = column_groups(cfg_, results_);
+  std::vector<std::string> objects;
+  for (const auto& r : results_) objects.push_back(to_json(r, groups));
+  write_json_array(os, objects);
 }
 
 void ExperimentRunner::write_json(std::ostream& os,

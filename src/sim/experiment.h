@@ -30,10 +30,11 @@ namespace bb::sim {
 /// the journal via RunMatrixOptions::resume — finished cells are restored
 /// from it instead of re-simulated.
 ///
-/// Three line kinds share the file, distinguished by a "kind" key:
-///   * plain RunResult lines (no kind, or "run") for matrix cells,
-///   * "alone" lines caching a mix matrix's single-core IPC baselines,
-///   * "mix" lines carrying a full (design, mix) MixResult.
+/// Every line is one RunResult, as line() writes it. A mix co-run's line
+/// also carries its scores and a "cores" array; that array is what tells
+/// it apart from an alone-baseline row of the same (design, name), as in
+/// --mix=mcf. Lines with a "kind" key (the mix journal format that kept
+/// baselines and co-runs apart by kind) are malformed.
 class ResultJournal {
  public:
   struct LoadStats {
@@ -49,34 +50,22 @@ class ResultJournal {
   LoadStats load_stats(std::istream& is,
                        std::vector<std::string>* well_formed = nullptr);
 
+  /// The last journaled row of cell (design, workload), or nullptr;
+  /// `co_run` selects a mix co-run row over a plain one. Watchdog
+  /// placeholders are never found, so a resumed sweep retries them.
   const RunResult* find(const std::string& design,
-                        const std::string& workload) const;
-  /// Journaled alone-run baseline IPC, or nullptr when absent.
-  const double* find_alone(const std::string& design,
-                           const std::string& workload) const;
-  /// Journaled (design, mix) co-run cell, or nullptr when absent.
-  const MixResult* find_mix(const std::string& design,
-                            const std::string& mix) const;
-  std::size_t size() const {
-    return rows_.size() + alone_rows_.size() + mix_rows_.size();
-  }
+                        const std::string& workload,
+                        bool co_run = false) const;
+  std::size_t size() const { return rows_.size(); }
 
   /// Serializes one result as a single journal line (no newline). The line
   /// is the JSON object write_json emits for the run; each optional field
   /// group (reliability, queue, timed_out) is included only when any of
-  /// its fields is nonzero.
+  /// its fields is nonzero, and a co-run's scores and cores always are.
   static std::string line(const RunResult& r);
-  /// One alone-baseline journal line (kind "alone").
-  static std::string alone_line(const std::string& design,
-                                const std::string& workload, double ipc);
-  /// One co-run cell journal line (kind "mix") — the same object
-  /// write_mix_json emits for the cell.
-  static std::string mix_line(const MixResult& r);
 
  private:
   std::vector<RunResult> rows_;
-  std::vector<RunResult> alone_rows_;  ///< design, workload and ipc only
-  std::vector<MixResult> mix_rows_;
 };
 
 /// Execution options for run_matrix / run_bumblebee_matrix.
@@ -106,14 +95,6 @@ struct RunMatrixOptions {
   /// or not; cells already running finish and still commit, so results()
   /// (and the journal) always hold a matrix-order prefix of the matrix.
   std::function<bool()> cancel;
-  /// Mix matrices only: called per freshly simulated alone baseline
-  /// (design, workload, ipc) in pair order — wire to
-  /// ResultJournal::alone_line for checkpointing.
-  std::function<void(const std::string&, const std::string&, double)>
-      on_alone;
-  /// Mix matrices only: called per freshly simulated co-run cell in matrix
-  /// order (alongside on_result, which sees only the aggregate RunResult).
-  std::function<void(const MixResult&)> on_mix_result;
   /// Watchdog: per-cell soft deadline in host seconds (0 = no deadline).
   /// A cell past the deadline is interrupted at a record boundary and
   /// retried — resuming from the snapshot the interrupted attempt left
@@ -164,38 +145,29 @@ class ExperimentRunner {
       const std::vector<trace::WorkloadProfile>& workloads,
       const RunMatrixOptions& opts);
 
-  /// Multi-programmed mix matrix (see sim/mix.h). Two phases, both run on
-  /// the worker pool with matrix-order commits so every output is
-  /// byte-identical across --jobs values:
-  ///   1. Alone baselines: each unique (design, workload) pair across the
-  ///      mixes runs on one core with observability off, caching its IPC
-  ///      in alone_ipc() (simulated once even if many mixes share it).
-  ///   2. Co-runs: every (design, mix) cell via run_mix_cell. MixResults
-  ///      append to mix_results(); each cell's aggregate RunResult also
-  ///      appends to results(), so write_csv / write_json /
-  ///      write_epoch_csv / write_trace cover mix runs unchanged.
-  /// opts.instructions is the per-core budget; 0 derives one shared budget
-  /// as the max default_instructions_for over every workload named by the
-  /// mixes. opts.on_result fires per committed co-run aggregate.
-  /// Checkpoint resume: opts.resume restores journaled "alone" baselines
-  /// and "mix" cells (see ResultJournal) instead of re-simulating them;
-  /// callbacks are skipped for restored entries.
+  /// Multi-programmed mix matrix (see sim/mix.h), in two phases:
+  ///   1. Alone baselines: an ordinary one-core run_matrix over every
+  ///      workload the mixes name, with observability and trace capture
+  ///      off, on a runner of its own (its rows feed only the speedup
+  ///      denominators and never reach results()).
+  ///   2. Co-runs: every (design, mix) cell via run_mix_cell, mix-major and
+  ///      design-minor, appended to results() like any matrix cell.
+  /// Both phases share opts: the journal, resume, cancel, watchdog and
+  /// on_result see every alone and co-run cell, and every output is
+  /// byte-identical across --jobs values. opts.instructions is the
+  /// per-core budget; 0 derives one shared budget as the max
+  /// default_instructions_for over every workload named by the mixes.
   void run_mix_matrix(const std::vector<std::string>& designs,
                       const std::vector<MixSpec>& mixes,
                       const RunMatrixOptions& opts);
 
-  const std::vector<MixResult>& mix_results() const { return mix_results_; }
-
-  /// Alone-run IPC baselines accumulated by run_mix_matrix.
-  const AloneIpcMap& alone_ipc() const { return alone_ipc_; }
-
-  /// Writes one CSV row per (design, mix, core): the core's shared-run
-  /// numbers, its alone-run baseline and speedup, plus the mix-level
-  /// weighted/hmean speedup and max slowdown repeated on every row of the
-  /// cell (keeps the file flat and greppable).
+  /// Writes one CSV row per (design, mix, core) of the co-run rows: the
+  /// core's shared-run numbers, its alone-run baseline and speedup, plus
+  /// the mix-level weighted/hmean speedup and max slowdown repeated on
+  /// every row of the cell (keeps the file flat and greppable).
   void write_mix_csv(std::ostream& os) const;
 
-  /// Writes mix_results() as a JSON array: mix-level scores, the full
+  /// Writes the co-run rows as a JSON array: mix-level scores, the full
   /// aggregate RunResult and the per-core breakdown.
   void write_mix_json(std::ostream& os) const;
 
@@ -266,8 +238,6 @@ class ExperimentRunner {
 
   SystemConfig cfg_;
   std::vector<RunResult> results_;
-  std::vector<MixResult> mix_results_;
-  AloneIpcMap alone_ipc_;
 };
 
 }  // namespace bb::sim

@@ -113,30 +113,27 @@ std::vector<CoreLane> MixSpec::lanes(u64 seed) const {
   return out;
 }
 
-MixResult run_mix_cell(System& system, const std::string& design,
+RunResult run_mix_cell(System& system, const std::string& design,
                        const MixSpec& mix, u64 per_core_instructions,
-                       const AloneIpcMap& alone) {
-  MixResult out;
-  out.design = design;
-  out.mix = mix.name;
-  out.aggregate = system.run_mix(design, mix.lanes(system.config().seed),
+                       const std::vector<RunResult>& alone) {
+  RunResult out = system.run_mix(design, mix.lanes(system.config().seed),
                                  mix.name, per_core_instructions);
-
   double inv_speedup_sum = 0;
   std::size_t scored = 0;
-  for (const CorePerf& p : *out.aggregate.core_perf) {
-    MixCoreResult core;
-    core.perf = p;
-    const auto it = alone.find({design, p.workload});
-    core.alone_ipc = it != alone.end() ? it->second : 0;
-    if (core.alone_ipc > 0 && p.ipc > 0) {
-      core.speedup = p.ipc / core.alone_ipc;
+  for (CorePerf& core : *out.core_perf) {
+    const auto it = std::find_if(alone.begin(), alone.end(),
+                                 [&](const RunResult& a) {
+                                   return a.design == design &&
+                                          a.workload == core.workload;
+                                 });
+    core.alone_ipc = it != alone.end() ? it->ipc : 0;
+    if (core.alone_ipc > 0 && core.ipc > 0) {
+      core.speedup = core.ipc / core.alone_ipc;
       out.weighted_speedup += core.speedup;
       inv_speedup_sum += 1.0 / core.speedup;
       out.max_slowdown = std::max(out.max_slowdown, 1.0 / core.speedup);
       ++scored;
     }
-    out.cores.push_back(std::move(core));
   }
   out.hmean_speedup = inv_speedup_sum > 0
                           ? static_cast<double>(scored) / inv_speedup_sum

@@ -6,14 +6,13 @@
 // through System::run_mix gives every core its own trace generator, seed
 // and — for heterogeneous mixes — a disjoint address-space slice, so the
 // cores genuinely contend for HBM capacity and bandwidth the way the
-// paper's 8-core experiments do. MixResult then scores the co-run against
-// cached alone-run IPCs:
+// paper's 8-core experiments do. run_mix_cell then scores the co-run
+// against the cores' alone-run IPCs:
 //   * weighted speedup  = sum_i IPC_shared_i / IPC_alone_i
 //   * hmean speedup     = n / sum_i (IPC_alone_i / IPC_shared_i)
 //   * max slowdown      = max_i IPC_alone_i / IPC_shared_i  (fairness)
 #pragma once
 
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,34 +62,15 @@ struct MixSpec {
 /// Preset names in presets() order (what drivers print for --list-mixes).
 std::vector<std::string> mix_names();
 
-/// Cached alone-run baselines: (design, workload) -> IPC of the workload
-/// running alone (one core) under that design. Shared across every mix in
-/// a matrix so each baseline is simulated once.
-using AloneIpcMap = std::map<std::pair<std::string, std::string>, double>;
-
-/// One core's slice of a mix run, scored against its alone-run baseline.
-struct MixCoreResult {
-  CorePerf perf;
-  double alone_ipc = 0;  ///< IPC running alone (same design, one core)
-  double speedup = 0;    ///< IPC_shared / IPC_alone (< 1 under contention)
-};
-
-/// Everything measured from one (design, mix) co-run cell.
-struct MixResult {
-  std::string design;
-  std::string mix;
-  RunResult aggregate;  ///< workload = mix name; core_perf attached
-  std::vector<MixCoreResult> cores;
-  double weighted_speedup = 0;
-  double hmean_speedup = 0;
-  double max_slowdown = 0;
-};
-
-/// Runs one (design, mix) cell on `system` and scores it against `alone`.
-/// Cores whose (design, workload) baseline is missing from `alone` get
-/// alone_ipc = speedup = 0 and are excluded from the harmonic mean.
-MixResult run_mix_cell(System& system, const std::string& design,
+/// Runs one (design, mix) co-run cell on `system` and scores it against
+/// `alone`, the one-core rows of the mix's workloads: the result is the
+/// aggregate (workload = mix name) whose core_perf carries each core's
+/// alone_ipc and speedup, with the mix scores set. A core whose (design,
+/// workload) row is missing from `alone` gets alone_ipc = 0; a core with
+/// no positive baseline (a timed-out row has IPC 0) or no positive IPC
+/// gets speedup = 0 and is excluded from the scores.
+RunResult run_mix_cell(System& system, const std::string& design,
                        const MixSpec& mix, u64 per_core_instructions,
-                       const AloneIpcMap& alone);
+                       const std::vector<RunResult>& alone);
 
 }  // namespace bb::sim

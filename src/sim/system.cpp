@@ -149,7 +149,7 @@ RunResult System::run_lanes_current(const std::vector<CoreLane>& lanes,
   core.set_capture(cfg_.capture);
   hmmc_->set_core_count(static_cast<u32>(lanes.size()));
 
-  // Trace sources are built here rather than inside run_lanes so a
+  // Trace sources are built here rather than inside the core model so a
   // snapshot can save and restore their cursors alongside the rest of
   // the simulator state.
   BB_CHECK(!lanes.empty(), "a run needs at least one lane");

@@ -95,7 +95,8 @@ struct RunArtifacts {
 
 /// Per-core slice of a multi-programmed run: the core's own pipeline
 /// numbers plus the memory-system statistics the controller attributed to
-/// its requests (see hmm::CoreStats for the attribution rules).
+/// its requests (see hmm::CoreStats for the attribution rules), scored
+/// against the core's alone-run baseline by sim::run_mix_cell.
 struct CorePerf {
   u32 core = 0;
   std::string workload;
@@ -108,6 +109,8 @@ struct CorePerf {
   Ns latency_p99_ns = 0;
   u64 hbm_bytes = 0;   ///< device bytes caused by this core's requests
   u64 dram_bytes = 0;
+  double alone_ipc = 0;  ///< IPC running alone (same design, one core)
+  double speedup = 0;    ///< ipc / alone_ipc (< 1 under contention)
 };
 
 /// Everything measured from one (design, workload) simulation.
@@ -168,8 +171,15 @@ struct RunResult {
   std::shared_ptr<RunArtifacts> artifacts;
 
   /// Per-core attribution, populated by System::run_mix only (nullptr for
-  /// homogeneous runs, so the scalar exports are unchanged).
+  /// homogeneous runs, so the scalar exports are unchanged). A non-null
+  /// core_perf is what marks a row as a mix co-run.
   std::shared_ptr<std::vector<CorePerf>> core_perf;
+
+  // Mix co-run scores against the cores' alone-run IPCs (sim/mix.h); zero
+  // for every other row. Only the mix writers and journal lines emit them.
+  double weighted_speedup = 0;
+  double hmean_speedup = 0;
+  double max_slowdown = 0;
 };
 
 /// Record sources standing in for a run's per-lane generators, one per

@@ -229,6 +229,42 @@ TEST_F(BumblebeeTest, HighFootprintTriggersBatchFlush) {
   EXPECT_TRUE(c->check_invariants());
 }
 
+// HMF trigger 4 (Section III-E): once every slot of a set is OS-occupied,
+// an off-chip page hotter than the set's coldest HBM page swaps with it.
+TEST_F(BumblebeeTest, FullSetSwapsHotPageWithColdestHbmPage) {
+  auto c = make();
+  const Geometry& g = c->geometry();
+  // In-set page p of set 0: the off-chip pages, then the pages past the
+  // off-chip capacity.
+  const auto addr = [&](u32 p) {
+    const u64 lp = p < g.m ? u64{p} * g.sets
+                           : g.dram_pages() + u64{p - g.m} * g.sets;
+    return Addr{lp * g.page_bytes};
+  };
+  Tick now = 0;
+  for (u32 p = 0; p < g.slots(); ++p) {
+    now += 50000;
+    c->access(addr(p), AccessType::kRead, now);
+  }
+  // Every slot holds an allocated page: the set is fully OS-occupied.
+  u32 hot = g.slots();
+  for (u32 p = 0; p < g.slots(); ++p) {
+    const auto loc = c->locate(addr(p));
+    ASSERT_TRUE(loc.allocated) << "page " << p;
+    if (!loc.in_hbm && hot == g.slots()) hot = p;
+  }
+  ASSERT_LT(hot, g.slots());
+  const u64 swaps_before = c->bb_stats().set_swaps;
+
+  for (u32 touch = 0; touch < 16; ++touch) {
+    now += 50000;
+    c->access(addr(hot) + touch * 64, AccessType::kRead, now);
+  }
+  EXPECT_GT(c->bb_stats().set_swaps, swaps_before);
+  EXPECT_TRUE(c->locate(addr(hot)).in_hbm);
+  EXPECT_TRUE(c->check_invariants());
+}
+
 TEST_F(BumblebeeTest, AllocHPlacesInHbmFirst) {
   auto c = make(BumblebeeConfig::alloc_h());
   c->access(0, AccessType::kRead, 1000);

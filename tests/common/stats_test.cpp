@@ -14,45 +14,6 @@
 namespace bb {
 namespace {
 
-TEST(Counter, IncAndReset) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.inc();
-  c.inc(5);
-  EXPECT_EQ(c.value(), 6u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(ScalarStat, Empty) {
-  ScalarStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 0.0);
-  EXPECT_DOUBLE_EQ(s.max(), 0.0);
-}
-
-TEST(ScalarStat, Summary) {
-  ScalarStat s;
-  s.sample(1.0);
-  s.sample(3.0);
-  s.sample(2.0);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.sum(), 6.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-}
-
-TEST(ScalarStat, NegativeValues) {
-  ScalarStat s;
-  s.sample(-5.0);
-  s.sample(5.0);
-  EXPECT_DOUBLE_EQ(s.min(), -5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
 TEST(Histogram, BucketBoundaries) {
   Histogram h({5, 10, 15, 20});
   h.sample(0);     // -> bucket 0
@@ -204,16 +165,6 @@ TEST(Geomean, Basics) {
 TEST(Geomean, NonPositiveGivesZero) {
   EXPECT_DOUBLE_EQ(geomean({1.0, 0.0}), 0.0);
   EXPECT_DOUBLE_EQ(geomean({1.0, -2.0}), 0.0);
-}
-
-TEST(StatGroup, NamedCounters) {
-  StatGroup g;
-  g.counter("a").inc(2);
-  g.counter("b").inc();
-  EXPECT_EQ(g.counter("a").value(), 2u);
-  EXPECT_EQ(g.counters().size(), 2u);
-  g.reset();
-  EXPECT_EQ(g.counter("a").value(), 0u);
 }
 
 }  // namespace

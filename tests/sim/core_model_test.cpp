@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "hmm/controller.h"
@@ -37,6 +38,34 @@ class FixedLatencyController : public hmm::HybridMemoryController {
 CoreResult run_one(CoreModel& core, trace::TraceGenerator& gen,
                    u64 instructions, hmm::HybridMemoryController& mem) {
   return core.run_sources({&gen}, {0}, instructions, mem);
+}
+
+/// One freshly seeded generator per lane.
+CoreResult run_lanes(CoreModel& core, const std::vector<CoreLane>& lanes,
+                     u64 instructions, hmm::HybridMemoryController& mem,
+                     u64 warmup_instructions = 0) {
+  std::vector<std::unique_ptr<trace::TraceGenerator>> gens;
+  std::vector<trace::TraceSource*> sources;
+  std::vector<Addr> bases;
+  for (const CoreLane& lane : lanes) {
+    gens.push_back(
+        std::make_unique<trace::TraceGenerator>(lane.profile, lane.seed));
+    sources.push_back(gens.back().get());
+    bases.push_back(lane.base);
+  }
+  return core.run_sources(sources, bases, instructions, mem,
+                          warmup_instructions);
+}
+
+/// Every core of `core` on one profile, as a single-profile System run.
+CoreResult run_profile(CoreModel& core, const char* workload, u64 seed,
+                       u64 instructions, hmm::HybridMemoryController& mem,
+                       u64 warmup_instructions = 0) {
+  return run_lanes(core,
+                   CoreModel::homogeneous_lanes(
+                       trace::WorkloadProfile::by_name(workload), seed,
+                       core.params().cores),
+                   instructions, mem, warmup_instructions);
 }
 
 class CoreModelTest : public ::testing::Test {
@@ -113,8 +142,7 @@ TEST_F(CoreModelTest, MultiCoreAggregatesInstructions) {
   p.cores = 4;
   CoreModel core(p);
   FixedLatencyController mem(hbm_, dram_, ns_to_ticks(50));
-  const auto r = core.run(trace::WorkloadProfile::by_name("mcf"), 7,
-                          1'000'000, mem);
+  const auto r = run_profile(core, "mcf", 7, 1'000'000, mem);
   EXPECT_GE(r.instructions, 1'000'000u);
   EXPECT_GT(r.misses, 0u);
   // Aggregate IPC of 4 cores can exceed a single core's ceiling.
@@ -126,8 +154,8 @@ TEST_F(CoreModelTest, WarmupResetsMeasurement) {
   p.cores = 2;
   CoreModel core(p);
   FixedLatencyController mem(hbm_, dram_, ns_to_ticks(50));
-  const auto r = core.run(trace::WorkloadProfile::by_name("mcf"), 7,
-                          500'000, mem, /*warmup_instructions=*/500'000);
+  const auto r = run_profile(core, "mcf", 7, 500'000, mem,
+                             /*warmup_instructions=*/500'000);
   // Measured window covers ~500k instructions, not 1M.
   EXPECT_LT(r.instructions, 600'000u);
   // Stats were reset at the warmup boundary.
@@ -141,8 +169,7 @@ TEST_F(CoreModelTest, IpcIsAggregateInstructionsOverElapsedCycles) {
   p.cores = 2;
   CoreModel core(p);
   FixedLatencyController mem(hbm_, dram_, ns_to_ticks(50));
-  const auto r = core.run(trace::WorkloadProfile::by_name("mcf"), 7,
-                          1'000'000, mem);
+  const auto r = run_profile(core, "mcf", 7, 1'000'000, mem);
   ASSERT_GT(r.elapsed, 0u);
   const double cycles = ticks_to_s(r.elapsed) * p.freq_ghz * 1e9;
   EXPECT_DOUBLE_EQ(r.ipc(p.freq_ghz),
@@ -172,7 +199,7 @@ TEST_F(CoreModelTest, HeterogeneousLanesKeepPerCoreCharacter) {
       {trace::WorkloadProfile::by_name("mcf"), 1, 0},
       {trace::WorkloadProfile::by_name("leela"), 2, 8 * GiB},
   };
-  const auto r = core.run_lanes(lanes, 1'000'000, mem);
+  const auto r = run_lanes(core, lanes, 1'000'000, mem);
   ASSERT_EQ(r.per_core.size(), 2u);
   // mcf (MPKI 16.1) must miss orders of magnitude more often than leela
   // (MPKI 0.1) — the lanes really run different profiles.
@@ -184,11 +211,9 @@ TEST_F(CoreModelTest, DeterministicAcrossRuns) {
   CoreParams p;
   CoreModel core(p);
   FixedLatencyController m1(hbm_, dram_, ns_to_ticks(80));
-  const auto r1 = core.run(trace::WorkloadProfile::by_name("wrf"), 3,
-                           300'000, m1);
+  const auto r1 = run_profile(core, "wrf", 3, 300'000, m1);
   FixedLatencyController m2(hbm_, dram_, ns_to_ticks(80));
-  const auto r2 = core.run(trace::WorkloadProfile::by_name("wrf"), 3,
-                           300'000, m2);
+  const auto r2 = run_profile(core, "wrf", 3, 300'000, m2);
   EXPECT_EQ(r1.elapsed, r2.elapsed);
   EXPECT_EQ(r1.misses, r2.misses);
   EXPECT_EQ(r1.instructions, r2.instructions);

@@ -319,27 +319,32 @@ TEST(Experiment, CancelCommitsAMatrixOrderPrefix) {
     }
   }
 
-  // run_mix_matrix: on_result fires per committed co-run aggregate. The
-  // journal holds the second co-run cell, which must not commit once the
-  // sweep is cancelled after the first.
+  // run_mix_matrix: on_result fires per committed alone baseline and
+  // co-run. The journal holds every baseline and the second co-run cell,
+  // which must not commit once the sweep is cancelled after the first.
   const std::vector<MixSpec> mixes = {MixSpec::parse("cachecap2"),
                                       MixSpec::parse("mcf+xz")};
-  ResultJournal mix_journal;
-  {
-    ExperimentRunner ex(small_config());
-    RunMatrixOptions opts;
-    opts.jobs = 1;
-    opts.instructions = 100'000;
+  const auto plain_mix = [&](ExperimentRunner& ex,
+                             const RunMatrixOptions& opts) {
     ex.run_mix_matrix(designs, mixes, opts);
-    std::istringstream is(ResultJournal::mix_line(ex.mix_results()[1]) + "\n");
-    ASSERT_EQ(mix_journal.load_stats(is).restored, 1u);
+  };
+  const Outcome mix_reference = run(1, 0, plain_mix);
+  ASSERT_EQ(mix_reference.rows.size(), 4u);
+  ASSERT_EQ(mix_reference.callbacks.size(), 10u);  // 6 baselines, 4 co-runs
+  std::string mix_lines;
+  for (std::size_t i = 0; i < 6; ++i) {
+    mix_lines += mix_reference.callbacks[i] + "\n";
   }
+  mix_lines += mix_reference.callbacks[7] + "\n";
+  ResultJournal mix_journal;
+  std::istringstream mix_is(mix_lines);
+  ASSERT_EQ(mix_journal.load_stats(mix_is).restored, 7u);
   const auto mix_matrix = [&](ExperimentRunner& ex, RunMatrixOptions opts) {
     opts.resume = &mix_journal;
     ex.run_mix_matrix(designs, mixes, opts);
   };
   const Outcome mix_full = run(1, 0, mix_matrix);
-  ASSERT_EQ(mix_full.rows.size(), 4u);
+  EXPECT_EQ(mix_full.rows, mix_reference.rows);
   ASSERT_EQ(mix_full.callbacks.size(), 3u);
   for (const unsigned jobs : {1u, 4u}) {
     SCOPED_TRACE("run_mix_matrix jobs=" + std::to_string(jobs));
@@ -349,68 +354,104 @@ TEST(Experiment, CancelCommitsAMatrixOrderPrefix) {
     if (jobs == 1) {
       EXPECT_EQ(cut.rows.size(), 1u);
     }
+    // A cancel among the baselines commits no co-run at all.
+    const Outcome early = run(jobs, 2, plain_mix);
+    expect_prefix(early, mix_reference);
+    EXPECT_TRUE(early.rows.empty());
   }
 }
 
-// A mix matrix journaled through on_alone / on_mix_result must restore
-// completely: the resumed run re-simulates nothing, fires no callbacks, and
-// reproduces every export byte-for-byte.
+// A mix matrix journaled through on_result must restore completely: every
+// alone baseline and co-run cell comes back from the journal, the resumed
+// run re-simulates nothing and fires no callbacks, and every export is
+// byte-identical. The "mcf" mix shares its (design, name) with the mcf
+// baseline; each must restore to its own cell. A sweep cut short at any
+// point resumes to the same bytes, simulating only what the cut left out.
 TEST(Experiment, MixMatrixResumesFromJournal) {
   SystemConfig cfg = small_config();
   const std::vector<std::string> designs = {"DRAM-only", "Bumblebee"};
-  const std::vector<MixSpec> mixes = {MixSpec::parse("mcf+lbm")};
+  const std::vector<MixSpec> mixes = {MixSpec::parse("mcf+lbm"),
+                                      MixSpec::parse("mcf")};
 
   RunMatrixOptions opts;
   opts.jobs = 1;
   opts.instructions = 100'000;
+  const auto render = [](const ExperimentRunner& r) {
+    std::ostringstream csv, json, mix_csv, mix_json;
+    r.write_csv(csv);
+    r.write_json(json);
+    r.write_mix_csv(mix_csv);
+    r.write_mix_json(mix_json);
+    return csv.str() + json.str() + mix_csv.str() + mix_json.str();
+  };
 
   std::ostringstream journal_os;
   RunMatrixOptions first_opts = opts;
-  first_opts.on_alone = [&](const std::string& d, const std::string& w,
-                            double ipc) {
-    journal_os << ResultJournal::alone_line(d, w, ipc) << "\n";
-  };
-  first_opts.on_mix_result = [&](const MixResult& r) {
-    journal_os << ResultJournal::mix_line(r) << "\n";
+  first_opts.on_result = [&](const RunResult& r) {
+    journal_os << ResultJournal::line(r) << "\n";
   };
   ExperimentRunner first(cfg);
   first.run_mix_matrix(designs, mixes, first_opts);
-  ASSERT_EQ(first.mix_results().size(), 2u);
-  ASSERT_EQ(first.alone_ipc().size(), 4u);  // 2 designs x 2 workloads
+  ASSERT_EQ(first.results().size(), 4u);  // the co-runs only
 
   ResultJournal journal;
   std::istringstream journal_is(journal_os.str());
   const auto stats = journal.load_stats(journal_is);
-  EXPECT_EQ(stats.restored, 6u);  // 4 alone baselines + 2 mix cells
+  EXPECT_EQ(stats.restored, 8u);  // 4 alone baselines + 4 co-runs
   EXPECT_EQ(stats.malformed, 0u);
-  ASSERT_NE(journal.find_alone("Bumblebee", "mcf"), nullptr);
-  ASSERT_NE(journal.find_mix("Bumblebee", "mcf+lbm"), nullptr);
-  EXPECT_EQ(journal.find_alone("Bumblebee", "nonesuch"), nullptr);
-  EXPECT_EQ(journal.find_mix("nonesuch", "mcf+lbm"), nullptr);
+  const RunResult* alone = journal.find("Bumblebee", "mcf");
+  const RunResult* co_run = journal.find("Bumblebee", "mcf", true);
+  ASSERT_NE(alone, nullptr);
+  ASSERT_NE(co_run, nullptr);
+  EXPECT_EQ(alone->core_perf, nullptr);
+  ASSERT_NE(co_run->core_perf, nullptr);
+  ASSERT_EQ(co_run->core_perf->size(), 1u);
+  EXPECT_DOUBLE_EQ((*co_run->core_perf)[0].alone_ipc, alone->ipc);
+  ASSERT_NE(journal.find("Bumblebee", "mcf+lbm", true), nullptr);
+  EXPECT_EQ(journal.find("Bumblebee", "mcf+lbm"), nullptr);
+  EXPECT_EQ(journal.find("Bumblebee", "nonesuch"), nullptr);
+  EXPECT_EQ(journal.find("nonesuch", "mcf+lbm", true), nullptr);
 
   RunMatrixOptions resume_opts = opts;
   resume_opts.jobs = 4;
   resume_opts.resume = &journal;
   std::size_t fresh = 0;
-  resume_opts.on_alone = [&](const std::string&, const std::string&,
-                             double) { ++fresh; };
-  resume_opts.on_mix_result = [&](const MixResult&) { ++fresh; };
   resume_opts.on_result = [&](const RunResult&) { ++fresh; };
   ExperimentRunner second(cfg);
   second.run_mix_matrix(designs, mixes, resume_opts);
   EXPECT_EQ(fresh, 0u);  // everything restored, nothing re-simulated
+  EXPECT_EQ(render(first), render(second));
 
-  std::ostringstream a_csv, b_csv, a_mix, b_mix;
-  first.write_csv(a_csv);
-  second.write_csv(b_csv);
-  first.write_mix_json(a_mix);
-  second.write_mix_json(b_mix);
-  EXPECT_EQ(a_csv.str(), b_csv.str());
-  EXPECT_EQ(a_mix.str(), b_mix.str());
+  for (const std::size_t k : {2u, 4u, 6u}) {
+    SCOPED_TRACE("cut after " + std::to_string(k) + " cells");
+    std::ostringstream cut_os;
+    std::size_t commits = 0;
+    RunMatrixOptions cut_opts = opts;
+    cut_opts.on_result = [&](const RunResult& r) {
+      cut_os << ResultJournal::line(r) << "\n";
+      ++commits;
+    };
+    cut_opts.cancel = [&] { return commits >= k; };
+    ExperimentRunner cut(cfg);
+    cut.run_mix_matrix(designs, mixes, cut_opts);
+    ASSERT_EQ(commits, k);
+
+    ResultJournal partial;
+    std::istringstream partial_is(cut_os.str());
+    ASSERT_EQ(partial.load_stats(partial_is).restored, k);
+    RunMatrixOptions rest_opts = opts;
+    rest_opts.resume = &partial;
+    std::size_t rerun = 0;
+    rest_opts.on_result = [&](const RunResult&) { ++rerun; };
+    ExperimentRunner rest(cfg);
+    rest.run_mix_matrix(designs, mixes, rest_opts);
+    EXPECT_EQ(rerun, 8u - k);
+    EXPECT_EQ(render(rest), render(first));
+  }
 }
 
 // A journal holding only the alone baselines (interrupt landed between the
-// two phases) must skip phase 1 and re-simulate only the co-run cells.
+// two phases) must restore phase 1 and re-simulate only the co-run cells.
 TEST(Experiment, MixMatrixResumesPartialAloneJournal) {
   SystemConfig cfg = small_config();
   const std::vector<std::string> designs = {"DRAM-only"};
@@ -422,9 +463,8 @@ TEST(Experiment, MixMatrixResumesPartialAloneJournal) {
 
   std::ostringstream journal_os;
   RunMatrixOptions first_opts = opts;
-  first_opts.on_alone = [&](const std::string& d, const std::string& w,
-                            double ipc) {
-    journal_os << ResultJournal::alone_line(d, w, ipc) << "\n";
+  first_opts.on_result = [&](const RunResult& r) {
+    if (!r.core_perf) journal_os << ResultJournal::line(r) << "\n";
   };
   ExperimentRunner first(cfg);
   first.run_mix_matrix(designs, mixes, first_opts);
@@ -436,35 +476,44 @@ TEST(Experiment, MixMatrixResumesPartialAloneJournal) {
   RunMatrixOptions resume_opts = opts;
   resume_opts.resume = &journal;
   std::size_t alone_reruns = 0, mix_runs = 0;
-  resume_opts.on_alone = [&](const std::string&, const std::string&,
-                             double) { ++alone_reruns; };
-  resume_opts.on_mix_result = [&](const MixResult&) { ++mix_runs; };
+  resume_opts.on_result = [&](const RunResult& r) {
+    ++(r.core_perf ? mix_runs : alone_reruns);
+  };
   ExperimentRunner second(cfg);
   second.run_mix_matrix(designs, mixes, resume_opts);
   EXPECT_EQ(alone_reruns, 0u);
   EXPECT_EQ(mix_runs, 1u);
   // The restored baselines fed the fresh co-run scoring.
-  ASSERT_EQ(second.mix_results().size(), 1u);
-  for (const auto& c : second.mix_results()[0].cores) {
+  ASSERT_EQ(second.results().size(), 1u);
+  for (const auto& c : *second.results()[0].core_perf) {
     EXPECT_GT(c.alone_ipc, 0.0);
   }
+  std::ostringstream a, b;
+  first.write_mix_json(a);
+  second.write_mix_json(b);
+  EXPECT_EQ(a.str(), b.str());
 }
 
 // load_stats must count damage instead of crashing (or silently accepting):
-// garbage lines, torn writes, schema-less objects, and unknown kinds are
-// all malformed; valid lines around them still restore.
+// garbage lines, torn writes, schema-less objects and any line with a
+// "kind" key (the retired alone/mix journal lines) are all malformed;
+// valid lines around them still restore.
 TEST(Experiment, JournalLoadStatsCountsMalformedLines) {
+  RunResult co_run = fake("A", "xz", 2.0);
+  co_run.core_perf = std::make_shared<std::vector<CorePerf>>(1);
   std::string journal_text;
   journal_text += ResultJournal::line(fake("A", "mcf", 1.5)) + "\n";
   journal_text += "not json at all\n";
   journal_text += "{\"design\":\"torn";  // torn tail, no newline termination
   journal_text += "\n";
-  journal_text += ResultJournal::alone_line("A", "xz", 2.0) + "\n";
+  journal_text += ResultJournal::line(co_run) + "\n";
   journal_text += "{\"kind\":\"martian\",\"design\":\"A\"}\n";
-  journal_text += "{\"kind\":\"mix\",\"design\":\"A\"}\n";  // missing scores
+  journal_text += "{\"kind\":\"mix\",\"design\":\"A\"}\n";
   journal_text += "[1,2,3]\n";   // not an object
   journal_text += "\n";          // blank lines are ignored, not malformed
-  journal_text += "{\"kind\":\"alone\",\"design\":\"\",\"workload\":\"\"}\n";
+  journal_text +=
+      "{\"kind\":\"alone\",\"design\":\"A\",\"workload\":\"lbm\","
+      "\"ipc\":1}\n";
 
   ResultJournal journal;
   std::istringstream is(journal_text);
@@ -472,21 +521,23 @@ TEST(Experiment, JournalLoadStatsCountsMalformedLines) {
   EXPECT_EQ(stats.restored, 2u);
   EXPECT_EQ(stats.malformed, 6u);
   EXPECT_NE(journal.find("A", "mcf"), nullptr);
-  ASSERT_NE(journal.find_alone("A", "xz"), nullptr);
-  EXPECT_DOUBLE_EQ(*journal.find_alone("A", "xz"), 2.0);
+  EXPECT_EQ(journal.find("A", "lbm"), nullptr);
+  EXPECT_EQ(journal.find("A", "xz"), nullptr);
+  ASSERT_NE(journal.find("A", "xz", true), nullptr);
+  EXPECT_DOUBLE_EQ(journal.find("A", "xz", true)->ipc, 2.0);
 }
 
 // Last-line-wins: a journal that records the same cell twice (rerun after a
 // partial resume) restores the later value.
 TEST(Experiment, JournalLastLineWins) {
   std::string journal_text;
-  journal_text += ResultJournal::alone_line("A", "mcf", 1.0) + "\n";
-  journal_text += ResultJournal::alone_line("A", "mcf", 3.0) + "\n";
+  journal_text += ResultJournal::line(fake("A", "mcf", 1.0)) + "\n";
+  journal_text += ResultJournal::line(fake("A", "mcf", 3.0)) + "\n";
   ResultJournal journal;
   std::istringstream is(journal_text);
   EXPECT_EQ(journal.load_stats(is).restored, 2u);
-  ASSERT_NE(journal.find_alone("A", "mcf"), nullptr);
-  EXPECT_DOUBLE_EQ(*journal.find_alone("A", "mcf"), 3.0);
+  ASSERT_NE(journal.find("A", "mcf"), nullptr);
+  EXPECT_DOUBLE_EQ(journal.find("A", "mcf")->ipc, 3.0);
 }
 
 TEST(Experiment, BumblebeeMatrixLabelsResults) {

@@ -23,6 +23,7 @@
 #include "sim/core_model.h"
 #include "sim/experiment.h"
 #include "sim/system.h"
+#include "trace/stream.h"
 
 namespace bb::sim {
 namespace {
@@ -164,6 +165,53 @@ u64 file_fnv1a(const std::string& path) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+// A replay cell interrupted after its trace reader looped past a lap
+// boundary resumes from its snapshot to the uninterrupted result: the
+// reader's serialized position (laps, records into the lap) restores too.
+TEST(SystemSnapshot, KillAndResumeReplayPastLapIsExact) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "/snap_replay.bbtrace";
+  {
+    trace::TraceGenerator gen(trace::WorkloadProfile::by_name("mcf"), 99);
+    trace::TraceWriterOptions w;
+    w.chunk_records = 64;
+    ASSERT_TRUE(trace::save_trace_v2(path, gen.take(512), w));
+  }
+  const u64 instructions = 4 * trace::trace_info(path).inst_gap_total;
+  const SystemConfig cfg = snapshot_config("snap_replay");
+
+  SystemConfig plain = cfg;
+  plain.snapshot = SnapshotConfig{};
+  System reference(plain);
+  trace::StreamingTraceReader whole(path);
+  const RunResult want =
+      reference.run_replay("Bumblebee", whole, "replay", instructions);
+  ASSERT_GE(whole.laps(), 2u);
+
+  // Polls (and snapshots) fall every 256 records, so the third lands 256
+  // records into the trace's second lap.
+  System sys(cfg);
+  trace::StreamingTraceReader cut(path);
+  int polls = 0;
+  sys.set_interrupt([&polls] { return ++polls >= 3; });
+  EXPECT_THROW(sys.run_replay("Bumblebee", cut, "replay", instructions),
+               RunInterrupted);
+  EXPECT_EQ(cut.laps(), 1u);
+  const std::string snap =
+      cfg.snapshot.dir + "/replay__Bumblebee__replay.bbsnap";
+  EXPECT_TRUE(snap::file_exists(snap));
+
+  sys.set_interrupt({});
+  sys.allow_restore_once();
+  trace::StreamingTraceReader resumed(path);
+  const RunResult got =
+      sys.run_replay("Bumblebee", resumed, "replay", instructions);
+  expect_identical(want, got);
+  EXPECT_EQ(ResultJournal::line(got), ResultJournal::line(want));
+  EXPECT_FALSE(snap::file_exists(snap));
+  std::remove(path.c_str());
 }
 
 TEST(SystemSnapshot, BumblebeeSnapshotBytesArePinned) {
@@ -420,9 +468,12 @@ TEST(Watchdog, GenerousDeadlineLeavesResultsUntouched) {
 
 TEST(Watchdog, MixMatrixCommitsTimedOutPlaceholders) {
   // Both mix phases share the matrix watchdog: exhausted alone baselines
-  // commit IPC 0 and exhausted co-runs commit timed_out aggregates, with
-  // the same bytes at every --jobs.
+  // and co-runs commit timed_out placeholders, with the same bytes at
+  // every --jobs, and a resumed sweep retries every one of them.
+  const std::vector<std::string> designs = {"DRAM-only", "Bumblebee"};
+  const std::vector<MixSpec> mixes = {MixSpec::parse("cachecap2")};
   std::string mix_json[2];
+  std::string journal_text;
   for (const unsigned jobs : {1u, 4u}) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
     ExperimentRunner runner(snapshot_config(
@@ -432,25 +483,52 @@ TEST(Watchdog, MixMatrixCommitsTimedOutPlaceholders) {
     opts.instructions = 200'000;
     opts.cell_timeout_s = 1e-9;  // trips at the first record-boundary poll
     opts.cell_retries = 1;
-    runner.run_mix_matrix({"DRAM-only", "Bumblebee"},
-                          {MixSpec::parse("cachecap2")}, opts);
-    ASSERT_EQ(runner.alone_ipc().size(), 4u);  // 2 designs x 2 workloads
-    for (const auto& [pair, ipc] : runner.alone_ipc()) {
-      EXPECT_DOUBLE_EQ(ipc, 0.0) << pair.first << "/" << pair.second;
+    std::vector<RunResult> alone;
+    std::string lines;
+    opts.on_result = [&](const RunResult& r) {
+      if (!r.core_perf) alone.push_back(r);
+      lines += ResultJournal::line(r) + "\n";
+    };
+    runner.run_mix_matrix(designs, mixes, opts);
+    ASSERT_EQ(alone.size(), 4u);  // 2 designs x 2 workloads
+    for (const RunResult& a : alone) {
+      EXPECT_TRUE(a.timed_out) << a.design << "/" << a.workload;
+      EXPECT_DOUBLE_EQ(a.ipc, 0.0);
     }
-    ASSERT_EQ(runner.mix_results().size(), 2u);
     ASSERT_EQ(runner.results().size(), 2u);
-    for (const MixResult& m : runner.mix_results()) {
-      EXPECT_TRUE(m.aggregate.timed_out);
-      EXPECT_EQ(m.aggregate.workload, "cachecap2");
+    for (const RunResult& r : runner.results()) {
+      EXPECT_TRUE(r.timed_out);
+      EXPECT_EQ(r.workload, "cachecap2");
+      ASSERT_NE(r.core_perf, nullptr);
+      EXPECT_TRUE(r.core_perf->empty());
     }
-    for (const RunResult& r : runner.results()) EXPECT_TRUE(r.timed_out);
     std::ostringstream os;
     runner.write_mix_json(os);
     mix_json[jobs == 1 ? 0 : 1] = os.str();
+    if (jobs == 1) journal_text = lines;
   }
   EXPECT_EQ(mix_json[0], mix_json[1]);
   EXPECT_NE(mix_json[0].find("\"timed_out\":1"), std::string::npos);
+
+  // Resumed without a deadline, every placeholder, baseline or co-run, is
+  // simulated again, and the co-runs score against real baselines.
+  ResultJournal journal;
+  std::istringstream is(journal_text);
+  ASSERT_EQ(journal.load_stats(is).restored, 6u);
+  RunMatrixOptions opts;
+  opts.jobs = 1;
+  opts.instructions = 200'000;
+  opts.resume = &journal;
+  std::size_t fresh = 0;
+  opts.on_result = [&](const RunResult&) { ++fresh; };
+  ExperimentRunner resumed(fast_config());
+  resumed.run_mix_matrix(designs, mixes, opts);
+  EXPECT_EQ(fresh, 6u);
+  ASSERT_EQ(resumed.results().size(), 2u);
+  for (const RunResult& r : resumed.results()) {
+    EXPECT_FALSE(r.timed_out);
+    EXPECT_GT(r.weighted_speedup, 0.0);
+  }
 }
 
 TEST(Journal, TimedOutRowsAreRetriedOnResume) {
@@ -554,40 +632,39 @@ TEST(Journal, LinesRoundTripEveryField) {
   }
   r.timed_out = false;
 
-  MixResult m;
-  m.design = "Bumblebee";
-  m.mix = "mcf+lbm";
-  m.aggregate = r;
-  m.aggregate.design = m.design;
-  m.aggregate.workload = m.mix;
+  RunResult m = r;
+  m.workload = "mcf+lbm";
   m.weighted_speedup = 1.5;
   m.hmean_speedup = 0.75;
   m.max_slowdown = 1.625;
+  m.core_perf = std::make_shared<std::vector<CorePerf>>();
   for (u32 c = 0; c < 2; ++c) {
-    MixCoreResult core;
-    core.perf.core = c;
-    core.perf.workload = c == 0 ? "mcf" : "lbm";
-    core.perf.instructions = 1'000 + c;
-    core.perf.misses = 10 + c;
-    core.perf.ipc = 0.5 + c;
-    core.perf.hbm_serve_rate = 0.25 + c;
-    core.perf.mean_latency_ns = 70.5 + c;
-    core.perf.latency_p50_ns = 50.5 + c;
-    core.perf.latency_p99_ns = 300.5 + c;
-    core.perf.hbm_bytes = 64 + c;
-    core.perf.dram_bytes = 128 + c;
+    CorePerf core;
+    core.core = c;
+    core.workload = c == 0 ? "mcf" : "lbm";
+    core.instructions = 1'000 + c;
+    core.misses = 10 + c;
+    core.ipc = 0.5 + c;
+    core.hbm_serve_rate = 0.25 + c;
+    core.mean_latency_ns = 70.5 + c;
+    core.latency_p50_ns = 50.5 + c;
+    core.latency_p99_ns = 300.5 + c;
+    core.hbm_bytes = 64 + c;
+    core.dram_bytes = 128 + c;
     core.alone_ipc = 0.875 + c;
     core.speedup = 0.625 + c;
-    m.cores.push_back(core);
+    m.core_perf->push_back(core);
   }
-  const std::string mix_line = ResultJournal::mix_line(m);
+  const std::string mix_line = ResultJournal::line(m);
   ResultJournal journal;
   std::istringstream is(mix_line + "\n");
   ASSERT_EQ(journal.load_stats(is).restored, 1u);
-  const MixResult* back = journal.find_mix(m.design, m.mix);
+  EXPECT_EQ(journal.find(m.design, m.workload), nullptr);
+  const RunResult* back = journal.find(m.design, m.workload, true);
   ASSERT_NE(back, nullptr);
-  ASSERT_EQ(back->cores.size(), 2u);
-  EXPECT_EQ(ResultJournal::mix_line(*back), mix_line);
+  ASSERT_NE(back->core_perf, nullptr);
+  ASSERT_EQ(back->core_perf->size(), 2u);
+  EXPECT_EQ(ResultJournal::line(*back), mix_line);
 }
 
 TEST(Quarantine, NamesNeverCollide) {
