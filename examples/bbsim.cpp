@@ -127,7 +127,9 @@ int run(const Flags& flags) {
         "               --instructions defaults to one full pass)\n"
         "              [--resume=FILE]  (checkpoint journal: finished cells\n"
         "               are restored from FILE, new cells appended to it;\n"
-        "               works for plain and --mix matrices)\n"
+        "               works for plain and --mix matrices. A FILE from a\n"
+        "               sweep with another configuration or budget is\n"
+        "               moved aside and restores nothing)\n"
         "              [--snapshot-dir=DIR]  (crash tolerance: per-cell\n"
         "               mid-run state snapshots live in DIR)\n"
         "              [--snapshot-interval=N]  (commit a snapshot every N\n"
@@ -390,31 +392,40 @@ int run(const Flags& flags) {
 
   // Checkpoint/resume: restore finished cells from the journal, append
   // newly finished cells to it (crash-safe: one line per cell; a torn
-  // final line from a killed run is skipped on load). A journal that
-  // yields nothing but malformed lines is quarantined — renamed aside and
-  // replaced with a fresh one — rather than silently re-simulating on top
-  // of a file that will keep confusing every future resume.
+  // final line from a killed run is skipped on load). The journal opens
+  // with a header line naming its sweep (configuration and budget rule).
+  // A journal of another sweep, or one that yields nothing but malformed
+  // lines, is quarantined — renamed aside and replaced with a fresh one —
+  // rather than restoring rows simulated under other settings or
+  // re-simulating on top of a file that will keep confusing every future
+  // resume.
   const std::string resume_file = flags.get_string("resume", "");
-  sim::ResultJournal journal;
+  sim::ResultJournal journal(sim::sweep_hash(cfg, opts));
   std::ofstream journal_out;
   if (!resume_file.empty()) {
     std::vector<std::string> kept_lines;
+    bool fresh = true;  // the journal still needs its header line
     if (std::ifstream in{resume_file}) {
       const auto loaded = journal.load_stats(in, &kept_lines);
       in.close();
-      if (loaded.restored == 0 && loaded.malformed > 0) {
+      if (loaded.foreign || (loaded.restored == 0 && loaded.malformed > 0)) {
         // quarantine_name never reuses an occupied .corrupt path, so a
         // journal quarantined by an earlier resume is not overwritten.
         const std::string quarantined = sim::quarantine_name(resume_file);
         if (std::rename(resume_file.c_str(), quarantined.c_str()) != 0) {
-          std::cerr << "bbsim: cannot quarantine unparseable --resume file: "
+          std::cerr << "bbsim: cannot quarantine unusable --resume file: "
                     << resume_file << "\n";
           return kExitIo;
         }
         std::cerr << "bbsim: warning: --resume file " << resume_file
-                  << " had no parseable entries; moved to " << quarantined
+                  << (loaded.foreign
+                          ? " belongs to another sweep (configuration or "
+                            "budget differs)"
+                          : " had no parseable entries")
+                  << "; moved to " << quarantined
                   << ", starting a fresh journal\n";
       } else {
+        fresh = !loaded.header;
         if (loaded.malformed > 0) {
           std::cerr << "bbsim: warning: skipped " << loaded.malformed
                     << " malformed journal line(s) in " << resume_file
@@ -441,6 +452,7 @@ int run(const Flags& flags) {
                 << "\n";
       return kExitIo;
     }
+    if (fresh) journal_out << journal.header() << "\n" << std::flush;
     opts.resume = &journal;
   }
 

@@ -1,5 +1,7 @@
 #include "baselines/alloy_cache.h"
 
+#include "common/snapshot.h"
+
 namespace bb::baselines {
 
 AlloyCacheController::AlloyCacheController(mem::DramDevice& hbm,
@@ -18,6 +20,23 @@ AlloyCacheController::AlloyCacheController(mem::DramDevice& hbm,
   tag_ = ZeroArray<u8>(slots);
   valid_ = BitMatrix(1, slots);
   dirty_ = BitMatrix(1, slots);
+}
+
+bool AlloyCacheController::check_invariants() const {
+  for (std::size_t s = 0; s < lines_.value(); ++s) {
+    if (dirty_.test(0, s) && !valid_.test(0, s)) return false;
+  }
+  return true;
+}
+
+void AlloyCacheController::serialize(snap::Archive& ar) {
+  serialize_base(ar);
+  ar.table(tag_, "AC slot count");
+  valid_.serialize(ar);
+  dirty_.serialize(ar);
+  if (ar.loading() && !check_invariants()) {
+    throw snap::SnapshotError("AC holds a dirty slot that is not valid");
+  }
 }
 
 hmm::HmmResult AlloyCacheController::service(Addr addr, AccessType type,

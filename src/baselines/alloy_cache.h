@@ -30,6 +30,11 @@ class AlloyCacheController final : public hmm::HybridMemoryController {
 
   u64 line_count() const { return lines_.value(); }
 
+  /// True when every dirty slot is valid.
+  bool check_invariants() const;
+
+  void serialize(snap::Archive& ar) override;
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 

@@ -1,6 +1,10 @@
 #include "baselines/banshee.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/check.h"
+#include "common/snapshot.h"
 
 namespace bb::baselines {
 
@@ -44,6 +48,41 @@ bool BansheeController::check_invariants() const {
     if (!set_is_consistent(set)) return false;
   }
   return true;
+}
+
+void BansheeController::serialize(snap::Archive& ar) {
+  serialize_base(ar);
+  ar.expect(ways_.size(), "Banshee way count");
+  for (std::size_t i = 0; i < ways_.size(); ++i) {
+    Way& way = ways_[i];
+    ar.flag(way.valid);
+    ar.u64(way.page);
+    ar.u32(way.freq);
+    ar.flag(way.dirty);
+  }
+  used_.serialize(ar);
+  // The candidate counters in ascending page order, so the bytes do not
+  // depend on the hash map's bucket order.
+  std::vector<u64> pages;
+  if (!ar.loading()) {
+    pages.reserve(candidate_freq_.size());
+    // determinism-ok: collects the keys only; they are sorted before use.
+    for (const auto& entry : candidate_freq_) pages.push_back(entry.first);
+    std::sort(pages.begin(), pages.end());
+  }
+  ar.count(pages);
+  if (ar.loading()) candidate_freq_.clear();
+  for (u64& page : pages) {
+    u16 freq = ar.loading() ? 0 : candidate_freq_.at(page);
+    ar.u64(page);
+    ar.u32(freq);
+    if (ar.loading()) candidate_freq_[page] = freq;
+  }
+  ar.u64(miss_tick_);
+  if (ar.loading() && !check_invariants()) {
+    throw snap::SnapshotError("Banshee set holds a page twice or an invalid "
+                              "way has used bits");
+  }
 }
 
 u64 BansheeController::metadata_sram_bytes() const {

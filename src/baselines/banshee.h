@@ -42,6 +42,8 @@ class BansheeController final : public hmm::HybridMemoryController {
   /// after every install into it (an install replaces the evicted page).
   bool check_invariants() const;
 
+  void serialize(snap::Archive& ar) override;
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/check.h"
+#include "common/snapshot.h"
 
 namespace bb::baselines {
 
@@ -50,6 +51,16 @@ bool ChameleonController::check_invariants() const {
     if (!set_is_permutation(set)) return false;
   }
   return true;
+}
+
+void ChameleonController::serialize(snap::Archive& ar) {
+  serialize_base(ar);
+  ar.table(seg_xor_frame_, "Chameleon segment count");
+  ar.table(counter_, "Chameleon counter count");
+  meta_->serialize(ar);
+  if (ar.loading() && !check_invariants()) {
+    throw snap::SnapshotError("Chameleon set is not a permutation");
+  }
 }
 
 u64 ChameleonController::metadata_sram_bytes() const {

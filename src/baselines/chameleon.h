@@ -52,6 +52,8 @@ class ChameleonController final : public hmm::HybridMemoryController {
   /// it.
   bool check_invariants() const;
 
+  void serialize(snap::Archive& ar) override;
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 

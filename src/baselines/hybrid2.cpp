@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "common/snapshot.h"
 #include "common/trace_event.h"
 
 namespace bb::baselines {
@@ -82,6 +83,27 @@ bool Hybrid2Controller::check_invariants() const {
     if (!set_is_permutation(set)) return false;
   }
   return true;
+}
+
+void Hybrid2Controller::serialize(snap::Archive& ar) {
+  serialize_base(ar);
+  ar.table(seg_xor_frame_, "Hybrid2 segment count");
+  ar.table(counter_, "Hybrid2 counter count");
+  ar.table(used_mask_, "Hybrid2 mHBM frame count");
+  ar.table(swapped_, "Hybrid2 mHBM frame count");
+  ar.expect(cache_.size(), "Hybrid2 cache line count");
+  for (std::size_t i = 0; i < cache_.size(); ++i) {
+    CacheLine& line = cache_[i];
+    ar.u32(line.tag);
+    ar.flag(line.valid);
+    ar.flag(line.dirty);
+    ar.u64(line.lru);
+  }
+  ar.u64(lru_clock_);
+  meta_->serialize(ar);
+  if (ar.loading() && !check_invariants()) {
+    throw snap::SnapshotError("Hybrid2 set is not a permutation");
+  }
 }
 
 u64 Hybrid2Controller::metadata_sram_bytes() const {

@@ -59,6 +59,8 @@ class Hybrid2Controller final : public hmm::HybridMemoryController {
   /// it.
   bool check_invariants() const;
 
+  void serialize(snap::Archive& ar) override;
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 

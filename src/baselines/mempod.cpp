@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/snapshot.h"
 #include "common/trace_event.h"
 
 namespace bb::baselines {
@@ -59,6 +60,23 @@ bool MemPodController::check_invariants() const {
     if (!pod_maps_are_inverse(pod)) return false;
   }
   return true;
+}
+
+void MemPodController::serialize(snap::Archive& ar) {
+  serialize_base(ar);
+  ar.table(frame_xor_page_, "MemPod page count");
+  ar.table(page_xor_frame_, "MemPod frame count");
+  ar.expect(mea_.size(), "MemPod MEA entry count");
+  for (std::size_t i = 0; i < mea_.size(); ++i) {
+    ar.u64(mea_[i].page);
+    ar.u32(mea_[i].count);
+  }
+  ar.table(hbm_access_, "MemPod HBM frame count");
+  ar.table(next_interval_, "MemPod pod count");
+  ar.u64(interval_migrations_);
+  if (ar.loading() && !check_invariants()) {
+    throw snap::SnapshotError("MemPod remap tables are not inverses");
+  }
 }
 
 u64 MemPodController::metadata_sram_bytes() const {

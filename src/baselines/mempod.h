@@ -41,6 +41,8 @@ class MemPodController final : public hmm::HybridMemoryController {
   /// a pod after every interval that had migration candidates.
   bool check_invariants() const;
 
+  void serialize(snap::Archive& ar) override;
+
   /// Base reset plus the cumulative migration counter (it parallels
   /// stats().swaps, which the base reset clears).
   void reset_stats() override {

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "common/snapshot.h"
 
 namespace bb::baselines {
 
@@ -54,6 +55,20 @@ bool PomController::check_invariants() const {
     if (!set_is_permutation(set)) return false;
   }
   return true;
+}
+
+void PomController::serialize(snap::Archive& ar) {
+  serialize_base(ar);
+  ar.table(sec_xor_frame_, "PoM sector count");
+  ar.expect(entries_.size(), "PoM set count");
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    ar.i64(entries_[i].counter);
+    ar.u32(entries_[i].challenger);
+  }
+  meta_->serialize(ar);
+  if (ar.loading() && !check_invariants()) {
+    throw snap::SnapshotError("PoM set is not a permutation");
+  }
 }
 
 u64 PomController::metadata_sram_bytes() const {

@@ -46,6 +46,8 @@ class PomController final : public hmm::HybridMemoryController {
   /// swap in it.
   bool check_invariants() const;
 
+  void serialize(snap::Archive& ar) override;
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "common/snapshot.h"
+
 namespace bb::baselines {
 
 SilcFmController::SilcFmController(mem::DramDevice& hbm,
@@ -31,6 +33,26 @@ SilcFmController::SilcFmController(mem::DramDevice& hbm,
   mc.cache_bytes = cfg_.metadata_cache_bytes;
   mc.entry_bytes = 8;
   meta_ = std::make_unique<hmm::MetadataModel>(mc, &hbm);
+}
+
+bool SilcFmController::check_invariants() const {
+  for (u32 set = 0; set < sets_; ++set) {
+    const u32 blk = paired(set);
+    if (blk == kNone ? present_.row(set).any() : blk >= m_) return false;
+  }
+  return true;
+}
+
+void SilcFmController::serialize(snap::Archive& ar) {
+  serialize_base(ar);
+  ar.table(paired_xor_none_, "SILC-FM set count");
+  present_.serialize(ar);
+  ar.table(counter_, "SILC-FM block count");
+  meta_->serialize(ar);
+  if (ar.loading() && !check_invariants()) {
+    throw snap::SnapshotError("SILC-FM set pairs an out-of-range block or "
+                              "has present bits without a pair");
+  }
 }
 
 u64 SilcFmController::metadata_sram_bytes() const {

@@ -43,6 +43,12 @@ class SilcFmController final : public hmm::HybridMemoryController {
   u32 set_count() const { return sets_; }
   u32 blocks_per_set() const { return m_ + 1; }
 
+  /// True when every set's paired block is a far block (in-set index
+  /// below m_) and a set with no paired block has no present bits.
+  bool check_invariants() const;
+
+  void serialize(snap::Archive& ar) override;
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 

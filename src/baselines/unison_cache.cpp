@@ -1,6 +1,7 @@
 #include "baselines/unison_cache.h"
 
 #include "common/check.h"
+#include "common/snapshot.h"
 
 namespace bb::baselines {
 
@@ -65,6 +66,24 @@ bool UnisonCacheController::check_invariants() const {
     if (!set_is_consistent(set)) return false;
   }
   return true;
+}
+
+void UnisonCacheController::serialize(snap::Archive& ar) {
+  serialize_base(ar);
+  ar.expect(ways_.size(), "UC way count");
+  for (std::size_t i = 0; i < ways_.size(); ++i) {
+    Way& way = ways_[i];
+    ar.flag(way.valid);
+    ar.u64(way.page);
+    ar.u64(way.lru_stamp);
+  }
+  blocks_.serialize(ar);
+  ar.u64(lru_clock_);
+  footprints_.serialize(ar);
+  if (ar.loading() && !check_invariants()) {
+    throw snap::SnapshotError("UC set holds a page twice or a block bitmap "
+                              "outside its fetched blocks");
+  }
 }
 
 Addr UnisonCacheController::frame_addr(u32 set, u32 w) const {

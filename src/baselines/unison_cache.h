@@ -41,6 +41,8 @@ class UnisonCacheController final : public hmm::HybridMemoryController {
   /// eviction from it and every install into it.
   bool check_invariants() const;
 
+  void serialize(snap::Archive& ar) override;
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 

@@ -109,7 +109,6 @@ class BumblebeeController final : public hmm::HybridMemoryController {
   /// model. Geometry is construction-time shape; a restore fails closed
   /// on a set- or frame-count mismatch or a set that breaks its
   /// invariants.
-  bool snapshot_supported() const override { return true; }
   void serialize(snap::Archive& ar) override;
 
  protected:

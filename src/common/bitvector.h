@@ -101,6 +101,14 @@ class BitMatrix {
   }
   void clear_row(std::size_t r) { row(r).clear_all(); }
 
+  /// The row width, then every row's words as one snap::Archive table
+  /// (rows never written cost nothing). A restore fails closed on a
+  /// stream of another width or row count.
+  void serialize(snap::Archive& ar) {
+    ar.expect(bits_per_row_, "bitmap width");
+    ar.table(words_, "bitmap word count");
+  }
+
   /// Copies row `src_row` of `src` (same row width) into row `row`.
   void copy_row(std::size_t row, const BitMatrix& src, std::size_t src_row) {
     assert(row < rows_ && src_row < src.rows_);

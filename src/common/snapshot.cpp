@@ -1,5 +1,6 @@
 #include "common/snapshot.h"
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -35,6 +36,23 @@ u64 get_le64(const char* in) {
   return v;
 }
 
+/// True when all `n` bytes at `p` are zero.
+bool all_zero(const char* p, std::size_t n) {
+  return n == 0 || (p[0] == 0 && std::memcmp(p, p + 1, n - 1) == 0);
+}
+
+std::size_t pages_of(std::size_t bytes) {
+  return (bytes + kTablePageBytes - 1) / kTablePageBytes;
+}
+
+/// Bytes of pages [first, last) of a `bytes`-long table (the last page
+/// may be short; an empty range past the end has none).
+std::size_t span_bytes(std::size_t first, std::size_t last,
+                       std::size_t bytes) {
+  return std::min(last * kTablePageBytes, bytes) -
+         std::min(first * kTablePageBytes, bytes);
+}
+
 u64 env_count(const char* name) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return 0;
@@ -62,6 +80,26 @@ void Writer::put_str(const std::string& s) {
   tag(Tag::kStr);
   raw_u64(s.size(), 8);
   buf_.append(s);
+}
+
+void Writer::put_table(u64 count, const void* data, std::size_t bytes) {
+  tag(Tag::kTable);
+  put_u64(count);
+  const char* p = static_cast<const char*>(data);
+  const std::size_t pages = pages_of(bytes);
+  const auto zero_page = [&](std::size_t i) {
+    return all_zero(p + i * kTablePageBytes, span_bytes(i, i + 1, bytes));
+  };
+  for (std::size_t i = 0; i < pages;) {
+    std::size_t lit = i;
+    while (lit < pages && zero_page(lit)) ++lit;
+    std::size_t end = lit;
+    while (end < pages && !zero_page(end)) ++end;
+    put_u64(lit - i);
+    put_u64(end - lit);
+    buf_.append(p + lit * kTablePageBytes, span_bytes(lit, end, bytes));
+    i = end;
+  }
 }
 
 void Writer::commit(const std::string& path) const {
@@ -163,6 +201,37 @@ std::string Reader::get_str() {
   }
   const char* p = take(static_cast<std::size_t>(n));
   return std::string(p, static_cast<std::size_t>(n));
+}
+
+void Reader::get_table(u64 count, void* data, std::size_t bytes,
+                       const char* what) {
+  tag(Tag::kTable);
+  if (get_u64() != count) throw SnapshotError(std::string(what) + " mismatch");
+  char* p = static_cast<char*>(data);
+  const std::size_t pages = pages_of(bytes);
+  for (std::size_t i = 0; i < pages;) {
+    const u64 zeros = get_u64();
+    const u64 literal = get_u64();
+    if ((zeros == 0 && literal == 0) || zeros > pages - i ||
+        literal > pages - i - zeros) {
+      throw SnapshotError("table run overruns " + std::string(what) +
+                          " at offset " + std::to_string(pos_));
+    }
+    const std::size_t lit = i + static_cast<std::size_t>(zeros);
+    const std::size_t end = lit + static_cast<std::size_t>(literal);
+    const std::size_t n = span_bytes(lit, end, bytes);
+    if (n > remaining()) {
+      throw SnapshotError("table run overruns the payload at offset " +
+                          std::to_string(pos_));
+    }
+    for (std::size_t z = i; z < lit; ++z) {
+      char* page = p + z * kTablePageBytes;
+      const std::size_t len = span_bytes(z, z + 1, bytes);
+      if (!all_zero(page, len)) std::memset(page, 0, len);
+    }
+    std::memcpy(p + lit * kTablePageBytes, take(n), n);
+    i = end;
+  }
 }
 
 void Archive::u32(bb::u16& v) {

@@ -9,10 +9,14 @@
 // all little-endian. The payload is a sequence of type-tagged primitives
 // (one tag byte before every value), so a reader that drifts out of sync
 // with its writer fails loudly at the first mismatched tag instead of
-// silently reinterpreting bytes. Each stateful class names its fields
-// once, in stream order, in a single `serialize(snap::Archive&)`: the
-// same body writes the fields on save and reads them back on restore, so
-// the two directions cannot drift apart.
+// silently reinterpreting bytes. A flat design table (a ZeroArray of
+// unpadded elements) is one tagged value: its element count, then its raw
+// bytes as runs of 4 KiB pages, where an all-zero page costs nothing, so
+// a table the run barely touched stays small. Each stateful class names
+// its fields once, in stream order, in a single
+// `serialize(snap::Archive&)`: the same body writes the fields on save
+// and reads them back on restore, so the two directions cannot drift
+// apart.
 //
 // Error contract (matches bb::cli): a corrupt, truncated or
 // version-mismatched snapshot throws SnapshotError, a
@@ -21,12 +25,15 @@
 // crash mid-write can never leave a torn snapshot under the final name.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <ios>
 #include <string>
+#include <type_traits>
 
 #include "common/types.h"
+#include "common/zero_array.h"
 
 namespace bb::snap {
 
@@ -47,7 +54,11 @@ enum class Tag : u8 {
   kI64 = 4,
   kF64 = 5,
   kStr = 6,
+  kTable = 7,
 };
+
+/// A table's bytes are stored as runs over pages of this size.
+inline constexpr std::size_t kTablePageBytes = 4096;
 
 /// Accumulates a payload in memory; commit() seals and atomically writes
 /// the container file.
@@ -76,6 +87,11 @@ class Writer {
     raw_u64(bits, 8);
   }
   void put_str(const std::string& s);
+  /// A flat table of `count` elements spanning `bytes` raw bytes at
+  /// `data`: the count, then (zero pages, literal pages) run pairs until
+  /// every page is covered; only the literal pages' bytes follow their
+  /// pair.
+  void put_table(u64 count, const void* data, std::size_t bytes);
 
   const std::string& payload() const { return buf_; }
 
@@ -127,6 +143,13 @@ class Reader {
     return v;
   }
   std::string get_str();
+  /// Reads a put_table stream into `data` (`bytes` long, `count`
+  /// elements). A count other than `count`, a run past the table or past
+  /// the unread payload throws before the run's bytes are copied. A
+  /// zero-page run leaves a page that is already all zero unwritten, so
+  /// the untouched pages of a fresh table stay untouched.
+  void get_table(u64 count, void* data, std::size_t bytes,
+                 const char* what);
 
   /// True when every payload byte has been consumed (restores verify this
   /// so a short read cannot pass silently).
@@ -217,6 +240,23 @@ class Archive {
                           " out of range");
     }
     v = static_cast<E>(b);
+  }
+
+  /// A flat table whose element type has no padding bytes (so its raw
+  /// bytes are its value): its element count, which a restore requires to
+  /// equal `t.size()` ("<what> mismatch"), then its bytes with every
+  /// all-zero 4 KiB page stored as a skip.
+  template <class T>
+  void table(ZeroArray<T>& t, const char* what) {
+    static_assert(std::has_unique_object_representations_v<T>,
+                  "a padded element has indeterminate bytes; serialize it "
+                  "field by field");
+    static_assert(std::endian::native == std::endian::little,
+                  "table bytes are the host's; the format is little-endian");
+    if (r_ == nullptr) {
+      return w_->put_table(t.size(), t.data(), t.size() * sizeof(T));
+    }
+    r_->get_table(t.size(), t.data(), t.size() * sizeof(T), what);
   }
 
   /// A count fixed by the object's shape (bank count, bucket count):

@@ -1,7 +1,6 @@
 #include "hmm/controller.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "common/metrics.h"
 #include "common/prof.h"
@@ -257,11 +256,6 @@ HmmResult DramOnlyController::service(Addr addr, AccessType type, Tick now) {
     ++mutable_stats().due_data_loss;
   }
   return res;
-}
-
-void HybridMemoryController::serialize(snap::Archive&) {
-  throw std::invalid_argument("design '" + name_ +
-                              "' does not support snapshots");
 }
 
 void HybridMemoryController::serialize_base(snap::Archive& ar) {

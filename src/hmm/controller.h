@@ -224,11 +224,10 @@ class HybridMemoryController {
   /// retirement path (Bumblebee) override this.
   virtual FaultPosture fault_posture() const { return {}; }
 
-  /// Snapshot capability: designs that can serialize their complete
-  /// in-flight state override these. The default is fail-closed — a
-  /// snapshot request against an unsupporting design is a usage error.
-  virtual bool snapshot_supported() const { return false; }
-  virtual void serialize(snap::Archive& ar);
+  /// Saves or restores the design's complete in-flight state: every
+  /// design calls serialize_base first, then lists each of its tables
+  /// once. A restore that loads inconsistent state throws SnapshotError.
+  virtual void serialize(snap::Archive& ar) = 0;
 
   /// Clears accumulated statistics (not design state) — used to exclude
   /// warmup from measurements. Per-core slices reset in place so their
@@ -281,8 +280,8 @@ class HybridMemoryController {
   bool tracing() const { return trace_ != nullptr; }
 
   /// Framework-owned state shared by every design: aggregate and per-core
-  /// statistics plus the paging model. Snapshot-capable designs call this
-  /// first from their serialize override.
+  /// statistics plus the paging model. Every design's serialize calls
+  /// this first.
   void serialize_base(snap::Archive& ar);
 
  private:
@@ -306,7 +305,6 @@ class DramOnlyController final : public HybridMemoryController {
 
   u64 metadata_sram_bytes() const override { return 0; }
 
-  bool snapshot_supported() const override { return true; }
   void serialize(snap::Archive& ar) override { serialize_base(ar); }
 
  protected:

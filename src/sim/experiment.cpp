@@ -6,11 +6,13 @@
 #include <cstdio>
 #include <functional>
 #include <istream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -509,12 +511,27 @@ class MatrixStreams {
 
 }  // namespace
 
+ResultJournal::ResultJournal(std::string sweep) : sweep_(std::move(sweep)) {}
+
+std::string ResultJournal::header() const {
+  return "{\"sweep\":\"" + sweep_ + "\"}";
+}
+
 ResultJournal::LoadStats ResultJournal::load_stats(
     std::istream& is, std::vector<std::string>* well_formed) {
   LoadStats st;
   std::string line_text;
   while (std::getline(is, line_text)) {
     if (line_text.empty()) continue;
+    if (!sweep_.empty() && !st.header) {
+      if (line_text != header()) {
+        st.foreign = true;
+        return st;
+      }
+      st.header = true;
+      if (well_formed != nullptr) well_formed->push_back(line_text);
+      continue;
+    }
     JsonValue v;
     RunResult r;
     if (!json_parse(line_text, v) || !v.is_object() ||
@@ -546,6 +563,23 @@ const RunResult* ResultJournal::find(const std::string& design,
 
 std::string ResultJournal::line(const RunResult& r) {
   return to_json(r, nonzero_groups(r));
+}
+
+std::string sweep_hash(const SystemConfig& cfg, const RunMatrixOptions& opts) {
+  std::ostringstream key;
+  key.precision(std::numeric_limits<double>::max_digits10);
+  key << cfg.seed << '|' << cfg.warmup_ratio << '|' << config_fingerprint(cfg)
+      << opts.instructions << '|' << opts.target_misses << '|'
+      << opts.min_instructions << '|' << opts.max_instructions;
+  u64 h = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  for (const char ch : key.str()) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ULL;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(h));
+  return hex;
 }
 
 std::string quarantine_name(const std::string& path) {

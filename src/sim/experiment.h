@@ -35,18 +35,34 @@ namespace bb::sim {
 /// it apart from an alone-baseline row of the same (design, name), as in
 /// --mix=mcf. Lines with a "kind" key (the mix journal format that kept
 /// baselines and co-runs apart by kind) are malformed.
+///
+/// A journal of one sweep (bbsim's) opens with the header line
+/// {"sweep":"<hash>"}, the sweep_hash of the configuration and budget rule
+/// its rows were simulated under; a journal built for that sweep restores
+/// rows only from a stream that opens with the same header.
 class ResultJournal {
  public:
   struct LoadStats {
     std::size_t restored = 0;   ///< well-formed lines restored
     std::size_t malformed = 0;  ///< unparseable or incomplete lines skipped
+    bool header = false;   ///< the stream opened with this sweep's header
+    /// The stream holds lines under a missing or different sweep header;
+    /// none of them was read.
+    bool foreign = false;
   };
+
+  /// A journal of sweep `sweep` (see sweep_hash). An empty sweep reads
+  /// header-less streams, every line a row.
+  explicit ResultJournal(std::string sweep = {});
+
+  /// The first line of a journal of this sweep (no newline).
+  std::string header() const;
 
   /// Parses journal lines. Malformed lines (e.g. a truncated final line
   /// from a killed run) are counted and skipped, never fatal. When
-  /// `well_formed` is non-null it collects every kept line verbatim, so a
-  /// resuming caller can atomically rewrite a torn journal without the
-  /// truncated tail.
+  /// `well_formed` is non-null it collects every kept line verbatim (the
+  /// header included), so a resuming caller can atomically rewrite a torn
+  /// journal without the truncated tail.
   LoadStats load_stats(std::istream& is,
                        std::vector<std::string>* well_formed = nullptr);
 
@@ -65,6 +81,7 @@ class ResultJournal {
   static std::string line(const RunResult& r);
 
  private:
+  std::string sweep_;
   std::vector<RunResult> rows_;
 };
 
@@ -105,6 +122,13 @@ struct RunMatrixOptions {
   double cell_timeout_s = 0;
   u32 cell_retries = 1;
 };
+
+/// Hash (16 hex digits) of what every cell of a sweep depends on beyond
+/// its design and workload: the seed, the warmup ratio, config_fingerprint
+/// and the budget rule (fixed instructions, target misses, min/max).
+/// Snapshot, watchdog and scheduling settings are not part of it: they
+/// never change a result.
+std::string sweep_hash(const SystemConfig& cfg, const RunMatrixOptions& opts);
 
 /// First unused quarantine path for a corrupt artifact: `path + ".corrupt"`,
 /// then ".corrupt.1", ".corrupt.2", ... — an earlier quarantined file is

@@ -31,8 +31,8 @@ std::string sanitize_token(const std::string& s) {
   return out;
 }
 
-/// Appends a device's request-queue shape to a snapshot fingerprint: a
-/// restore under a different depth, watermark or MSHR setup fails closed.
+/// Appends a device's request-queue shape to a fingerprint: a restore
+/// under a different depth, watermark or MSHR setup fails closed.
 void put_queue_shape(std::ostream& fp, const mem::QueueConfig& q) {
   fp << q.enabled << '|' << q.queue_depth << '|' << q.write_high_watermark
      << '|' << q.write_low_watermark << '|' << q.mshr_entries << '|'
@@ -40,8 +40,8 @@ void put_queue_shape(std::ostream& fp, const mem::QueueConfig& q) {
 }
 
 /// Appends the fault model's per-device rates and recovery knobs to a
-/// snapshot fingerprint: a restore under a different fault rate, ECC
-/// latency or retry policy fails closed.
+/// fingerprint: a restore under a different fault rate, ECC latency or
+/// retry policy fails closed.
 void put_fault_model(std::ostream& fp, const fault::FaultConfig& f) {
   for (const fault::DeviceFaultRates& d : {f.hbm, f.dram}) {
     fp << d.transient_per_access << '|' << d.stuck_row_fraction << '|'
@@ -70,6 +70,23 @@ std::string bumblebee_knobs(const bumblebee::BumblebeeConfig& c) {
 }
 
 }  // namespace
+
+std::string config_fingerprint(const SystemConfig& cfg) {
+  std::ostringstream fp;
+  fp.precision(std::numeric_limits<double>::max_digits10);
+  fp << cfg.core.cores << '|' << cfg.core.mlp << '|' << cfg.core.rob_window
+     << '|' << cfg.core.freq_ghz << '|' << cfg.hbm.capacity_bytes << '|'
+     << cfg.hbm.channels << '|';
+  put_queue_shape(fp, cfg.hbm.queue);
+  fp << cfg.dram.capacity_bytes << '|' << cfg.dram.channels << '|';
+  put_queue_shape(fp, cfg.dram.queue);
+  fp << cfg.paging.enabled << '|' << cfg.paging.visible_bytes << '|'
+     << cfg.paging.os_page_bytes << '|' << cfg.paging.fault_penalty << '|'
+     << cfg.obs.epoch.every_requests << '|' << cfg.obs.epoch.every_ticks
+     << '|' << cfg.obs.trace << '|';
+  put_fault_model(fp, cfg.fault);
+  return fp.str();
+}
 
 System::System(SystemConfig cfg) : cfg_(std::move(cfg)) {}
 
@@ -204,31 +221,16 @@ RunResult System::run_lanes_current(const std::vector<CoreLane>& lanes,
       throw std::invalid_argument(
           "trace capture cannot be combined with snapshots");
     }
-    if (!hmmc_->snapshot_supported()) {
-      throw std::invalid_argument("design '" + hmmc_->name() +
-                                  "' does not support snapshots");
-    }
     snap_path = cfg_.snapshot.dir + "/" + kind + "__" +
                 sanitize_token(hmmc_->name()) + "__" +
                 sanitize_token(workload_name) + ".bbsnap";
-    // The fingerprint pins every configuration axis that shapes the run;
+    // The fingerprint pins the cell (kind, design, workload, seed, budget,
+    // lanes, warmup) and every configuration axis that shapes the run;
     // restoring under a different configuration fails closed.
     std::ostringstream fp;
-    fp.precision(std::numeric_limits<double>::max_digits10);
     fp << kind << '|' << hmmc_->name() << '|' << workload_name << '|'
        << cfg_.seed << '|' << total_instructions << '|' << lanes.size()
-       << '|' << warmup << '|' << cfg_.core.cores << '|' << cfg_.core.mlp
-       << '|' << cfg_.core.rob_window << '|' << cfg_.core.freq_ghz << '|'
-       << cfg_.hbm.capacity_bytes << '|' << cfg_.hbm.channels << '|';
-    put_queue_shape(fp, cfg_.hbm.queue);
-    fp << cfg_.dram.capacity_bytes << '|' << cfg_.dram.channels << '|';
-    put_queue_shape(fp, cfg_.dram.queue);
-    fp << cfg_.paging.enabled << '|' << cfg_.paging.visible_bytes << '|'
-       << cfg_.paging.os_page_bytes << '|' << cfg_.paging.fault_penalty << '|'
-       << cfg_.obs.epoch.every_requests << '|' << cfg_.obs.epoch.every_ticks
-       << '|' << cfg_.obs.trace << '|';
-    put_fault_model(fp, cfg_.fault);
-    fp << design_knobs_;
+       << '|' << warmup << '|' << config_fingerprint(cfg_) << design_knobs_;
     fingerprint = fp.str();
   }
 

@@ -46,6 +46,9 @@ struct ObservabilityConfig {
 /// complete simulator state every `interval_records` consumed trace
 /// records, and (with `restore`) resumes from an existing snapshot file —
 /// the resumed run's outputs are byte-identical to an uninterrupted one.
+/// Every design supports it; a file that is corrupt, from another
+/// configuration or inconsistent with the design's invariants throws
+/// snap::SnapshotError.
 struct SnapshotConfig {
   /// Commit a snapshot every N consumed trace records (0 = never).
   u64 interval_records = 0;
@@ -78,10 +81,17 @@ struct SystemConfig {
   /// in, warmup included) to this sink — the `bbsim --capture-trace` hook.
   /// Not owned; must outlive the runs. nullptr = no capture (default).
   trace::TraceCaptureSink* capture = nullptr;
-  /// Mid-run snapshot/restore (see SnapshotConfig). Mutually exclusive
-  /// with `capture`; requires a snapshot-capable design and trace sources.
+  /// Mid-run snapshot/restore (see SnapshotConfig) for any design.
+  /// Mutually exclusive with `capture`.
   SnapshotConfig snapshot;
 };
+
+/// The configuration axes every run of `cfg` depends on beyond its seed
+/// and warmup, as text: core, both devices with their request-queue
+/// shapes, OS paging, observability and the fault model (doubles at full
+/// precision). Snapshot files and result journals carry it, so neither
+/// restores under a configuration that differs in any of them.
+std::string config_fingerprint(const SystemConfig& cfg);
 
 /// Per-run observability payload (epoch rows + trace events), buffered in
 /// memory and attached to the RunResult so the experiment runner can

@@ -9,6 +9,8 @@
 #include "baselines/pom.h"
 #include "baselines/unison_cache.h"
 #include "common/rng.h"
+#include "common/snapshot.h"
+#include "snapshot_testing.h"
 
 namespace bb::baselines {
 namespace {
@@ -593,6 +595,51 @@ TEST_P(DesignSmokeTest, RandomLoadRunsAndAccounts) {
   if (std::string(GetParam()) != "DRAM-only") {
     EXPECT_GT(hbm.stats().total_bytes(), 0u);
   }
+}
+
+// ---------------------------------------------------------------- snapshots
+
+TEST_F(BaselineFixture, EveryDesignRestoresItsOwnPayloadExactly) {
+  // Random traffic fills every table a design keeps; a fresh controller
+  // restored from the payload saves the same bytes again.
+  for (const std::string& name : all_design_names()) {
+    SCOPED_TRACE(name);
+    auto live = make_design(name, hbm_, dram_);
+    Rng rng(7);
+    Tick now = 0;
+    for (int i = 0; i < 20000; ++i) {
+      now += 20000;
+      const Addr a = rng.next_below(256 * MiB / 64) * 64;
+      live->access(a, rng.next_below(4) == 0 ? AccessType::kWrite
+                                             : AccessType::kRead,
+                   now);
+    }
+    const std::string payload = snap::testing::payload_of(*live);
+    auto fresh = make_design(name, hbm_, dram_);
+    snap::testing::restore(payload, *fresh);
+    EXPECT_EQ(snap::testing::payload_of(*fresh), payload);
+  }
+}
+
+TEST_F(BaselineFixture, AlloyRestoreOfDirtyInvalidSlotFailsClosed) {
+  // A CRC-valid image whose dirty bitmap marks a slot the valid bitmap
+  // does not hold: the restore's invariant check rejects it.
+  AlloyCacheController c(hbm_, dram_);
+  EXPECT_TRUE(c.check_invariants());
+  const std::string payload = snap::testing::payload_of(c);
+  BitMatrix clean(1, c.line_count());
+  BitMatrix dirty_slot(1, c.line_count());
+  dirty_slot.set(0, 12345);
+  // The dirty bitmap is the last table; valid is the same shape before it.
+  const std::string zero = snap::testing::payload_of(clean);
+  ASSERT_GE(payload.size(), zero.size());
+  ASSERT_EQ(payload.substr(payload.size() - zero.size()), zero);
+  const std::string bad = payload.substr(0, payload.size() - zero.size()) +
+                          snap::testing::payload_of(dirty_slot);
+  AlloyCacheController fresh(hbm_, dram_);
+  EXPECT_THROW(snap::testing::restore(bad, fresh), snap::SnapshotError);
+  AlloyCacheController same(hbm_, dram_);
+  EXPECT_NO_THROW(snap::testing::restore(payload, same));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, DesignSmokeTest,

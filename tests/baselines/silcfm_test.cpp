@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include "baselines/silcfm.h"
+#include "common/bitvector.h"
+#include "common/snapshot.h"
+#include "common/zero_array.h"
+#include "snapshot_testing.h"
 
 namespace bb::baselines {
 namespace {
@@ -103,6 +107,57 @@ TEST_F(SilcFmFixture, RepairingRestoresPreviousPair) {
 TEST_F(SilcFmFixture, MetadataExceedsSram) {
   SilcFmController c(hbm_, dram_);
   EXPECT_GT(c.metadata_sram_bytes(), 512 * KiB);
+}
+
+/// The bytes Archive::table saves for `t`.
+std::string table_bytes(ZeroArray<u32>& t) {
+  snap::Writer w;
+  snap::Archive ar(w);
+  ar.table(t, "table");
+  return w.payload();
+}
+
+/// `payload` with the one occurrence of `from` replaced by `to`.
+std::string replace_once(std::string payload, const std::string& from,
+                         const std::string& to) {
+  const std::size_t at = payload.find(from);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(at, payload.rfind(from)) << "section is not unique";
+  return payload.replace(at, from.size(), to);
+}
+
+TEST_F(SilcFmFixture, RestoreOfInconsistentSetFailsClosed) {
+  // CRC-valid images that each break one set of a fresh controller: the
+  // restore's invariant check rejects both.
+  SilcFmController c(hbm_, dram_);
+  EXPECT_TRUE(c.check_invariants());
+  const std::string payload = snap::testing::payload_of(c);
+  const u32 subblocks = 2 * KiB / 64;
+  {
+    SCOPED_TRACE("present bits in a set with no paired block");
+    BitMatrix clean(c.set_count(), subblocks);
+    BitMatrix stray(c.set_count(), subblocks);
+    stray.set(5, 3);
+    const std::string bad =
+        replace_once(payload, snap::testing::payload_of(clean),
+                     snap::testing::payload_of(stray));
+    SilcFmController fresh(hbm_, dram_);
+    EXPECT_THROW(snap::testing::restore(bad, fresh), snap::SnapshotError);
+  }
+  {
+    SCOPED_TRACE("paired block out of range");
+    ZeroArray<u32> none(c.set_count());  // every set unpaired
+    ZeroArray<u32> out_of_range(c.set_count());
+    // Stored as block ^ ~0: pair set 5 with in-set block m_, the
+    // near-native block, which never pairs.
+    out_of_range[5] = (c.blocks_per_set() - 1) ^ ~u32{0};
+    const std::string bad = replace_once(payload, table_bytes(none),
+                                         table_bytes(out_of_range));
+    SilcFmController fresh(hbm_, dram_);
+    EXPECT_THROW(snap::testing::restore(bad, fresh), snap::SnapshotError);
+  }
+  SilcFmController same(hbm_, dram_);
+  EXPECT_NO_THROW(snap::testing::restore(payload, same));
 }
 
 }  // namespace

@@ -194,6 +194,28 @@ TEST(BitMatrix, RowSnapshotMatchesWordStreamAndChecksWidth) {
   std::remove(path.c_str());
 }
 
+TEST(BitMatrix, SnapshotRoundTripsAndChecksShape) {
+  // The whole matrix is its width and one table of words: a restore
+  // reproduces every row, and a matrix of another width or row count
+  // refuses the stream.
+  BitMatrix m(300, 100);
+  m.set(0, 0);
+  m.set(150, 64);
+  m.set(299, 99);
+  const std::string payload = snap::testing::payload_of(m);
+  BitMatrix back(300, 100);
+  snap::testing::restore(payload, back);
+  EXPECT_TRUE(back.test(0, 0));
+  EXPECT_TRUE(back.test(150, 64));
+  EXPECT_TRUE(back.test(299, 99));
+  EXPECT_EQ(snap::testing::payload_of(back), payload);
+
+  BitMatrix wider(300, 200);
+  EXPECT_THROW(snap::testing::restore(payload, wider), snap::SnapshotError);
+  BitMatrix taller(301, 100);
+  EXPECT_THROW(snap::testing::restore(payload, taller), snap::SnapshotError);
+}
+
 TEST(BitVector, RestoreRejectsWidthPastPayload) {
   // A width the payload cannot hold words for fails closed before any
   // word of the row is overwritten.

@@ -6,9 +6,11 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/trace_event.h"
+#include "common/zero_array.h"
 #include "snapshot_testing.h"
 
 namespace bb::snap {
@@ -329,6 +331,102 @@ TEST(Archive, RestoreRejectsShapeAndPresenceMismatch) {
   EXPECT_THROW(testing::restore(payload, absent), SnapshotError);
   Shaped same;
   EXPECT_NO_THROW(testing::restore(payload, same));
+}
+
+// ------------------------------------------------------------ Archive::table
+
+/// One flat table, serialized through Archive::table.
+template <class T>
+struct Table {
+  ZeroArray<T> t;
+  explicit Table(std::size_t n) : t(n) {}
+  void serialize(Archive& ar) { ar.table(t, "table size"); }
+};
+
+TEST(ArchiveTable, RoundTripIsExact) {
+  // 5000 u32s: one literal page, zero pages, and a short last page.
+  Table<u32> saved(5000);
+  saved.t[3] = 0xDEADBEEFu;
+  saved.t[2100] = 7;
+  saved.t[4999] = 1;
+  const std::string payload = testing::payload_of(saved);
+  Table<u32> back(5000);
+  testing::restore(payload, back);
+  for (std::size_t i = 0; i < 5000; ++i) ASSERT_EQ(back.t[i], saved.t[i]) << i;
+  EXPECT_EQ(testing::payload_of(back), payload);
+
+  // A restore into a table that already holds data clears the pages the
+  // stream skips.
+  Table<u32> dirty(5000);
+  for (std::size_t i = 0; i < 5000; ++i) dirty.t[i] = static_cast<u32>(i + 1);
+  testing::restore(payload, dirty);
+  EXPECT_EQ(testing::payload_of(dirty), payload);
+
+  // An empty table is its tag and count only.
+  Table<u64> empty(0);
+  Table<u64> empty_back(0);
+  testing::restore(testing::payload_of(empty), empty_back);
+}
+
+TEST(ArchiveTable, UntouchedPagesCostNothing) {
+  Table<u64> table(2 * 1024 * 1024);  // 16 MiB
+  EXPECT_LT(testing::payload_of(table).size(), 64 * KiB);
+  table.t[12345] = 1;
+  table.t[2 * 1024 * 1024 - 1] = 2;
+  // Two literal pages and their run headers.
+  EXPECT_LT(testing::payload_of(table).size(), 3 * kTablePageBytes);
+}
+
+/// One hand-made table run: its header words, then `bytes` of 0xAB.
+struct Run {
+  std::vector<u64> words;  ///< zero pages, literal pages (or a prefix)
+  std::size_t bytes = 0;
+};
+
+/// A kTable value as Writer::put_table lays it out, from a hand-made
+/// count and runs.
+std::string crafted_table(u64 count, const std::vector<Run>& runs) {
+  Writer w;
+  w.put_u64(count);
+  std::string out = static_cast<char>(Tag::kTable) + w.payload();
+  for (const Run& run : runs) {
+    Writer header;
+    for (const u64 word : run.words) header.put_u64(word);
+    out += header.payload() + std::string(run.bytes, static_cast<char>(0xAB));
+  }
+  return out;
+}
+
+TEST(ArchiveTable, RestoreRejectsCraftedStreamsBeforeCopying) {
+  // Three pages of u64s; the well-formed stream restores.
+  constexpr std::size_t kCount = 3 * kTablePageBytes / 8;
+  {
+    Table<u64> t(kCount);
+    EXPECT_NO_THROW(testing::restore(
+        crafted_table(kCount, {{{1, 1}, kTablePageBytes}, {{1, 0}, 0}}), t));
+    EXPECT_EQ(t.t[kTablePageBytes / 8], 0xABABABABABABABABULL);
+  }
+  const auto untouched = [](const Table<u64>& t) {
+    for (std::size_t i = 0; i < t.t.size(); ++i) {
+      if (t.t[i] != 0) return false;
+    }
+    return true;
+  };
+  const std::pair<const char*, std::string> bad[] = {
+      {"count mismatch", crafted_table(kCount + 1, {{{3, 0}, 0}})},
+      {"truncated run", crafted_table(kCount, {{{3}, 0}})},
+      {"literal run past the unread payload",
+       crafted_table(kCount, {{{0, 3}, kTablePageBytes}})},
+      {"huge literal run", crafted_table(kCount, {{{0, u64{1} << 60}, 0}})},
+      {"runs past the table", crafted_table(kCount, {{{2, 2}, 0}})},
+      {"empty run", crafted_table(kCount, {{{0, 0}, 0}})},
+  };
+  for (const auto& [what, payload] : bad) {
+    SCOPED_TRACE(what);
+    Table<u64> t(kCount);
+    EXPECT_THROW(testing::restore(payload, t), SnapshotError);
+    EXPECT_TRUE(untouched(t));
+  }
 }
 
 // ------------------------------------------------------- MemoryTraceSink

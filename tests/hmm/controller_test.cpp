@@ -66,6 +66,7 @@ class MovableController : public HybridMemoryController {
       : HybridMemoryController("test", hbm, dram, PagingConfig{}) {}
 
   u64 metadata_sram_bytes() const override { return 0; }
+  void serialize(snap::Archive& ar) override { serialize_base(ar); }
 
   Tick do_move(Addr src, Addr dst, u64 bytes, Tick now) {
     return move_data(dram(), src, hbm(), dst, bytes, now,
@@ -130,6 +131,7 @@ TEST_F(Fixture, FaultPenaltyDelaysService) {
                           const PagingConfig& paging)
         : HybridMemoryController("tiny", hbm, dram, paging) {}
     u64 metadata_sram_bytes() const override { return 0; }
+    void serialize(snap::Archive& ar) override { serialize_base(ar); }
 
    protected:
     HmmResult service(Addr, AccessType, Tick now) override {

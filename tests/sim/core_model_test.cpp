@@ -22,6 +22,7 @@ class FixedLatencyController : public hmm::HybridMemoryController {
         latency_(latency) {}
 
   u64 metadata_sram_bytes() const override { return 0; }
+  void serialize(snap::Archive& ar) override { serialize_base(ar); }
 
  protected:
   hmm::HmmResult service(Addr, AccessType, Tick now) override {

@@ -1,9 +1,9 @@
 // In-process kill-and-resume coverage for the crash-tolerance layer: an
-// interrupted run resumed from its snapshot must reproduce the
-// uninterrupted run's results exactly, corrupt snapshots must fail closed,
-// designs without snapshot support must be rejected up front, and the
-// matrix watchdog must degrade exhausted cells to timed_out placeholder
-// rows. The process-level SIGKILL variants live in
+// interrupted run of any design resumed from its snapshot must reproduce
+// the uninterrupted run's results exactly, corrupt snapshots must fail
+// closed, the matrix watchdog must degrade exhausted cells to timed_out
+// placeholder rows, and a journal must restore rows only into the sweep
+// that wrote them. The process-level SIGKILL variants live in
 // tools/check_crash_recovery.
 #include <gtest/gtest.h>
 
@@ -11,11 +11,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "baselines/factory.h"
 #include "bumblebee/config.h"
 #include "common/snapshot.h"
 #include "common/trace_event.h"
@@ -262,18 +262,49 @@ TEST(SystemSnapshot, UninterruptedRunWithSnapshotsMatchesPlainRun) {
   expect_identical(want, got);
 }
 
-TEST(SystemSnapshot, UnsupportedDesignIsUsageError) {
-  // Full-size devices: Hybrid2's geometry assumes production capacities
-  // (its construction predates the snapshot-support check).
-  SystemConfig cfg;
-  cfg.snapshot.dir =
-      std::string(::testing::TempDir()) + "/snap_unsupported";
-  cfg.snapshot.interval_records = 256;
-  std::filesystem::create_directories(cfg.snapshot.dir);
-  System sys(cfg);
-  EXPECT_THROW(
-      sys.run("Hybrid2", trace::WorkloadProfile::by_name("mcf"), 100'000),
-      std::invalid_argument);
+TEST(SystemSnapshot, EveryDesignResumesToIdenticalOutputs) {
+  // Every design snapshots. With request queues, faults, epoch sampling
+  // and the event trace on, a run interrupted at a record boundary and
+  // resumed from its snapshot writes the same JSON, epoch CSV and event
+  // trace as an uninterrupted run, byte for byte.
+  const auto& w = trace::WorkloadProfile::by_name("mcf");
+  constexpr u64 kInstructions = 400'000;
+  SystemConfig cfg = every_layer_config("snap_every_design");
+  // Hybrid2 needs HBM beyond its fixed 64 MiB cHBM slice.
+  cfg.hbm.capacity_bytes = 128 * MiB;
+  cfg.dram.capacity_bytes = 1280 * MiB;
+  SystemConfig plain = cfg;
+  plain.snapshot = SnapshotConfig{};
+  const auto outputs = [](const RunResult& r) {
+    ExperimentRunner runner;
+    runner.add(r);
+    std::ostringstream json, epochs, events;
+    runner.write_json(json);
+    runner.write_epoch_csv(epochs);
+    runner.write_trace(events, ExperimentRunner::TraceFormat::kJsonl);
+    return std::vector<std::string>{json.str(), epochs.str(), events.str()};
+  };
+  ASSERT_EQ(baselines::all_design_names().size(), 19u);
+  for (const std::string& design : baselines::all_design_names()) {
+    SCOPED_TRACE(design);
+    System reference(plain);
+    const auto want = outputs(reference.run(design, w, kInstructions));
+    ASSERT_FALSE(want[1].empty());
+    ASSERT_FALSE(want[2].empty());
+
+    System sys(cfg);
+    int polls = 0;
+    sys.set_interrupt([&polls] { return ++polls >= kEveryLayerStopAt; });
+    EXPECT_THROW(sys.run(design, w, kInstructions), RunInterrupted);
+    ASSERT_TRUE(snap::file_exists(snap_path(cfg, design, "mcf")));
+    sys.set_interrupt({});
+    sys.allow_restore_once();
+    const auto got = outputs(sys.run(design, w, kInstructions));
+    EXPECT_EQ(got[0], want[0]) << "write_json";
+    EXPECT_EQ(got[1], want[1]) << "epoch CSV";
+    EXPECT_EQ(got[2], want[2]) << "event trace";
+    EXPECT_FALSE(snap::file_exists(snap_path(cfg, design, "mcf")));
+  }
 }
 
 TEST(SystemSnapshot, CorruptSnapshotFailsClosed) {
@@ -665,6 +696,92 @@ TEST(Journal, LinesRoundTripEveryField) {
   ASSERT_NE(back->core_perf, nullptr);
   ASSERT_EQ(back->core_perf->size(), 2u);
   EXPECT_EQ(ResultJournal::line(*back), mix_line);
+}
+
+/// A one-row journal of the sweep (cfg, opts), as bbsim writes it.
+std::string sweep_journal(const SystemConfig& cfg,
+                          const RunMatrixOptions& opts) {
+  RunResult r;
+  r.design = "DRAM-only";
+  r.workload = "mcf";
+  r.instructions = 200'037;
+  return ResultJournal(sweep_hash(cfg, opts)).header() + "\n" +
+         ResultJournal::line(r) + "\n";
+}
+
+/// Rows a journal of the sweep (cfg, opts) restores from `text`.
+ResultJournal::LoadStats load_into_sweep(const std::string& text,
+                                         const SystemConfig& cfg,
+                                         const RunMatrixOptions& opts) {
+  ResultJournal journal(sweep_hash(cfg, opts));
+  std::istringstream is(text);
+  const auto st = journal.load_stats(is);
+  EXPECT_EQ(journal.find("DRAM-only", "mcf") != nullptr, st.restored > 0);
+  return st;
+}
+
+TEST(Journal, SameSweepRestoresItsRows) {
+  SystemConfig cfg;
+  RunMatrixOptions opts;
+  opts.instructions = 200'000;
+  const auto st = load_into_sweep(sweep_journal(cfg, opts), cfg, opts);
+  EXPECT_TRUE(st.header);
+  EXPECT_FALSE(st.foreign);
+  EXPECT_EQ(st.restored, 1u);
+  // Snapshot, watchdog and scheduling settings never change a result.
+  RunMatrixOptions sched = opts;
+  sched.jobs = 4;
+  sched.cell_timeout_s = 30;
+  SystemConfig snapped = cfg;
+  snapped.snapshot.dir = "snaps";
+  snapped.snapshot.interval_records = 500;
+  EXPECT_EQ(load_into_sweep(sweep_journal(cfg, opts), snapped, sched).restored,
+            1u);
+}
+
+TEST(Journal, ChangedInstructionsRestoreNothing) {
+  // The journal of a 200 k-instruction sweep must not answer a 1 M one.
+  SystemConfig cfg;
+  RunMatrixOptions short_run;
+  short_run.instructions = 200'000;
+  RunMatrixOptions long_run = short_run;
+  long_run.instructions = 1'000'000;
+  const auto st = load_into_sweep(sweep_journal(cfg, short_run), cfg, long_run);
+  EXPECT_TRUE(st.foreign);
+  EXPECT_EQ(st.restored, 0u);
+  // So must a change to the derived-budget rule.
+  RunMatrixOptions derived;
+  RunMatrixOptions more_misses = derived;
+  more_misses.target_misses *= 2;
+  EXPECT_EQ(
+      load_into_sweep(sweep_journal(cfg, derived), cfg, more_misses).restored,
+      0u);
+}
+
+TEST(Journal, ChangedSeedRestoresNothing) {
+  SystemConfig cfg;
+  RunMatrixOptions opts;
+  opts.instructions = 200'000;
+  SystemConfig reseeded = cfg;
+  reseeded.seed = cfg.seed + 1;
+  const auto st = load_into_sweep(sweep_journal(cfg, opts), reseeded, opts);
+  EXPECT_TRUE(st.foreign);
+  EXPECT_EQ(st.restored, 0u);
+}
+
+TEST(Journal, SweepJournalWithoutHeaderRestoresNothing) {
+  // A header-less journal (or one from before sweep headers) is foreign to
+  // every sweep; a header-less reader still takes every line as a row.
+  SystemConfig cfg;
+  RunMatrixOptions opts;
+  const std::string text = sweep_journal(cfg, opts);
+  const std::string rows = text.substr(text.find('\n') + 1);
+  const auto st = load_into_sweep(rows, cfg, opts);
+  EXPECT_TRUE(st.foreign);
+  EXPECT_EQ(st.restored, 0u);
+  ResultJournal any;
+  std::istringstream is(rows);
+  EXPECT_EQ(any.load_stats(is).restored, 1u);
 }
 
 TEST(Quarantine, NamesNeverCollide) {
