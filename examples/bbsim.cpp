@@ -51,7 +51,6 @@ using namespace bb;
 
 namespace {
 
-constexpr int kExitUsage = cli::kExitUsage;
 constexpr int kExitIo = cli::kExitIo;
 constexpr int kExitInterrupted = cli::kExitInterrupted;
 
@@ -85,12 +84,11 @@ std::vector<std::string> split_csv(const std::string& s) {
 const std::vector<std::string_view> kKnownFlags = {
     "designs", "workloads", "misses", "warmup", "cores", "seed", "csv",
     "json", "profile", "jobs", "epoch-csv", "epoch-requests", "epoch-ticks",
-    "event-trace", "trace-format", "capture-trace", "capture-codec",
-    "chunk-records", "replay-trace", "resume", "snapshot-dir",
-    "snapshot-interval", "restore", "cell-timeout", "cell-retries", "mix",
-    "instructions", "fault-profile", "fault-rate", "fault-seed",
-    "queue-depth", "write-watermarks", "list-workloads", "list-mixes",
-    "help",
+    "event-trace", "trace-format", "capture-trace", "replay-trace",
+    "resume", "snapshot-dir", "snapshot-interval", "restore", "cell-timeout",
+    "cell-retries", "mix", "instructions", "fault-profile", "fault-rate",
+    "fault-seed", "queue-depth", "write-watermarks", "list-workloads",
+    "list-mixes", "help",
 };
 
 int run(const Flags& flags) {
@@ -117,10 +115,6 @@ int run(const Flags& flags) {
         "              [--capture-trace=FILE]  (record the run's binary\n"
         "               miss stream — exactly one design and one workload\n"
         "               or mix; replayable with --replay-trace)\n"
-        "              [--capture-codec=varint|raw|zlib]  (chunk codec for\n"
-        "               --capture-trace; default varint)\n"
-        "              [--chunk-records=N]  (records per capture chunk;\n"
-        "               default 4096)\n"
         "              [--replay-trace=FILE]  (replay a recorded binary\n"
         "               miss stream through every design in bounded\n"
         "               memory; workload column = trace file name;\n"
@@ -185,12 +179,7 @@ int run(const Flags& flags) {
   if (designs.size() == 1 && designs[0] == "all") {
     designs = baselines::comparison_designs();
   }
-  try {
-    baselines::require_design_names(designs);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "bbsim: " << e.what() << "\n";
-    return kExitUsage;
-  }
+  baselines::require_design_names(designs);
 
   std::vector<trace::WorkloadProfile> workloads;
   const std::string wl = flags.get_string("workloads", "mcf");
@@ -198,12 +187,7 @@ int run(const Flags& flags) {
     workloads = trace::WorkloadProfile::spec2017();
   } else {
     const std::vector<std::string> names = split_csv(wl);
-    try {
-      trace::require_workload_names(names);
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "bbsim: " << e.what() << "\n";
-      return kExitUsage;
-    }
+    trace::require_workload_names(names);
     for (const auto& name : names) {
       workloads.push_back(trace::WorkloadProfile::by_name(name));
     }
@@ -211,15 +195,8 @@ int run(const Flags& flags) {
 
   std::vector<sim::MixSpec> mixes;
   const std::string mix_arg = flags.get_string("mix", "");
-  if (!mix_arg.empty()) {
-    try {
-      for (const auto& spec : split_csv(mix_arg)) {
-        mixes.push_back(sim::MixSpec::parse(spec));
-      }
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "bbsim: " << e.what() << "\n";
-      return kExitUsage;
-    }
+  for (const auto& spec : split_csv(mix_arg)) {
+    mixes.push_back(sim::MixSpec::parse(spec));
   }
 
   sim::SystemConfig cfg;
@@ -231,15 +208,9 @@ int run(const Flags& flags) {
   // --fault-rate or --fault-seed implies the "mixed" profile.
   if (flags.has("fault-profile") || flags.has("fault-rate") ||
       flags.has("fault-seed")) {
-    try {
-      cfg.fault = fault::FaultConfig::profile(
-          flags.get_string("fault-profile", "mixed"),
-          flags.get_double("fault-rate", 1e-4),
-          flags.get_u64("fault-seed", 0));
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "bbsim: " << e.what() << "\n";
-      return kExitUsage;
-    }
+    cfg.fault = fault::FaultConfig::profile(
+        flags.get_string("fault-profile", "mixed"),
+        flags.get_double("fault-rate", 1e-4), flags.get_u64("fault-seed", 0));
   }
 
   // Request-queue layer (opt-in). --queue-depth=0 keeps it off.
@@ -258,23 +229,20 @@ int run(const Flags& flags) {
   }
   if (flags.has("write-watermarks")) {
     if (flags.has("queue-depth") && !queue_on) {
-      std::cerr << "bbsim: --write-watermarks conflicts with "
-                   "--queue-depth=0\n";
-      return kExitUsage;
+      throw std::invalid_argument(
+          "--write-watermarks conflicts with --queue-depth=0");
     }
     const std::string wm = flags.get_string("write-watermarks", "");
     unsigned hi = 0, lo = 0;
     char extra = 0;
     if (std::sscanf(wm.c_str(), "%u:%u%c", &hi, &lo, &extra) != 2) {
-      std::cerr << "bbsim: --write-watermarks expects HI:LO, got: " << wm
-                << "\n";
-      return kExitUsage;
+      throw std::invalid_argument("--write-watermarks expects HI:LO, got: " +
+                                  wm);
     }
     if (!(lo < hi && hi <= qcfg.queue_depth)) {
-      std::cerr << "bbsim: --write-watermarks requires LO < HI <= queue "
-                   "depth ("
-                << qcfg.queue_depth << ")\n";
-      return kExitUsage;
+      throw std::invalid_argument(
+          "--write-watermarks requires LO < HI <= queue depth (" +
+          std::to_string(qcfg.queue_depth) + ")");
     }
     qcfg.write_high_watermark = hi;
     qcfg.write_low_watermark = lo;
@@ -290,8 +258,7 @@ int run(const Flags& flags) {
   const std::string trace_file = flags.get_string("event-trace", "");
   const std::string trace_format = flags.get_string("trace-format", "jsonl");
   if (trace_format != "jsonl" && trace_format != "chrome") {
-    std::cerr << "bbsim: unknown --trace-format: " << trace_format << "\n";
-    return kExitUsage;
+    throw std::invalid_argument("unknown --trace-format: " + trace_format);
   }
   cfg.obs.trace = !trace_file.empty();
   if (!epoch_csv.empty() || flags.has("epoch-requests") ||
@@ -303,25 +270,20 @@ int run(const Flags& flags) {
   // Binary miss-stream capture and replay (src/trace/stream.h).
   const std::string capture_path = flags.get_string("capture-trace", "");
   const std::string replay_path = flags.get_string("replay-trace", "");
-  const u64 chunk_records = flags.get_u64("chunk-records", 4096);
-  if (chunk_records == 0 || chunk_records > (u64{1} << 24)) {
-    std::cerr << "bbsim: --chunk-records must be in [1, 2^24]\n";
-    return kExitUsage;
-  }
   if (!replay_path.empty()) {
     if (!capture_path.empty()) {
-      std::cerr << "bbsim: --replay-trace conflicts with --capture-trace\n";
-      return kExitUsage;
+      throw std::invalid_argument(
+          "--replay-trace conflicts with --capture-trace");
     }
     if (!mixes.empty()) {
-      std::cerr << "bbsim: --replay-trace conflicts with --mix (captured "
-                   "traces already merge all cores into one stream)\n";
-      return kExitUsage;
+      throw std::invalid_argument(
+          "--replay-trace conflicts with --mix (captured traces already "
+          "merge all cores into one stream)");
     }
     if (flags.has("workloads")) {
-      std::cerr << "bbsim: --replay-trace conflicts with --workloads (the "
-                   "trace file is the workload)\n";
-      return kExitUsage;
+      throw std::invalid_argument(
+          "--replay-trace conflicts with --workloads (the trace file is the "
+          "workload)");
     }
   }
   trace::TraceCaptureSink capture;
@@ -331,15 +293,11 @@ int run(const Flags& flags) {
     const std::size_t cells = designs.size() *
                               (mixes.empty() ? workloads.size() : mixes.size());
     if (cells != 1) {
-      std::cerr << "bbsim: --capture-trace records exactly one run; use one "
-                   "design and one workload (or one mix)\n";
-      return kExitUsage;
+      throw std::invalid_argument(
+          "--capture-trace records exactly one run; use one design and one "
+          "workload (or one mix)");
     }
-    trace::TraceWriterOptions wopts;
-    wopts.codec = trace::parse_codec(
-        flags.get_string("capture-codec", "varint"));
-    wopts.chunk_records = static_cast<u32>(chunk_records);
-    capture.open(capture_path, wopts);
+    capture.open(capture_path);
     cfg.capture = &capture;
   }
 
@@ -349,25 +307,22 @@ int run(const Flags& flags) {
   const bool restore = flags.has("restore");
   const double cell_timeout = flags.get_double("cell-timeout", 0.0);
   if (snapshot_interval > 0 && snapshot_dir.empty()) {
-    std::cerr << "bbsim: --snapshot-interval requires --snapshot-dir\n";
-    return kExitUsage;
+    throw std::invalid_argument(
+        "--snapshot-interval requires --snapshot-dir");
   }
   if (restore && snapshot_dir.empty()) {
-    std::cerr << "bbsim: --restore requires --snapshot-dir\n";
-    return kExitUsage;
+    throw std::invalid_argument("--restore requires --snapshot-dir");
   }
   if (!snapshot_dir.empty() && snapshot_interval == 0 && !restore) {
-    std::cerr << "bbsim: --snapshot-dir needs --snapshot-interval and/or "
-                 "--restore\n";
-    return kExitUsage;
+    throw std::invalid_argument(
+        "--snapshot-dir needs --snapshot-interval and/or --restore");
   }
   if (!capture_path.empty() &&
       (!snapshot_dir.empty() || cell_timeout > 0)) {
     // A capture sink appends the whole miss stream in one pass; a resumed
     // or interrupted-and-retried run would duplicate records in it.
-    std::cerr << "bbsim: --capture-trace conflicts with --snapshot-dir / "
-                 "--cell-timeout\n";
-    return kExitUsage;
+    throw std::invalid_argument(
+        "--capture-trace conflicts with --snapshot-dir / --cell-timeout");
   }
   cfg.snapshot.dir = snapshot_dir;
   cfg.snapshot.interval_records = snapshot_interval;
@@ -490,9 +445,9 @@ int run(const Flags& flags) {
       // validates the file, so a bad path fails before any simulation.
       opts.instructions = trace::trace_info(replay_path).inst_gap_total;
       if (opts.instructions == 0) {
-        std::cerr << "bbsim: trace " << replay_path
-                  << " has zero instruction span; pass --instructions\n";
-        return kExitUsage;
+        throw std::invalid_argument("trace " + replay_path +
+                                    " has zero instruction span; pass "
+                                    "--instructions");
       }
     }
     runner.run_replay_matrix(designs, ropts, opts);

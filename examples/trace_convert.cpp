@@ -12,6 +12,7 @@
 // shared CLI contract: 2 for malformed input (parse errors name the
 // 1-based line), 3 for I/O failures.
 #include <iostream>
+#include <stdexcept>
 
 #include "common/cli.h"
 #include "common/flags.h"
@@ -23,8 +24,8 @@ using namespace bb;
 namespace {
 
 void print_info(const trace::TraceInfo& info, const std::string& path) {
-  std::cout << path << ": v" << trace::kTraceFormatVersion << " "
-            << trace::codec_name(info.codec) << ", " << info.records
+  std::cout << path << ": v" << trace::kTraceFormatVersion << " varint, "
+            << info.records
             << " records, " << info.inst_gap_total << " instructions/pass, "
             << info.chunks << " chunks, " << info.file_bytes << " bytes"
             << " (max chunk: " << info.max_chunk_records << " records, "
@@ -36,8 +37,6 @@ int run(const Flags& flags) {
     std::cout <<
         "usage: trace_convert --in=FILE --format=gem5|ramulator|csv\n"
         "                     --out=FILE  (v2 binary trace)\n"
-        "                     [--codec=varint|raw|zlib]  (default varint)\n"
-        "                     [--chunk-records=N]  (default 4096)\n"
         "                     [--ticks-per-inst=T]  (gem5 tick scaling;\n"
         "                      default 1000 = 1 GHz core at 1 IPC over\n"
         "                      1 ps ticks)\n"
@@ -69,15 +68,7 @@ int run(const Flags& flags) {
   const std::string in = flags.get_string("in", "");
   const std::string out = flags.get_string("out", "");
   if (in.empty() || out.empty()) {
-    std::cerr << "trace_convert: --in and --out are required "
-                 "(see --help)\n";
-    return cli::kExitUsage;
-  }
-
-  const u64 chunk_records = flags.get_u64("chunk-records", 4096);
-  if (chunk_records == 0 || chunk_records > (u64{1} << 24)) {
-    std::cerr << "trace_convert: --chunk-records must be in [1, 2^24]\n";
-    return cli::kExitUsage;
+    throw std::invalid_argument("--in and --out are required (see --help)");
   }
 
   trace::ConvertOptions opts;
@@ -86,15 +77,10 @@ int run(const Flags& flags) {
   opts.default_gap = flags.get_u64("gap", 1);
   opts.align_lines = !flags.has("no-align");
   if (opts.ticks_per_inst <= 0) {
-    std::cerr << "trace_convert: --ticks-per-inst must be positive\n";
-    return cli::kExitUsage;
+    throw std::invalid_argument("--ticks-per-inst must be positive");
   }
 
-  trace::TraceWriterOptions writer;
-  writer.codec = trace::parse_codec(flags.get_string("codec", "varint"));
-  writer.chunk_records = static_cast<u32>(chunk_records);
-
-  const auto stats = trace::convert_file(in, out, opts, writer);
+  const auto stats = trace::convert_file(in, out, opts);
   std::cout << "converted " << stats.lines << " "
             << trace::format_name(opts.format) << " lines to "
             << stats.records << " records (" << stats.reads << " reads, "
@@ -106,7 +92,7 @@ int run(const Flags& flags) {
 
 int main(int argc, char** argv) {
   return cli::cli_main(argc, argv, "trace_convert",
-                       {"chunk-records", "codec", "format", "gap", "help", "in",
-                        "info", "no-align", "out", "ticks-per-inst", "verify"},
+                       {"format", "gap", "help", "in", "info", "no-align", "out",
+                        "ticks-per-inst", "verify"},
                        run);
 }

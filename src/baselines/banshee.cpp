@@ -52,14 +52,7 @@ bool BansheeController::check_invariants() const {
 
 void BansheeController::serialize(snap::Archive& ar) {
   serialize_base(ar);
-  ar.expect(ways_.size(), "Banshee way count");
-  for (std::size_t i = 0; i < ways_.size(); ++i) {
-    Way& way = ways_[i];
-    ar.flag(way.valid);
-    ar.u64(way.page);
-    ar.u32(way.freq);
-    ar.flag(way.dirty);
-  }
+  ar.table(ways_, "Banshee way table");
   used_.serialize(ar);
   // The candidate counters in ascending page order, so the bytes do not
   // depend on the hash map's bucket order.

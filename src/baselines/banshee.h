@@ -44,16 +44,20 @@ class BansheeController final : public hmm::HybridMemoryController {
 
   void serialize(snap::Archive& ar) override;
 
+  /// One way of the page cache: an unpadded snapshot table element.
+  struct Way {
+    u64 page = 0;
+    u16 freq = 0;
+    u8 valid = 0;
+    u8 dirty = 0;
+    u32 pad = 0;
+    bool well_formed() const { return valid <= 1 && dirty <= 1 && pad == 0; }
+  };
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 
  private:
-  struct Way {
-    bool valid = false;
-    u64 page = 0;
-    u16 freq = 0;
-    bool dirty = false;
-  };
 
   /// Index of way `w` of `set` in ways_ and in used_.
   std::size_t way_index(u32 set, u32 w) const {

@@ -91,14 +91,7 @@ void Hybrid2Controller::serialize(snap::Archive& ar) {
   ar.table(counter_, "Hybrid2 counter count");
   ar.table(used_mask_, "Hybrid2 mHBM frame count");
   ar.table(swapped_, "Hybrid2 mHBM frame count");
-  ar.expect(cache_.size(), "Hybrid2 cache line count");
-  for (std::size_t i = 0; i < cache_.size(); ++i) {
-    CacheLine& line = cache_[i];
-    ar.u32(line.tag);
-    ar.flag(line.valid);
-    ar.flag(line.dirty);
-    ar.u64(line.lru);
-  }
+  ar.table(cache_, "Hybrid2 cache line table");
   ar.u64(lru_clock_);
   meta_->serialize(ar);
   if (ar.loading() && !check_invariants()) {

@@ -61,6 +61,18 @@ class Hybrid2Controller final : public hmm::HybridMemoryController {
 
   void serialize(snap::Archive& ar) override;
 
+  /// One line of the block cache: an unpadded snapshot table element.
+  /// All-zero is an invalid, clean line, so the tag array starts as zero
+  /// pages.
+  struct CacheLine {
+    u32 tag = 0;
+    u8 valid = 0;
+    u8 dirty = 0;
+    u16 pad = 0;
+    u64 lru = 0;
+    bool well_formed() const { return valid <= 1 && dirty <= 1 && pad == 0; }
+  };
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 
@@ -82,15 +94,6 @@ class Hybrid2Controller final : public hmm::HybridMemoryController {
   u8& used_mask(u32 set, u32 way) { return used_mask_[way_index(set, way)]; }
   u8& swapped(u32 set, u32 way) { return swapped_[way_index(set, way)]; }
   bool set_is_permutation(u32 set) const;
-
-  /// All-zero is an invalid, clean line, so the tag array starts as zero
-  /// pages.
-  struct CacheLine {
-    u32 tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    u64 lru = 0;
-  };
 
   Addr mhbm_frame_addr(u32 set, u32 way) const {
     return cfg_.cache_bytes +

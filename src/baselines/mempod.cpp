@@ -66,11 +66,7 @@ void MemPodController::serialize(snap::Archive& ar) {
   serialize_base(ar);
   ar.table(frame_xor_page_, "MemPod page count");
   ar.table(page_xor_frame_, "MemPod frame count");
-  ar.expect(mea_.size(), "MemPod MEA entry count");
-  for (std::size_t i = 0; i < mea_.size(); ++i) {
-    ar.u64(mea_[i].page);
-    ar.u32(mea_[i].count);
-  }
+  ar.table(mea_, "MemPod MEA table");
   ar.table(hbm_access_, "MemPod HBM frame count");
   ar.table(next_interval_, "MemPod pod count");
   ar.u64(interval_migrations_);

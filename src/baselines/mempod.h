@@ -50,14 +50,19 @@ class MemPodController final : public hmm::HybridMemoryController {
     interval_migrations_ = 0;
   }
 
+  /// One Majority Element Algorithm counter: an unpadded snapshot table
+  /// element.
+  struct MeaEntry {
+    u64 page = 0;  ///< pod-local logical page index
+    u32 count = 0;
+    u32 pad = 0;
+    bool well_formed() const { return pad == 0; }
+  };
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 
  private:
-  struct MeaEntry {
-    u64 page = 0;  ///< pod-local logical page index
-    u32 count = 0;
-  };
 
   /// Index of pod-local page or frame `i` of `pod` in the remap tables.
   std::size_t slot(u32 pod, u64 i) const {

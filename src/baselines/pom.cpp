@@ -60,11 +60,7 @@ bool PomController::check_invariants() const {
 void PomController::serialize(snap::Archive& ar) {
   serialize_base(ar);
   ar.table(sec_xor_frame_, "PoM sector count");
-  ar.expect(entries_.size(), "PoM set count");
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    ar.i64(entries_[i].counter);
-    ar.u32(entries_[i].challenger);
-  }
+  ar.table(entries_, "PoM set table");
   meta_->serialize(ar);
   if (ar.loading() && !check_invariants()) {
     throw snap::SnapshotError("PoM set is not a permutation");

@@ -48,14 +48,18 @@ class PomController final : public hmm::HybridMemoryController {
 
   void serialize(snap::Archive& ar) override;
 
+  /// Per-set competition state: an unpadded snapshot table element.
+  struct SetEntry {
+    i64 counter = 0;     ///< competing counter (challenger vs occupant)
+    u32 challenger = 0;  ///< sector currently accumulating the counter
+    u32 pad = 0;
+    bool well_formed() const { return pad == 0; }
+  };
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 
  private:
-  struct SetEntry {
-    i64 counter = 0;   ///< competing counter (challenger vs occupant)
-    u32 challenger = 0;  ///< sector currently accumulating the counter
-  };
 
   /// The in-set sector held by `frame` of `set` (frame m_ is the HBM
   /// slot).

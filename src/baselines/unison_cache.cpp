@@ -70,13 +70,7 @@ bool UnisonCacheController::check_invariants() const {
 
 void UnisonCacheController::serialize(snap::Archive& ar) {
   serialize_base(ar);
-  ar.expect(ways_.size(), "UC way count");
-  for (std::size_t i = 0; i < ways_.size(); ++i) {
-    Way& way = ways_[i];
-    ar.flag(way.valid);
-    ar.u64(way.page);
-    ar.u64(way.lru_stamp);
-  }
+  ar.table(ways_, "UC way table");
   blocks_.serialize(ar);
   ar.u64(lru_clock_);
   footprints_.serialize(ar);

@@ -8,6 +8,7 @@
 // history table lives in SRAM.
 #pragma once
 
+#include <array>
 #include <cassert>
 
 #include "common/bitvector.h"
@@ -43,15 +44,19 @@ class UnisonCacheController final : public hmm::HybridMemoryController {
 
   void serialize(snap::Archive& ar) override;
 
+  /// One way of the page cache: an unpadded snapshot table element.
+  struct Way {
+    u64 page = 0;  ///< OS page index
+    u64 lru_stamp = 0;
+    u8 valid = 0;
+    std::array<u8, 7> pad{};
+    bool well_formed() const { return valid <= 1 && pad == decltype(pad){}; }
+  };
+
  protected:
   hmm::HmmResult service(Addr addr, AccessType type, Tick now) override;
 
  private:
-  struct Way {
-    bool valid = false;
-    u64 page = 0;       ///< OS page index
-    u64 lru_stamp = 0;
-  };
 
   u32 blocks_per_page() const {
     return static_cast<u32>(cfg_.page_bytes / cfg_.block_bytes);

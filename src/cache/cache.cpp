@@ -55,9 +55,9 @@ CacheAccessResult Cache::access(Addr addr, AccessType type) {
     if (victim.dirty) ++stats_.writebacks;
     res.evicted = true;
     res.evicted_addr = line_addr(victim.tag, set);
-    res.evicted_dirty = victim.dirty;
+    res.evicted_dirty = victim.dirty != 0;
     if (eviction_hook_) {
-      eviction_hook_({res.evicted_addr, victim.accesses, victim.dirty});
+      eviction_hook_({res.evicted_addr, victim.accesses, res.evicted_dirty});
     }
   }
 
@@ -100,7 +100,8 @@ void Cache::flush() {
       Line& line = line_at(s, w);
       if (line.valid) {
         if (eviction_hook_) {
-          eviction_hook_({line_addr(line.tag, s), line.accesses, line.dirty});
+          eviction_hook_(
+              {line_addr(line.tag, s), line.accesses, line.dirty != 0});
         }
         if (line.dirty) ++stats_.writebacks;
         ++stats_.evictions;
@@ -111,21 +112,13 @@ void Cache::flush() {
 }
 
 void Cache::serialize(snap::Archive& ar) {
-  ar.expect(lines_.size(), "cache line count");
-  for (std::size_t i = 0; i < lines_.size(); ++i) {
-    Line& ln = lines_[i];
-    ar.u64(ln.tag);
-    ar.flag(ln.valid);
-    ar.flag(ln.dirty);
-    ar.u64(ln.accesses);
-  }
+  ar.table(lines_, "cache line table");
   ar.u64(stats_.hits);
   ar.u64(stats_.misses);
   ar.u64(stats_.evictions);
   ar.u64(stats_.writebacks);
   ar.u64(clock_);
-  ar.expect(stamp_.size(), "LRU stamp count");
-  for (std::size_t i = 0; i < stamp_.size(); ++i) ar.u64(stamp_[i]);
+  ar.table(stamp_, "LRU stamp table");
 }
 
 }  // namespace bb::cache

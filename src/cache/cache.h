@@ -8,6 +8,7 @@
 // distributions.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <functional>
 #include <string>
@@ -96,13 +97,19 @@ class Cache {
   /// a line-count mismatch.
   void serialize(snap::Archive& ar);
 
- private:
+  /// One cache line: an unpadded snapshot table element.
   struct Line {
     Addr tag = 0;
-    bool valid = false;
-    bool dirty = false;
+    u8 valid = 0;
+    u8 dirty = 0;
+    std::array<u8, 6> pad{};
     u64 accesses = 0;
+    bool well_formed() const {
+      return valid <= 1 && dirty <= 1 && pad == decltype(pad){};
+    }
   };
+
+ private:
 
   /// Marks (set, way) most recently used.
   void touch(u32 set, u32 way) {

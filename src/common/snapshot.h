@@ -245,18 +245,30 @@ class Archive {
   /// A flat table whose element type has no padding bytes (so its raw
   /// bytes are its value): its element count, which a restore requires to
   /// equal `t.size()` ("<what> mismatch"), then its bytes with every
-  /// all-zero 4 KiB page stored as a skip.
+  /// all-zero 4 KiB page stored as a skip. A struct element spells out its
+  /// padding as zero members and keeps flags in u8s; its `well_formed()`
+  /// (flags 0 or 1, padding zero) must then hold for every element a
+  /// restore loads.
   template <class T>
   void table(ZeroArray<T>& t, const char* what) {
     static_assert(std::has_unique_object_representations_v<T>,
-                  "a padded element has indeterminate bytes; serialize it "
-                  "field by field");
+                  "a padded element has indeterminate bytes; give it "
+                  "explicit zero padding members");
     static_assert(std::endian::native == std::endian::little,
                   "table bytes are the host's; the format is little-endian");
     if (r_ == nullptr) {
       return w_->put_table(t.size(), t.data(), t.size() * sizeof(T));
     }
     r_->get_table(t.size(), t.data(), t.size() * sizeof(T), what);
+    if constexpr (requires(const T& e) { e.well_formed(); }) {
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        if (!t[i].well_formed()) {
+          throw SnapshotError(std::string(what) + ": element " +
+                              std::to_string(i) +
+                              " has a flag above 1 or non-zero padding");
+        }
+      }
+    }
   }
 
   /// A count fixed by the object's shape (bank count, bucket count):

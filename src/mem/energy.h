@@ -4,11 +4,8 @@
 //   ACT+PRE pair: VDD * (IDD0*tRC - (IDD3N*tRAS + IDD2N*(tRC-tRAS)))
 //   RD burst:     VDD * (IDD4R - IDD3N) * tBURST
 //   WR burst:     VDD * (IDD4W - IDD3N) * tBURST
-// with currents in mA and times in ns, giving picojoules.
-//
-// Background (static) energy is estimated post-hoc from elapsed wall time as
-// VDD * IDD3N * T per channel; the paper reports *dynamic* energy, which is
-// what the figure harnesses use, but both are exposed.
+// with currents in mA and times in ns, giving picojoules. Only dynamic
+// energy is modelled: it is what the paper reports and the figures use.
 #pragma once
 
 #include "common/types.h"
@@ -37,13 +34,6 @@ class EnergyModel {
            static_cast<double>(p_->devices_per_channel);
   }
 
-  /// Background energy estimate for `elapsed` simulated time, picojoules.
-  double background_pj(Tick elapsed) const {
-    const double t_ns = ticks_to_ns(elapsed);
-    return p_->vdd * p_->idd3n * t_ns * static_cast<double>(p_->channels) *
-           static_cast<double>(p_->devices_per_channel);
-  }
-
   /// Energy of one ACT/PRE pair, picojoules.
   double act_pre_pj() const {
     const double trc_ns = p_->tck_ns * static_cast<double>(p_->tRAS + p_->tRP);
@@ -61,12 +51,6 @@ class EnergyModel {
   /// Energy of one write burst, picojoules.
   double write_burst_pj() const {
     return p_->vdd * (p_->idd4w - p_->idd3n) * ticks_to_ns(p_->burst_ticks());
-  }
-
-  /// Energy of one refresh window, picojoules (reported separately from
-  /// dynamic energy — the paper counts refresh with static energy).
-  double refresh_pj() const {
-    return p_->vdd * (p_->idd5 - p_->idd2n) * p_->trfc_ns;
   }
 
   void reset() { acts_ = rd_bursts_ = wr_bursts_ = 0; }

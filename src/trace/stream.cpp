@@ -4,13 +4,8 @@
 #include "common/prof.h"
 #include "common/snapshot.h"
 
-#include <array>
 #include <cstring>
 #include <ios>
-
-#ifdef BB_HAVE_ZLIB
-#include <zlib.h>
-#endif
 
 namespace bb::trace {
 namespace {
@@ -19,6 +14,7 @@ namespace {
 
 constexpr u64 kMagicV1 = 0x42424d4d54524331ULL;  // "BBMMTRC1"
 constexpr u64 kMagicV2 = 0x42424d4d54524332ULL;  // "BBMMTRC2"
+constexpr u32 kVarintCodec = 1;                  // the header's codec word
 constexpr u32 kChunkMarker = 0x434b4e48;         // "CHNK" (LE bytes H N K C)
 constexpr u32 kFooterMarker = 0x544f4f46;        // "FOOT"
 constexpr std::size_t kHeaderBytes = 24;
@@ -95,15 +91,6 @@ void put_canonical(u8* out, const TraceRecord& r) {
   out[16] = r.type == AccessType::kWrite ? 1 : 0;
 }
 
-TraceRecord get_canonical(const u8* in) {
-  TraceRecord r;
-  r.inst_gap = get_u64(in);
-  r.addr = get_u64(in + 8);
-  if (in[16] > 1) throw TraceError("corrupt record: bad access-type byte");
-  r.type = in[16] != 0 ? AccessType::kWrite : AccessType::kRead;
-  return r;
-}
-
 // ---- file helpers ---------------------------------------------------------
 
 [[noreturn]] void throw_io(const std::string& path, const char* what) {
@@ -135,17 +122,11 @@ u64 file_size(std::FILE* f, const std::string& path) {
   return static_cast<u64>(size);
 }
 
-// ---- chunk codecs ---------------------------------------------------------
+// ---- chunk codec ----------------------------------------------------------
 
-#ifdef BB_HAVE_ZLIB
-constexpr bool kHaveZlib = true;
-#else
-constexpr bool kHaveZlib = false;
-#endif
-
-/// Encodes `records` into `payload` with `codec`, updating the running
+/// Varint-encodes `records` into `payload`, updating the running
 /// stream-CRC state over the canonical images via `canon` scratch.
-void encode_chunk(const std::vector<TraceRecord>& records, TraceCodec codec,
+void encode_chunk(const std::vector<TraceRecord>& records,
                   std::vector<u8>& canon, std::vector<u8>& payload,
                   u32& stream_crc_state) {
   canon.resize(records.size() * kCanonicalRecordBytes);
@@ -154,105 +135,45 @@ void encode_chunk(const std::vector<TraceRecord>& records, TraceCodec codec,
   }
   stream_crc_state = crc32_update(stream_crc_state, canon.data(),
                                   canon.size());
-  switch (codec) {
-    case TraceCodec::kRaw:
-      payload = canon;
-      return;
-    case TraceCodec::kVarint: {
-      payload.clear();
-      Addr prev = 0;
-      for (const TraceRecord& r : records) {
-        if (r.inst_gap >= (1ULL << 63)) {
-          throw TraceError("inst_gap too large for the varint codec");
-        }
-        const u64 w = r.type == AccessType::kWrite ? 1 : 0;
-        put_varint(payload, (r.inst_gap << 1) | w);
-        put_varint(payload, zigzag_encode(r.addr - prev));
-        prev = r.addr;
-      }
-      return;
+  payload.clear();
+  Addr prev = 0;
+  for (const TraceRecord& r : records) {
+    if (r.inst_gap >= (1ULL << 63)) {
+      throw TraceError("inst_gap too large for the varint codec");
     }
-    case TraceCodec::kZlib: {
-#ifdef BB_HAVE_ZLIB
-      uLongf bound = compressBound(static_cast<uLong>(canon.size()));
-      payload.resize(static_cast<std::size_t>(bound));
-      const int rc =
-          compress2(payload.data(), &bound, canon.data(),
-                    static_cast<uLong>(canon.size()), Z_DEFAULT_COMPRESSION);
-      if (rc != Z_OK) throw TraceError("zlib compression failed");
-      payload.resize(static_cast<std::size_t>(bound));
-      return;
-#else
-      throw TraceError("zlib codec unavailable in this build");
-#endif
-    }
+    const u64 w = r.type == AccessType::kWrite ? 1 : 0;
+    put_varint(payload, (r.inst_gap << 1) | w);
+    put_varint(payload, zigzag_encode(r.addr - prev));
+    prev = r.addr;
   }
-  throw TraceError("unknown trace codec");
 }
 
-/// Decodes one chunk payload into `out` (exactly n_records entries),
-/// updating the running stream-CRC state over the canonical images.
-/// Throws TraceError on any inconsistency; `out` is only valid on return.
-void decode_chunk(const u8* payload, std::size_t payload_bytes,
-                  TraceCodec codec, u32 n_records, std::vector<u8>& canon,
+/// Decodes one varint chunk payload into `out` (exactly n_records
+/// entries), updating the running stream-CRC state over the canonical
+/// images. Throws TraceError on any inconsistency; `out` is only valid on
+/// return.
+void decode_chunk(const u8* payload, std::size_t payload_bytes, u32 n_records,
                   std::vector<TraceRecord>& out, u32& stream_crc_state) {
   out.clear();
-  switch (codec) {
-    case TraceCodec::kRaw: {
-      if (payload_bytes != n_records * kCanonicalRecordBytes) {
-        throw TraceError("raw chunk payload size disagrees with its count");
-      }
-      for (u32 i = 0; i < n_records; ++i) {
-        out.push_back(get_canonical(payload + i * kCanonicalRecordBytes));
-      }
-      stream_crc_state = crc32_update(stream_crc_state, payload,
-                                      payload_bytes);
-      return;
-    }
-    case TraceCodec::kVarint: {
-      const u8* p = payload;
-      const u8* end = payload + payload_bytes;
-      Addr prev = 0;
-      u8 image[kCanonicalRecordBytes];
-      for (u32 i = 0; i < n_records; ++i) {
-        const u64 gw = get_varint(p, end);
-        TraceRecord r;
-        r.inst_gap = gw >> 1;
-        r.type = (gw & 1) != 0 ? AccessType::kWrite : AccessType::kRead;
-        r.addr = prev + zigzag_decode(get_varint(p, end));
-        prev = r.addr;
-        put_canonical(image, r);
-        stream_crc_state =
-            crc32_update(stream_crc_state, image, kCanonicalRecordBytes);
-        out.push_back(r);
-      }
-      if (p != end) {
-        throw TraceError("varint chunk has trailing bytes after its records");
-      }
-      return;
-    }
-    case TraceCodec::kZlib: {
-#ifdef BB_HAVE_ZLIB
-      canon.resize(n_records * kCanonicalRecordBytes);
-      uLongf raw_len = static_cast<uLongf>(canon.size());
-      const int rc = uncompress(canon.data(), &raw_len, payload,
-                                static_cast<uLong>(payload_bytes));
-      if (rc != Z_OK || raw_len != canon.size()) {
-        throw TraceError("zlib chunk fails to decompress to its record count");
-      }
-      for (u32 i = 0; i < n_records; ++i) {
-        out.push_back(get_canonical(canon.data() +
-                                    i * kCanonicalRecordBytes));
-      }
-      stream_crc_state = crc32_update(stream_crc_state, canon.data(),
-                                      canon.size());
-      return;
-#else
-      throw TraceError("zlib codec unavailable in this build");
-#endif
-    }
+  const u8* p = payload;
+  const u8* end = payload + payload_bytes;
+  Addr prev = 0;
+  u8 image[kCanonicalRecordBytes];
+  for (u32 i = 0; i < n_records; ++i) {
+    const u64 gw = get_varint(p, end);
+    TraceRecord r;
+    r.inst_gap = gw >> 1;
+    r.type = (gw & 1) != 0 ? AccessType::kWrite : AccessType::kRead;
+    r.addr = prev + zigzag_decode(get_varint(p, end));
+    prev = r.addr;
+    put_canonical(image, r);
+    stream_crc_state =
+        crc32_update(stream_crc_state, image, kCanonicalRecordBytes);
+    out.push_back(r);
   }
-  throw TraceError("unknown trace codec");
+  if (p != end) {
+    throw TraceError("varint chunk has trailing bytes after its records");
+  }
 }
 
 // ---- structural walk ------------------------------------------------------
@@ -289,13 +210,12 @@ WalkResult walk_structure(std::FILE* f, const std::string& path) {
     throw_bad(path,
               "v2 magic with unsupported version " + std::to_string(version));
   }
-  const u32 codec_raw = get_u32(hdr + 12);
-  if (codec_raw > static_cast<u32>(TraceCodec::kZlib)) {
-    throw_bad(path, "unknown codec id " + std::to_string(codec_raw));
-  }
-  info.codec = static_cast<TraceCodec>(codec_raw);
-  if (info.codec == TraceCodec::kZlib && !kHaveZlib) {
-    throw_bad(path, "zlib codec unavailable in this build");
+  const u32 codec = get_u32(hdr + 12);
+  if (codec != kVarintCodec) {
+    throw_bad(path, "codec id " + std::to_string(codec) +
+                        " is not read (varint, id 1, is the only chunk "
+                        "codec); re-capture the trace or re-convert it "
+                        "from its source");
   }
 
   if (info.file_bytes < kHeaderBytes + kFooterBytes) {
@@ -338,12 +258,6 @@ WalkResult walk_structure(std::FILE* f, const std::string& path) {
       throw_bad(path, "implausible chunk payload size at offset " +
                           std::to_string(pos));
     }
-    if (info.codec == TraceCodec::kRaw &&
-        payload_bytes != n_records * kCanonicalRecordBytes) {
-      throw_bad(path, "raw chunk payload size disagrees with its count at "
-                      "offset " +
-                          std::to_string(pos));
-    }
     pos += kChunkHeaderBytes;
     if (payload_bytes > footer_off - pos) {
       throw_bad(path, "chunk at offset " +
@@ -368,32 +282,6 @@ WalkResult walk_structure(std::FILE* f, const std::string& path) {
 
 }  // namespace
 
-// ---- codec names ----------------------------------------------------------
-
-bool zlib_supported() { return kHaveZlib; }
-
-TraceCodec parse_codec(const std::string& name) {
-  if (name == "raw") return TraceCodec::kRaw;
-  if (name == "varint") return TraceCodec::kVarint;
-  if (name == "zlib") {
-    if (!kHaveZlib) {
-      throw TraceError("zlib codec unavailable in this build");
-    }
-    return TraceCodec::kZlib;
-  }
-  throw TraceError("unknown trace codec: " + name +
-                   " (expected raw, varint or zlib)");
-}
-
-const char* codec_name(TraceCodec codec) {
-  switch (codec) {
-    case TraceCodec::kRaw: return "raw";
-    case TraceCodec::kVarint: return "varint";
-    case TraceCodec::kZlib: return "zlib";
-  }
-  return "unknown";
-}
-
 // ---- TraceCaptureSink -----------------------------------------------------
 
 TraceCaptureSink::~TraceCaptureSink() {
@@ -406,9 +294,6 @@ void TraceCaptureSink::open(const std::string& path,
   if (opts.chunk_records == 0 || opts.chunk_records > kMaxChunkRecords) {
     throw TraceError("capture chunk size must be in [1, " +
                      std::to_string(kMaxChunkRecords) + "] records");
-  }
-  if (opts.codec == TraceCodec::kZlib && !kHaveZlib) {
-    throw TraceError("zlib codec unavailable in this build");
   }
   file_.reset(std::fopen(path.c_str(), "wb"));
   if (!file_) throw_io(path, "cannot create trace file");
@@ -424,7 +309,7 @@ void TraceCaptureSink::open(const std::string& path,
   u8 hdr[kHeaderBytes];
   put_u64(hdr, kMagicV2);
   put_u32(hdr + 8, kTraceFormatVersion);
-  put_u32(hdr + 12, static_cast<u32>(opts_.codec));
+  put_u32(hdr + 12, kVarintCodec);
   put_u64(hdr + 16, opts_.chunk_records);
   if (!write_exact(file_.get(), hdr, kHeaderBytes)) ok_ = false;
 }
@@ -439,7 +324,7 @@ void TraceCaptureSink::append(const TraceRecord& rec) {
 
 void TraceCaptureSink::flush_chunk() {
   if (buffer_.empty() || !ok_) return;
-  encode_chunk(buffer_, opts_.codec, canon_, scratch_, stream_crc_);
+  encode_chunk(buffer_, canon_, scratch_, stream_crc_);
   u8 ch[kChunkHeaderBytes];
   put_u32(ch, kChunkMarker);
   put_u32(ch + 4, static_cast<u32>(buffer_.size()));
@@ -547,8 +432,8 @@ void StreamingTraceReader::load_next_chunk() {
     throw_bad(path_, "chunk checksum mismatch at record " +
                          std::to_string(records_served_this_lap_));
   }
-  decode_chunk(payload_.data(), payload_bytes, info_.codec, n_records, canon_,
-               decoded_, stream_crc_);
+  decode_chunk(payload_.data(), payload_bytes, n_records, decoded_,
+               stream_crc_);
   cursor_ = 0;
   records_served_this_lap_ += n_records;
 }

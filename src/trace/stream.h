@@ -11,14 +11,12 @@
 //
 // The stream checksum is a CRC32 over the canonical 17-byte record image
 // (inst_gap u64 LE, addr u64 LE, is_write u8) of every record in file
-// order, so it is independent of the per-chunk codec. Codecs:
-//
-//   0 raw    — canonical images, concatenated
-//   1 varint — per record: varint(inst_gap << 1 | is_write), then
-//              varint(zigzag(addr - prev_addr)); prev_addr resets to 0 at
-//              every chunk boundary so chunks stay independently decodable
-//   2 zlib   — deflate of the raw payload (only in builds that found zlib;
-//              see zlib_supported())
+// order. Every chunk payload is varint-coded, per record:
+// varint(inst_gap << 1 | is_write), then varint(zigzag(addr - prev_addr));
+// prev_addr resets to 0 at every chunk boundary so chunks stay
+// independently decodable. The header's codec word is always 1 (varint);
+// a file with any other codec id is rejected with a TraceError that says
+// to re-capture or re-convert it from its source.
 //
 // Readers hold one chunk at a time: peak memory is bounded by the largest
 // chunk in the file, never by trace length. v2 is the only format: a file
@@ -50,19 +48,7 @@ class TraceError : public std::invalid_argument {
       : std::invalid_argument(what) {}
 };
 
-/// Per-chunk payload encoding of a v2 trace.
-enum class TraceCodec : u32 { kRaw = 0, kVarint = 1, kZlib = 2 };
-
-/// True when this build can encode and decode zlib chunks.
-bool zlib_supported();
-
-/// Parses "raw" / "varint" / "zlib" (throws TraceError otherwise, or when
-/// asking for zlib in a build without it).
-TraceCodec parse_codec(const std::string& name);
-const char* codec_name(TraceCodec codec);
-
 struct TraceWriterOptions {
-  TraceCodec codec = TraceCodec::kVarint;
   u32 chunk_records = 4096;  ///< records buffered per chunk
 };
 
@@ -81,7 +67,7 @@ class TraceCaptureSink {
   TraceCaptureSink& operator=(const TraceCaptureSink&) = delete;
 
   /// Opens `path` for writing and emits the header. Throws TraceError for
-  /// unusable options (zero chunk size, unavailable codec) and
+  /// an unusable chunk size (zero or above 2^24 records) and
   /// std::ios_base::failure when the file cannot be created.
   void open(const std::string& path,
             const TraceWriterOptions& opts = TraceWriterOptions{});
@@ -123,7 +109,6 @@ class TraceCaptureSink {
 inline constexpr u32 kTraceFormatVersion = 2;
 
 struct TraceInfo {
-  TraceCodec codec = TraceCodec::kRaw;
   u64 records = 0;
   u64 inst_gap_total = 0;  ///< instruction budget for exactly one pass
   u64 chunks = 0;
@@ -180,7 +165,6 @@ class StreamingTraceReader : public TraceSource {
   std::vector<TraceRecord> decoded_;  ///< current chunk, capacity fixed
   std::size_t cursor_ = 0;            ///< next record within decoded_
   std::vector<u8> payload_;           ///< encoded-chunk buffer, size fixed
-  std::vector<u8> canon_;             ///< zlib decode scratch, reused
   u64 records_served_this_lap_ = 0;
   u32 stream_crc_ = 0;                ///< running CRC of served records
   u64 laps_ = 0;

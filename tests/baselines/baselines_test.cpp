@@ -642,6 +642,94 @@ TEST_F(BaselineFixture, AlloyRestoreOfDirtyInvalidSlotFailsClosed) {
   EXPECT_NO_THROW(snap::testing::restore(payload, same));
 }
 
+// The eight baselines; every flat table each keeps goes through
+// Archive::table.
+const char* const kBaselines[] = {"Banshee", "AC",  "UC",      "Chameleon",
+                                  "Hybrid2", "PoM", "SILC-FM", "MemPod"};
+
+TEST_F(BaselineFixture, FreshControllerSnapshotIsSmall) {
+  // A fresh controller's tables are all-zero pages, which a snapshot
+  // stores as skips; a design that wrote its tables entry by entry would
+  // spend megabytes here.
+  for (const char* name : kBaselines) {
+    SCOPED_TRACE(name);
+    auto c = make_design(name, hbm_, dram_);
+    EXPECT_LT(snap::testing::payload_of(*c).size(), 64 * KiB);
+  }
+}
+
+/// Restores `design` from a fresh controller's payload in which element 0
+/// of its all-zero table of `n` `T`s was changed by `set(element, value)`;
+/// the restore must throw exactly when `rejected`.
+template <class T, class Set>
+void expect_element_check(const char* design, std::size_t n, Set set,
+                          u8 value, bool rejected, mem::DramDevice& hbm,
+                          mem::DramDevice& dram) {
+  SCOPED_TRACE(std::string(design) + " byte " + std::to_string(value));
+  auto live = make_design(design, hbm, dram);
+  const std::string payload = snap::testing::payload_of(*live);
+  ZeroArray<T> clean(n);
+  ZeroArray<T> patched(n);
+  set(patched[0], value);
+  const std::string crafted = snap::testing::replace_once(
+      payload, snap::testing::table_bytes(clean),
+      snap::testing::table_bytes(patched));
+  auto fresh = make_design(design, hbm, dram);
+  if (rejected) {
+    EXPECT_THROW(snap::testing::restore(crafted, *fresh), snap::SnapshotError);
+  } else {
+    EXPECT_NO_THROW(snap::testing::restore(crafted, *fresh));
+  }
+}
+
+TEST_F(BaselineFixture, RestoreRejectsMalformedTableElements) {
+  // Table bytes land in the element structs as they are, so a restore
+  // checks every element: a flag byte of 2 or a non-zero padding byte
+  // fails closed, while a flag of 1 is an ordinary valid or dirty entry.
+  using BWay = BansheeController::Way;
+  const std::size_t banshee_ways = hbm_.capacity() / BansheeConfig{}.page_bytes;
+  const auto b_valid = [](BWay& w, u8 v) { w.valid = v; };
+  expect_element_check<BWay>("Banshee", banshee_ways, b_valid, 2, true, hbm_,
+                             dram_);
+  expect_element_check<BWay>("Banshee", banshee_ways, b_valid, 1, false, hbm_,
+                             dram_);
+  expect_element_check<BWay>(
+      "Banshee", banshee_ways, [](BWay& w, u8 v) { w.dirty = v; }, 2, true,
+      hbm_, dram_);
+
+  using UWay = UnisonCacheController::Way;
+  const std::size_t uc_ways =
+      static_cast<std::size_t>(UnisonCacheController(hbm_, dram_).set_count()) *
+      UnisonConfig{}.ways;
+  const auto u_valid = [](UWay& w, u8 v) { w.valid = v; };
+  expect_element_check<UWay>("UC", uc_ways, u_valid, 2, true, hbm_, dram_);
+  expect_element_check<UWay>("UC", uc_ways, u_valid, 1, false, hbm_, dram_);
+  expect_element_check<UWay>(
+      "UC", uc_ways, [](UWay& w, u8 v) { w.pad[6] = v; }, 1, true, hbm_,
+      dram_);
+
+  using Line = Hybrid2Controller::CacheLine;
+  const Hybrid2Config h2;
+  const std::size_t lines = h2.cache_bytes / h2.block_bytes;
+  const auto h_valid = [](Line& l, u8 v) { l.valid = v; };
+  expect_element_check<Line>("Hybrid2", lines, h_valid, 2, true, hbm_, dram_);
+  expect_element_check<Line>("Hybrid2", lines, h_valid, 1, false, hbm_, dram_);
+  expect_element_check<Line>(
+      "Hybrid2", lines, [](Line& l, u8 v) { l.dirty = v; }, 2, true, hbm_,
+      dram_);
+
+  expect_element_check<PomController::SetEntry>(
+      "PoM", PomController(hbm_, dram_).set_count(),
+      [](PomController::SetEntry& e, u8 v) { e.pad = v; }, 1, true, hbm_,
+      dram_);
+  expect_element_check<MemPodController::MeaEntry>(
+      "MemPod",
+      static_cast<std::size_t>(MemPodController(hbm_, dram_).pod_count()) *
+          MemPodConfig{}.mea_counters,
+      [](MemPodController::MeaEntry& e, u8 v) { e.pad = v; }, 1, true, hbm_,
+      dram_);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDesigns, DesignSmokeTest,
                          ::testing::Values("DRAM-only", "Banshee", "AC", "UC",
                                            "Chameleon", "Hybrid2",

@@ -109,23 +109,6 @@ TEST_F(SilcFmFixture, MetadataExceedsSram) {
   EXPECT_GT(c.metadata_sram_bytes(), 512 * KiB);
 }
 
-/// The bytes Archive::table saves for `t`.
-std::string table_bytes(ZeroArray<u32>& t) {
-  snap::Writer w;
-  snap::Archive ar(w);
-  ar.table(t, "table");
-  return w.payload();
-}
-
-/// `payload` with the one occurrence of `from` replaced by `to`.
-std::string replace_once(std::string payload, const std::string& from,
-                         const std::string& to) {
-  const std::size_t at = payload.find(from);
-  EXPECT_NE(at, std::string::npos);
-  EXPECT_EQ(at, payload.rfind(from)) << "section is not unique";
-  return payload.replace(at, from.size(), to);
-}
-
 TEST_F(SilcFmFixture, RestoreOfInconsistentSetFailsClosed) {
   // CRC-valid images that each break one set of a fresh controller: the
   // restore's invariant check rejects both.
@@ -138,9 +121,9 @@ TEST_F(SilcFmFixture, RestoreOfInconsistentSetFailsClosed) {
     BitMatrix clean(c.set_count(), subblocks);
     BitMatrix stray(c.set_count(), subblocks);
     stray.set(5, 3);
-    const std::string bad =
-        replace_once(payload, snap::testing::payload_of(clean),
-                     snap::testing::payload_of(stray));
+    const std::string bad = snap::testing::replace_once(
+        payload, snap::testing::payload_of(clean),
+        snap::testing::payload_of(stray));
     SilcFmController fresh(hbm_, dram_);
     EXPECT_THROW(snap::testing::restore(bad, fresh), snap::SnapshotError);
   }
@@ -151,8 +134,9 @@ TEST_F(SilcFmFixture, RestoreOfInconsistentSetFailsClosed) {
     // Stored as block ^ ~0: pair set 5 with in-set block m_, the
     // near-native block, which never pairs.
     out_of_range[5] = (c.blocks_per_set() - 1) ^ ~u32{0};
-    const std::string bad = replace_once(payload, table_bytes(none),
-                                         table_bytes(out_of_range));
+    const std::string bad =
+        snap::testing::replace_once(payload, snap::testing::table_bytes(none),
+                                    snap::testing::table_bytes(out_of_range));
     SilcFmController fresh(hbm_, dram_);
     EXPECT_THROW(snap::testing::restore(bad, fresh), snap::SnapshotError);
   }

@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "common/snapshot.h"
+#include "snapshot_testing.h"
 
 namespace bb::cache {
 namespace {
@@ -217,6 +218,37 @@ TEST(CacheSnapshot, RoundTripRestoresLinesStatsAndRecency) {
   EXPECT_EQ(c.stats().evictions, restored.stats().evictions);
   EXPECT_EQ(c.stats().writebacks, restored.stats().writebacks);
   std::remove(path.c_str());
+}
+
+TEST(CacheSnapshot, FlagByteAboveOneFailsClosed) {
+  // Line bytes land in the line structs as they are: a restore rejects a
+  // valid or dirty byte of 2, and accepts the same image with a 1. 256
+  // lines span two table pages, so the line table's bytes differ from
+  // the one-page LRU stamp table's.
+  CacheParams p = small_cache();
+  p.size_bytes = 16 * KiB;
+  Cache c(p);
+  const std::string payload = snap::testing::payload_of(c);
+  const auto crafted = [&payload](auto set) {
+    ZeroArray<Cache::Line> clean(256);
+    ZeroArray<Cache::Line> patched(256);
+    set(patched[1]);
+    return snap::testing::replace_once(payload,
+                                       snap::testing::table_bytes(clean),
+                                       snap::testing::table_bytes(patched));
+  };
+  Cache bad_valid(p);
+  EXPECT_THROW(snap::testing::restore(
+                   crafted([](Cache::Line& l) { l.valid = 2; }), bad_valid),
+               snap::SnapshotError);
+  Cache bad_dirty(p);
+  EXPECT_THROW(snap::testing::restore(
+                   crafted([](Cache::Line& l) { l.dirty = 2; }), bad_dirty),
+               snap::SnapshotError);
+  Cache good(p);
+  EXPECT_NO_THROW(snap::testing::restore(
+      crafted([](Cache::Line& l) { l.valid = 1; }), good));
+  EXPECT_TRUE(good.contains(0));  // tag 0 in way 1 of set 0, now valid
 }
 
 class CacheGeometryTest

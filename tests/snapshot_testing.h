@@ -58,4 +58,22 @@ std::string payload_of(T& obj) {
   return w.payload();
 }
 
+/// The bytes Archive::table saves for `t`.
+template <class T>
+std::string table_bytes(ZeroArray<T>& t) {
+  Writer w;
+  Archive ar(w);
+  ar.table(t, "table");
+  return w.payload();
+}
+
+/// `payload` with the one occurrence of `from` replaced by `to`.
+inline std::string replace_once(std::string payload, const std::string& from,
+                                const std::string& to) {
+  const std::size_t at = payload.find(from);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(at, payload.rfind(from)) << "section is not unique";
+  return payload.replace(at, from.size(), to);
+}
+
 }  // namespace bb::snap::testing

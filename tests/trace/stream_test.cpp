@@ -1,13 +1,14 @@
-// Streaming trace layer tests: v2 round-trips under every codec, replay
-// laps, rejection of the retired v1 format, and the fail-closed contract
-// for truncated / corrupt files (a record must never be served from a
-// chunk whose checksum did not verify).
+// Streaming trace layer tests: v2 round-trips, replay laps, rejection of
+// the retired v1 format and of any chunk codec but varint, and the
+// fail-closed contract for truncated / corrupt files (a record must never
+// be served from a chunk whose checksum did not verify).
 #include "trace/stream.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,28 @@ void put_le32(std::vector<unsigned char>& bytes, std::size_t off, u32 v) {
   }
 }
 
+u32 get_le32(const std::vector<unsigned char>& bytes, std::size_t off) {
+  u32 v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<u32>(bytes[off + static_cast<std::size_t>(i)]) << (8 * i);
+  }
+  return v;
+}
+
+// File offsets of the v2 layout (see trace/stream.h).
+constexpr std::size_t kHeaderBytes = 24;
+constexpr std::size_t kChunkHeaderBytes = 16;
+constexpr std::size_t kCodecWord = 12;        // within the header
+constexpr std::size_t kPayloadBytesWord = 8;  // within a chunk header
+
+/// Offset of the chunk header that follows the chunk whose header starts
+/// at `chunk`, from that header's payload-size field.
+std::size_t next_chunk(const std::vector<unsigned char>& bytes,
+                       std::size_t chunk) {
+  return chunk + kChunkHeaderBytes +
+         get_le32(bytes, chunk + kPayloadBytesWord);
+}
+
 struct TempTrace {
   explicit TempTrace(const char* name) : path(tmp_path(name)) {}
   ~TempTrace() { std::remove(path.c_str()); }
@@ -104,31 +127,46 @@ void expect_v1_rejected(const std::string& path) {
 }
 
 TEST(StreamFormat, RoundTripAllCodecs) {
+  // Varint is the one chunk codec: the writer stamps codec word 1.
   const auto original = synth_records(3000);
-  std::vector<TraceCodec> codecs = {TraceCodec::kRaw, TraceCodec::kVarint};
-  if (zlib_supported()) codecs.push_back(TraceCodec::kZlib);
-  for (const TraceCodec codec : codecs) {
-    TempTrace t("roundtrip_v2.bbtrace");
-    TraceWriterOptions w;
-    w.codec = codec;
-    w.chunk_records = 256;  // 3000 % 256 != 0: short final chunk on purpose
-    ASSERT_TRUE(save_trace_v2(t.path, original, w)) << codec_name(codec);
-    const auto info = trace_info(t.path);
-    EXPECT_EQ(info.codec, codec);
-    EXPECT_EQ(info.records, original.size());
-    EXPECT_EQ(info.chunks, (original.size() + 255) / 256);
-    expect_same(read_trace(t.path), original);
-    EXPECT_EQ(validate_trace(t.path).records, original.size());
-  }
+  TempTrace t("roundtrip_v2.bbtrace");
+  TraceWriterOptions w;
+  w.chunk_records = 256;  // 3000 % 256 != 0: short final chunk on purpose
+  ASSERT_TRUE(save_trace_v2(t.path, original, w));
+  EXPECT_EQ(get_le32(slurp(t.path), kCodecWord), 1u);
+  const auto info = trace_info(t.path);
+  EXPECT_EQ(info.records, original.size());
+  EXPECT_EQ(info.chunks, (original.size() + 255) / 256);
+  expect_same(read_trace(t.path), original);
+  EXPECT_EQ(validate_trace(t.path).records, original.size());
 }
 
-TEST(StreamFormat, ZlibGateMatchesBuild) {
-  if (zlib_supported()) {
-    EXPECT_EQ(parse_codec("zlib"), TraceCodec::kZlib);
-  } else {
-    EXPECT_THROW(parse_codec("zlib"), TraceError);
+TEST(StreamFormat, CodecWordOtherThanVarintFailsClosed) {
+  // Ids 0 and 2 were the retired raw and zlib codecs; 3 was never used.
+  // Every entry point rejects them before decoding, naming the id.
+  const auto original = synth_records(100);
+  TempTrace t("badcodec.bbtrace");
+  ASSERT_TRUE(save_trace_v2(t.path, original));
+  const auto good = slurp(t.path);
+  for (const u32 codec : {0u, 2u, 3u}) {
+    SCOPED_TRACE(codec);
+    auto bytes = good;
+    put_le32(bytes, kCodecWord, codec);
+    dump(t.path, bytes);
+    const std::string id = "codec id " + std::to_string(codec);
+    const auto expect_named = [&](const std::function<void()>& open) {
+      try {
+        open();
+        FAIL() << "codec " << codec << " must not open";
+      } catch (const TraceError& e) {
+        EXPECT_NE(std::string(e.what()).find(id), std::string::npos)
+            << e.what();
+      }
+    };
+    expect_named([&] { trace_info(t.path); });
+    expect_named([&] { validate_trace(t.path); });
+    expect_named([&] { StreamingTraceReader reader(t.path); });
   }
-  EXPECT_THROW(parse_codec("brotli"), TraceError);
 }
 
 TEST(StreamFormat, VarintHandlesAddressJumpsAndWideGaps) {
@@ -143,7 +181,6 @@ TEST(StreamFormat, VarintHandlesAddressJumpsAndWideGaps) {
   };
   TempTrace t("varint_extremes.bbtrace");
   TraceWriterOptions w;
-  w.codec = TraceCodec::kVarint;
   w.chunk_records = 2;
   ASSERT_TRUE(save_trace_v2(t.path, recs, w));
   expect_same(read_trace(t.path), recs);
@@ -257,13 +294,13 @@ TEST(StreamCorruption, ChunkChecksumMismatchDetectedOnLoad) {
   const auto original = synth_records(600);
   TempTrace t("flipped.bbtrace");
   TraceWriterOptions w;
-  w.codec = TraceCodec::kRaw;
   w.chunk_records = 200;
   ASSERT_TRUE(save_trace_v2(t.path, original, w));
   auto bytes = slurp(t.path);
-  // Flip one payload byte inside the *second* chunk (header 24 B, chunk
-  // header 16 B, payload 200 * 17 B, then the next chunk header).
-  const std::size_t second_payload = 24 + 16 + 200 * 17 + 16;
+  // Flip one payload byte inside the *second* chunk, found by skipping the
+  // first chunk's payload.
+  const std::size_t second_payload =
+      next_chunk(bytes, kHeaderBytes) + kChunkHeaderBytes;
   bytes[second_payload + 5] ^= 0x01;
   dump(t.path, bytes);
   // The shallow walk does not decode payloads, so construction succeeds
@@ -279,17 +316,23 @@ TEST(StreamCorruption, StreamChecksumCatchesConsistentlyPatchedChunk) {
   const auto original = synth_records(300);
   TempTrace t("patched.bbtrace");
   TraceWriterOptions w;
-  w.codec = TraceCodec::kRaw;
   w.chunk_records = 100;
   ASSERT_TRUE(save_trace_v2(t.path, original, w));
   auto bytes = slurp(t.path);
-  // Adversarial case: corrupt a record's address *and* re-stamp the chunk
-  // CRC so the per-chunk check passes. Only the footer's stream checksum,
-  // verified at the lap boundary, can catch this.
-  const std::size_t chunk_hdr = 24;
-  const std::size_t payload = chunk_hdr + 16;
-  bytes[payload + 8] ^= 0x40;  // addr byte of record 0
-  put_le32(bytes, chunk_hdr + 12, ref_crc32(&bytes[payload], 100 * 17));
+  // Adversarial case: corrupt a record *and* re-stamp the chunk CRC so the
+  // per-chunk check passes. Flipping the low bit of a varint byte whose
+  // top bit is clear (the last byte of its value) changes the value but
+  // not the length, so the chunk still decodes to 100 records. Only the
+  // footer's stream checksum, verified at the lap boundary, can catch it.
+  const std::size_t chunk_hdr = kHeaderBytes;
+  const std::size_t payload = chunk_hdr + kChunkHeaderBytes;
+  const std::size_t payload_bytes =
+      get_le32(bytes, chunk_hdr + kPayloadBytesWord);
+  std::size_t at = payload;
+  while ((bytes[at] & 0x80u) != 0) ++at;
+  ASSERT_LT(at, payload + payload_bytes);
+  bytes[at] ^= 0x01;
+  put_le32(bytes, chunk_hdr + 12, ref_crc32(&bytes[payload], payload_bytes));
   dump(t.path, bytes);
   StreamingTraceReader reader(t.path);
   for (std::size_t i = 0; i < original.size() - 1; ++i) reader.next();
@@ -300,23 +343,24 @@ TEST(StreamCorruption, StreamChecksumCatchesConsistentlyPatchedChunk) {
 }
 
 TEST(StreamCorruption, EmptyChunkMidReplayFailsClosed) {
-  // Raw chunks make the file (170 KB) far larger than a stdio buffer, so
-  // the rewind at a lap boundary re-reads the first chunk from the file.
+  // The file (about 50 KB of varint chunks) is far larger than a stdio
+  // buffer, so the rewind at a lap boundary re-reads the first chunk from
+  // the file.
   const auto original = synth_records(10000);
   TempTrace t("emptied.bbtrace");
   TraceWriterOptions w;
-  w.codec = TraceCodec::kRaw;
   w.chunk_records = 100;
   ASSERT_TRUE(save_trace_v2(t.path, original, w));
+  ASSERT_GT(slurp(t.path).size(), 4u * static_cast<std::size_t>(BUFSIZ));
   // The structural walk passes at open; then the file is rewritten in
   // place so the first chunk header claims zero records and an empty
   // payload, whose CRC is 0. No record may be served from it.
   StreamingTraceReader reader(t.path);
   std::FILE* f = std::fopen(t.path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
-  std::vector<unsigned char> header(16, 0);
+  std::vector<unsigned char> header(kChunkHeaderBytes, 0);
   put_le32(header, 0, 0x434b4e48);  // "CHNK"
-  ASSERT_EQ(std::fseek(f, 24, SEEK_SET), 0);
+  ASSERT_EQ(std::fseek(f, kHeaderBytes, SEEK_SET), 0);
   ASSERT_EQ(std::fwrite(header.data(), 1, header.size(), f), header.size());
   ASSERT_EQ(std::fclose(f), 0);
   // Lap one may still see the original header if stdio read it ahead at
@@ -372,6 +416,9 @@ TEST(CaptureSink, RejectsBadOptions) {
   TraceWriterOptions w;
   w.chunk_records = 0;
   EXPECT_THROW(sink.open(tmp_path("never.bbtrace"), w), TraceError);
+  w.chunk_records = (1u << 24) + 1;  // past the format's chunk bound
+  EXPECT_THROW(sink.open(tmp_path("never.bbtrace"), w), TraceError);
+  EXPECT_FALSE(sink.is_open());
   EXPECT_THROW(sink.open("/nonexistent-dir/x.bbtrace"),
                std::ios_base::failure);
 }
